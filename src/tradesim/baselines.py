@@ -3,6 +3,7 @@ adapter that turns an optimized chromosome into scheduling actions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -12,17 +13,13 @@ from .errors import ConfigError
 from .hybrid import Chromosome, HybridConfig, hybrid_scheduling
 
 
-def no_op_action(sim: ClusterSim) -> SchedulingAction:
-    return sim.no_op_action()
-
-
 class RoundRobinScheduler:
     """Static baseline: the initial round-robin placement, never adjusted."""
 
     name = "round-robin"
 
     def decide(self, sim: ClusterSim, service_rho: np.ndarray, tick: int) -> SchedulingAction:
-        return no_op_action(sim)
+        return sim.no_op_action()
 
 
 class RandomScheduler:
@@ -31,6 +28,8 @@ class RandomScheduler:
     name = "random"
 
     def __init__(self, seed: int = 0, delta_span: int = 1):
+        if delta_span < 0:
+            raise ConfigError("delta_span must be >= 0")
         self._rng = np.random.default_rng([seed, 0xDEAD])
         self.delta_span = delta_span
 
@@ -109,7 +108,6 @@ class HybridScheduler:
     topology: object
     config: HybridConfig
     name: str = "hybrid"
-    _plan: Chromosome | None = None
     _decision: int = 0
 
     def decide(self, sim: ClusterSim, service_rho: np.ndarray, tick: int) -> SchedulingAction:
@@ -126,7 +124,6 @@ class HybridScheduler:
             seed_chromosome=current,
             start_tick=tick,
         )
-        self._plan = result.best
         self._decision += 1
         return action_from_chromosome(sim, result.best)
 
@@ -148,37 +145,95 @@ class DrlScheduler:
         return action
 
 
+def _int_option(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(value)
+    parsed = int(value)
+    if isinstance(value, float) and parsed != value:
+        raise ValueError(value)
+    return parsed
+
+
+def _float_option(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(value)
+    parsed = float(value)
+    if not math.isfinite(parsed):
+        raise ValueError(value)
+    return parsed
+
+
+def _path_option(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(value)
+    return value
+
+
+_HYBRID_DEFAULTS = {
+    "population": 10, "elite": 2, "max_iter": 4, "eval_ticks": 30, "n_min": 8,
+    "n_max": 16, "local_search_budget": 2, "convergence_window": 3, "max_instances": 3,
+}
+
+# Options each scheduler kind accepts: name -> (parser, default).
+SCHEDULER_OPTIONS: dict[str, dict[str, tuple]] = {
+    "round-robin": {},
+    "random": {"delta_span": (_int_option, 1)},
+    "threshold-autoscaler": {
+        "scale_up_at": (_float_option, 0.8),
+        "scale_down_at": (_float_option, 0.3),
+        "cooldown_ticks": (_int_option, 30),
+    },
+    "hybrid": {name: (_int_option, default) for name, default in _HYBRID_DEFAULTS.items()},
+    "drl": {"checkpoint": (_path_option, None)},
+}
+
+
+def scheduler_options(kind: str, options) -> dict:
+    """The scheduler's options with defaults filled in.
+
+    An unknown kind, an option name no scheduler kind accepts, or a value of
+    this kind's options that does not parse is a ConfigError. Options of other
+    kinds are ignored, so one options dict can configure every scheduler of a
+    comparison."""
+    if kind not in SCHEDULER_OPTIONS:
+        raise ConfigError(f"unknown scheduler kind {kind!r}")
+    if not isinstance(options, dict):
+        raise ConfigError(f"{kind} scheduler config must be a JSON object")
+    accepted = SCHEDULER_OPTIONS[kind]
+    unknown = sorted(set(options).difference(*SCHEDULER_OPTIONS.values()))
+    if unknown:
+        raise ConfigError(
+            f"unknown {kind} scheduler option(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted) or 'none'}"
+        )
+    resolved = {}
+    for name, (parse, default) in accepted.items():
+        if name not in options:
+            resolved[name] = default
+            continue
+        try:
+            resolved[name] = parse(options[name])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"{kind} scheduler option {name!r}: cannot use {options[name]!r}"
+            ) from None
+    return resolved
+
+
 def make_scheduler(kind: str, *, seed: int, scenario, topology, options: dict):
     """Factory for the CLI's scheduler kinds."""
+    opts = scheduler_options(kind, options)
     if kind == "round-robin":
         return RoundRobinScheduler()
     if kind == "random":
-        return RandomScheduler(seed=seed, delta_span=int(options.get("delta_span", 1)))
+        return RandomScheduler(seed=seed, **opts)
     if kind == "threshold-autoscaler":
-        return ThresholdAutoscaler(
-            scale_up_at=float(options.get("scale_up_at", 0.8)),
-            scale_down_at=float(options.get("scale_down_at", 0.3)),
-            cooldown_ticks=int(options.get("cooldown_ticks", 30)),
-        )
+        return ThresholdAutoscaler(**opts)
     if kind == "hybrid":
-        config = HybridConfig(
-            population=int(options.get("population", 10)),
-            elite=int(options.get("elite", 2)),
-            max_iter=int(options.get("max_iter", 4)),
-            seed=seed,
-            eval_ticks=int(options.get("eval_ticks", 30)),
-            n_min=int(options.get("n_min", 8)),
-            n_max=int(options.get("n_max", 16)),
-            local_search_budget=int(options.get("local_search_budget", 2)),
-            convergence_window=int(options.get("convergence_window", 3)),
-            max_instances=int(options.get("max_instances", 3)),
-        )
+        config = HybridConfig(seed=seed, **opts)
         return HybridScheduler(scenario=scenario, topology=topology, config=config)
-    if kind == "drl":
-        from .drl.policy import load_policy
+    from .drl.policy import load_policy
 
-        checkpoint = options.get("checkpoint")
-        if not checkpoint:
-            raise ConfigError("drl scheduler needs a trained checkpoint path")
-        return DrlScheduler(policy=load_policy(checkpoint), seed=seed)
-    raise ConfigError(f"unknown scheduler kind {kind!r}")
+    if not opts["checkpoint"]:
+        raise ConfigError("drl scheduler needs a trained checkpoint path")
+    return DrlScheduler(policy=load_policy(opts["checkpoint"]), seed=seed)

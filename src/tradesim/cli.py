@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import make_scheduler
+from .baselines import SCHEDULER_OPTIONS, make_scheduler
 from .cache import CacheConfig, TieredCache, ZipfAccessDriver
 from .cluster import (
     ClusterSim,
@@ -82,7 +82,7 @@ class ExperimentConfig:
             raise ConfigError(f"scenario file not found: {self.scenario}")
         if not Path(self.topology).exists():
             raise ConfigError(f"topology file not found: {self.topology}")
-        if self.scheduler not in ("hybrid", "drl", "round-robin", "random", "threshold-autoscaler"):
+        if self.scheduler not in SCHEDULER_OPTIONS:
             raise ConfigError(f"unknown scheduler kind {self.scheduler!r}")
         if self.scheduler_config and not Path(self.scheduler_config).exists():
             raise ConfigError(f"scheduler config not found: {self.scheduler_config}")
@@ -105,7 +105,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     topology = load_topology(config.topology)
     options = {}
     if config.scheduler_config:
-        options = json.loads(Path(config.scheduler_config).read_text())
+        try:
+            options = json.loads(Path(config.scheduler_config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"scheduler config {config.scheduler_config} is not valid JSON: {exc}"
+            ) from exc
     scheduler = make_scheduler(
         config.scheduler, seed=config.seed, scenario=scenario, topology=topology,
         options=options,
@@ -132,12 +137,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
 
     for t in range(scenario.horizon):
         counts = generate_tick_counts(scenario, t)
-        # per-service utilization signal: capacity-share-weighted node CPU,
-        # the same quantity the latency model's contention factor sees
-        base_cap = sim.placement * sim.quota[:, None] * sim.node_cpu[None, :]
-        cap_per_service = np.maximum(base_cap.sum(axis=1), 1e-9)
-        share = base_cap / cap_per_service[:, None]
-        service_rho = share @ sim.util_true[:, 0]
+        # per-service utilization signal: the latency model's contention factor
+        service_rho = sim.service_rho()
 
         action = None
         if model is not None and t >= model.min_history() and t % config.predictor_interval == 0:

@@ -1,9 +1,14 @@
 """Discrete-time cluster simulation: nodes, service instances, queues and the
 latency/reward model driving every scheduler in this package.
 
-The hot path works on per-service request counts (queues are FIFO buckets per
-arrival tick), so rollouts over hundreds of thousands of ticks stay cheap;
-`step` accepts materialized Request lists and aggregates them.
+The tick model (capacity sharing, contention and formula latency, the
+utilization EWMA) is written once, over arrays with optional leading batch
+axes. `ClusterSim` steps one cluster with it: FIFO queues of per-arrival-tick
+buckets, actions, jitter draws, noise, reward and trace. `rollout_batch` steps
+a whole population of candidate configurations at once through the same
+arrivals, with no-op actions and no jitter or noise, which is what the hybrid
+scheduler's fitness rollouts need. `step` accepts materialized Request lists
+and aggregates them.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,8 @@ from .workload import Request, ServiceSpec, default_service_mix
 # Lognormal jitter sigma such that a unit-mean multiplier turns the 85 ms
 # component sum into p95 = 120 ms (solve 1.6449*s - s^2/2 = ln(120/85)).
 CALIBRATED_JITTER_SIGMA = 0.22504290663979853
+
+QUOTA_FLOOR = 0.01  # smallest per-instance quota an action can set
 
 
 @dataclass(frozen=True)
@@ -204,18 +211,19 @@ class SystemState:
 
 def service_latency(
     model: LatencyModel,
-    rho: float,
+    rho,
     cache_hit_rate: float = 0.0,
-    jitter: float | None = None,
-) -> float:
-    """Per-request latency in ms at offered intensity rho (fraction of capacity).
+    jitter=None,
+):
+    """Per-request latency in ms at offered intensity rho (fraction of capacity);
+    elementwise over an array of rho values.
 
     Contention multiplies the processing component by 1/(1-rho) with rho capped
     at `rho_cap`; overload beyond that surfaces as queue wait in the simulator,
     never as a division blow-up here. The data-access component shrinks with
     the cache hit rate. `jitter` is a multiplicative draw (None = disabled).
     """
-    rho_eff = min(max(rho, 0.0), model.rho_cap)
+    rho_eff = np.minimum(np.maximum(rho, 0.0), model.rho_cap)
     hit = min(max(cache_hit_rate, 0.0), 1.0)
     base = (
         model.network_ms
@@ -223,6 +231,133 @@ def service_latency(
         + model.data_access_ms * (1.0 - hit)
     )
     return base * (jitter if jitter is not None else 1.0)
+
+
+# --- the tick model, over leading batch axes --------------------------------------
+#
+# Arrays end in (k,) per service, (n,) per node or (k, n) per service and node;
+# any leading axes index independent clusters. ClusterSim steps one cluster with
+# these functions and rollout_batch steps a population, so both read one model.
+
+
+@dataclass(frozen=True)
+class TopologyArrays:
+    """Per-node capacities and per-service demands of a topology."""
+
+    node_cpu: np.ndarray  # (n,) CPU-ms per tick
+    node_mem: np.ndarray  # (n,) MB
+    node_net: np.ndarray  # (n,) MB per tick
+    work_units: np.ndarray  # (k,) CPU-ms per request
+    payload_mb: np.ndarray  # (k,)
+    svc_mem: np.ndarray  # (k,) MB per instance
+
+    @classmethod
+    def of(cls, topology: ClusterTopology) -> "TopologyArrays":
+        return cls(
+            node_cpu=np.array([nd.cpu_capacity for nd in topology.nodes]),
+            node_mem=np.array([nd.mem_capacity for nd in topology.nodes]),
+            node_net=np.array([nd.net_capacity for nd in topology.nodes]),
+            work_units=np.array([s.work_units for s in topology.services]),
+            payload_mb=np.array([s.payload_bytes for s in topology.services]) / 1e6,
+            svc_mem=np.array([s.mem_mb for s in topology.services]),
+        )
+
+
+@dataclass(frozen=True)
+class Capacity:
+    """What a configuration (placement, quota, priority) fixes for the tick
+    model; rebuilt whenever an action changes the configuration."""
+
+    base_cap: np.ndarray  # (..., k, n) committed CPU of each service on each node
+    cap_per_service: np.ndarray  # (..., k)
+    share: np.ndarray  # (..., k, n) each node's part of a service's committed CPU
+    weights: np.ndarray  # (..., k, n) priority claims on leftover node CPU
+    placement_share: np.ndarray  # (..., k, n) each node's part of a service's instances
+    instance_mem: np.ndarray  # (..., n) resident instance memory, MB
+
+    @classmethod
+    def of(cls, placement, quota, priority, arrays: TopologyArrays) -> "Capacity":
+        base_cap = placement * quota[..., :, None] * arrays.node_cpu
+        cap_per_service = base_cap.sum(axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            share = np.where(
+                cap_per_service[..., None] > 0, base_cap / cap_per_service[..., None], 0.0
+            )
+        totals = placement.sum(axis=-1, keepdims=True)
+        return cls(
+            base_cap=base_cap,
+            cap_per_service=cap_per_service,
+            share=share,
+            weights=placement * priority[..., :, None],
+            placement_share=placement / np.maximum(totals, 1),
+            instance_mem=(placement * arrays.svc_mem[:, None]).sum(axis=-2),
+        )
+
+
+def node_commit(placement: np.ndarray, quota: np.ndarray) -> np.ndarray:
+    """(n,) quota committed on each node by a (k, n) placement."""
+    return placement.T.astype(float) @ quota
+
+
+def allocate_work(
+    cap: Capacity, node_cpu: np.ndarray, demand_work: np.ndarray, carry_work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CPU work each service gets this tick, and where it runs.
+
+    Each service first uses its committed share (plus the fraction of a request
+    carried over from the last tick); node CPU left over goes to the services
+    still backlogged, split by placement-weighted priority. Returns
+    (work_done (..., k), used_by_node (..., k, n)).
+    """
+    served_base = np.minimum(demand_work, cap.cap_per_service + carry_work)
+    used_base = served_base[..., None] * cap.share
+    rem = demand_work - served_base
+    needy = rem > 1e-12
+    if not needy.any():
+        return served_base, used_base
+    leftover = np.maximum(node_cpu - used_base.sum(axis=-2), 0.0)
+    weights = np.where(needy[..., None], cap.weights, 0.0)
+    col = weights.sum(axis=-2)[..., None, :]
+    has_col = col > 0
+    frac = np.where(has_col, weights / np.where(has_col, col, 1.0), 0.0)
+    offer = frac * leftover[..., None, :]
+    offered = offer.sum(axis=-1)
+    take = np.minimum(rem, offered)
+    has_offer = offered > 0
+    scale = np.where(has_offer, take / np.where(has_offer, offered, 1.0), 0.0)
+    extra = offer * scale[..., None]
+    return served_base + extra.sum(axis=-1), used_base + extra
+
+
+def contention(share: np.ndarray, util_cpu: np.ndarray) -> np.ndarray:
+    """Per-service contention rho: the capacity-weighted CPU utilization of the
+    nodes hosting the service, (..., k) from share (..., k, n) and (..., n)."""
+    return (share @ util_cpu[..., None])[..., 0]
+
+
+def utilization_step(
+    util_true: np.ndarray,
+    used_by_node: np.ndarray,
+    queue_len: np.ndarray,
+    completed: np.ndarray,
+    cap: Capacity,
+    arrays: TopologyArrays,
+    alpha: float,
+) -> np.ndarray:
+    """EWMA of the tick's (cpu, mem, net) node utilization, (..., n, 3).
+
+    Memory holds the instances plus the payloads still queued, the network
+    carries the payloads completed; both spread over a service's instances.
+    """
+    cpu_inst = np.clip(used_by_node.sum(axis=-2) / arrays.node_cpu, 0.0, 1.0)
+    queued_payload = (queue_len * arrays.payload_mb)[..., None] * cap.placement_share
+    mem_used = cap.instance_mem + queued_payload.sum(axis=-2)
+    mem_inst = np.clip(mem_used / arrays.node_mem, 0.0, 1.0)
+    moved_mb = (completed * arrays.payload_mb)[..., None] * cap.placement_share
+    net_inst = np.clip(moved_mb.sum(axis=-2) / arrays.node_net, 0.0, 1.0)
+    inst = np.empty(util_true.shape)
+    inst[..., 0], inst[..., 1], inst[..., 2] = cpu_inst, mem_inst, net_inst
+    return (1.0 - alpha) * util_true + alpha * inst
 
 
 def sample_jitter(model: LatencyModel, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -308,12 +443,10 @@ class ClusterSim:
         self.placement = np.array(topology.initial_placement, dtype=int)
         self.quota = np.array(topology.initial_quota, dtype=float)
         self.priority = np.array(topology.initial_priority, dtype=float)
-        self.node_cpu = np.array([nd.cpu_capacity for nd in topology.nodes])
-        self.node_mem = np.array([nd.mem_capacity for nd in topology.nodes])
-        self.node_net = np.array([nd.net_capacity for nd in topology.nodes])
-        self.work_units = np.array([s.work_units for s in topology.services])
-        self.payload_mb = np.array([s.payload_bytes for s in topology.services]) / 1e6
-        self.svc_mem = np.array([s.mem_mb for s in topology.services])
+        self.arrays = TopologyArrays.of(topology)
+        self.node_cpu = self.arrays.node_cpu
+        self._capacity_key: tuple[bytes, bytes, bytes] | None = None
+        self._capacity: Capacity | None = None
 
         self.tick = 0
         self.queues: list[deque[list]] = [deque() for _ in range(k)]  # [arrival_tick, count]
@@ -342,7 +475,10 @@ class ClusterSim:
     # -- action handling ---------------------------------------------------
 
     def sanitize_action(self, action: SchedulingAction) -> tuple[SchedulingAction, int]:
-        """Clamp the action to the feasible region; returns the clamp count."""
+        """Clamp the action to the feasible region; returns the clamp count.
+
+        A non-finite priority or quota keeps the simulator's current value and
+        counts as one clamp."""
         clamps = 0
         delta = np.asarray(action.instance_delta, dtype=int).copy()
         totals = self.placement.sum(axis=1)
@@ -357,10 +493,9 @@ class ClusterSim:
         elif mig.size:
             clamps += 1
 
-        priority = np.clip(np.asarray(action.priority, dtype=float), 0.0, 1.0)
-        clamps += int(np.sum(priority != np.asarray(action.priority)))
-        quota = np.clip(np.asarray(action.quota, dtype=float), 0.01, 1.0)
-        clamps += int(np.sum(quota != np.asarray(action.quota)))
+        priority, priority_clamps = _clamped(action.priority, self.priority, 0.0, 1.0)
+        quota, quota_clamps = _clamped(action.quota, self.quota, QUOTA_FLOOR, 1.0)
+        clamps += priority_clamps + quota_clamps
         return (
             SchedulingAction(clamped_delta, migration, priority, quota),
             clamps,
@@ -407,7 +542,19 @@ class ClusterSim:
         return act
 
     def _node_commit(self) -> np.ndarray:
-        return self.placement.T.astype(float) @ self.quota
+        return node_commit(self.placement, self.quota)
+
+    def capacity(self) -> Capacity:
+        """Capacity of the current configuration, rebuilt when that changed."""
+        key = (self.placement.tobytes(), self.quota.tobytes(), self.priority.tobytes())
+        if key != self._capacity_key:
+            self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
+            self._capacity_key = key
+        return self._capacity
+
+    def service_rho(self) -> np.ndarray:
+        """(k,) contention each service sees at the current configuration."""
+        return contention(self.capacity().share, self.util_true[:, 0])
 
     # -- stepping ----------------------------------------------------------
 
@@ -430,52 +577,27 @@ class ClusterSim:
         self.queue_len += counts
         self.last_load = counts.copy()
 
-        # capacity: committed share first, leftovers by priority among backlogged
-        base_cap = self.placement * self.quota[:, None] * self.node_cpu[None, :]
-        cap_per_service = base_cap.sum(axis=1)
-        demand_work = self.queue_len * self.work_units + 0.0
-        served_base = np.minimum(demand_work, cap_per_service + self.carry_work)
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            share = np.where(cap_per_service[:, None] > 0, base_cap / cap_per_service[:, None], 0.0)
-        used_base = served_base[:, None] * share
-        leftover = np.maximum(self.node_cpu - used_base.sum(axis=0), 0.0)
-
-        rem = demand_work - served_base
-        needy = rem > 1e-12
-        extra = np.zeros_like(base_cap)
-        if needy.any():
-            weights = self.placement * self.priority[:, None]
-            weights = np.where(needy[:, None], weights, 0.0)
-            col = weights.sum(axis=0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                frac = np.where(col > 0, weights / np.where(col > 0, col, 1.0), 0.0)
-            offer = frac * leftover[None, :]
-            offered = offer.sum(axis=1)
-            take = np.minimum(rem, offered)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scale = np.where(offered > 0, take / np.where(offered > 0, offered, 1.0), 0.0)
-            extra = offer * scale[:, None]
-
-        work_done = served_base + extra.sum(axis=1)
-        used_by_node = used_base + extra
-
         # completions: FIFO pop; capacity is not bankable across idle ticks.
         # Contention rho is the (previous-tick EWMA) CPU utilization of the
         # nodes hosting the service, capacity-weighted: an idle instance sees
         # rho = 0 and queue wait covers anything beyond rho_cap.
-        rho = share @ self.util_true[:, 0]
+        cap = self.capacity()
+        work_units = self.arrays.work_units
+        work_done, used_by_node = allocate_work(
+            cap, self.node_cpu, self.queue_len * work_units + 0.0, self.carry_work
+        )
+        model = self.topology.latency
+        formula = service_latency(model, self.service_rho(), self.cache_hit_rate).tolist()
         completed = np.zeros(self.k, dtype=np.int64)
         sum_base_ms = np.zeros(self.k)
         tick_samples: list[np.ndarray] = []
         tick_weights: list[np.ndarray] = []
         tick_ms = self.topology.tick_length * 1000.0
-        model = self.topology.latency
 
         for s in range(self.k):
             available = work_done[s] + 0.0
-            wu = self.work_units[s]
-            formula_ms = service_latency(model, float(rho[s]), self.cache_hit_rate)
+            wu = work_units[s]
+            formula_ms = formula[s]
             q = self.queues[s]
             while q and available >= wu:
                 bucket = q[0]
@@ -501,15 +623,10 @@ class ClusterSim:
         self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
 
         # utilization (EWMA ground truth, noisy observation)
-        cpu_inst = np.clip(used_by_node.sum(axis=0) / self.node_cpu, 0.0, 1.0)
-        queued_payload = (self.queue_len * self.payload_mb)[:, None] * self._placement_share()
-        mem_used = (self.placement * self.svc_mem[:, None]).sum(axis=0) + queued_payload.sum(axis=0)
-        mem_inst = np.clip(mem_used / self.node_mem, 0.0, 1.0)
-        moved_mb = (completed * self.payload_mb)[:, None] * self._placement_share()
-        net_inst = np.clip(moved_mb.sum(axis=0) / self.node_net, 0.0, 1.0)
-        inst = np.stack([cpu_inst, mem_inst, net_inst], axis=1)
-        a = self.topology.ewma_alpha
-        self.util_true = (1.0 - a) * self.util_true + a * inst
+        self.util_true = utilization_step(
+            self.util_true, used_by_node, self.queue_len, completed, cap, self.arrays,
+            self.topology.ewma_alpha,
+        )
         if self.noise.std > 0:
             eps = self._noise_rng.normal(0.0, self.noise.std, size=self.util_true.shape)
         else:
@@ -547,10 +664,6 @@ class ClusterSim:
             )
         self.tick += 1
         return state
-
-    def _placement_share(self) -> np.ndarray:
-        totals = self.placement.sum(axis=1, keepdims=True)
-        return self.placement / np.maximum(totals, 1)
 
     def _tick_reward(self, prev_quota: np.ndarray, act: SchedulingAction, state: SystemState) -> float:
         spec = self.reward_spec
@@ -596,6 +709,168 @@ class ClusterSim:
         if not self.latency_samples:
             return np.zeros(0), np.zeros(0)
         return np.concatenate(self.latency_samples), np.concatenate(self.latency_weights)
+
+
+def _clamped(values, current: np.ndarray, low: float, high: float) -> tuple[np.ndarray, int]:
+    """`values` clipped to [low, high], a non-finite entry replaced by the
+    `current` one; and the number of entries changed."""
+    arr = np.asarray(values, dtype=float)
+    finite = np.isfinite(arr)
+    replaced = 0
+    if not finite.all():
+        arr = np.where(finite, arr, current)
+        replaced = int(finite.size - np.count_nonzero(finite))
+    out = np.clip(arr, low, high)
+    return out, replaced + int(np.sum(out != arr))
+
+
+@dataclass
+class RolloutBatch:
+    """Per-candidate sums over the ticks of a batched rollout."""
+
+    latency_sum: np.ndarray  # (P,) per tick: mean latency (ms) . completions
+    completed: np.ndarray  # (P,) completions
+    util_sum: np.ndarray  # (P,) per tick: mean node CPU utilization
+    node_work: np.ndarray  # (P, n) per tick: node CPU utilization
+    final_states: list[SystemState]  # observation after the last tick
+
+
+def rollout_batch(
+    topology: ClusterTopology,
+    placement: np.ndarray,
+    quota: np.ndarray,
+    priority: np.ndarray,
+    arrivals: np.ndarray,
+) -> RolloutBatch:
+    """Step P candidate configurations of `topology` together through the same
+    arrivals, each holding its configuration (no-op actions), with no latency
+    jitter, observation noise or cache hits.
+
+    placement is (P, k, n), quota and priority (P, k), arrivals (T >= 1, k)
+    request counts per tick. Per candidate, the sums and the final state equal
+    those of a `ClusterSim` on that configuration stepped T ticks with no-op
+    actions and zero noise, bit for bit: the tick model is the same functions,
+    and the arithmetic runs in the same order.
+
+    A candidate's FIFO queues are a dense (k, T) array of requests left per
+    arrival tick plus a head index per service; each tick drains it oldest
+    bucket first, one bucket per step for all (candidate, service) rows that
+    still have capacity for a request.
+    """
+    placement = np.asarray(placement, dtype=np.int64)
+    quota = np.asarray(quota, dtype=float)
+    arrivals = np.asarray(arrivals, dtype=np.int64)
+    P, k, n = placement.shape
+    T = len(arrivals)
+    # what a ClusterSim does to its configuration on the first tick: the
+    # topology's checks, the action clamps and the rescale of an
+    # over-committed node (none of which changes a repaired chromosome)
+    if np.any(placement.sum(axis=-1) < 1):
+        raise ConfigError("every service needs at least one instance")
+    if not np.all((quota > 0.0) & (quota <= 1.0)):
+        raise ConfigError("quota outside (0, 1]")
+    priority = np.clip(np.asarray(priority, dtype=float), 0.0, 1.0)
+    quota = np.clip(quota, QUOTA_FLOOR, 1.0)
+    for p in range(P):
+        worst = node_commit(placement[p], quota[p]).max()
+        if worst > 1.0 + 1e-9:
+            raise ConfigError("per-node quota commitment exceeds 1")
+        if worst > 1.0:
+            quota[p] = quota[p] / worst
+
+    arrays = TopologyArrays.of(topology)
+    cap = Capacity.of(placement, quota, priority, arrays)
+    model = topology.latency
+    tick_length = topology.tick_length
+    tick_ms = tick_length * 1000.0
+
+    # flat (candidate, service) rows, each with a (T,) bucket row
+    rows_all = P * k
+    service = np.tile(np.arange(k), P)
+    row_wu = arrays.work_units[service]
+    buckets = np.tile(arrivals.T, (P, 1)).reshape(-1)
+    row_start = np.arange(rows_all) * T
+    # next_arrival[s, t]: first tick >= t with arrivals of service s, else T
+    ticks = np.where(arrivals > 0, np.arange(T)[:, None], T)
+    next_arrival = np.full((k, T + 1), T)
+    next_arrival[:, :T] = np.minimum.accumulate(ticks[::-1], axis=0)[::-1].T
+    head = next_arrival[service, 0]
+
+    queue_len = np.zeros((P, k), dtype=np.int64)
+    carry_work = np.zeros((P, k))
+    util_true = np.zeros((P, n, 3))
+    latency_sum = np.zeros(P)
+    completed_sum = np.zeros(P)
+    util_sum = np.zeros(P)
+    node_work = np.zeros((P, n))
+
+    for t in range(T):
+        queue_len += arrivals[t]
+        work_done, used_by_node = allocate_work(
+            cap, arrays.node_cpu, queue_len * arrays.work_units + 0.0, carry_work
+        )
+        formula = service_latency(model, contention(cap.share, util_true[..., 0])).reshape(-1)
+        available = work_done.reshape(-1)
+        done_flat = np.zeros(rows_all, dtype=np.int64)
+        sum_base_ms = np.zeros(rows_all)
+        # one bucket per row and step: per row, the same float operations in the
+        # same order as ClusterSim's loop over its deque
+        rows = ((head <= t) & (available >= row_wu)).nonzero()[0]
+        while rows.size:
+            h = head[rows]
+            at = row_start[rows] + h
+            left = buckets[at]
+            wu = row_wu[rows]
+            a = available[rows]
+            n_served = np.minimum(a // wu, left).astype(np.int64)
+            available[rows] = a - n_served * wu
+            left -= n_served
+            buckets[at] = left
+            done_flat[rows] += n_served
+            sum_base_ms[rows] += ((t - h) * tick_ms + formula[rows]) * n_served
+            emptied = left == 0
+            head[rows[emptied]] = next_arrival[service[rows[emptied]], h[emptied] + 1]
+            more = (n_served > 0) & (head[rows] <= t) & (available[rows] >= wu)
+            rows = rows[more]
+        completed = done_flat.reshape(P, k)
+        queue_len -= completed
+        carry_work = np.where(
+            queue_len > 0, np.remainder(available, row_wu).reshape(P, k), 0.0
+        )
+        util_true = utilization_step(
+            util_true, used_by_node, queue_len, completed, cap, arrays, topology.ewma_alpha
+        )
+        latency_ms = np.where(
+            completed > 0, sum_base_ms.reshape(P, k) / np.maximum(completed, 1), 0.0
+        )
+        done = completed / tick_length * tick_length
+        latency_sum += (latency_ms[:, None, :] @ done[:, :, None])[:, 0, 0]
+        completed_sum += done.sum(axis=-1)
+        util_sum += util_true[..., 0].sum(axis=-1) / n  # as .mean(), without its overhead
+        node_work += util_true[..., 0]
+
+    window = arrivals[max(T - topology.history_window, 0):].astype(float)
+    if not len(window):  # history_window 0, as ClusterSim.observe_state treats it
+        window = np.zeros((1, k))
+    hist_mean, hist_var = window.mean(axis=0), window.var(axis=0)
+    load = arrivals[-1].astype(float)
+    util_obs = np.clip(util_true + 0.0, 0.0, 1.0)
+    throughput = completed / tick_length
+    final_states = [
+        SystemState(
+            load=load.copy(),
+            util=util_obs[p],
+            queue_len=queue_len[p].astype(float),
+            hist_mean=hist_mean.copy(),
+            hist_var=hist_var.copy(),
+            latency_ms=latency_ms[p],
+            throughput=throughput[p],
+            service_quota=quota[p],
+            tick=T,
+        )
+        for p in range(P)
+    ]
+    return RolloutBatch(latency_sum, completed_sum, util_sum, node_work, final_states)
 
 
 def encode_compact_state(state: SystemState, queue_reference: float = 1000.0) -> np.ndarray:
@@ -700,13 +975,3 @@ def load_topology(path: str | Path) -> ClusterTopology:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"topology file {p} is not valid JSON: {exc}") from exc
     return topology_from_dict(data)
-
-
-def scale_topology(topo: ClusterTopology, placement: np.ndarray, quota: np.ndarray, priority: np.ndarray) -> ClusterTopology:
-    """Topology with a replaced initial configuration (for chromosome rollouts)."""
-    return replace(
-        topo,
-        initial_placement=tuple(tuple(int(v) for v in row) for row in placement),
-        initial_quota=tuple(float(q) for q in quota),
-        initial_priority=tuple(float(p) for p in priority),
-    )

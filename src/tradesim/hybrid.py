@@ -9,17 +9,16 @@ so that better candidates receive the protective low rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterSim, ClusterTopology, NoiseSpec, scale_topology
+from .cluster import QUOTA_FLOOR, ClusterTopology, node_commit, rollout_batch
 from .errors import ConfigError
 from .optim import AdamSpec, adam_init, adam_step
 from .workload import WorkloadScenario, generate_tick_counts
 
 INFEASIBLE = float("inf")
-QUOTA_FLOOR = 0.01
 
 
 @dataclass
@@ -51,11 +50,10 @@ def repair(chromo: Chromosome) -> Chromosome:
     chromo.placement = placement
     chromo.quota = np.clip(chromo.quota, QUOTA_FLOOR, 1.0)
     chromo.priority = np.clip(chromo.priority, 0.0, 1.0)
-    pt = placement.T.astype(float)
-    if (pt @ np.full_like(chromo.quota, QUOTA_FLOOR)).max() > 1.0:
+    if node_commit(placement, np.full_like(chromo.quota, QUOTA_FLOOR)).max() > 1.0:
         raise ConfigError("cannot satisfy per-node quota budget even at the quota floor")
     for _ in range(64):  # floor clipping can re-violate; iterate to feasibility
-        worst = (pt @ chromo.quota).max()
+        worst = node_commit(placement, chromo.quota).max()
         if worst <= 1.0:
             break
         chromo.quota = np.maximum(chromo.quota / worst, QUOTA_FLOOR)
@@ -70,7 +68,7 @@ def satisfies_invariants(chromo: Chromosome) -> bool:
         and np.all(chromo.placement.sum(axis=1) >= 1)
         and np.all((chromo.quota > 0) & (chromo.quota <= 1))
         and np.all((chromo.priority >= 0) & (chromo.priority <= 1))
-        and (chromo.placement.T.astype(float) @ chromo.quota).max() <= 1.0 + 1e-9
+        and node_commit(chromo.placement, chromo.quota).max() <= 1.0 + 1e-9
     )
 
 
@@ -142,8 +140,11 @@ class RolloutMetrics:
 
 
 class RolloutEvaluator:
-    """Pure fitness: same scenario slice and seed for every candidate of a
-    generation, jitter and observation noise disabled."""
+    """Pure fitness: every candidate rolls out through the same scenario slice
+    with its configuration held, no latency jitter and no observation noise.
+    The candidates of a batch are stepped together by one call of the batched
+    kernel (`cluster.rollout_batch`); results are memoized by chromosome, so a
+    duplicate or repeated candidate never rolls out twice."""
 
     def __init__(
         self,
@@ -153,51 +154,61 @@ class RolloutEvaluator:
         eval_ticks: int = 120,
         start_tick: int = 0,
     ):
+        if eval_ticks < 1:
+            raise ConfigError("eval_ticks must be >= 1")
         self.scenario = scenario
-        self.topology = replace(
-            topology, latency=replace(topology.latency, jitter_enabled=False)
-        )
+        self.topology = topology
         self.weights = weights
         self.eval_ticks = eval_ticks
         self.start_tick = start_tick
-        self._counts_cache: dict[int, np.ndarray] = {}
+        self._arrivals: np.ndarray | None = None
         self._memo: dict[tuple, RolloutMetrics] = {}
 
-    def _counts(self, t: int) -> np.ndarray:
-        if t not in self._counts_cache:
-            tick = min(self.start_tick + t, self.scenario.horizon - 1)
-            self._counts_cache[t] = generate_tick_counts(self.scenario, tick)
-        return self._counts_cache[t]
+    def arrivals(self) -> np.ndarray:
+        """(eval_ticks, k) request counts per tick, shared by every rollout;
+        ticks past the scenario horizon repeat its last tick."""
+        if self._arrivals is None:
+            last = self.scenario.horizon - 1
+            self._arrivals = np.stack([
+                generate_tick_counts(self.scenario, min(self.start_tick + t, last))
+                for t in range(self.eval_ticks)
+            ])
+        return self._arrivals
 
     def metrics(self, chromo: Chromosome) -> RolloutMetrics:
-        key = (chromo.placement.tobytes(), chromo.quota.tobytes(), chromo.priority.tobytes())
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._rollout(chromo)
-        self._memo[key] = out
-        return out
+        return self.metrics_batch([chromo])[0]
 
-    def _rollout(self, chromo: Chromosome) -> RolloutMetrics:
-        topo = scale_topology(self.topology, chromo.placement, chromo.quota, chromo.priority)
-        sim = ClusterSim(topo, seed=0, noise=NoiseSpec(std=0.0), latency_sample_cap=1)
-        latency_sum = 0.0
-        completed = 0
-        util_sum = 0.0
-        node_work = np.zeros(topo.node_count)
-        for t in range(self.eval_ticks):
-            state = sim.step_counts(sim.no_op_action(), self._counts(t))
-            done = sim.last_throughput * topo.tick_length
-            latency_sum += float(np.dot(state.latency_ms, done))
-            completed += float(done.sum())
-            util_sum += float(sim.util_true[:, 0].mean())
-            node_work += sim.util_true[:, 0]
-        T = latency_sum / completed if completed else 0.0
-        U = util_sum / self.eval_ticks
-        mean_work = node_work.mean()
-        cv = float(node_work.std() / mean_work) if mean_work > 0 else 0.0
-        L = max(0.0, 1.0 - cv)
-        return RolloutMetrics(T=T, U=U, L=L, final_state=sim.observe_state())
+    def metrics_batch(self, chromos: list[Chromosome]) -> list[RolloutMetrics]:
+        """Metrics of each chromosome; the memo misses roll out as one batch."""
+        keys = [
+            (c.placement.tobytes(), c.quota.tobytes(), c.priority.tobytes()) for c in chromos
+        ]
+        misses: dict[tuple, Chromosome] = {}
+        for key, chromo in zip(keys, chromos):
+            if key not in self._memo:
+                misses.setdefault(key, chromo)
+        if misses:
+            self._memo.update(zip(misses, self._rollouts(list(misses.values()))))
+        return [self._memo[key] for key in keys]
+
+    def _rollouts(self, chromos: list[Chromosome]) -> list[RolloutMetrics]:
+        batch = rollout_batch(
+            self.topology,
+            np.stack([c.placement for c in chromos]),
+            np.stack([c.quota for c in chromos]),
+            np.stack([c.priority for c in chromos]),
+            self.arrivals(),
+        )
+        out = []
+        for p, state in enumerate(batch.final_states):
+            completed = float(batch.completed[p])
+            T = float(batch.latency_sum[p]) / completed if completed else 0.0
+            U = float(batch.util_sum[p]) / self.eval_ticks
+            node_work = batch.node_work[p]
+            mean_work = node_work.mean()
+            cv = float(node_work.std() / mean_work) if mean_work > 0 else 0.0
+            out.append(RolloutMetrics(T=T, U=U, L=max(0.0, 1.0 - cv), final_state=state))
+        return out
 
     def fitness(self, chromo: Chromosome) -> float:
         m = self.metrics(chromo)
@@ -513,6 +524,8 @@ class HybridConfig:
     rl_refinement: bool = True
 
     def __post_init__(self) -> None:
+        if min(self.max_iter, self.eval_ticks, self.tournament) < 1:
+            raise ConfigError("max_iter, eval_ticks and tournament must be >= 1")
         if self.elite < 1 or self.elite >= self.population:
             raise ConfigError("need 1 <= elite < population")
         if not self.n_min <= self.population <= self.n_max:
@@ -592,7 +605,7 @@ def hybrid_scheduling(
     converged = False
 
     for generation in range(config.max_iter):
-        metrics = [evaluator.metrics(x) for x in population]
+        metrics = evaluator.metrics_batch(population)
         fitnesses = np.array(
             [fitness_from_metrics(m.T, m.U, m.L, weights) for m in metrics]
         )

@@ -1,5 +1,14 @@
 from __future__ import annotations
 
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and stay within a fixed
+# budget, so tier-1 results are reproducible and its runtime flat.
+settings.register_profile(
+    "tradesim", derandomize=True, deadline=None, max_examples=25, database=None
+)
+settings.load_profile("tradesim")
+
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
 

@@ -11,6 +11,7 @@ from tradesim.baselines import (
     ThresholdAutoscaler,
     action_from_chromosome,
     make_scheduler,
+    scheduler_options,
 )
 from tradesim.cli import EXIT_CONFIG, EXIT_OK, main, run_experiment, ExperimentConfig
 from tradesim.cluster import ClusterSim, NoiseSpec, save_topology, uniform_topology
@@ -183,6 +184,60 @@ class TestSimulateCommand:
         summary, sim = run_experiment(config)
         assert sim.conservation_ok()
         assert summary.achieved_tps > 0
+
+
+class TestSchedulerConfig:
+    @pytest.mark.parametrize(
+        "kind, options, named",
+        [
+            ("hybrid", {"population": "ten"}, "population"),
+            ("hybrid", {"eval_tick": 60}, "eval_ticks"),
+            ("hybrid", {"population": 10.5}, "population"),
+            ("hybrid", {"eval_ticks": 0}, "eval_ticks"),
+            ("threshold-autoscaler", {"scale_up": 0.9}, "scale_up_at"),
+            ("threshold-autoscaler", {"scale_up_at": "high"}, "scale_up_at"),
+            ("threshold-autoscaler", {"scale_down_at": None}, "scale_down_at"),
+            ("random", {"delta_span": True}, "delta_span"),
+            ("round-robin", {"populaton": 10}, "populaton"),
+            ("drl", {"checkpoint": 5}, "checkpoint"),
+            ("drl", {"ckpt": "policy.npz"}, "checkpoint"),
+            ("hybrid", [10, 2], "JSON object"),
+        ],
+    )
+    def test_bad_option_exits_config(self, small_files, kind, options, named, capsys):
+        sc, topo, tmp = small_files
+        cfg = tmp / "sched.json"
+        cfg.write_text(json.dumps(options))
+        code = main([
+            "simulate", "--scenario", str(sc), "--topology", str(topo),
+            "--scheduler", kind, "--scheduler-config", str(cfg), "--out", str(tmp / "x"),
+        ])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_invalid_json_exits_config(self, small_files):
+        sc, topo, tmp = small_files
+        cfg = tmp / "sched.json"
+        cfg.write_text("{population: 10")
+        code = main([
+            "simulate", "--scenario", str(sc), "--topology", str(topo),
+            "--scheduler", "hybrid", "--scheduler-config", str(cfg), "--out", str(tmp / "x"),
+        ])
+        assert code == EXIT_CONFIG
+
+    def test_defaults_filled_and_values_parsed(self):
+        opts = scheduler_options("hybrid", {"population": "12", "max_iter": 3.0})
+        assert opts["population"] == 12 and opts["max_iter"] == 3
+        assert opts["eval_ticks"] == 30  # default
+        assert scheduler_options("threshold-autoscaler", {"scale_up_at": "0.9"}) == {
+            "scale_up_at": 0.9, "scale_down_at": 0.3, "cooldown_ticks": 30,
+        }
+        assert scheduler_options("round-robin", {}) == {}
+
+    def test_options_of_other_kinds_ignored(self):
+        # one options dict can configure every scheduler of a comparison
+        assert scheduler_options("round-robin", {"population": 8, "elite": 2}) == {}
+        assert scheduler_options("random", {"scale_up_at": 0.9}) == {"delta_span": 1}
 
 
 class TestGenerateCommand:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,23 @@ class TestSanitization:
         sim.step_counts(action, counts(sim))
         assert np.all(sim.priority <= 1.0) and np.all(sim.priority >= 0.0)
         assert np.all(sim.quota <= 1.0) and np.all(sim.quota >= 0.01)
+
+    @pytest.mark.parametrize("field", ["quota", "priority"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_keeps_current_value(self, field, bad):
+        sim = make_sim()
+        action = sim.no_op_action()
+        values = getattr(action, field).copy()
+        values[1] = bad
+        before = getattr(sim, field).copy()
+        sim.step_counts(replace(action, **{field: values}), counts(sim, 30, 30))
+        assert sim.sanitized_actions == 1  # one clamp for the one bad entry
+        assert np.array_equal(getattr(sim, field), before)
+        for _ in range(5):
+            sim.step_counts(no_op(sim), counts(sim, 30, 30))
+        assert sim.sanitized_actions == 1
+        assert np.all(np.isfinite(sim.util_true))
+        assert sim.completed_total > 0 and sim.conservation_ok()
 
     def test_migration_moves_one_instance(self):
         sim = make_sim()
