@@ -387,12 +387,17 @@ class ZipfAccessDriver:
         per_tick_cap: int = 50,
         reaccess_p: float = 0.5,
     ):
+        if n_keys < 1:
+            raise ConfigError(f"the access driver needs at least one key, got {n_keys}")
         self.cache = cache
         self.per_tick_cap = per_tick_cap
         self._rng = np.random.default_rng([seed, 0xCAC4E])
         ranks = np.arange(1, n_keys + 1, dtype=float)
-        self._probs = (1.0 / ranks) / np.sum(1.0 / ranks)
-        self._n_keys = n_keys
+        probs = (1.0 / ranks) / np.sum(1.0 / ranks)
+        # Generator.choice(n_keys, p=probs) builds this CDF on every call and
+        # then draws exactly as on_tick does; building it once keeps the stream.
+        self._cdf = probs.cumsum()
+        self._cdf /= self._cdf[-1]
         self._keys = [b"k%d" % i for i in range(n_keys)]
         self._recent: list[int] = []
         self._reaccess_p = reaccess_p
@@ -402,7 +407,7 @@ class ZipfAccessDriver:
         combined memory hit rate."""
         n = min(int(request_count), self.per_tick_cap)
         if n > 0:
-            fresh = self._rng.choice(self._n_keys, size=n, p=self._probs)
+            fresh = self._cdf.searchsorted(self._rng.random(n), side="right")
             for key_id in fresh:
                 if self._recent and self._rng.random() < self._reaccess_p:
                     key_id = self._recent[int(self._rng.integers(len(self._recent)))]

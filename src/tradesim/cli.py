@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+import time
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .cluster import (
     load_topology,
     write_trace_csv,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, WarmupError
 from .lstm import (
     ForecastModel,
     LstmConfig,
@@ -172,7 +173,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     if samples.size:
         mean_ms = float(np.average(samples, weights=weights))
         std_ms = float(np.sqrt(np.average((samples - mean_ms) ** 2, weights=weights)))
-        p50, p95, p99 = (weighted_percentile(samples, weights, q) for q in (0.5, 0.95, 0.99))
+        p50, p95, p99 = weighted_percentile(samples, weights, (0.5, 0.95, 0.99))
     else:
         mean_ms = std_ms = p50 = p95 = p99 = 0.0
     mean_util = util_cpu_sum / max(util_ticks, 1)
@@ -197,11 +198,31 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     ), sim
 
 
+def _load_experiment_config(path: Path) -> ExperimentConfig:
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(data).__name__}")
+    known = {f.name: f for f in fields(ExperimentConfig)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"config {path} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted keys: {', '.join(known)}"
+        )
+    missing = [name for name, f in known.items() if f.default is MISSING and name not in data]
+    if missing:
+        raise ConfigError(f"config {path} lacks required key(s) {', '.join(map(repr, missing))}")
+    return ExperimentConfig(**data)
+
+
 def cmd_simulate(args) -> int:
     if args.config:
         if not Path(args.config).exists():
             raise ConfigError(f"config file not found: {args.config}")
-        config = ExperimentConfig(**json.loads(Path(args.config).read_text()))
+        config = _load_experiment_config(Path(args.config))
     else:
         if not args.scenario or not args.topology:
             raise ConfigError("simulate needs --scenario and --topology (or --config)")
@@ -259,6 +280,32 @@ def _session_history(scenario: WorkloadScenario) -> TickHistory:
     return history
 
 
+def _dataset_history(path: Path) -> TickHistory:
+    """Volume history from a (tick, volume, ...) CSV with a header line."""
+    history = TickHistory()
+    for lineno, line in enumerate(path.read_text().strip().split("\n")[1:], start=2):
+        cols = line.split(",")
+        try:
+            volume = float(cols[1])
+        except (IndexError, ValueError):
+            raise ConfigError(
+                f"dataset {path} line {lineno}: no numeric volume in {line!r}"
+            ) from None
+        if not np.isfinite(volume):
+            raise ConfigError(f"dataset {path} line {lineno}: volume {volume} is not finite")
+        history.append(volume)
+    if not len(history):
+        raise ConfigError(f"dataset {path} has no data rows")
+    return history
+
+
+def _phase_done(phase_ns: dict[str, int], name: str, started: int) -> int:
+    """Record the host ns since `started` as phase `name`; returns now."""
+    now = time.perf_counter_ns()
+    phase_ns[name] = now - started
+    return now
+
+
 def cmd_train_predictor(args) -> int:
     resolved = {
         "scenario": args.scenario, "out": args.out, "seed": args.seed,
@@ -271,28 +318,31 @@ def cmd_train_predictor(args) -> int:
         raise ConfigError("train-predictor needs --scenario or --dataset")
     if args.dataset and not Path(args.dataset).exists():
         raise ConfigError(f"dataset not found: {args.dataset}")
+    phase_ns: dict[str, int] = {}
+    started = time.perf_counter_ns()
     if args.dataset:
-        rows = [line.split(",") for line in Path(args.dataset).read_text().strip().split("\n")[1:]]
-        history = TickHistory()
-        for _, volume in (r[:2] for r in rows):
-            history.append(float(volume))
-        scenario = None
+        history = _dataset_history(Path(args.dataset))
     else:
-        scenario = load_scenario(args.scenario)
-        history = _session_history(scenario)
+        history = _session_history(load_scenario(args.scenario))
     scale = max(float(np.max(history.volume)), 1.0)
     session_minutes = len(history) * history.tick_length / 60.0
     scaling = FeatureScaling(volume_scale=scale, session_minutes=session_minutes)
-    X, y = build_dataset(
-        history, seq_len=args.seq_len, window=args.window,
-        horizon=args.horizon_ticks, scaling=scaling,
-    )
+    started = _phase_done(phase_ns, "history", started)
+    try:
+        X, y = build_dataset(
+            history, seq_len=args.seq_len, window=args.window,
+            horizon=args.horizon_ticks, scaling=scaling,
+        )
+    except WarmupError as exc:  # too few ticks for --window, --seq-len and --horizon-ticks
+        raise ConfigError(f"{exc} ({len(history)} ticks)") from exc
+    started = _phase_done(phase_ns, "dataset", started)
     config = LstmConfig(hidden_size=args.hidden, layers=args.layers, dropout=args.dropout)
     spec = TrainSpec(
         learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed,
         seq_len=args.seq_len,
     )
     result = train(X, y, config, spec)
+    started = _phase_done(phase_ns, "train", started)
     model = ForecastModel(
         params=result.params, config=config, scaling=scaling, seq_len=args.seq_len,
         feature_window=args.window, horizon=args.horizon_ticks,
@@ -305,6 +355,9 @@ def cmd_train_predictor(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
     save_curve_csv(result.curve, out.with_suffix(".curve.csv"))
+    _phase_done(phase_ns, "save", started)
+    # wall-clock, so kept apart from the checkpoint and curve, which are deterministic
+    out.with_suffix(".timings.json").write_text(json.dumps({"phase_ns": phase_ns}, indent=2) + "\n")
     print(f"checkpoint written to {out} (best val loss {result.best_val_loss:.6f})")
     return EXIT_OK
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .report import weighted_percentile
 from .workload import Request, ServiceSpec, default_service_mix
 
 # Lognormal jitter sigma such that a unit-mean multiplier turns the 85 ms
@@ -650,7 +651,9 @@ class ClusterSim:
         self.reward_trace.append(self._tick_reward(prev_quota, act, state))
 
         if self.record_trace:
-            p50, p95 = _tick_percentiles(samples, weights)
+            p50, p95 = (
+                weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
+            )
             self.trace.append(
                 TickRecord(
                     tick=self.tick,
@@ -881,17 +884,6 @@ def encode_compact_state(state: SystemState, queue_reference: float = 1000.0) ->
     n = float(state.util[:, 2].mean())
     l = float(state.queue_len.sum() / queue_reference)
     return np.array([c, m, n, l])
-
-
-def _tick_percentiles(samples: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    if samples.size == 0:
-        return 0.0, 0.0
-    order = np.argsort(samples, kind="stable")
-    cum = np.cumsum(weights[order])
-    total = cum[-1]
-    p50_idx = min(int(np.searchsorted(cum, 0.5 * total, side="left")), samples.size - 1)
-    p95_idx = min(int(np.searchsorted(cum, 0.95 * total, side="left")), samples.size - 1)
-    return float(samples[order][p50_idx]), float(samples[order][p95_idx])
 
 
 def write_trace_csv(sim: ClusterSim, path: str | Path) -> None:

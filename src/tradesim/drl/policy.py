@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import SchedulingAction, SystemState, encode_compact_state
+from ..optim import sigmoid
 from .nets import (
     Params,
     linear_backward,
@@ -74,15 +75,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -211,7 +203,7 @@ class PolicyCore:
                 log_std = params[f"{head.name}.log_std"]
                 std = np.exp(log_std)
                 u = records[head.name].reshape(B, head.n)
-                a = _sigmoid(u)
+                a = sigmoid(u)
                 resid = (u - mean) / std
                 logp += (
                     -log_std[None, :]
@@ -376,8 +368,8 @@ class SchedulerPolicy:
         return SchedulingAction(
             instance_delta=record["delta"].astype(int) - 1,
             migration=migration,
-            priority=_sigmoid(record["priority"]),
-            quota=_sigmoid(record["quota"]),
+            priority=sigmoid(record["priority"]),
+            quota=sigmoid(record["quota"]),
         )
 
     def act(

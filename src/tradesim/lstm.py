@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, WarmupError
-from .optim import AdamSpec, adam_init, adam_step, clip_global_norm
+from .optim import AdamSpec, adam_init, adam_step, clip_global_norm, sigmoid
 from .workload import FEATURE_COUNT, FeatureScaling, TickHistory, extract_features
 
 Params = dict[str, np.ndarray]
@@ -83,15 +83,6 @@ def init_params(config: LstmConfig, seed: int = 0) -> Params:
     return params
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def cell_forward(
     x: np.ndarray, h: np.ndarray, c: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +91,8 @@ def cell_forward(
     if x.shape[-1] != W.shape[1]:
         raise ValueError(f"input width {x.shape[-1]} does not match W {W.shape}")
     z = x @ W.T + h @ U.T + b
-    i = _sigmoid(z[..., :hidden])
-    f = _sigmoid(z[..., hidden : 2 * hidden])
-    o = _sigmoid(z[..., 2 * hidden : 3 * hidden])
+    ifo = sigmoid(z[..., : 3 * hidden])
+    i, f, o = ifo[..., :hidden], ifo[..., hidden : 2 * hidden], ifo[..., 2 * hidden :]
     g = np.tanh(z[..., 3 * hidden :])
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
@@ -147,9 +137,8 @@ def forward(
         h_seq = np.empty((B, T, H))
         for t in range(T):
             z = inp[:, t] @ W.T + h @ U.T + b
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            o = _sigmoid(z[:, 2 * H : 3 * H])
+            ifo = sigmoid(z[:, : 3 * H])  # input, forget and output gates in one call
+            i, f, o = ifo[:, :H], ifo[:, H : 2 * H], ifo[:, 2 * H :]
             g = np.tanh(z[:, 3 * H :])
             c_prev_seq[:, t] = c
             c = f * c + i * g
@@ -402,18 +391,28 @@ def build_dataset(
     stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sliding-window (sequences, targets); targets are normalized mean volume
-    over the next `horizon` ticks."""
+    over the next `horizon` ticks.
+
+    Sequence k is `feature_sequence(history, seq_len, window, scaling, end)`
+    for the k-th `end`. Overlapping sequences share feature rows, so each
+    distinct row is extracted once into a (rows, FEATURE_COUNT) table and the
+    sequences are gathered from it.
+    """
     n = len(history)
     first_end = window + seq_len - 1
-    ends = range(first_end, n - horizon + 1, stride)
-    X, y = [], []
-    volume = np.asarray(history.volume)
-    for end in ends:
-        X.append(feature_sequence(history, seq_len, window, scaling, end=end))
-        y.append(volume[end : end + horizon].mean() / scaling.volume_scale)
-    if not X:
+    ends = np.arange(first_end, n - horizon + 1, stride)
+    if ends.size == 0:
         raise WarmupError("history too short to build any training windows")
-    return np.stack(X), np.asarray(y)
+    # row_ends[k, t]: the `end` of row t of sequence k
+    row_ends = ends[:, None] + np.arange(1 - seq_len, 1)
+    distinct = np.unique(row_ends)
+    table = np.stack(
+        [extract_features(history, window, scaling, end=int(e)).as_array() for e in distinct]
+    )
+    X = table[np.searchsorted(distinct, row_ends)]
+    volume = np.asarray(history.volume)
+    y = [volume[end : end + horizon].mean() / scaling.volume_scale for end in ends]
+    return X, np.asarray(y)
 
 
 def accuracy(predictions, actuals, tolerance: float = 0.10) -> float:

@@ -1,4 +1,5 @@
-"""Adaptive-moment gradient updates shared by the LSTM and PPO trainers.
+"""Numerics shared by the LSTM and PPO trainers: adaptive-moment gradient
+updates, global-norm clipping and the logistic sigmoid.
 
 Parameters and gradients travel as name -> ndarray dicts.
 """
@@ -65,3 +66,15 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
         for g in grads.values():
             g *= scale
     return total
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|x|.
+
+    Both branches are evaluated on the whole array and `where` picks one per
+    element, so there is no boolean gather/scatter; each element gets the same
+    bits as 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below. NaN stays NaN.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,17 +53,22 @@ def percentiles(samples, levels) -> list[float]:
     return out
 
 
-def weighted_percentile(samples, weights, level: float) -> float:
-    """Nearest-rank percentile where each sample stands for `weight` requests."""
+def weighted_percentile(samples, weights, level: float | Sequence[float]) -> float | list[float]:
+    """Nearest-rank percentile where each sample stands for `weight` requests.
+
+    `level` is one level (returns a float) or a sequence of levels (returns a
+    list of floats, one per level); the sample is sorted once either way.
+    """
     samples = np.asarray(samples, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if samples.size == 0:
         raise ValueError("percentile of an empty sample")
     order = np.argsort(samples, kind="stable")
     cum = np.cumsum(weights[order])
-    target = level * cum[-1]
-    idx = int(np.searchsorted(cum, target, side="left"))
-    return float(samples[order][min(idx, samples.size - 1)])
+    targets = np.asarray(level, dtype=float) * cum[-1]
+    idx = np.minimum(np.searchsorted(cum, targets, side="left"), samples.size - 1)
+    values = samples[order][idx]
+    return float(values) if values.ndim == 0 else [float(v) for v in values]
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -104,6 +104,8 @@ class WorkloadScenario:
     bursts: tuple[BurstSpec, ...] = ()
     service_mix: tuple[ServiceSpec, ...] = field(default_factory=default_service_mix)
     users_to_rate: float = 1.0  # requests/second contributed per concurrent user
+    # (sorted offsets, their multipliers) of tidal_profile, built once for rate_profile
+    _tidal_steps: tuple[list[int], list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base_rate <= 0:
@@ -121,6 +123,7 @@ class WorkloadScenario:
         for off, mult in self.tidal_profile:
             if mult <= 0:
                 raise ConfigError(f"tidal multiplier must be > 0, got {mult} at {off}")
+        object.__setattr__(self, "_tidal_steps", _tidal_index(self.tidal_profile))
 
     @property
     def service_count(self) -> int:
@@ -160,16 +163,28 @@ def tick_rng(seed: int, t: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, stream, t])
 
 
-def tidal_multiplier(profile: tuple[tuple[int, float], ...], t: int) -> float:
-    """Step profile: the multiplier of the last breakpoint at or before t (1.0 if none)."""
-    if not profile:
-        return 1.0
+def _tidal_index(profile: tuple[tuple[int, float], ...]) -> tuple[list[int], list[float]]:
+    """(offsets, multipliers) of a step profile in ascending breakpoint order.
+
+    A profile whose offsets do not strictly increase is sorted as (offset,
+    multiplier) pairs, so of repeated offsets the largest multiplier is last.
+    """
     offsets = [off for off, _ in profile]
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
         profile = tuple(sorted(profile))
         offsets = [off for off, _ in profile]
+    return offsets, [mult for _, mult in profile]
+
+
+def _step_at(steps: tuple[list[int], list[float]], t: int) -> float:
+    offsets, mults = steps
     idx = bisect_right(offsets, t) - 1
-    return profile[idx][1] if idx >= 0 else 1.0
+    return mults[idx] if idx >= 0 else 1.0
+
+
+def tidal_multiplier(profile: tuple[tuple[int, float], ...], t: int) -> float:
+    """Step profile: the multiplier of the last breakpoint at or before t (1.0 if none)."""
+    return _step_at(_tidal_index(profile), t)
 
 
 def rate_profile(scenario: WorkloadScenario, t: int) -> float:
@@ -177,7 +192,7 @@ def rate_profile(scenario: WorkloadScenario, t: int) -> float:
     if not 0 <= t < scenario.horizon:
         raise ValueError(f"tick {t} outside horizon [0, {scenario.horizon})")
     rate = scenario.base_rate
-    rate *= tidal_multiplier(scenario.tidal_profile, t)
+    rate *= _step_at(scenario._tidal_steps, t)
     if scenario.ramp is not None:
         rate *= scenario.ramp.factor_at(t)
     for burst in scenario.bursts:
@@ -325,7 +340,8 @@ def extract_features(
         np.clip(to_close / scaling.session_minutes, -1.0, 2.0),
     ]
 
-    def tail(series: list[float], default: float = 0.0) -> np.ndarray:
+    def tail(series: list, default: float = 0.0) -> np.ndarray:
+        # only the window is converted, so a call costs O(window), not O(len(history))
         if len(series) >= end:
             return np.asarray(series[end - window : end], dtype=float)
         return np.full(window, default)
@@ -333,7 +349,7 @@ def extract_features(
     market_feats = [
         tail(history.price_volatility).mean(),
         tail(history.order_cancel_ratio).mean(),
-        float(tail([float(b) for b in history.burst_flags]).sum()),
+        float(tail(history.burst_flags).sum()),
         tail(history.busiest_utilization)[-1],
     ]
 

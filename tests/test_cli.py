@@ -186,6 +186,33 @@ class TestSimulateCommand:
         assert summary.achieved_tps > 0
 
 
+class TestSimulateConfigFile:
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda cfg: {**cfg, "schedulr": "hybrid"}, "'schedulr'"),
+            (lambda cfg: {k: v for k, v in cfg.items() if k != "topology"}, "'topology'"),
+            (lambda cfg: [cfg], "JSON object"),
+            (lambda cfg: "simulate", "JSON object"),
+            (lambda cfg: {**cfg, "cache_keys": 0}, "at least one key"),
+        ],
+        ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys"],
+    )
+    def test_bad_config_exits_config(self, small_files, edit, named, capsys):
+        sc, topo, tmp = small_files
+        cfg = tmp / "config.json"
+        resolved = {"scenario": str(sc), "topology": str(topo), "out": str(tmp / "x")}
+        cfg.write_text(json.dumps(edit(resolved)))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_invalid_json_exits_config(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"scenario": ')
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
+
 class TestSchedulerConfig:
     @pytest.mark.parametrize(
         "kind, options, named",
@@ -297,6 +324,49 @@ class TestCompareCommand:
             "--candidate", str(tmp_path / "y.json"),
         ])
         assert code != EXIT_OK
+
+
+class TestTrainPredictorCommand:
+    ARGS = ["--epochs", "1", "--hidden", "4", "--layers", "1",
+            "--seq-len", "3", "--window", "4", "--horizon-ticks", "2"]
+
+    @pytest.mark.parametrize(
+        "bad_row, named",
+        [("7,abc", "line 9"), ("7", "line 9"), ("7,", "line 9"), ("7,nan", "line 9")],
+    )
+    def test_bad_dataset_row_exits_config(self, tmp_path, bad_row, named, capsys):
+        rows = [f"{t},{10 + t}" for t in range(7)] + [bad_row] + ["8,18"]
+        data = tmp_path / "volume.csv"
+        data.write_text("tick,volume\n" + "\n".join(rows) + "\n")
+        code = main(["train-predictor", "--dataset", str(data),
+                     "--out", str(tmp_path / "m.npz"), *self.ARGS])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ticks", [0, 3])
+    def test_too_short_dataset_exits_config(self, tmp_path, ticks):
+        data = tmp_path / "volume.csv"
+        data.write_text("tick,volume\n" + "".join(f"{t},{t + 1}\n" for t in range(ticks)))
+        code = main(["train-predictor", "--dataset", str(data),
+                     "--out", str(tmp_path / "m.npz"), *self.ARGS])
+        assert code == EXIT_CONFIG
+
+    def test_phase_timings_written_beside_deterministic_outputs(self, tmp_path):
+        data = tmp_path / "volume.csv"
+        data.write_text("tick,volume\n" + "".join(f"{t},{(t * 7) % 23}\n" for t in range(40)))
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run / "model.npz"
+            code = main(["train-predictor", "--dataset", str(data), "--out", str(out),
+                         *self.ARGS])
+            assert code == EXIT_OK
+            timings = json.loads(out.with_suffix(".timings.json").read_text())
+            assert list(timings["phase_ns"]) == ["history", "dataset", "train", "save"]
+            assert all(isinstance(v, int) and v >= 0 for v in timings["phase_ns"].values())
+            with np.load(out) as arrays:
+                weights = {k: arrays[k].tobytes() for k in arrays.files}
+            outputs.append((weights, out.with_suffix(".curve.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestPredictorIntegration:
