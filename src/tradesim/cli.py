@@ -306,6 +306,11 @@ def _phase_done(phase_ns: dict[str, int], name: str, started: int) -> int:
     return now
 
 
+def _write_timings(out: Path, phase_ns: dict[str, int]) -> None:
+    # wall-clock, so kept apart from the checkpoint and curve, which are deterministic
+    out.with_suffix(".timings.json").write_text(json.dumps({"phase_ns": phase_ns}, indent=2) + "\n")
+
+
 def cmd_train_predictor(args) -> int:
     resolved = {
         "scenario": args.scenario, "out": args.out, "seed": args.seed,
@@ -356,8 +361,7 @@ def cmd_train_predictor(args) -> int:
     save_checkpoint(model, out)
     save_curve_csv(result.curve, out.with_suffix(".curve.csv"))
     _phase_done(phase_ns, "save", started)
-    # wall-clock, so kept apart from the checkpoint and curve, which are deterministic
-    out.with_suffix(".timings.json").write_text(json.dumps({"phase_ns": phase_ns}, indent=2) + "\n")
+    _write_timings(out, phase_ns)
     print(f"checkpoint written to {out} (best val loss {result.best_val_loss:.6f})")
     return EXIT_OK
 
@@ -373,6 +377,8 @@ def cmd_train_drl(args) -> int:
         "decision_interval": args.decision_interval,
     }
     print(json.dumps(resolved, indent=2))
+    phase_ns: dict[str, int] = {}
+    started = time.perf_counter_ns()
     scenario = load_scenario(args.scenario)
     topology = load_topology(args.topology)
     encoder = StateEncoder(
@@ -391,7 +397,9 @@ def cmd_train_drl(args) -> int:
         learning_rate=args.learning_rate,
         seed=args.seed,
     )
+    started = _phase_done(phase_ns, "setup", started)
     params, curve = train_scheduler(env, policy.core, config)
+    started = _phase_done(phase_ns, "train", started)
     policy.params = params
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -402,6 +410,8 @@ def cmd_train_drl(args) -> int:
         for c in curve
     ]
     out.with_suffix(".curve.csv").write_text("\n".join(lines) + "\n")
+    _phase_done(phase_ns, "save", started)
+    _write_timings(out, phase_ns)
     print(f"policy written to {out}")
     return EXIT_OK
 

@@ -14,7 +14,6 @@ and aggregates them.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,6 +111,8 @@ class ClusterTopology:
         commit = placement.T @ np.asarray(self.initial_quota)
         if np.any(commit > 1.0 + 1e-9):
             raise ConfigError("per-node quota commitment exceeds 1")
+        if self.history_window < 0:
+            raise ConfigError(f"history_window must be >= 0, got {self.history_window}")
 
     @property
     def service_count(self) -> int:
@@ -369,31 +370,6 @@ def sample_jitter(model: LatencyModel, rng: np.random.Generator, size: int) -> n
     return np.exp(s * rng.standard_normal(size) - 0.5 * s * s)
 
 
-def jitter_quantile(model: LatencyModel, level: float) -> float:
-    """Closed-form quantile of the unit-mean jitter multiplier."""
-    if not model.jitter_enabled or model.jitter_sigma == 0.0:
-        return 1.0
-    s = model.jitter_sigma
-    z = math.sqrt(2.0) * _erfinv(2.0 * level - 1.0)
-    return math.exp(s * z - 0.5 * s * s)
-
-
-def _erfinv(y: float) -> float:
-    # Newton refinement of a rational initial guess; plenty for quantile use.
-    if abs(y) >= 1.0:
-        raise ValueError("erfinv domain is (-1, 1)")
-    w = math.log(1.0 - y * y)
-    a = 0.147
-    x = math.copysign(
-        math.sqrt(math.sqrt((2.0 / (math.pi * a) + w / 2.0) ** 2 - w / a) - (2.0 / (math.pi * a) + w / 2.0)),
-        y,
-    )
-    for _ in range(3):
-        err = math.erf(x) - y
-        x -= err / (2.0 / math.sqrt(math.pi) * math.exp(-x * x))
-    return x
-
-
 def reward(
     state_before: SystemState,
     state_after: SystemState,
@@ -432,6 +408,8 @@ class ClusterSim:
         latency_sample_cap: int = 64,
         record_trace: bool = False,
     ):
+        if latency_sample_cap < 1:
+            raise ConfigError(f"latency_sample_cap must be >= 1, got {latency_sample_cap}")
         self.topology = topology
         self.noise = noise if noise is not None else NoiseSpec()
         self.reward_spec = reward_spec or RewardSpec()
@@ -448,6 +426,8 @@ class ClusterSim:
         self.node_cpu = self.arrays.node_cpu
         self._capacity_key: tuple[bytes, bytes, bytes] | None = None
         self._capacity: Capacity | None = None
+        self._sanitize_key: list | None = None
+        self._sanitized: tuple[SchedulingAction, int] | None = None
 
         self.tick = 0
         self.queues: list[deque[list]] = [deque() for _ in range(k)]  # [arrival_tick, count]
@@ -455,7 +435,10 @@ class ClusterSim:
         self.carry_work = np.zeros(k)
         self.util_true = np.zeros((n, 3))
         self.util_obs = np.zeros((n, 3))
-        self.load_history: deque[np.ndarray] = deque(maxlen=topology.history_window)
+        # the last history_window ticks' arrival counts: row i of a ring is kept
+        # at i and i + window, so the window is always one contiguous slice
+        self._load_ring = np.zeros((2 * topology.history_window, k))
+        self._load_ticks = 0
         self.last_load = np.zeros(k, dtype=np.int64)
         self.last_latency_ms = np.zeros(k)
         self.last_throughput = np.zeros(k)
@@ -479,35 +462,56 @@ class ClusterSim:
         """Clamp the action to the feasible region; returns the clamp count.
 
         A non-finite priority or quota keeps the simulator's current value and
-        counts as one clamp."""
-        clamps = 0
-        delta = np.asarray(action.instance_delta, dtype=int).copy()
-        totals = self.placement.sum(axis=1)
-        floor = 1 - totals  # keeps at least one instance per service
-        clamped_delta = np.maximum(delta, floor)
-        clamps += int(np.sum(clamped_delta != delta))
-
-        migration = np.zeros((self.k, self.n), dtype=int)
+        counts as one clamp. The result depends only on the action and the
+        current configuration, so a call whose inputs equal the last call's (a
+        hold on an unchanged configuration, most ticks) reuses that result."""
+        delta = np.asarray(action.instance_delta, dtype=int)
         mig = np.asarray(action.migration)
-        if mig.shape == (self.k, self.n):
-            migration = (mig > 0).astype(int)
-        elif mig.size:
-            clamps += 1
-
-        priority, priority_clamps = _clamped(action.priority, self.priority, 0.0, 1.0)
-        quota, quota_clamps = _clamped(action.quota, self.quota, QUOTA_FLOOR, 1.0)
-        clamps += priority_clamps + quota_clamps
+        moves = mig > 0 if mig.shape == (self.k, self.n) else None
+        priority = np.asarray(action.priority, dtype=float)
+        quota = np.asarray(action.quota, dtype=float)
+        key = [mig.shape] + [
+            (a.dtype, a.shape, a.tobytes())
+            for a in (delta, moves, priority, quota, self.placement, self.priority, self.quota)
+            if a is not None
+        ]
+        if key != self._sanitize_key:
+            self._sanitize_key = key
+            self._sanitized = self._clamp_action(delta, moves, mig.size, priority, quota)
+        act, clamps = self._sanitized
         return (
-            SchedulingAction(clamped_delta, migration, priority, quota),
+            SchedulingAction(
+                act.instance_delta.copy(), act.migration.copy(), act.priority.copy(),
+                act.quota.copy(),
+            ),
             clamps,
         )
+
+    def _clamp_action(
+        self, delta: np.ndarray, moves: np.ndarray | None, mig_size: int,
+        priority: np.ndarray, quota: np.ndarray,
+    ) -> tuple[SchedulingAction, int]:
+        """The sanitized action and its clamp count, computed in full."""
+        floor = 1 - self.placement.sum(axis=1)  # keeps at least one instance per service
+        clamped_delta = np.maximum(delta, floor)
+        clamps = int(np.count_nonzero(clamped_delta != delta))
+        if moves is not None:
+            migration = moves.astype(int)
+        else:
+            migration = np.zeros((self.k, self.n), dtype=int)
+            if mig_size:
+                clamps += 1
+        priority, priority_clamps = _clamped(priority, self.priority, 0.0, 1.0)
+        quota, quota_clamps = _clamped(quota, self.quota, QUOTA_FLOOR, 1.0)
+        clamps += priority_clamps + quota_clamps
+        return SchedulingAction(clamped_delta, migration, priority, quota), clamps
 
     def _apply_action(self, action: SchedulingAction) -> SchedulingAction:
         act, clamps = self.sanitize_action(action)
         self.sanitized_actions += clamps
 
-        for s in range(self.k):
-            d = int(act.instance_delta[s])
+        deltas = act.instance_delta.tolist()
+        for s, d in enumerate(deltas):
             while d > 0:
                 j = int(np.argmin(self._node_commit()))
                 self.placement[s, j] += 1
@@ -537,7 +541,7 @@ class ClusterSim:
             self.quota = self.quota / worst
             self.sanitized_actions += 1
 
-        if act.instance_delta.sum() > 0 and self.first_scale_up_tick < 0:
+        if sum(deltas) > 0 and self.first_scale_up_tick < 0:
             self.first_scale_up_tick = self.tick
         self._applied_migrations = applied_migrations
         return act
@@ -573,8 +577,9 @@ class ClusterSim:
         counts = np.asarray(counts, dtype=np.int64)
 
         self.generated_total += int(counts.sum())
-        for s in np.flatnonzero(counts):
-            self.queues[s].append([self.tick, int(counts[s])])
+        for s, count in enumerate(counts.tolist()):
+            if count:
+                self.queues[s].append([self.tick, count])
         self.queue_len += counts
         self.last_load = counts.copy()
 
@@ -589,35 +594,44 @@ class ClusterSim:
         )
         model = self.topology.latency
         formula = service_latency(model, self.service_rho(), self.cache_hit_rate).tolist()
-        completed = np.zeros(self.k, dtype=np.int64)
-        sum_base_ms = np.zeros(self.k)
-        tick_samples: list[np.ndarray] = []
-        tick_weights: list[np.ndarray] = []
+        completed = [0] * self.k
+        sum_base_ms = [0.0] * self.k
+        # per bucket served: (queue wait ms, formula ms, requests served, jitter draws)
+        served: list[tuple[float, float, int, int]] = []
         tick_ms = self.topology.tick_length * 1000.0
+        cap_draws = self.latency_sample_cap
 
-        for s in range(self.k):
-            available = work_done[s] + 0.0
-            wu = work_units[s]
-            formula_ms = formula[s]
+        for s, (available, wu, formula_ms) in enumerate(
+            zip(work_done.tolist(), work_units.tolist(), formula)
+        ):
             q = self.queues[s]
             while q and available >= wu:
                 bucket = q[0]
                 n_served = min(int(available // wu), bucket[1])
                 if n_served == 0:
                     break
-                wait_ticks = self.tick - bucket[0]
-                base_ms = wait_ticks * tick_ms + formula_ms
+                wait_ms = (self.tick - bucket[0]) * tick_ms
                 completed[s] += n_served
-                sum_base_ms[s] += base_ms * n_served
-                draws = min(n_served, self.latency_sample_cap)
-                jit = sample_jitter(model, self._jitter_rng, draws)
-                tick_samples.append(wait_ticks * tick_ms + formula_ms * jit)
-                tick_weights.append(np.full(draws, n_served / draws))
+                sum_base_ms[s] += (wait_ms + formula_ms) * n_served
+                served.append((wait_ms, formula_ms, n_served, min(n_served, cap_draws)))
                 available -= n_served * wu
                 bucket[1] -= n_served
                 if bucket[1] == 0:
                     q.popleft()
             self.carry_work[s] = available % wu if q else 0.0
+
+        # One jitter draw for the whole tick: the buckets' consecutive draws,
+        # from the same stream in the same order.
+        if served:
+            waits, formulas, n_served, draws = map(np.array, zip(*served))
+            jit = sample_jitter(model, self._jitter_rng, int(draws.sum()))
+            samples = np.repeat(waits, draws) + np.repeat(formulas, draws) * jit
+            weights = np.repeat(n_served / draws, draws)
+        else:
+            samples = np.zeros(0)
+            weights = np.zeros(0)
+        completed = np.array(completed, dtype=np.int64)
+        sum_base_ms = np.array(sum_base_ms)
 
         self.queue_len -= completed
         self.completed_total += int(completed.sum())
@@ -634,16 +648,14 @@ class ClusterSim:
             eps = 0.0
         self.util_obs = np.clip(self.util_true + eps, 0.0, 1.0)
 
-        self.load_history.append(counts.astype(float))
+        w = self.topology.history_window
+        if w:
+            i = self._load_ticks % w
+            self._load_ring[i] = self._load_ring[i + w] = counts
+        self._load_ticks += 1
         self.last_latency_ms = np.where(completed > 0, sum_base_ms / np.maximum(completed, 1), 0.0)
         self.last_throughput = completed / self.topology.tick_length
 
-        if tick_samples:
-            samples = np.concatenate(tick_samples)
-            weights = np.concatenate(tick_weights)
-        else:
-            samples = np.zeros(0)
-            weights = np.zeros(0)
         self.latency_samples.append(samples)
         self.latency_weights.append(weights)
 
@@ -682,7 +694,7 @@ class ClusterSim:
     # -- observation -------------------------------------------------------
 
     def observe_state(self) -> SystemState:
-        hist = np.stack(self.load_history) if self.load_history else np.zeros((1, self.k))
+        hist = self._load_window()
         return SystemState(
             load=self.last_load.astype(float).copy(),
             util=self.util_obs.copy(),
@@ -694,6 +706,16 @@ class ClusterSim:
             service_quota=self.quota.copy(),
             tick=self.tick,
         )
+
+    def _load_window(self) -> np.ndarray:
+        """(ticks, k) arrival counts of the last `history_window` ticks, oldest
+        first; one row of zeros before the first tick or with no window."""
+        w = self.topology.history_window
+        m = min(self._load_ticks, w)
+        if not m:
+            return np.zeros((1, self.k))
+        start = (self._load_ticks - m) % w
+        return self._load_ring[start : start + m]
 
     def no_op_action(self) -> SchedulingAction:
         return SchedulingAction(
@@ -719,12 +741,11 @@ def _clamped(values, current: np.ndarray, low: float, high: float) -> tuple[np.n
     `current` one; and the number of entries changed."""
     arr = np.asarray(values, dtype=float)
     finite = np.isfinite(arr)
-    replaced = 0
-    if not finite.all():
+    replaced = int(finite.size - np.count_nonzero(finite))
+    if replaced:
         arr = np.where(finite, arr, current)
-        replaced = int(finite.size - np.count_nonzero(finite))
     out = np.clip(arr, low, high)
-    return out, replaced + int(np.sum(out != arr))
+    return out, replaced + int(np.count_nonzero(out != arr))
 
 
 @dataclass

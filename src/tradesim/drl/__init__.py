@@ -9,7 +9,6 @@ from .policy import (  # noqa: F401
     PolicyCore,
     SchedulerPolicy,
     StateEncoder,
-    dueling_q,
 )
 from .ppo import (  # noqa: F401
     PPOTrainer,

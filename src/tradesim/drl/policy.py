@@ -272,10 +272,6 @@ class PolicyCore:
         return grads
 
 
-def dueling_q(params: Params, core: PolicyCore, features: np.ndarray) -> np.ndarray:
-    return core.dueling_q(params, features)
-
-
 # --- state encoding -------------------------------------------------------------
 
 

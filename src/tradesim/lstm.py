@@ -9,7 +9,7 @@ differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +324,9 @@ class ForecastModel:
     ticks_per_day: int = 86_400
     market_open_tick: int = 0
     market_close_tick: int = 86_400
+    # the feature rows of the history last forecast on, and what they depend on
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows_of: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
     def configure_history(self, history: TickHistory) -> TickHistory:
         history.ticks_per_day = self.ticks_per_day
@@ -336,9 +339,44 @@ class ForecastModel:
 
     def predict(self, history: TickHistory, end: int | None = None) -> float:
         """Predicted mean volume (requests/second) for the next horizon window."""
-        seq = feature_sequence(history, self.seq_len, self.feature_window, self.scaling, end)
-        pred, _ = forward(seq[None], self.params, self.config)
+        pred, _ = forward(self._sequence(history, end)[None], self.params, self.config)
         return float(pred[0]) * self.scaling.volume_scale
+
+    def _sequence(self, history: TickHistory, end: int | None) -> np.ndarray:
+        """`feature_sequence` for this model, reusing the rows of earlier calls.
+
+        Forecasts a few ticks apart share most of their rows. A row depends on
+        the history up to its end, the window, the scaling and the session
+        clock, so the rows are kept for one history, which is only appended to,
+        and dropped when it is another history, when it got shorter or when any
+        of the others changed. An indicator series not yet as long as a row's
+        end contributes defaults to it, so that is part of the row's key.
+        """
+        n = len(history)
+        end = n if end is None else end
+        if end < self.feature_window + self.seq_len - 1:  # raises the WarmupError
+            return feature_sequence(history, self.seq_len, self.feature_window, self.scaling, end)
+        depends_on = (
+            self.feature_window, self.scaling, history.tick_length, history.ticks_per_day,
+            history.market_open_tick, history.market_close_tick,
+        )
+        held, held_len, held_on = self._rows_of
+        if held is not history or held_len > n or held_on != depends_on:
+            self._rows = {}
+        self._rows_of = (history, n, depends_on)
+        indicators = (
+            history.price_volatility, history.order_cancel_ratio, history.burst_flags,
+            history.busiest_utilization,
+        )
+        rows = []
+        for row_end in range(end - self.seq_len + 1, end + 1):
+            key = (row_end, *(len(series) >= row_end for series in indicators))
+            row = self._rows.get(key)
+            if row is None:
+                row = extract_features(history, self.feature_window, self.scaling, row_end)
+                row = self._rows[key] = row.as_array()
+            rows.append(row)
+        return np.stack(rows)
 
     def predict_and_warn(
         self, history: TickHistory, burst_threshold: float = 2.0, baseline_window: int = 60

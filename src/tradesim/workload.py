@@ -4,6 +4,7 @@ arrivals, injected bursts, and predictor feature windows."""
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,7 +152,7 @@ class FeatureVector:
     def __post_init__(self) -> None:
         if len(self.values) != FEATURE_COUNT:
             raise ValueError(f"expected {FEATURE_COUNT} features, got {len(self.values)}")
-        if not all(np.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("feature values must be finite")
 
     def as_array(self) -> np.ndarray:

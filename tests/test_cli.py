@@ -206,6 +206,15 @@ class TestSimulateConfigFile:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    def test_negative_history_window_exits_config(self, small_files, capsys):
+        sc, topo, tmp = small_files
+        topology = json.loads(topo.read_text())
+        topo.write_text(json.dumps({**topology, "history_window": -1}))
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert "history_window" in capsys.readouterr().err
+
     def test_invalid_json_exits_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"scenario": ')
@@ -367,6 +376,33 @@ class TestTrainPredictorCommand:
                 weights = {k: arrays[k].tobytes() for k in arrays.files}
             outputs.append((weights, out.with_suffix(".curve.csv").read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestTrainDrlCommand:
+    def train(self, small_files, run: str):
+        sc_path, topo_path, tmp_path = small_files
+        out = tmp_path / run / "policy.npz"
+        code = main(["train-drl", "--scenario", str(sc_path), "--topology", str(topo_path),
+                     "--out", str(out), "--episodes", "2", "--decision-interval", "20"])
+        assert code == EXIT_OK
+        return out
+
+    def test_phase_timings_written_beside_deterministic_outputs(self, small_files):
+        outputs = []
+        for run in ("a", "b"):
+            out = self.train(small_files, run)
+            timings = json.loads(out.with_suffix(".timings.json").read_text())
+            assert list(timings["phase_ns"]) == ["setup", "train", "save"]
+            assert all(isinstance(v, int) and v >= 0 for v in timings["phase_ns"].values())
+            with np.load(out) as arrays:
+                weights = {k: arrays[k].tobytes() for k in arrays.files}
+            outputs.append((weights, out.with_suffix(".curve.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_timings_do_not_alter_the_policy_files(self, small_files):
+        out = self.train(small_files, "c")
+        written = sorted(p.name for p in out.parent.iterdir())
+        assert written == ["policy.curve.csv", "policy.npz", "policy.timings.json"]
 
 
 class TestPredictorIntegration:

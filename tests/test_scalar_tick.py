@@ -1,0 +1,659 @@
+"""The scalar simulator tick against the tick it replaced, and the inputs that
+training and forecasting now reuse.
+
+`ReferenceSim` is the earlier `ClusterSim` tick: one jitter draw per bucket
+served, the load history a deque stacked on every observation, and every
+action sanitized in full. The current tick must give equal results, compared
+by bytes, not closeness: states, rewards, latency samples and weights, trace
+records, clamp counts and the final states of the random streams.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import tradesim.drl.env as env_module
+import tradesim.lstm as lstm_module
+from tradesim.cluster import (
+    QUOTA_FLOOR,
+    ClusterSim,
+    ClusterTopology,
+    LatencyModel,
+    NodeSpec,
+    NoiseSpec,
+    SchedulingAction,
+    SystemState,
+    TickRecord,
+    allocate_work,
+    sample_jitter,
+    service_latency,
+    uniform_topology,
+    utilization_step,
+)
+from tradesim.drl.env import DecisionEnv
+from tradesim.drl.policy import SchedulerPolicy, StateEncoder
+from tradesim.errors import ConfigError, WarmupError
+from tradesim.lstm import ForecastModel, LstmConfig, feature_sequence, forward, init_params
+from tradesim.report import weighted_percentile
+from tradesim.workload import (
+    FEATURE_COUNT,
+    BurstSpec,
+    FeatureScaling,
+    FeatureVector,
+    ServiceSpec,
+    TickHistory,
+    WorkloadScenario,
+    generate_tick_counts,
+)
+
+# --- the reference tick ---------------------------------------------------------------
+
+
+def _ref_clamped(values, current, low, high):
+    arr = np.asarray(values, dtype=float)
+    finite = np.isfinite(arr)
+    replaced = 0
+    if not finite.all():
+        arr = np.where(finite, arr, current)
+        replaced = int(finite.size - np.count_nonzero(finite))
+    out = np.clip(arr, low, high)
+    return out, replaced + int(np.sum(out != arr))
+
+
+class ReferenceSim(ClusterSim):
+    """The simulator tick as it was before jitter was drawn once per tick."""
+
+    def __init__(self, topology, **kwargs):
+        super().__init__(topology, **kwargs)
+        self.load_history = deque(maxlen=topology.history_window)
+
+    def sanitize_action(self, action):
+        clamps = 0
+        delta = np.asarray(action.instance_delta, dtype=int).copy()
+        totals = self.placement.sum(axis=1)
+        floor = 1 - totals
+        clamped_delta = np.maximum(delta, floor)
+        clamps += int(np.sum(clamped_delta != delta))
+        migration = np.zeros((self.k, self.n), dtype=int)
+        mig = np.asarray(action.migration)
+        if mig.shape == (self.k, self.n):
+            migration = (mig > 0).astype(int)
+        elif mig.size:
+            clamps += 1
+        priority, priority_clamps = _ref_clamped(action.priority, self.priority, 0.0, 1.0)
+        quota, quota_clamps = _ref_clamped(action.quota, self.quota, QUOTA_FLOOR, 1.0)
+        clamps += priority_clamps + quota_clamps
+        return SchedulingAction(clamped_delta, migration, priority, quota), clamps
+
+    def _apply_action(self, action):
+        act, clamps = self.sanitize_action(action)
+        self.sanitized_actions += clamps
+        for s in range(self.k):
+            d = int(act.instance_delta[s])
+            while d > 0:
+                j = int(np.argmin(self._node_commit()))
+                self.placement[s, j] += 1
+                d -= 1
+            while d < 0 and self.placement[s].sum() > 1:
+                j = int(np.argmax(self.placement[s]))
+                self.placement[s, j] -= 1
+                d += 1
+        applied_migrations = 0
+        for s, j in zip(*np.nonzero(act.migration)):
+            sources = np.flatnonzero(self.placement[s] > 0)
+            sources = sources[sources != j]
+            if sources.size == 0:
+                self.sanitized_actions += 1
+                continue
+            src = int(sources[np.argmax(self.placement[s, sources])])
+            self.placement[s, src] -= 1
+            self.placement[s, j] += 1
+            applied_migrations += 1
+        self.priority = act.priority
+        self.quota = act.quota
+        worst = self._node_commit().max()
+        if worst > 1.0:
+            self.quota = self.quota / worst
+            self.sanitized_actions += 1
+        if act.instance_delta.sum() > 0 and self.first_scale_up_tick < 0:
+            self.first_scale_up_tick = self.tick
+        self._applied_migrations = applied_migrations
+        return act
+
+    def step_counts(self, action, counts):
+        prev_quota = self.quota.copy()
+        act = self._apply_action(action)
+        counts = np.asarray(counts, dtype=np.int64)
+        self.generated_total += int(counts.sum())
+        for s in np.flatnonzero(counts):
+            self.queues[s].append([self.tick, int(counts[s])])
+        self.queue_len += counts
+        self.last_load = counts.copy()
+        cap = self.capacity()
+        work_units = self.arrays.work_units
+        work_done, used_by_node = allocate_work(
+            cap, self.node_cpu, self.queue_len * work_units + 0.0, self.carry_work
+        )
+        model = self.topology.latency
+        formula = service_latency(model, self.service_rho(), self.cache_hit_rate).tolist()
+        completed = np.zeros(self.k, dtype=np.int64)
+        sum_base_ms = np.zeros(self.k)
+        tick_samples, tick_weights = [], []
+        tick_ms = self.topology.tick_length * 1000.0
+        for s in range(self.k):
+            available = work_done[s] + 0.0
+            wu = work_units[s]
+            formula_ms = formula[s]
+            q = self.queues[s]
+            while q and available >= wu:
+                bucket = q[0]
+                n_served = min(int(available // wu), bucket[1])
+                if n_served == 0:
+                    break
+                wait_ticks = self.tick - bucket[0]
+                base_ms = wait_ticks * tick_ms + formula_ms
+                completed[s] += n_served
+                sum_base_ms[s] += base_ms * n_served
+                draws = min(n_served, self.latency_sample_cap)
+                jit = sample_jitter(model, self._jitter_rng, draws)
+                tick_samples.append(wait_ticks * tick_ms + formula_ms * jit)
+                tick_weights.append(np.full(draws, n_served / draws))
+                available -= n_served * wu
+                bucket[1] -= n_served
+                if bucket[1] == 0:
+                    q.popleft()
+            self.carry_work[s] = available % wu if q else 0.0
+        self.queue_len -= completed
+        self.completed_total += int(completed.sum())
+        self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
+        self.util_true = utilization_step(
+            self.util_true, used_by_node, self.queue_len, completed, cap, self.arrays,
+            self.topology.ewma_alpha,
+        )
+        if self.noise.std > 0:
+            eps = self._noise_rng.normal(0.0, self.noise.std, size=self.util_true.shape)
+        else:
+            eps = 0.0
+        self.util_obs = np.clip(self.util_true + eps, 0.0, 1.0)
+        self.load_history.append(counts.astype(float))
+        self.last_latency_ms = np.where(completed > 0, sum_base_ms / np.maximum(completed, 1), 0.0)
+        self.last_throughput = completed / self.topology.tick_length
+        if tick_samples:
+            samples = np.concatenate(tick_samples)
+            weights = np.concatenate(tick_weights)
+        else:
+            samples = np.zeros(0)
+            weights = np.zeros(0)
+        self.latency_samples.append(samples)
+        self.latency_weights.append(weights)
+        state = self.observe_state()
+        self.reward_trace.append(self._tick_reward(prev_quota, act, state))
+        if self.record_trace:
+            p50, p95 = (
+                weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
+            )
+            self.trace.append(
+                TickRecord(
+                    tick=self.tick, completed=completed.copy(),
+                    mean_ms=self.last_latency_ms.copy(), p50_ms=p50, p95_ms=p95,
+                    util=self.util_obs.copy(), queue_len=self.queue_len.copy(),
+                )
+            )
+        self.tick += 1
+        return state
+
+    def observe_state(self):
+        hist = np.stack(self.load_history) if self.load_history else np.zeros((1, self.k))
+        return SystemState(
+            load=self.last_load.astype(float).copy(),
+            util=self.util_obs.copy(),
+            queue_len=self.queue_len.astype(float).copy(),
+            hist_mean=hist.mean(axis=0),
+            hist_var=hist.var(axis=0),
+            latency_ms=self.last_latency_ms.copy(),
+            throughput=self.last_throughput.copy(),
+            service_quota=self.quota.copy(),
+            tick=self.tick,
+        )
+
+
+# --- comparisons ------------------------------------------------------------------------
+
+
+def assert_arrays_equal(a, b, what: str) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def assert_states_equal(a: SystemState, b: SystemState) -> None:
+    for f in fields(SystemState):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, np.ndarray):
+            assert_arrays_equal(x, y, f.name)
+        else:
+            assert x == y, f.name
+
+
+def assert_sims_equal(sim: ClusterSim, ref: ReferenceSim) -> None:
+    for name in (
+        "placement", "quota", "priority", "queue_len", "carry_work", "util_true", "util_obs",
+        "last_load", "last_latency_ms", "last_throughput",
+    ):
+        assert_arrays_equal(getattr(sim, name), getattr(ref, name), name)
+    for name in (
+        "tick", "generated_total", "completed_total", "sanitized_actions",
+        "first_scale_up_tick", "backlog_integral",
+    ):
+        assert getattr(sim, name) == getattr(ref, name), name
+        assert type(getattr(sim, name)) is type(getattr(ref, name)), name
+    assert_arrays_equal(sim.reward_trace, ref.reward_trace, "reward_trace")
+    assert [list(map(list, q)) for q in sim.queues] == [list(map(list, q)) for q in ref.queues]
+    assert len(sim.latency_samples) == len(ref.latency_samples)
+    for t, (a, b) in enumerate(zip(sim.latency_samples, ref.latency_samples)):
+        assert_arrays_equal(a, b, f"latency samples of tick {t}")
+    for t, (a, b) in enumerate(zip(sim.latency_weights, ref.latency_weights)):
+        assert_arrays_equal(a, b, f"latency weights of tick {t}")
+    assert len(sim.trace) == len(ref.trace)
+    for a, b in zip(sim.trace, ref.trace):
+        for f in fields(TickRecord):
+            assert_arrays_equal(getattr(a, f.name), getattr(b, f.name), f"trace {f.name}")
+    assert sim._jitter_rng.bit_generator.state == ref._jitter_rng.bit_generator.state
+    assert sim._noise_rng.bit_generator.state == ref._noise_rng.bit_generator.state
+    assert_states_equal(sim.observe_state(), ref.observe_state())
+
+
+# --- generated cases ----------------------------------------------------------------------
+
+
+@st.composite
+def topologies(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    services = tuple(
+        ServiceSpec(
+            f"s{i}", weight=1.0, work_units=float(rng.uniform(0.3, 25.0)),
+            payload_bytes=int(rng.integers(64, 8192)), mem_mb=float(rng.uniform(8.0, 256.0)),
+        )
+        for i in range(k)
+    )
+    placement = rng.integers(0, 3, (k, n))
+    placement[np.arange(k), rng.integers(0, n, k)] += 1  # every service has an instance
+    quota = rng.uniform(0.004, 0.5, k)
+    worst = (placement.T @ quota).max()
+    if worst > 1.0:
+        quota = quota / (worst * 1.001)
+    priority = rng.uniform(0.0, 1.0, k)
+    if draw(st.booleans()):  # out of range: a hold clamps it
+        priority[0] = draw(st.sampled_from([1.5, -0.25, -0.0]))
+    return ClusterTopology(
+        nodes=tuple(
+            NodeSpec(float(rng.uniform(200.0, 5000.0)), 4096.0, float(rng.uniform(20.0, 500.0)))
+            for _ in range(n)
+        ),
+        services=services,
+        initial_placement=tuple(tuple(int(v) for v in row) for row in placement),
+        initial_quota=tuple(float(q) for q in quota),
+        initial_priority=tuple(float(p) for p in priority),
+        latency=LatencyModel(jitter_enabled=draw(st.booleans())),
+        history_window=draw(st.sampled_from([0, 1, 2, 60])),
+        tick_length=draw(st.sampled_from([0.5, 1.0])),
+    )
+
+
+@st.composite
+def sim_kwargs(draw):
+    return dict(
+        seed=draw(st.integers(0, 2**31)),
+        noise=NoiseSpec(std=draw(st.sampled_from([0.0, 0.02]))),
+        cache_hit_rate=draw(st.sampled_from([0.0, 0.4])),
+        latency_sample_cap=draw(st.sampled_from([1, 3, 64])),
+        record_trace=True,
+    )
+
+
+def random_action(rng: np.random.Generator, k: int, n: int) -> SchedulingAction:
+    """An action that mixes in-range values with the ones sanitization clamps."""
+    migration = rng.choice([0, 0, 0, 1, 2, -1], size=(k, n))
+    shape = rng.integers(6)
+    if shape == 0:
+        migration = np.ones(k + n)  # wrong shape: one clamp
+    elif shape == 1:
+        migration = np.zeros(0)  # empty: ignored
+    priority = rng.uniform(-0.5, 1.5, k)
+    quota = rng.choice([QUOTA_FLOOR, 0.001, 1.0, 0.02, 0.3]) * rng.uniform(0.5, 3.0, k)
+    for values in (priority, quota):
+        odd = rng.random(k) < 0.15
+        values[odd] = rng.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
+    return SchedulingAction(
+        instance_delta=rng.integers(-3, 4, k), migration=migration, priority=priority, quota=quota
+    )
+
+
+def run_both(topology, kwargs, ticks: int, load: float, hold_share: float, seed: int):
+    """Step the current and the reference simulator through the same ticks."""
+    sim = ClusterSim(topology, **kwargs)
+    ref = ReferenceSim(topology, **kwargs)
+    rng = np.random.default_rng(seed)
+    capacity = np.asarray(topology.initial_quota) * sum(nd.cpu_capacity for nd in topology.nodes)
+    rate = load * capacity / np.array([s.work_units for s in topology.services])
+    last = None
+    for _ in range(ticks):
+        counts = rng.poisson(rate)
+        roll = rng.random()
+        if roll < hold_share:
+            a, b = sim.no_op_action(), ref.no_op_action()
+        elif roll < hold_share + 0.05 and last is not None:
+            a = b = last  # the same action again
+        else:
+            a = b = last = random_action(rng, sim.k, sim.n)
+        if rng.random() < 0.03:  # the configuration changed in place
+            value = rng.choice([0.0005, 0.2, 1.0])
+            sim.quota[0] = ref.quota[0] = value
+        assert_states_equal(sim.step_counts(a, counts), ref.step_counts(b, counts))
+    return sim, ref
+
+
+# --- tests --------------------------------------------------------------------------------
+
+
+class TestTickEqualsReference:
+    @given(
+        topologies(), sim_kwargs(), st.integers(1, 60), st.floats(0.1, 3.0),
+        st.sampled_from([0.0, 0.6, 0.9]), st.integers(0, 2**32 - 1),
+    )
+    def test_generated_runs(self, topology, kwargs, ticks, load, hold_share, seed):
+        sim, ref = run_both(topology, kwargs, ticks, load, hold_share, seed)
+        assert_sims_equal(sim, ref)
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 60])
+    @given(topology=topologies(), kwargs=sim_kwargs(), seed=st.integers(0, 99))
+    def test_history_windows_over_many_ticks(self, window, topology, kwargs, seed):
+        # 150 ticks wrap even the 60-tick ring twice
+        topology = replace(topology, history_window=window)
+        sim, ref = run_both(topology, kwargs, 150, 0.5, 0.9, seed)
+        assert_sims_equal(sim, ref)
+        assert sim._load_window().shape == (max(min(window, 150), 1), sim.k)
+
+    def test_overloaded_queues_many_buckets_deep(self):
+        topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
+        kwargs = dict(seed=3, noise=NoiseSpec(std=0.02), latency_sample_cap=64, record_trace=True)
+        sim, ref = run_both(topology, kwargs, 160, 3.0, 0.9, 7)
+        assert max(len(q) for q in sim.queues) >= 50
+        assert max(len(w) for w in sim.latency_weights) > 8 * 64  # many buckets in one draw
+        assert_sims_equal(sim, ref)
+
+    def test_sample_cap_of_one(self):
+        topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
+        kwargs = dict(seed=5, latency_sample_cap=1, record_trace=True)
+        sim, ref = run_both(topology, kwargs, 80, 2.0, 0.9, 11)
+        assert_sims_equal(sim, ref)
+
+    def test_quota_rescaled_below_floor(self):
+        # 0.5 on five instances of one node commits 2.5: the rescale takes the
+        # other service's floor quota below QUOTA_FLOOR, and every hold after
+        # that clamps it back up and rescales again
+        services = (ServiceSpec("a", 1.0, 5.0, 256), ServiceSpec("b", 1.0, 5.0, 256))
+        topology = ClusterTopology(
+            nodes=(NodeSpec(1000.0, 4096.0, 100.0),), services=services,
+            initial_placement=((1,), (1,)), initial_quota=(0.2, QUOTA_FLOOR),
+            initial_priority=(0.5, 0.5), history_window=2,
+        )
+        sim, ref = ClusterSim(topology, seed=1), ReferenceSim(topology, seed=1)
+        grow = SchedulingAction(np.array([4, 0]), np.zeros((2, 1)), np.array([0.5, 0.5]),
+                                np.array([0.5, QUOTA_FLOOR]))
+        counts = np.array([30, 30])
+        sim.step_counts(grow, counts), ref.step_counts(grow, counts)
+        assert sim.quota[1] < QUOTA_FLOOR
+        before = sim.sanitized_actions
+        for _ in range(5):
+            assert_states_equal(
+                sim.step_counts(sim.no_op_action(), counts),
+                ref.step_counts(ref.no_op_action(), counts),
+            )
+        assert sim.sanitized_actions > before + 5  # each hold clamped and rescaled
+        assert_sims_equal(sim, ref)
+
+
+class TestSanitizeReuse:
+    @given(topologies(), st.integers(0, 2**32 - 1))
+    def test_repeated_and_changed_inputs_equal_a_full_sanitize(self, topology, seed):
+        sim = ClusterSim(topology)
+        ref = ReferenceSim(topology)
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            action = sim.no_op_action() if rng.random() < 0.5 else random_action(rng, sim.k, sim.n)
+            # twice as it is (the second call reuses the first one's result), then
+            # once more after the configuration changed in place
+            for changed in (False, False, True):
+                if changed:
+                    part = rng.choice(["quota", "priority", "placement"])
+                    values = getattr(sim, part)
+                    values[rng.integers(sim.k)] = (
+                        0 if part == "placement" else rng.choice([0.001, 0.3, 1.5, np.nan])
+                    )
+                    setattr(ref, part, values.copy())
+                got, clamps = sim.sanitize_action(action)
+                want, want_clamps = ref.sanitize_action(action)
+                assert clamps == want_clamps and isinstance(clamps, int)
+                for f in fields(SchedulingAction):
+                    assert_arrays_equal(getattr(got, f.name), getattr(want, f.name), f.name)
+
+    def test_result_is_a_fresh_copy(self):
+        sim = ClusterSim(uniform_topology(node_count=2))
+        hold = sim.no_op_action()
+        first, _ = sim.sanitize_action(hold)
+        first.quota[:] = 0.5
+        second, _ = sim.sanitize_action(hold)
+        assert np.array_equal(second.quota, hold.quota)
+
+
+class TestConfigurationChecks:
+    def test_sample_cap_below_one_is_a_config_error(self):
+        # a cap of 0 used to divide by zero at the first request served
+        with pytest.raises(ConfigError, match="latency_sample_cap"):
+            ClusterSim(uniform_topology(node_count=2), latency_sample_cap=0)
+
+    def test_negative_history_window_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="history_window"):
+            uniform_topology(node_count=2, history_window=-1)
+
+
+def test_one_draw_equals_consecutive_draws():
+    sizes = [1, 64, 3, 17, 1, 250, 2]
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    model = LatencyModel()
+    parts = np.concatenate([sample_jitter(model, a, n) for n in sizes])
+    assert sample_jitter(model, b, sum(sizes)).tobytes() == parts.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+# --- arrivals reused across episodes ------------------------------------------------------
+
+
+def tidal(seed: int, horizon: int = 60) -> WorkloadScenario:
+    profile = tuple((t, 1.0 + 0.8 * math.sin(t / 7.0) ** 2) for t in range(horizon))
+    return WorkloadScenario(
+        base_rate=120.0, peak_rate=600.0, horizon=horizon, seed=seed, tidal_profile=profile,
+        bursts=(BurstSpec(20, 5, 2.5),),
+    )
+
+
+def make_env(scenario: WorkloadScenario) -> DecisionEnv:
+    topology = uniform_topology(node_count=4, services=scenario.service_mix)
+    encoder = StateEncoder(mode="full", service_count=8, node_count=4)
+    return DecisionEnv(scenario, topology, encoder, SchedulerPolicy.build(encoder, seed=0))
+
+
+class TestDecisionEnvArrivals:
+    def test_episodes_step_the_regenerated_counts(self, monkeypatch):
+        generated = []
+        monkeypatch.setattr(
+            env_module, "generate_tick_counts",
+            lambda sc, t: generated.append((sc.seed, t)) or generate_tick_counts(sc, t),
+        )
+        stepped = []
+        step_counts = ClusterSim.step_counts
+        monkeypatch.setattr(
+            ClusterSim, "step_counts",
+            lambda sim, action, counts: stepped.append((id(sim), counts.copy()))
+            or step_counts(sim, action, counts),
+        )
+        first, second = make_env(tidal(1)), make_env(tidal(2))
+        rng = np.random.default_rng(0)
+        for episode in range(3):
+            for env in (first, second):  # interleaved, on different scenarios
+                obs = env.reset(episode)
+                stepped.clear()
+                done = False
+                while not done:
+                    record, _ = env.mapper.core.act(env.mapper.params, obs, "sample", rng)
+                    obs, _, done, _ = env.step(record)
+                assert len(stepped) == env.scenario.horizon
+                for t, (_, counts) in enumerate(stepped):
+                    assert_arrays_equal(counts, generate_tick_counts(env.scenario, t), f"tick {t}")
+        assert sorted(generated) == sorted((s, t) for s in (1, 2) for t in range(60))
+
+    def test_another_scenario_gets_its_own_counts(self):
+        env = make_env(tidal(1))
+        first = env._counts(5)
+        env.scenario = tidal(3)
+        assert_arrays_equal(env._counts(5), generate_tick_counts(tidal(3), 5), "new scenario")
+        assert not np.array_equal(env._counts(5), first)
+        env.scenario = tidal(1)  # an equal but new scenario object is generated again
+        assert_arrays_equal(env._counts(5), first, "back to the first scenario")
+
+    def test_shared_counts_are_read_only(self):
+        counts = make_env(tidal(1))._counts(0)
+        with pytest.raises(ValueError):
+            counts[0] = 1
+
+
+# --- forecast rows reused ------------------------------------------------------------------
+
+
+def grown_history(n: int, seed: int, indicators: bool = True) -> TickHistory:
+    rng = np.random.default_rng(seed)
+    history = TickHistory(tick_length=1.0, ticks_per_day=300, market_open_tick=30,
+                          market_close_tick=270)
+    for _ in range(n):
+        if indicators:
+            history.append(
+                float(rng.uniform(50, 500)), price_volatility=float(rng.uniform(0.1, 2.0)),
+                order_cancel_ratio=float(rng.uniform(0.1, 0.9)), burst_flag=int(rng.random() < 0.2),
+                busiest_utilization=float(rng.uniform(0.1, 1.0)),
+            )
+        else:
+            history.volume.append(float(rng.uniform(50, 500)))
+    return history
+
+
+def make_model(seq_len=12, window=10, seed=0) -> ForecastModel:
+    config = LstmConfig(hidden_size=8, layers=2)
+    return ForecastModel(
+        params=init_params(config, seed), config=config,
+        scaling=FeatureScaling(volume_scale=500.0, session_minutes=5.0), seq_len=seq_len,
+        feature_window=window, horizon=5, ticks_per_day=300, market_open_tick=30,
+        market_close_tick=270,
+    )
+
+
+def fresh_predict(model: ForecastModel, history: TickHistory, end=None) -> float:
+    seq = feature_sequence(history, model.seq_len, model.feature_window, model.scaling, end)
+    pred, _ = forward(seq[None], model.params, model.config)
+    return float(pred[0]) * model.scaling.volume_scale
+
+
+class TestForecastRows:
+    @given(
+        st.integers(2, 14), st.integers(1, 14), st.integers(1, 6), st.integers(0, 999),
+        st.booleans(),
+    )
+    def test_growing_history_equals_fresh_sequences(
+        self, window, seq_len, interval, seed, indicators
+    ):
+        model = make_model(seq_len, window, seed)
+        full = grown_history(90, seed, indicators)
+        history = grown_history(0, seed)
+        model.configure_history(history)
+        for t in range(90):
+            if t >= model.min_history() and t % interval == 0:
+                assert model.predict(history) == fresh_predict(model, history)
+                end = t - seed % 3  # an earlier end, from the rows already kept
+                if end >= model.min_history():
+                    assert model.predict(history, end) == fresh_predict(model, history, end)
+            if indicators:
+                history.append(full.volume[t], full.price_volatility[t],
+                               full.order_cancel_ratio[t], full.burst_flags[t],
+                               full.busiest_utilization[t])
+            else:
+                history.volume.append(full.volume[t])
+
+    def test_extracts_each_row_once(self, monkeypatch):
+        calls = []
+        extract = lstm_module.extract_features
+        monkeypatch.setattr(
+            lstm_module, "extract_features",
+            lambda h, w, s=None, end=None: calls.append(end) or extract(h, w, s, end),
+        )
+        model, history = make_model(), grown_history(200, 1)
+        for end in range(model.min_history(), 201, 5):
+            model.predict(history, end)
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) < 200
+
+    def test_changed_inputs_are_not_served_stale_rows(self):
+        # each change follows a forecast on the same history, whose rows are kept
+        model, history = make_model(), grown_history(120, 2)
+        model.predict(history)
+        history.market_open_tick = 60  # the session clock, as configure_history sets it
+        assert model.predict(history) == fresh_predict(model, history)
+        history.market_close_tick = 200
+        assert model.predict(history) == fresh_predict(model, history)
+        history.ticks_per_day = 250
+        assert model.predict(history) == fresh_predict(model, history)
+        history.tick_length = 0.5
+        assert model.predict(history) == fresh_predict(model, history)
+        model.scaling = FeatureScaling(volume_scale=250.0, session_minutes=5.0)
+        assert model.predict(history) == fresh_predict(model, history)
+        model.feature_window = 6
+        assert model.predict(history) == fresh_predict(model, history)
+        del history.volume[110:]
+        for series in (history.price_volatility, history.order_cancel_ratio,
+                       history.burst_flags, history.busiest_utilization):
+            del series[110:]
+        history.append(1e4, 5.0, 0.5, 1, 1.0)  # a shorter history, appended to again
+        assert model.predict(history) == fresh_predict(model, history)
+        other = grown_history(120, 3)
+        assert model.predict(other) == fresh_predict(model, other)
+
+    def test_indicators_that_arrive_later_enter_the_rows(self):
+        model = make_model(seq_len=4, window=5)
+        history = grown_history(30, 4, indicators=False)
+        model.predict(history)
+        history.busiest_utilization = [0.9] * 30  # now as long as the volume series
+        assert model.predict(history) == fresh_predict(model, history)
+
+    def test_errors_as_before(self):
+        model, history = make_model(), grown_history(30, 5)
+        with pytest.raises(WarmupError):
+            model.predict(history, model.min_history() - 1)
+        with pytest.raises(ValueError):
+            model.predict(history, 31)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+def test_feature_vector_rejects_non_finite_values(bad):
+    values = [0.5] * FEATURE_COUNT
+    values[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FeatureVector(tuple(values))
+    assert FeatureVector(tuple([np.float64(0.5)] * FEATURE_COUNT)).as_array().shape == (18,)
