@@ -71,7 +71,6 @@ class ExperimentConfig:
     out: str = "runs/out"
     decision_interval: int = 10
     noise_std: float = 0.0
-    strict_deterministic: bool = False
     predictor_interval: int = 5
     predictor_threshold: float = 2.0
     predictor_cooldown: int = 60
@@ -236,7 +235,6 @@ def cmd_simulate(args) -> int:
             out=args.out,
             decision_interval=args.decision_interval,
             noise_std=args.noise_std,
-            strict_deterministic=args.strict_deterministic,
         )
     _echo_resolved(config)
     config.validate()
@@ -342,10 +340,7 @@ def cmd_train_predictor(args) -> int:
         raise ConfigError(f"{exc} ({len(history)} ticks)") from exc
     started = _phase_done(phase_ns, "dataset", started)
     config = LstmConfig(hidden_size=args.hidden, layers=args.layers, dropout=args.dropout)
-    spec = TrainSpec(
-        learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed,
-        seq_len=args.seq_len,
-    )
+    spec = TrainSpec(learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed)
     result = train(X, y, config, spec)
     started = _phase_done(phase_ns, "train", started)
     model = ForecastModel(
@@ -453,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--out", default="runs/out")
     simp.add_argument("--decision-interval", type=int, default=10)
     simp.add_argument("--noise-std", type=float, default=0.0)
-    simp.add_argument("--strict-deterministic", action="store_true")
     simp.set_defaults(fn=cmd_simulate)
 
     tp = sub.add_parser("train-predictor", help="train the load predictor")

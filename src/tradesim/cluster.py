@@ -113,6 +113,8 @@ class ClusterTopology:
             raise ConfigError("per-node quota commitment exceeds 1")
         if self.history_window < 0:
             raise ConfigError(f"history_window must be >= 0, got {self.history_window}")
+        if not np.all(np.isfinite(self.initial_priority)):
+            raise ConfigError(f"initial_priority must be finite, got {self.initial_priority}")
 
     @property
     def service_count(self) -> int:
@@ -163,14 +165,6 @@ class SchedulingAction:
     priority: np.ndarray  # (k,) in [0, 1]
     quota: np.ndarray  # (k,) in (0, 1]
 
-    def cost(self, previous_quota: np.ndarray, spec: RewardSpec) -> float:
-        """Scheduling overhead C_t: instance changes + migrations + quota drift."""
-        return (
-            spec.cost_instance * float(np.abs(self.instance_delta).sum())
-            + spec.cost_migration * float(self.migration.sum())
-            + spec.cost_quota * float(np.abs(self.quota - previous_quota).sum())
-        )
-
 
 @dataclass
 class SystemState:
@@ -184,7 +178,7 @@ class SystemState:
     hist_var: np.ndarray  # (k,) windowed load variance
     latency_ms: np.ndarray  # (k,) mean completed-request latency last tick
     throughput: np.ndarray  # (k,) completions per second
-    service_quota: np.ndarray  # (k,) bookkeeping for action costs, not an observation block
+    service_quota: np.ndarray  # (k,) current per-instance quota, not an observation block
     tick: int = 0
 
     def dimensions(self) -> dict[str, int]:
@@ -270,7 +264,6 @@ class Capacity:
     """What a configuration (placement, quota, priority) fixes for the tick
     model; rebuilt whenever an action changes the configuration."""
 
-    base_cap: np.ndarray  # (..., k, n) committed CPU of each service on each node
     cap_per_service: np.ndarray  # (..., k)
     share: np.ndarray  # (..., k, n) each node's part of a service's committed CPU
     weights: np.ndarray  # (..., k, n) priority claims on leftover node CPU
@@ -279,6 +272,7 @@ class Capacity:
 
     @classmethod
     def of(cls, placement, quota, priority, arrays: TopologyArrays) -> "Capacity":
+        # (..., k, n) committed CPU of each service on each node
         base_cap = placement * quota[..., :, None] * arrays.node_cpu
         cap_per_service = base_cap.sum(axis=-1)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -287,7 +281,6 @@ class Capacity:
             )
         totals = placement.sum(axis=-1, keepdims=True)
         return cls(
-            base_cap=base_cap,
             cap_per_service=cap_per_service,
             share=share,
             weights=placement * priority[..., :, None],
@@ -371,16 +364,22 @@ def sample_jitter(model: LatencyModel, rng: np.random.Generator, size: int) -> n
 
 
 def reward(
-    state_before: SystemState,
-    state_after: SystemState,
+    previous_quota: np.ndarray,
+    state: SystemState,
     action: SchedulingAction,
     spec: RewardSpec,
 ) -> float:
-    """Negative weighted penalty: latency overshoot + utilization distance +
-    scheduling cost. Always <= 0; 0 only when every term vanishes."""
-    t_term = float(np.sum(state_after.latency_ms / spec.T_target))
-    u_term = float(np.sum(np.abs(state_after.util[:, 0] - spec.u_target)))
-    c_term = action.cost(state_before.service_quota, spec)
+    """Negative weighted penalty: latency overshoot and utilization distance in
+    `state`, plus the scheduling cost C_t of `action` (instance changes,
+    migrations, quota drift from `previous_quota`). Always <= 0; 0 only when
+    every term vanishes. `ClusterSim` charges the action as applied."""
+    t_term = float(np.sum(state.latency_ms / spec.T_target))
+    u_term = float(np.sum(np.abs(state.util[:, 0] - spec.u_target)))
+    c_term = (
+        spec.cost_instance * float(np.abs(action.instance_delta).sum())
+        + spec.cost_migration * float(action.migration.sum())
+        + spec.cost_quota * float(np.abs(action.quota - previous_quota).sum())
+    )
     return -(spec.w1 * t_term + spec.w2 * u_term + spec.w3 * c_term)
 
 
@@ -388,7 +387,6 @@ def reward(
 class TickRecord:
     tick: int
     completed: np.ndarray  # (k,)
-    mean_ms: np.ndarray  # (k,) 0 where nothing completed
     p50_ms: float
     p95_ms: float
     util: np.ndarray  # (n, 3)
@@ -507,6 +505,8 @@ class ClusterSim:
         return SchedulingAction(clamped_delta, migration, priority, quota), clamps
 
     def _apply_action(self, action: SchedulingAction) -> SchedulingAction:
+        """Apply the action; returns it as applied: the sanitized deltas, the
+        migrations that took effect and the quota after any rescale."""
         act, clamps = self.sanitize_action(action)
         self.sanitized_actions += clamps
 
@@ -521,7 +521,7 @@ class ClusterSim:
                 self.placement[s, j] -= 1
                 d += 1
 
-        applied_migrations = 0
+        migrated = np.zeros_like(act.migration)
         for s, j in zip(*np.nonzero(act.migration)):
             sources = np.flatnonzero(self.placement[s] > 0)
             sources = sources[sources != j]
@@ -531,7 +531,7 @@ class ClusterSim:
             src = int(sources[np.argmax(self.placement[s, sources])])
             self.placement[s, src] -= 1
             self.placement[s, j] += 1
-            applied_migrations += 1
+            migrated[s, j] = 1
 
         self.priority = act.priority
         self.quota = act.quota
@@ -543,8 +543,7 @@ class ClusterSim:
 
         if sum(deltas) > 0 and self.first_scale_up_tick < 0:
             self.first_scale_up_tick = self.tick
-        self._applied_migrations = applied_migrations
-        return act
+        return SchedulingAction(act.instance_delta, migrated, act.priority, self.quota)
 
     def _node_commit(self) -> np.ndarray:
         return node_commit(self.placement, self.quota)
@@ -573,7 +572,7 @@ class ClusterSim:
         """Advance one tick: apply the action, enqueue arrivals, drain queues by
         priority-weighted capacity sharing, update utilization and statistics."""
         prev_quota = self.quota.copy()
-        act = self._apply_action(action)
+        applied = self._apply_action(action)
         counts = np.asarray(counts, dtype=np.int64)
 
         self.generated_total += int(counts.sum())
@@ -660,7 +659,7 @@ class ClusterSim:
         self.latency_weights.append(weights)
 
         state = self.observe_state()
-        self.reward_trace.append(self._tick_reward(prev_quota, act, state))
+        self.reward_trace.append(reward(prev_quota, state, applied, self.reward_spec))
 
         if self.record_trace:
             p50, p95 = (
@@ -670,7 +669,6 @@ class ClusterSim:
                 TickRecord(
                     tick=self.tick,
                     completed=completed.copy(),
-                    mean_ms=self.last_latency_ms.copy(),
                     p50_ms=p50,
                     p95_ms=p95,
                     util=self.util_obs.copy(),
@@ -679,17 +677,6 @@ class ClusterSim:
             )
         self.tick += 1
         return state
-
-    def _tick_reward(self, prev_quota: np.ndarray, act: SchedulingAction, state: SystemState) -> float:
-        spec = self.reward_spec
-        t_term = float(np.sum(state.latency_ms / spec.T_target))
-        u_term = float(np.sum(np.abs(state.util[:, 0] - spec.u_target)))
-        c_term = (
-            spec.cost_instance * float(np.abs(act.instance_delta).sum())
-            + spec.cost_migration * float(self._applied_migrations)
-            + spec.cost_quota * float(np.abs(self.quota - prev_quota).sum())
-        )
-        return -(spec.w1 * t_term + spec.w2 * u_term + spec.w3 * c_term)
 
     # -- observation -------------------------------------------------------
 

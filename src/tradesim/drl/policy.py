@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import SchedulingAction, SystemState, encode_compact_state
-from ..optim import sigmoid
+from ..optim import load_params, save_params, sigmoid
 from .nets import (
     Params,
     linear_backward,
@@ -384,8 +384,6 @@ def _stack_records(records: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray
 
 
 def save_policy(policy: SchedulerPolicy, path) -> None:
-    import json
-
     meta = {
         "encoder": {
             "mode": policy.encoder.mode,
@@ -400,29 +398,15 @@ def save_policy(policy: SchedulerPolicy, path) -> None:
         "hidden": list(policy.core.hidden),
         "migration_choices": policy.core.layout.dueling().n,
     }
-    np.savez(
-        path,
-        __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **policy.params,
-    )
+    save_params(path, policy.params, meta)
 
 
 def load_policy(path) -> SchedulerPolicy:
-    import json
-    from pathlib import Path
-
-    from ..errors import ConfigError
-
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"policy checkpoint not found: {p}")
-    data = np.load(p)
-    meta = json.loads(bytes(data["__meta__"]).decode())
+    params, meta = load_params(path)
     encoder = StateEncoder(**meta["encoder"])
     core = PolicyCore(
         encoder.dim,
         cluster_layout(meta["encoder"]["service_count"], meta["migration_choices"]),
         tuple(meta["hidden"]),
     )
-    params = {k: data[k] for k in data.files if k != "__meta__"}
     return SchedulerPolicy(core=core, encoder=encoder, params=params)

@@ -260,6 +260,25 @@ def crossover(
     return repair(c1), repair(c2)
 
 
+def _step_placement(
+    placement: np.ndarray, idx: int, step: int, max_instances: int | None
+) -> bool:
+    """Move flat placement cell `idx` one instance in direction `step`, or the
+    other way where that is infeasible: grow when removal would empty the cell
+    or leave the service without an instance, shrink at `max_instances`.
+    Returns False, changing nothing, when neither direction is feasible."""
+    flat = placement.reshape(-1)
+    row = placement[idx // placement.shape[1]]
+    if step < 0 and (flat[idx] == 0 or row.sum() <= 1):
+        step = 1
+    if step > 0 and max_instances is not None and flat[idx] >= max_instances:
+        if flat[idx] == 0 or row.sum() <= 1:
+            return False
+        step = -1
+    flat[idx] += step
+    return True
+
+
 def mutate(
     x: Chromosome,
     p_m: float,
@@ -271,22 +290,11 @@ def mutate(
     honoring the per-cell cap), continuous genes take a Gaussian step of
     scale sigma."""
     out = x.copy()
-    flat = out.placement.reshape(-1)
-    hit = rng.random(flat.size) < p_m
+    hit = rng.random(out.placement.size) < p_m
     if hit.any():
-        signs = np.where(rng.random(flat.size) < 0.5, -1, 1)
-        k, n = out.placement.shape
+        signs = np.where(rng.random(hit.size) < 0.5, -1, 1)
         for idx in np.flatnonzero(hit):
-            row = idx // n
-            step = signs[idx]
-            if step < 0 and (flat[idx] == 0 or out.placement[row].sum() <= 1):
-                step = 1  # removal infeasible: grow instead
-            if step > 0 and max_instances is not None and flat[idx] >= max_instances:
-                if flat[idx] > 0 and out.placement[row].sum() > 1:
-                    step = -1
-                else:
-                    continue  # neither direction feasible for this gene
-            flat[idx] += step
+            _step_placement(out.placement, idx, signs[idx], max_instances)
     for attr in ("quota", "priority"):
         arr = getattr(out, attr)
         hit = rng.random(arr.size) < p_m
@@ -352,17 +360,9 @@ def local_search(
         cand = best.copy()
         idx = int(rng.integers(genes))
         if idx < cand.placement.size:
-            flat = cand.placement.reshape(-1)
-            row = idx // cand.placement.shape[1]
             step_dir = -1 if rng.random() < 0.5 else 1
-            if step_dir < 0 and (flat[idx] == 0 or cand.placement[row].sum() <= 1):
-                step_dir = 1
-            if step_dir > 0 and max_instances is not None and flat[idx] >= max_instances:
-                if flat[idx] > 0 and cand.placement[row].sum() > 1:
-                    step_dir = -1
-                else:
-                    continue
-            flat[idx] += step_dir
+            if not _step_placement(cand.placement, idx, step_dir, max_instances):
+                continue
         elif idx < cand.placement.size + cand.quota.size:
             cand.quota[idx - cand.placement.size] += sigma * rng.standard_normal()
         else:

@@ -8,14 +8,13 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, WarmupError
-from .optim import AdamSpec, adam_init, adam_step, clip_global_norm, sigmoid
+from .optim import AdamSpec, adam_init, adam_step, clip_global_norm, load_params, save_params, sigmoid
 from .workload import FEATURE_COUNT, FeatureScaling, TickHistory, extract_features
 
 Params = dict[str, np.ndarray]
@@ -38,19 +37,11 @@ class LstmConfig:
 @dataclass(frozen=True)
 class TrainSpec:
     learning_rate: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seq_len: int = 30
     batch_size: int = 32
     epochs: int = 50
     seed: int = 0
     clip_norm: float = 5.0
     val_fraction: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ConfigError("moment decay rates must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -270,7 +261,7 @@ def train(
     drop_rng = np.random.default_rng(spec.seed + 1)
     params = init if init is not None else init_params(config, seed=spec.seed)
     adam = adam_init(params)
-    adam_spec = AdamSpec(spec.learning_rate, spec.beta1, spec.beta2, spec.eps)
+    adam_spec = AdamSpec(spec.learning_rate)
 
     best_val = float("inf")
     best_params = {k: v.copy() for k, v in params.items()}
@@ -496,16 +487,11 @@ def save_checkpoint(model: ForecastModel, path: str | Path) -> None:
         "market_open_tick": model.market_open_tick,
         "market_close_tick": model.market_close_tick,
     }
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **model.params)
+    save_params(path, model.params, meta)
 
 
 def load_checkpoint(path: str | Path) -> ForecastModel:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"checkpoint not found: {p}")
-    data = np.load(p if p.suffix == ".npz" else p.with_suffix(".npz"))
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    params = {k: data[k] for k in data.files if k != "__meta__"}
+    params, meta = load_params(path)
     return ForecastModel(
         params=params,
         config=LstmConfig(**meta["config"]),

@@ -1,14 +1,19 @@
 """Numerics shared by the LSTM and PPO trainers: adaptive-moment gradient
-updates, global-norm clipping and the logistic sigmoid.
+updates, global-norm clipping, the logistic sigmoid and checkpoint files.
 
 Parameters and gradients travel as name -> ndarray dicts.
 """
 
 from __future__ import annotations
 
+import json
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -78,3 +83,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
+    """One .npz checkpoint: the params by name, plus `meta` as JSON bytes in
+    the uint8 array `__meta__`."""
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **params)
+
+
+def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
+    """(params, meta) of a checkpoint written by `save_params`; a missing file,
+    or one that is not such a checkpoint, is a ConfigError naming the path."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"checkpoint not found: {p}")
+    try:
+        with np.load(p) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            params = {k: data[k] for k in data.files if k != "__meta__"}
+    except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{p} is not a checkpoint: {exc}") from exc
+    return params, meta

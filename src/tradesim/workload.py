@@ -104,7 +104,6 @@ class WorkloadScenario:
     tidal_profile: tuple[tuple[int, float], ...] = ()
     bursts: tuple[BurstSpec, ...] = ()
     service_mix: tuple[ServiceSpec, ...] = field(default_factory=default_service_mix)
-    users_to_rate: float = 1.0  # requests/second contributed per concurrent user
     # (sorted offsets, their multipliers) of tidal_profile, built once for rate_profile
     _tidal_steps: tuple[list[int], list[float]] = field(init=False, repr=False, compare=False)
 
@@ -381,7 +380,6 @@ def scenario_to_dict(scenario: WorkloadScenario) -> dict:
         "horizon": scenario.horizon,
         "tick_length": scenario.tick_length,
         "seed": scenario.seed,
-        "users_to_rate": scenario.users_to_rate,
         "service_mix": [
             {
                 "name": s.name,
@@ -410,7 +408,6 @@ def scenario_from_dict(data: dict) -> WorkloadScenario:
             service_mix=tuple(ServiceSpec(**s) for s in data["service_mix"])
             if data.get("service_mix")
             else default_service_mix(),
-            users_to_rate=data.get("users_to_rate", 1.0),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad scenario definition: {exc}") from exc

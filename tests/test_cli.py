@@ -195,8 +195,9 @@ class TestSimulateConfigFile:
             (lambda cfg: [cfg], "JSON object"),
             (lambda cfg: "simulate", "JSON object"),
             (lambda cfg: {**cfg, "cache_keys": 0}, "at least one key"),
+            (lambda cfg: {**cfg, "strict_deterministic": True}, "'strict_deterministic'"),
         ],
-        ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys"],
+        ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys", "retired-key"],
     )
     def test_bad_config_exits_config(self, small_files, edit, named, capsys):
         sc, topo, tmp = small_files
@@ -214,6 +215,16 @@ class TestSimulateConfigFile:
                      "--out", str(tmp / "x")])
         assert code == EXIT_CONFIG
         assert "history_window" in capsys.readouterr().err
+
+    def test_non_finite_priority_exits_config(self, small_files, capsys):
+        sc, topo, tmp = small_files
+        topology = json.loads(topo.read_text())
+        priority = [float("nan")] + topology["initial_priority"][1:]
+        topo.write_text(json.dumps({**topology, "initial_priority": priority}))
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert "initial_priority" in capsys.readouterr().err
 
     def test_invalid_json_exits_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -274,6 +285,37 @@ class TestSchedulerConfig:
         # one options dict can configure every scheduler of a comparison
         assert scheduler_options("round-robin", {"population": 8, "elite": 2}) == {}
         assert scheduler_options("random", {"scale_up_at": 0.9}) == {"delta_span": 1}
+
+
+class TestCheckpointArguments:
+    """A checkpoint path naming a file that is not a checkpoint exits 1."""
+
+    @pytest.fixture(params=["text", "no-meta"])
+    def not_a_checkpoint(self, request, tmp_path):
+        path = tmp_path / "bad.npz"
+        if request.param == "text":
+            path.write_text("epoch,loss\n0,1.0\n")
+        else:
+            with open(path, "wb") as fh:
+                np.savez(fh, w=np.zeros(3))
+        return path
+
+    def test_predictor(self, small_files, not_a_checkpoint, capsys):
+        sc, topo, tmp = small_files
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--predictor", str(not_a_checkpoint), "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert str(not_a_checkpoint) in capsys.readouterr().err
+
+    def test_drl_scheduler_checkpoint(self, small_files, not_a_checkpoint, capsys):
+        sc, topo, tmp = small_files
+        cfg = tmp / "drl.json"
+        cfg.write_text(json.dumps({"checkpoint": str(not_a_checkpoint)}))
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--scheduler", "drl", "--scheduler-config", str(cfg),
+                     "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert str(not_a_checkpoint) in capsys.readouterr().err
 
 
 class TestGenerateCommand:

@@ -255,7 +255,7 @@ class TestReward:
     def test_zero_penalties_give_zero_reward(self):
         spec = RewardSpec(u_target=0.7)
         state = self.make_state([0.0, 0.0], [0.7, 0.7])
-        assert reward(state, state, self.zero_action(), spec) == 0.0
+        assert reward(state.service_quota, state, self.zero_action(), spec) == 0.0
 
     def test_direct_arithmetic_example(self):
         # one service T=100 at T_target=50, one node u=0.9 vs 0.7, C_t=0.1
@@ -268,7 +268,7 @@ class TestReward:
             priority=np.array([0.5]),
             quota=np.array([0.4]),
         )
-        assert reward(before, after, action, spec) == pytest.approx(-2.3)
+        assert reward(before.service_quota, after, action, spec) == pytest.approx(-2.3)
 
     def test_reward_never_positive(self):
         rng = np.random.default_rng(2)
@@ -282,7 +282,34 @@ class TestReward:
                 priority=rng.random(2),
                 quota=rng.random(2) * 0.5 + 0.1,
             )
-            assert reward(before, after, action, spec) <= 0.0
+            assert reward(before.service_quota, after, action, spec) <= 0.0
+
+    def test_simulator_charges_the_applied_action(self):
+        # service 0 grows to two instances on node 0, and one of them moves to
+        # node 1; service 1 asks to move to node 1, where its only instance
+        # already is, so that migration cannot apply. The raised quotas put
+        # 1.3 on node 1, so the simulator rescales them.
+        sim = make_sim()
+        prev_quota = sim.quota.copy()
+        requested = SchedulingAction(
+            instance_delta=np.array([1, 0]),
+            migration=np.array([[0, 1], [0, 1]]),
+            priority=np.array([0.5, 0.5]),
+            quota=np.array([0.8, 0.5]),
+        )
+        state = sim.step_counts(requested, counts(sim, 30, 30))
+        assert sim.placement.tolist() == [[1, 1], [0, 1]]
+        assert sim.quota.tolist() == (np.array([0.8, 0.5]) / 1.3).tolist()
+        applied = SchedulingAction(
+            instance_delta=np.array([1, 0]),
+            migration=np.array([[0, 1], [0, 0]]),
+            priority=np.array([0.5, 0.5]),
+            quota=sim.quota,
+        )
+        got = sim.reward_trace[-1]
+        want = reward(prev_quota, state, applied, sim.reward_spec)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got != reward(prev_quota, state, requested, sim.reward_spec)
 
 
 class TestObserveState:
@@ -367,6 +394,18 @@ class TestTopologyIO:
                 initial_quota=(0.5,),  # 3 * 0.5 > 1 on the node
                 initial_priority=(0.5,),
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_priority_rejected(self, bad):
+        with pytest.raises(ConfigError, match="initial_priority"):
+            replace(two_service_topology(), initial_priority=(0.5, bad))
+
+    def test_finite_out_of_range_priority_clamped_on_first_tick(self):
+        topo = replace(two_service_topology(), initial_priority=(1.5, -0.25))
+        sim = ClusterSim(topo, seed=1, noise=NoiseSpec(std=0.0))
+        sim.step_counts(no_op(sim), counts(sim, 10, 10))
+        assert sim.priority.tolist() == [1.0, 0.0]
+        assert sim.sanitized_actions == 2
 
     def test_trace_csv_columns(self, tmp_path):
         sim = make_sim(record_trace=True)

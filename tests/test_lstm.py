@@ -262,7 +262,7 @@ class TestTraining:
     def test_zero_learning_rate_keeps_params(self):
         X, y, _ = self.make_sine_dataset(n=120)
         cfg = small_config(hidden_size=4, layers=1, dropout=0.0)
-        spec = TrainSpec(learning_rate=0.0, epochs=2, seq_len=8, batch_size=16, seed=5)
+        spec = TrainSpec(learning_rate=0.0, epochs=2, batch_size=16, seed=5)
         init = init_params(cfg, seed=5)
         result = train(X, y, cfg, spec, init={k: v.copy() for k, v in init.items()})
         assert all(np.array_equal(result.params[k], init[k]) for k in init)

@@ -194,20 +194,32 @@ class ReferenceSim(ClusterSim):
         self.latency_samples.append(samples)
         self.latency_weights.append(weights)
         state = self.observe_state()
-        self.reward_trace.append(self._tick_reward(prev_quota, act, state))
+        self.reward_trace.append(self._parent_reward(prev_quota, act, state))
         if self.record_trace:
             p50, p95 = (
                 weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
             )
             self.trace.append(
                 TickRecord(
-                    tick=self.tick, completed=completed.copy(),
-                    mean_ms=self.last_latency_ms.copy(), p50_ms=p50, p95_ms=p95,
+                    tick=self.tick, completed=completed.copy(), p50_ms=p50, p95_ms=p95,
                     util=self.util_obs.copy(), queue_len=self.queue_len.copy(),
                 )
             )
         self.tick += 1
         return state
+
+    def _parent_reward(self, prev_quota, act, state):
+        # the reward formula as the simulator had it before `cluster.reward`
+        # took the applied action: same terms, same order of operations
+        spec = self.reward_spec
+        t_term = float(np.sum(state.latency_ms / spec.T_target))
+        u_term = float(np.sum(np.abs(state.util[:, 0] - spec.u_target)))
+        c_term = (
+            spec.cost_instance * float(np.abs(act.instance_delta).sum())
+            + spec.cost_migration * float(self._applied_migrations)
+            + spec.cost_quota * float(np.abs(self.quota - prev_quota).sum())
+        )
+        return -(spec.w1 * t_term + spec.w2 * u_term + spec.w3 * c_term)
 
     def observe_state(self):
         hist = np.stack(self.load_history) if self.load_history else np.zeros((1, self.k))

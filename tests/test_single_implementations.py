@@ -1,0 +1,329 @@
+"""Code that now exists once, against the copies it replaced.
+
+The GA's feasible placement step (shared by `mutate` and `local_search`) and
+the checkpoint writer/reader (shared by the LSTM predictor and the PPO policy)
+each replaced two copies. The earlier copies live here, test-only, and the
+shared code must give equal results, compared by bytes: chromosomes and final
+random-generator states, checkpoint arrays and `__meta__` bytes.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from tradesim.drl.policy import SchedulerPolicy, StateEncoder, load_policy, save_policy
+from tradesim.errors import ConfigError
+from tradesim.hybrid import Chromosome, local_search, mutate, repair
+from tradesim.lstm import (
+    ForecastModel,
+    LstmConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from tradesim.optim import load_params, save_params
+from tradesim.workload import FeatureScaling
+
+# --- the GA placement step --------------------------------------------------------
+
+
+def old_mutate(x, p_m, rng, sigma=0.05, max_instances=None):
+    out = x.copy()
+    flat = out.placement.reshape(-1)
+    hit = rng.random(flat.size) < p_m
+    if hit.any():
+        signs = np.where(rng.random(flat.size) < 0.5, -1, 1)
+        k, n = out.placement.shape
+        for idx in np.flatnonzero(hit):
+            row = idx // n
+            step = signs[idx]
+            if step < 0 and (flat[idx] == 0 or out.placement[row].sum() <= 1):
+                step = 1
+            if step > 0 and max_instances is not None and flat[idx] >= max_instances:
+                if flat[idx] > 0 and out.placement[row].sum() > 1:
+                    step = -1
+                else:
+                    continue
+            flat[idx] += step
+    for attr in ("quota", "priority"):
+        arr = getattr(out, attr)
+        hit = rng.random(arr.size) < p_m
+        arr[hit] += sigma * rng.standard_normal(int(hit.sum()))
+    return repair(out)
+
+
+def old_local_search(x, fitness_fn, budget, rng, sigma=0.05, fitness_x=None, max_instances=None):
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    best = x.copy()
+    best_f = fitness_fn(best) if fitness_x is None else fitness_x
+    genes = best.genes()
+    for step in range(budget):
+        cand = best.copy()
+        idx = int(rng.integers(genes))
+        if idx < cand.placement.size:
+            flat = cand.placement.reshape(-1)
+            row = idx // cand.placement.shape[1]
+            step_dir = -1 if rng.random() < 0.5 else 1
+            if step_dir < 0 and (flat[idx] == 0 or cand.placement[row].sum() <= 1):
+                step_dir = 1
+            if step_dir > 0 and max_instances is not None and flat[idx] >= max_instances:
+                if flat[idx] > 0 and cand.placement[row].sum() > 1:
+                    step_dir = -1
+                else:
+                    continue
+            flat[idx] += step_dir
+        elif idx < cand.placement.size + cand.quota.size:
+            cand.quota[idx - cand.placement.size] += sigma * rng.standard_normal()
+        else:
+            cand.priority[idx - cand.placement.size - cand.quota.size] += (
+                sigma * rng.standard_normal()
+            )
+        repair(cand)
+        f = fitness_fn(cand)
+        if f < best_f:
+            best, best_f = cand, f
+    return best, best_f
+
+
+def chromosome_bytes(c: Chromosome) -> list:
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (c.placement, c.quota, c.priority)]
+
+
+@st.composite
+def placements(draw):
+    """(k, n) instance counts, 0-3 per cell and at least one per service; rows
+    of a single instance are common."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 3), min_size=k * n, max_size=k * n))
+    placement = np.array(cells, dtype=int).reshape(k, n)
+    for s in np.flatnonzero(placement.sum(axis=1) == 0):
+        placement[s, draw(st.integers(0, n - 1))] = 1
+    return placement
+
+
+def make_chromosome(placement, seed) -> Chromosome:
+    rng = np.random.default_rng(seed)
+    k = placement.shape[0]
+    return Chromosome(placement.copy(), rng.uniform(0.01, 0.05, k), rng.uniform(0.0, 1.0, k))
+
+
+# zeros, cells at and above the cap, single-instance rows
+EDGE_PLACEMENT = np.array([[0, 2, 1], [1, 0, 0], [0, 0, 3]])
+
+
+class TestPlacementStep:
+    @given(
+        placement=placements(),
+        max_instances=st.sampled_from([None, 1, 2, 3]),
+        p_m=st.sampled_from([0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(placement=EDGE_PLACEMENT, max_instances=2, p_m=1.0, seed=0)
+    @example(placement=EDGE_PLACEMENT, max_instances=None, p_m=1.0, seed=1)
+    @example(placement=np.array([[1]]), max_instances=1, p_m=1.0, seed=2)
+    def test_mutate_matches_earlier_copy(self, placement, max_instances, p_m, seed):
+        x = make_chromosome(placement, seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mutate(x, p_m, rng, sigma=0.1, max_instances=max_instances)
+        want = old_mutate(x, p_m, ref_rng, sigma=0.1, max_instances=max_instances)
+        assert chromosome_bytes(got) == chromosome_bytes(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        placement=placements(),
+        max_instances=st.sampled_from([None, 1, 2, 3]),
+        budget=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+    )
+    @example(placement=EDGE_PLACEMENT, max_instances=2, budget=20, seed=0)
+    @example(placement=EDGE_PLACEMENT, max_instances=None, budget=20, seed=1)
+    @example(placement=np.array([[1]]), max_instances=1, budget=8, seed=2)
+    def test_local_search_matches_earlier_copy(self, placement, max_instances, budget, seed):
+        x = make_chromosome(placement, seed)
+        weights = np.random.default_rng(seed + 1).normal(size=placement.shape)
+        seen: dict[str, list] = {"got": [], "want": []}
+
+        def fitness(log):
+            def fn(c):
+                seen[log].append(chromosome_bytes(c))
+                return float((c.placement * weights).sum() + c.quota.sum() - c.priority.sum())
+
+            return fn
+
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, got_f = local_search(
+            x, fitness("got"), budget, rng, sigma=0.1, max_instances=max_instances
+        )
+        want, want_f = old_local_search(
+            x, fitness("want"), budget, ref_rng, sigma=0.1, max_instances=max_instances
+        )
+        assert chromosome_bytes(got) == chromosome_bytes(want)
+        assert got_f == want_f
+        assert seen["got"] == seen["want"]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# --- checkpoints ------------------------------------------------------------------
+
+
+def old_save_checkpoint(model, path):
+    meta = {
+        "config": {
+            "input_size": model.config.input_size,
+            "hidden_size": model.config.hidden_size,
+            "layers": model.config.layers,
+            "dropout": model.config.dropout,
+        },
+        "scaling": {
+            "volume_scale": model.scaling.volume_scale,
+            "session_minutes": model.scaling.session_minutes,
+        },
+        "seq_len": model.seq_len,
+        "feature_window": model.feature_window,
+        "horizon": model.horizon,
+        "residual_quantiles": list(model.residual_quantiles),
+        "ticks_per_day": model.ticks_per_day,
+        "market_open_tick": model.market_open_tick,
+        "market_close_tick": model.market_close_tick,
+    }
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **model.params)
+
+
+def old_save_policy(policy, path):
+    meta = {
+        "encoder": {
+            "mode": policy.encoder.mode,
+            "service_count": policy.encoder.service_count,
+            "node_count": policy.encoder.node_count,
+            "load_ref": policy.encoder.load_ref,
+            "queue_ref": policy.encoder.queue_ref,
+            "latency_ref": policy.encoder.latency_ref,
+            "throughput_ref": policy.encoder.throughput_ref,
+            "clip": policy.encoder.clip,
+        },
+        "hidden": list(policy.core.hidden),
+        "migration_choices": policy.core.layout.dueling().n,
+    }
+    np.savez(
+        path,
+        __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **policy.params,
+    )
+
+
+def npz_arrays(path) -> list:
+    with np.load(path) as data:
+        return [
+            (name, data[name].dtype.str, data[name].shape, data[name].tobytes())
+            for name in data.files
+        ]
+
+
+def lstm_model() -> ForecastModel:
+    config = LstmConfig(hidden_size=5, layers=2, dropout=0.1)
+    return ForecastModel(
+        params=init_params(config, seed=4),
+        config=config,
+        scaling=FeatureScaling(volume_scale=321.5, session_minutes=12.0),
+        seq_len=6,
+        feature_window=8,
+        horizon=5,
+        residual_quantiles=(-0.125, 0.3),
+        ticks_per_day=720,
+        market_open_tick=30,
+        market_close_tick=690,
+    )
+
+
+def policy() -> SchedulerPolicy:
+    return SchedulerPolicy.build(StateEncoder(mode="full", service_count=3, node_count=2), seed=6)
+
+
+def written_by(save, *args, **kwargs):
+    """Writes the file through a handle, so numpy adds no suffix to the name."""
+
+    def write(path):
+        with open(path, "wb") as fh:
+            save(fh, *args, **kwargs)
+
+    return write
+
+
+class TestCheckpointFormat:
+    def test_lstm_files_equal_earlier_writer(self, tmp_path):
+        model = lstm_model()
+        save_checkpoint(model, tmp_path / "new.npz")
+        old_save_checkpoint(model, tmp_path / "old.npz")
+        assert npz_arrays(tmp_path / "new.npz") == npz_arrays(tmp_path / "old.npz")
+
+    def test_policy_files_equal_earlier_writer(self, tmp_path):
+        pol = policy()
+        save_policy(pol, tmp_path / "new.npz")
+        old_save_policy(pol, tmp_path / "old.npz")
+        assert npz_arrays(tmp_path / "new.npz") == npz_arrays(tmp_path / "old.npz")
+
+    def test_lstm_round_trip(self, tmp_path):
+        model = lstm_model()
+        save_checkpoint(model, tmp_path / "m.npz")
+        loaded = load_checkpoint(tmp_path / "m.npz")
+        for name in ("config", "scaling", "seq_len", "feature_window", "horizon",
+                     "residual_quantiles", "ticks_per_day", "market_open_tick",
+                     "market_close_tick"):
+            assert getattr(loaded, name) == getattr(model, name), name
+        assert list(loaded.params) == list(model.params)
+        assert all(loaded.params[k].tobytes() == model.params[k].tobytes() for k in model.params)
+
+    def test_policy_round_trip(self, tmp_path):
+        pol = policy()
+        save_policy(pol, tmp_path / "p.npz")
+        loaded = load_policy(tmp_path / "p.npz")
+        assert loaded.encoder == pol.encoder
+        assert loaded.core.hidden == pol.core.hidden
+        assert loaded.core.layout == pol.core.layout
+        assert list(loaded.params) == list(pol.params)
+        assert all(loaded.params[k].tobytes() == pol.params[k].tobytes() for k in pol.params)
+
+    def test_params_and_meta_round_trip(self, tmp_path):
+        params = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([-0.0, np.pi])}
+        meta = {"name": "x", "sizes": [2, 3], "scale": 0.1}
+        save_params(tmp_path / "c.npz", params, meta)
+        got_params, got_meta = load_params(tmp_path / "c.npz")
+        assert got_meta == meta
+        assert list(got_params) == ["w", "b"]
+        assert all(got_params[k].tobytes() == params[k].tobytes() for k in params)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda p: p.write_text("epoch,loss\n0,1.0\n"),
+            lambda p: p.write_bytes(b""),
+            lambda p: p.write_bytes(b"PK\x03\x04 truncated"),
+            written_by(np.save, np.zeros(3)),
+            written_by(np.savez, w=np.zeros(3)),
+            written_by(np.savez, __meta__=np.frombuffer(b"{bad", dtype=np.uint8)),
+        ],
+        ids=["text", "empty", "truncated-zip", "npy", "no-meta", "meta-not-json"],
+    )
+    def test_not_a_checkpoint_is_config_error(self, tmp_path, write):
+        path = tmp_path / "c.npz"
+        write(path)
+        for load in (load_params, load_checkpoint, load_policy):
+            with pytest.raises(ConfigError, match="c.npz"):
+                load(path)
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        for load in (load_params, load_checkpoint, load_policy):
+            with pytest.raises(ConfigError, match="not found"):
+                load(tmp_path / "missing.npz")
+
+    def test_named_file_is_read_not_its_npz_sibling(self, tmp_path):
+        save_checkpoint(lstm_model(), tmp_path / "model.npz")
+        (tmp_path / "model.ckpt").write_text("not a checkpoint\n")
+        with pytest.raises(ConfigError, match="model.ckpt"):
+            load_checkpoint(tmp_path / "model.ckpt")

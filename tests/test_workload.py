@@ -188,6 +188,11 @@ class TestScenarioRoundTrip:
         sc = flat_scenario()
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
 
+    def test_file_with_a_retired_key_still_loads(self):
+        # files written while scenarios carried users_to_rate
+        sc = flat_scenario()
+        assert scenario_from_dict({**scenario_to_dict(sc), "users_to_rate": 2.5}) == sc
+
     def test_missing_file_raises_config_error(self):
         with pytest.raises(ConfigError):
             load_scenario("/nonexistent/scenario.json")
