@@ -292,9 +292,6 @@ class TieredCache:
 
     # -- ring management ---------------------------------------------------
 
-    def shard_of(self, key: bytes) -> int:
-        return self.ring.assign(key)
-
     def add_shard(self, shard: int) -> None:
         self.ring.add_shard(shard)
 
@@ -302,10 +299,6 @@ class TieredCache:
         self.ring.remove_shard(shard)
 
     # -- introspection ----------------------------------------------------
-
-    def latest_version(self, key: bytes) -> int:
-        versions = self._l3.get(key)
-        return versions[-1][0] if versions else 0
 
     def tier_len(self, tier: str) -> int:
         if tier == L1:

@@ -3,18 +3,17 @@ latency/reward model driving every scheduler in this package.
 
 The tick model (capacity sharing, contention and formula latency, the
 utilization EWMA) is written once, over arrays with optional leading batch
-axes. `ClusterSim` steps one cluster with it: FIFO queues of per-arrival-tick
-buckets, actions, jitter draws, noise, reward and trace. `rollout_batch` steps
-a whole population of candidate configurations at once through the same
-arrivals, with no-op actions and no jitter or noise, which is what the hybrid
-scheduler's fitness rollouts need. `step` accepts materialized Request lists
-and aggregates them.
+axes, and so is the FIFO drain of the queues (`drain`), over flat rows of
+per-arrival-tick buckets. `ClusterSim` steps one cluster with them: a bucket
+ring per service, actions, jitter draws, noise, reward and trace.
+`rollout_batch` steps a whole population of candidate configurations at once
+through the same arrivals, with no-op actions and no jitter or noise, which is
+what the hybrid scheduler's fitness rollouts need.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,13 +21,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .report import weighted_percentile
-from .workload import Request, ServiceSpec, default_service_mix
+from .workload import ServiceSpec, default_service_mix
 
 # Lognormal jitter sigma such that a unit-mean multiplier turns the 85 ms
 # component sum into p95 = 120 ms (solve 1.6449*s - s^2/2 = ln(120/85)).
 CALIBRATED_JITTER_SIGMA = 0.22504290663979853
 
 QUOTA_FLOOR = 0.01  # smallest per-instance quota an action can set
+
+QUEUE_RING_START = 16  # ticks of queue a ClusterSim holds before its bucket ring doubles
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,6 @@ class SystemState:
     hist_var: np.ndarray  # (k,) windowed load variance
     latency_ms: np.ndarray  # (k,) mean completed-request latency last tick
     throughput: np.ndarray  # (k,) completions per second
-    service_quota: np.ndarray  # (k,) current per-instance quota, not an observation block
     tick: int = 0
 
     def dimensions(self) -> dict[str, int]:
@@ -190,19 +190,6 @@ class SystemState:
             "d_h": 2 * k,
             "d_p": 2 * k,
         }
-
-    def copy(self) -> "SystemState":
-        return SystemState(
-            load=self.load.copy(),
-            util=self.util.copy(),
-            queue_len=self.queue_len.copy(),
-            hist_mean=self.hist_mean.copy(),
-            hist_var=self.hist_var.copy(),
-            latency_ms=self.latency_ms.copy(),
-            throughput=self.throughput.copy(),
-            service_quota=self.service_quota.copy(),
-            tick=self.tick,
-        )
 
 
 def service_latency(
@@ -355,6 +342,48 @@ def utilization_step(
     return (1.0 - alpha) * util_true + alpha * inst
 
 
+def drain(
+    buckets: np.ndarray, head: np.ndarray, available: np.ndarray, row_wu: np.ndarray,
+    formula: np.ndarray, tick: int, tick_ms: float, served: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serve the FIFO queues of flat rows at `tick`; returns per row the
+    requests completed and their summed queue wait + `formula` ms.
+
+    Column t % C of `buckets` (rows, C) holds a row's requests still waiting
+    from arrival tick t, for t from the row's `head` to `tick`. Each step serves
+    one bucket of every row that can still afford a request and moves the head
+    past a bucket once it is empty: per row, the float operations of a loop
+    over its buckets in order. `buckets`, `head` and `available` are updated in
+    place; `served` collects (rows, wait_ms, formula_ms, n_served) per step.
+    """
+    C = buckets.shape[1]
+    completed = np.zeros(len(head), dtype=np.int64)
+    sum_base_ms = np.zeros(len(head))
+    rows = ((head <= tick) & (available >= row_wu)).nonzero()[0]
+    while rows.size:
+        h, wu, a = head[rows], row_wu[rows], available[rows]
+        col = h % C
+        left = buckets[rows, col]
+        n_served = np.minimum(a // wu, left).astype(np.int64)
+        available[rows] = a = a - n_served * wu
+        buckets[rows, col] = left = left - n_served
+        wait_ms = (tick - h) * tick_ms
+        formula_ms = formula[rows]
+        completed[rows] += n_served
+        sum_base_ms[rows] += (wait_ms + formula_ms) * n_served
+        if served is not None:
+            served.append((rows, wait_ms, formula_ms, n_served))
+        head[rows] = h = h + (left == 0)
+        rows = rows[(h <= tick) & (a >= wu)]  # each step serves or passes an empty bucket
+    return completed, sum_base_ms
+
+
+def window_stats(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`hist.mean(0)` and `hist.var(0)`, bit for bit, with the mean computed once."""
+    m = hist.sum(axis=0) / len(hist)
+    return m, np.square(hist - m).sum(axis=0) / len(hist)
+
+
 def sample_jitter(model: LatencyModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Unit-mean lognormal multipliers: exp(sigma*Z - sigma^2/2)."""
     if not model.jitter_enabled or model.jitter_sigma == 0.0:
@@ -428,7 +457,9 @@ class ClusterSim:
         self._sanitized: tuple[SchedulingAction, int] | None = None
 
         self.tick = 0
-        self.queues: list[deque[list]] = [deque() for _ in range(k)]  # [arrival_tick, count]
+        # FIFO queues: a ring of per-arrival-tick buckets per service (see `drain`)
+        self._buckets = np.zeros((k, QUEUE_RING_START), dtype=np.int64)
+        self._head = np.zeros(k, dtype=np.int64)
         self.queue_len = np.zeros(k, dtype=np.int64)
         self.carry_work = np.zeros(k)
         self.util_true = np.zeros((n, 3))
@@ -562,12 +593,6 @@ class ClusterSim:
 
     # -- stepping ----------------------------------------------------------
 
-    def step(self, action: SchedulingAction, requests: list[Request]) -> SystemState:
-        counts = np.zeros(self.k, dtype=np.int64)
-        for r in requests:
-            counts[r.service_id] += 1
-        return self.step_counts(action, counts)
-
     def step_counts(self, action: SchedulingAction, counts: np.ndarray) -> SystemState:
         """Advance one tick: apply the action, enqueue arrivals, drain queues by
         priority-weighted capacity sharing, update utilization and statistics."""
@@ -576,63 +601,50 @@ class ClusterSim:
         counts = np.asarray(counts, dtype=np.int64)
 
         self.generated_total += int(counts.sum())
-        for s, count in enumerate(counts.tolist()):
-            if count:
-                self.queues[s].append([self.tick, count])
+        # an empty queue starts at this tick, so idle ticks never deepen the ring
+        self._head[self.queue_len == 0] = self.tick
+        if self.tick - self._head.min() >= self._buckets.shape[1]:
+            self._grow_queues()
+        self._buckets[:, self.tick % self._buckets.shape[1]] = counts
         self.queue_len += counts
         self.last_load = counts.copy()
 
-        # completions: FIFO pop; capacity is not bankable across idle ticks.
+        # completions: FIFO, oldest bucket first; capacity is not bankable across idle ticks.
         # Contention rho is the (previous-tick EWMA) CPU utilization of the
         # nodes hosting the service, capacity-weighted: an idle instance sees
         # rho = 0 and queue wait covers anything beyond rho_cap.
         cap = self.capacity()
         work_units = self.arrays.work_units
-        work_done, used_by_node = allocate_work(
+        available, used_by_node = allocate_work(
             cap, self.node_cpu, self.queue_len * work_units + 0.0, self.carry_work
         )
         model = self.topology.latency
-        formula = service_latency(model, self.service_rho(), self.cache_hit_rate).tolist()
-        completed = [0] * self.k
-        sum_base_ms = [0.0] * self.k
-        # per bucket served: (queue wait ms, formula ms, requests served, jitter draws)
-        served: list[tuple[float, float, int, int]] = []
-        tick_ms = self.topology.tick_length * 1000.0
-        cap_draws = self.latency_sample_cap
+        formula = service_latency(model, self.service_rho(), self.cache_hit_rate)
+        served: list[tuple[np.ndarray, ...]] = []
+        completed, sum_base_ms = drain(
+            self._buckets, self._head, available, work_units, formula, self.tick,
+            self.topology.tick_length * 1000.0, served,
+        )
+        self.queue_len -= completed
+        self.carry_work = np.where(self.queue_len > 0, np.remainder(available, work_units), 0.0)
 
-        for s, (available, wu, formula_ms) in enumerate(
-            zip(work_done.tolist(), work_units.tolist(), formula)
-        ):
-            q = self.queues[s]
-            while q and available >= wu:
-                bucket = q[0]
-                n_served = min(int(available // wu), bucket[1])
-                if n_served == 0:
-                    break
-                wait_ms = (self.tick - bucket[0]) * tick_ms
-                completed[s] += n_served
-                sum_base_ms[s] += (wait_ms + formula_ms) * n_served
-                served.append((wait_ms, formula_ms, n_served, min(n_served, cap_draws)))
-                available -= n_served * wu
-                bucket[1] -= n_served
-                if bucket[1] == 0:
-                    q.popleft()
-            self.carry_work[s] = available % wu if q else 0.0
-
-        # One jitter draw for the whole tick: the buckets' consecutive draws,
-        # from the same stream in the same order.
+        # One jitter draw for the whole tick: the buckets' consecutive draws in
+        # service-major, then arrival order, the order of a per-service loop.
         if served:
-            waits, formulas, n_served, draws = map(np.array, zip(*served))
+            if len(served) == 1:
+                _, waits, formulas, n_served = served[0]
+            else:
+                rows, waits, formulas, n_served = map(np.concatenate, zip(*served))
+                order = np.argsort(rows, kind="stable")
+                waits, formulas, n_served = waits[order], formulas[order], n_served[order]
+            draws = np.minimum(n_served, self.latency_sample_cap)  # 0 for an empty bucket
             jit = sample_jitter(model, self._jitter_rng, int(draws.sum()))
             samples = np.repeat(waits, draws) + np.repeat(formulas, draws) * jit
-            weights = np.repeat(n_served / draws, draws)
+            weights = np.repeat(n_served / np.maximum(draws, 1), draws)
         else:
             samples = np.zeros(0)
             weights = np.zeros(0)
-        completed = np.array(completed, dtype=np.int64)
-        sum_base_ms = np.array(sum_base_ms)
 
-        self.queue_len -= completed
         self.completed_total += int(completed.sum())
         self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
 
@@ -678,19 +690,35 @@ class ClusterSim:
         self.tick += 1
         return state
 
+    def _grow_queues(self) -> None:
+        """Double the bucket ring; each waiting bucket keeps its arrival tick."""
+        C = self._buckets.shape[1]
+        ticks = np.arange(self._head.min(), self.tick)
+        buckets = np.zeros((self.k, 2 * C), dtype=np.int64)
+        buckets[:, ticks % (2 * C)] = self._buckets[:, ticks % C]
+        self._buckets = buckets
+
     # -- observation -------------------------------------------------------
 
+    @property
+    def queues(self) -> list[list[list[int]]]:
+        """Per service, [arrival tick, requests left] of each waiting bucket, oldest first."""
+        C = self._buckets.shape[1]
+        return [
+            [[t, ring[t % C]] for t in range(head, self.tick) if ring[t % C]]
+            for ring, head in zip(self._buckets.tolist(), self._head.tolist())
+        ]
+
     def observe_state(self) -> SystemState:
-        hist = self._load_window()
+        hist_mean, hist_var = window_stats(self._load_window())
         return SystemState(
             load=self.last_load.astype(float).copy(),
             util=self.util_obs.copy(),
             queue_len=self.queue_len.astype(float).copy(),
-            hist_mean=hist.mean(axis=0),
-            hist_var=hist.var(axis=0),
+            hist_mean=hist_mean,
+            hist_var=hist_var,
             latency_ms=self.last_latency_ms.copy(),
             throughput=self.last_throughput.copy(),
-            service_quota=self.quota.copy(),
             tick=self.tick,
         )
 
@@ -763,10 +791,8 @@ def rollout_batch(
     actions and zero noise, bit for bit: the tick model is the same functions,
     and the arithmetic runs in the same order.
 
-    A candidate's FIFO queues are a dense (k, T) array of requests left per
-    arrival tick plus a head index per service; each tick drains it oldest
-    bucket first, one bucket per step for all (candidate, service) rows that
-    still have capacity for a request.
+    A candidate's FIFO queues are a (k, T) array of requests left per arrival
+    tick, drained by the same `drain` as `ClusterSim`'s bucket ring.
     """
     placement = np.asarray(placement, dtype=np.int64)
     quota = np.asarray(quota, dtype=float)
@@ -796,16 +822,9 @@ def rollout_batch(
     tick_ms = tick_length * 1000.0
 
     # flat (candidate, service) rows, each with a (T,) bucket row
-    rows_all = P * k
-    service = np.tile(np.arange(k), P)
-    row_wu = arrays.work_units[service]
-    buckets = np.tile(arrivals.T, (P, 1)).reshape(-1)
-    row_start = np.arange(rows_all) * T
-    # next_arrival[s, t]: first tick >= t with arrivals of service s, else T
-    ticks = np.where(arrivals > 0, np.arange(T)[:, None], T)
-    next_arrival = np.full((k, T + 1), T)
-    next_arrival[:, :T] = np.minimum.accumulate(ticks[::-1], axis=0)[::-1].T
-    head = next_arrival[service, 0]
+    row_wu = np.tile(arrays.work_units, P)
+    buckets = np.tile(arrivals.T, (P, 1))
+    head = np.zeros(P * k, dtype=np.int64)
 
     queue_len = np.zeros((P, k), dtype=np.int64)
     carry_work = np.zeros((P, k))
@@ -822,27 +841,7 @@ def rollout_batch(
         )
         formula = service_latency(model, contention(cap.share, util_true[..., 0])).reshape(-1)
         available = work_done.reshape(-1)
-        done_flat = np.zeros(rows_all, dtype=np.int64)
-        sum_base_ms = np.zeros(rows_all)
-        # one bucket per row and step: per row, the same float operations in the
-        # same order as ClusterSim's loop over its deque
-        rows = ((head <= t) & (available >= row_wu)).nonzero()[0]
-        while rows.size:
-            h = head[rows]
-            at = row_start[rows] + h
-            left = buckets[at]
-            wu = row_wu[rows]
-            a = available[rows]
-            n_served = np.minimum(a // wu, left).astype(np.int64)
-            available[rows] = a - n_served * wu
-            left -= n_served
-            buckets[at] = left
-            done_flat[rows] += n_served
-            sum_base_ms[rows] += ((t - h) * tick_ms + formula[rows]) * n_served
-            emptied = left == 0
-            head[rows[emptied]] = next_arrival[service[rows[emptied]], h[emptied] + 1]
-            more = (n_served > 0) & (head[rows] <= t) & (available[rows] >= wu)
-            rows = rows[more]
+        done_flat, sum_base_ms = drain(buckets, head, available, row_wu, formula, t, tick_ms)
         completed = done_flat.reshape(P, k)
         queue_len -= completed
         carry_work = np.where(
@@ -863,7 +862,7 @@ def rollout_batch(
     window = arrivals[max(T - topology.history_window, 0):].astype(float)
     if not len(window):  # history_window 0, as ClusterSim.observe_state treats it
         window = np.zeros((1, k))
-    hist_mean, hist_var = window.mean(axis=0), window.var(axis=0)
+    hist_mean, hist_var = window_stats(window)
     load = arrivals[-1].astype(float)
     util_obs = np.clip(util_true + 0.0, 0.0, 1.0)
     throughput = completed / tick_length
@@ -876,7 +875,6 @@ def rollout_batch(
             hist_var=hist_var.copy(),
             latency_ms=latency_ms[p],
             throughput=throughput[p],
-            service_quota=quota[p],
             tick=T,
         )
         for p in range(P)

@@ -402,7 +402,7 @@ def save_policy(policy: SchedulerPolicy, path) -> None:
 
 
 def load_policy(path) -> SchedulerPolicy:
-    params, meta = load_params(path)
+    params, meta = load_params(path, ("encoder", "hidden", "migration_choices"))
     encoder = StateEncoder(**meta["encoder"])
     core = PolicyCore(
         encoder.dim,

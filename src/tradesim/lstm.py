@@ -491,7 +491,9 @@ def save_checkpoint(model: ForecastModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ForecastModel:
-    params, meta = load_params(path)
+    params, meta = load_params(
+        path, ("config", "scaling", "seq_len", "feature_window", "horizon", "residual_quantiles")
+    )
     return ForecastModel(
         params=params,
         config=LstmConfig(**meta["config"]),

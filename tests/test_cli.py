@@ -318,6 +318,47 @@ class TestCheckpointArguments:
         assert str(not_a_checkpoint) in capsys.readouterr().err
 
 
+class TestCheckpointNames:
+    """A checkpoint is written under the name given, whatever its suffix, and
+    loads from there; given where the other kind belongs, it exits 1."""
+
+    def simulate(self, small_files, *args) -> int:
+        sc, topo, tmp = small_files
+        return main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--out", str(tmp / "sim"), *args])
+
+    def drl_config(self, tmp, checkpoint):
+        cfg = tmp / "drl.json"
+        cfg.write_text(json.dumps({"checkpoint": str(checkpoint)}))
+        return ["--scheduler", "drl", "--scheduler-config", str(cfg)]
+
+    def test_predictor(self, small_files, capsys):
+        tmp = small_files[2]
+        data = tmp / "volume.csv"
+        data.write_text("tick,volume\n" + "".join(f"{t},{(t * 7) % 23}\n" for t in range(40)))
+        out = tmp / "model.ckpt"
+        assert main(["train-predictor", "--dataset", str(data), "--out", str(out),
+                     *TestTrainPredictorCommand.ARGS]) == EXIT_OK
+        assert f"checkpoint written to {out} " in capsys.readouterr().out
+        assert out.is_file() and not (tmp / "model.ckpt.npz").exists()
+        assert self.simulate(small_files, "--predictor", str(out)) == EXIT_OK
+        capsys.readouterr()
+        assert self.simulate(small_files, *self.drl_config(tmp, out)) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
+    def test_policy(self, small_files, capsys):
+        sc, topo, tmp = small_files
+        out = tmp / "policy.ckpt"
+        assert main(["train-drl", "--scenario", str(sc), "--topology", str(topo),
+                     "--out", str(out), "--episodes", "2", "--decision-interval", "20"]) == EXIT_OK
+        assert f"policy written to {out}\n" in capsys.readouterr().out
+        assert out.is_file() and not (tmp / "policy.ckpt.npz").exists()
+        assert self.simulate(small_files, *self.drl_config(tmp, out)) == EXIT_OK
+        capsys.readouterr()
+        assert self.simulate(small_files, "--predictor", str(out)) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
+
 class TestGenerateCommand:
     def test_row_count_matches_poisson_draws(self, small_files, tmp_path):
         sc, _, _ = small_files

@@ -26,7 +26,7 @@ from tradesim.cluster import (
     write_trace_csv,
 )
 from tradesim.errors import ConfigError
-from tradesim.workload import Request, ServiceSpec
+from tradesim.workload import ServiceSpec
 
 
 def two_service_topology(node_cpu=1000.0, quota=0.4, **kwargs) -> ClusterTopology:
@@ -99,13 +99,13 @@ class TestStep:
 
     def test_single_request_to_idle_instance_sees_85ms(self):
         sim = make_sim()
-        state = sim.step(no_op(sim), [Request(0, 0, 10.0, 1000)])
+        state = sim.step_counts(no_op(sim), counts(sim, 1))
         assert state.latency_ms[0] == pytest.approx(85.0, abs=1e-9)
 
     def test_latency_components_example(self):
         model = LatencyModel(network_ms=15, processing_ms=45, data_access_ms=25, jitter_enabled=False)
         sim = make_sim(topology=two_service_topology(node_cpu=100000.0))
-        state = sim.step(no_op(sim), [Request(0, 1, 5.0, 500)])
+        state = sim.step_counts(no_op(sim), counts(sim, 0, 1))
         assert state.latency_ms[1] == pytest.approx(model.uncontended_ms, abs=1e-9)
 
     def test_overload_grows_queue_monotonically(self):
@@ -228,7 +228,7 @@ class TestSanitization:
 
 
 class TestReward:
-    def make_state(self, latency, cpu_util, quota=(0.4, 0.4)) -> SystemState:
+    def make_state(self, latency, cpu_util) -> SystemState:
         k = len(latency)
         n = len(cpu_util)
         util = np.zeros((n, 3))
@@ -241,7 +241,6 @@ class TestReward:
             hist_var=np.zeros(k),
             latency_ms=np.asarray(latency, dtype=float),
             throughput=np.zeros(k),
-            service_quota=np.asarray(quota, dtype=float),
         )
 
     def zero_action(self, k=2, n=2, quota=(0.4, 0.4)) -> SchedulingAction:
@@ -255,26 +254,26 @@ class TestReward:
     def test_zero_penalties_give_zero_reward(self):
         spec = RewardSpec(u_target=0.7)
         state = self.make_state([0.0, 0.0], [0.7, 0.7])
-        assert reward(state.service_quota, state, self.zero_action(), spec) == 0.0
+        assert reward(np.array([0.4, 0.4]), state, self.zero_action(), spec) == 0.0
 
     def test_direct_arithmetic_example(self):
         # one service T=100 at T_target=50, one node u=0.9 vs 0.7, C_t=0.1
         spec = RewardSpec(w1=1.0, w2=1.0, w3=1.0, T_target=50.0, u_target=0.7)
-        before = self.make_state([0.0], [0.7], quota=(0.4,))
-        after = self.make_state([100.0], [0.9], quota=(0.4,))
+        quota_before = np.array([0.4])
+        after = self.make_state([100.0], [0.9])
         action = SchedulingAction(
             instance_delta=np.array([10]),  # 10 changes * 0.01 = 0.1
             migration=np.zeros((1, 1), dtype=int),
             priority=np.array([0.5]),
             quota=np.array([0.4]),
         )
-        assert reward(before.service_quota, after, action, spec) == pytest.approx(-2.3)
+        assert reward(quota_before, after, action, spec) == pytest.approx(-2.3)
 
     def test_reward_never_positive(self):
         rng = np.random.default_rng(2)
         spec = RewardSpec()
         for _ in range(200):
-            before = self.make_state(rng.uniform(0, 300, 2), rng.uniform(0, 1, 2))
+            quota_before = np.array([0.4, 0.4])
             after = self.make_state(rng.uniform(0, 300, 2), rng.uniform(0, 1, 2))
             action = SchedulingAction(
                 instance_delta=rng.integers(-2, 3, 2),
@@ -282,7 +281,7 @@ class TestReward:
                 priority=rng.random(2),
                 quota=rng.random(2) * 0.5 + 0.1,
             )
-            assert reward(before.service_quota, after, action, spec) <= 0.0
+            assert reward(quota_before, after, action, spec) <= 0.0
 
     def test_simulator_charges_the_applied_action(self):
         # service 0 grows to two instances on node 0, and one of them moves to

@@ -35,7 +35,6 @@ def make_state(k=8, n=4, **overrides) -> SystemState:
         hist_var=np.zeros(k),
         latency_ms=np.zeros(k),
         throughput=np.zeros(k),
-        service_quota=np.full(k, 0.1),
     )
     fields.update(overrides)
     return SystemState(**fields)

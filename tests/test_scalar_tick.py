@@ -1,11 +1,12 @@
 """The scalar simulator tick against the tick it replaced, and the inputs that
 training and forecasting now reuse.
 
-`ReferenceSim` is the earlier `ClusterSim` tick: one jitter draw per bucket
-served, the load history a deque stacked on every observation, and every
-action sanitized in full. The current tick must give equal results, compared
-by bytes, not closeness: states, rewards, latency samples and weights, trace
-records, clamp counts and the final states of the random streams.
+`ReferenceSim` is the earlier `ClusterSim` tick: queues drained bucket by
+bucket from per-service deques, one jitter draw per bucket served, the load
+history a deque stacked on every observation, and every action sanitized in
+full. The current tick must give equal results, compared by bytes, not
+closeness: states, rewards, latency samples and weights, trace records, clamp
+counts and the final states of the random streams.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import tradesim.drl.env as env_module
 import tradesim.lstm as lstm_module
 from tradesim.cluster import (
+    QUEUE_RING_START,
     QUOTA_FLOOR,
     ClusterSim,
     ClusterTopology,
@@ -73,6 +75,11 @@ class ReferenceSim(ClusterSim):
     def __init__(self, topology, **kwargs):
         super().__init__(topology, **kwargs)
         self.load_history = deque(maxlen=topology.history_window)
+        self.deques = [deque() for _ in range(self.k)]  # [arrival_tick, count]
+
+    @property
+    def queues(self):
+        return self.deques
 
     def sanitize_action(self, action):
         clamps = 0
@@ -231,7 +238,6 @@ class ReferenceSim(ClusterSim):
             hist_var=hist.var(axis=0),
             latency_ms=self.last_latency_ms.copy(),
             throughput=self.last_throughput.copy(),
-            service_quota=self.quota.copy(),
             tick=self.tick,
         )
 
@@ -395,12 +401,25 @@ class TestTickEqualsReference:
         assert_sims_equal(sim, ref)
         assert sim._load_window().shape == (max(min(window, 150), 1), sim.k)
 
-    def test_overloaded_queues_many_buckets_deep(self):
+    def test_overloaded_queues_many_buckets_deep(self, monkeypatch):
+        grown = []  # (tick, ring width) at each doubling of the bucket ring
+        grow = ClusterSim._grow_queues
+        monkeypatch.setattr(
+            ClusterSim, "_grow_queues",
+            lambda sim: grown.append((sim.tick, sim._buckets.shape[1])) or grow(sim),
+        )
         topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
         kwargs = dict(seed=3, noise=NoiseSpec(std=0.02), latency_sample_cap=64, record_trace=True)
         sim, ref = run_both(topology, kwargs, 160, 3.0, 0.9, 7)
         assert max(len(q) for q in sim.queues) >= 50
         assert max(len(w) for w in sim.latency_weights) > 8 * 64  # many buckets in one draw
+        assert_sims_equal(sim, ref)
+        # a longer run just over capacity: the ring's columns wrap before a queue
+        # outgrows the ring, so each doubling moves buckets to new columns
+        grown.clear()
+        sim, ref = run_both(topology, kwargs, 400, 1.2, 0.9, 7)
+        assert max(len(q) for q in sim.queues) > QUEUE_RING_START
+        assert grown and grown[0][0] > grown[0][1] == QUEUE_RING_START
         assert_sims_equal(sim, ref)
 
     def test_sample_cap_of_one(self):

@@ -307,8 +307,9 @@ class TestCheckpointFormat:
             written_by(np.save, np.zeros(3)),
             written_by(np.savez, w=np.zeros(3)),
             written_by(np.savez, __meta__=np.frombuffer(b"{bad", dtype=np.uint8)),
+            written_by(np.savez, __meta__=np.frombuffer(b"5", dtype=np.uint8)),
         ],
-        ids=["text", "empty", "truncated-zip", "npy", "no-meta", "meta-not-json"],
+        ids=["text", "empty", "truncated-zip", "npy", "no-meta", "meta-not-json", "meta-not-object"],
     )
     def test_not_a_checkpoint_is_config_error(self, tmp_path, write):
         path = tmp_path / "c.npz"
