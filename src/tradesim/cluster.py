@@ -213,7 +213,7 @@ def service_latency(
         + model.processing_ms / (1.0 - rho_eff)
         + model.data_access_ms * (1.0 - hit)
     )
-    return base * (jitter if jitter is not None else 1.0)
+    return base if jitter is None else base * jitter
 
 
 # --- the tick model, over leading batch axes --------------------------------------
@@ -331,14 +331,13 @@ def utilization_step(
     Memory holds the instances plus the payloads still queued, the network
     carries the payloads completed; both spread over a service's instances.
     """
-    cpu_inst = np.clip(used_by_node.sum(axis=-2) / arrays.node_cpu, 0.0, 1.0)
-    queued_payload = (queue_len * arrays.payload_mb)[..., None] * cap.placement_share
-    mem_used = cap.instance_mem + queued_payload.sum(axis=-2)
-    mem_inst = np.clip(mem_used / arrays.node_mem, 0.0, 1.0)
-    moved_mb = (completed * arrays.payload_mb)[..., None] * cap.placement_share
-    net_inst = np.clip(moved_mb.sum(axis=-2) / arrays.node_net, 0.0, 1.0)
     inst = np.empty(util_true.shape)
-    inst[..., 0], inst[..., 1], inst[..., 2] = cpu_inst, mem_inst, net_inst
+    inst[..., 0] = used_by_node.sum(axis=-2) / arrays.node_cpu
+    queued_payload = (queue_len * arrays.payload_mb)[..., None] * cap.placement_share
+    inst[..., 1] = (cap.instance_mem + queued_payload.sum(axis=-2)) / arrays.node_mem
+    moved_mb = (completed * arrays.payload_mb)[..., None] * cap.placement_share
+    inst[..., 2] = moved_mb.sum(axis=-2) / arrays.node_net
+    np.clip(inst, 0.0, 1.0, out=inst)
     return (1.0 - alpha) * util_true + alpha * inst
 
 

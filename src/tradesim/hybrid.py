@@ -9,7 +9,9 @@ so that better candidates receive the protective low rates.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .optim import AdamSpec, adam_init, adam_step
 from .workload import WorkloadScenario, generate_tick_counts
 
 INFEASIBLE = float("inf")
+
+LOOKAHEAD = 2  # local-search steps whose accept/reject tree rolls out in one batch
 
 
 @dataclass
@@ -211,8 +215,13 @@ class RolloutEvaluator:
         return out
 
     def fitness(self, chromo: Chromosome) -> float:
-        m = self.metrics(chromo)
-        return fitness_from_metrics(m.T, m.U, m.L, self.weights)
+        return self.fitness_batch([chromo])[0]
+
+    def fitness_batch(self, chromos: list[Chromosome]) -> list[float]:
+        return [
+            fitness_from_metrics(m.T, m.U, m.L, self.weights)
+            for m in self.metrics_batch(chromos)
+        ]
 
 
 # --- GA operators ---------------------------------------------------------------
@@ -231,20 +240,9 @@ def random_chromosome(
 
 
 def _tournament_index(fitnesses: np.ndarray, size: int, rng: np.random.Generator) -> int:
+    """Index of the best of `size` uniform draws (with replacement)."""
     picks = rng.integers(0, len(fitnesses), size=size)
     return int(picks[np.argmin(fitnesses[picks])])
-
-
-def tournament_select(
-    population: list[Chromosome],
-    fitnesses: np.ndarray,
-    size: int,
-    rng: np.random.Generator,
-) -> Chromosome:
-    """Best of `size` uniform draws (with replacement)."""
-    if not population:
-        raise ValueError("empty population")
-    return population[_tournament_index(np.asarray(fitnesses), size, rng)]
 
 
 def crossover(
@@ -302,14 +300,11 @@ def mutate(
     return repair(out)
 
 
-def select_top_k(
-    population: list[Chromosome], fitnesses: np.ndarray, k: int
-) -> list[Chromosome]:
-    """k lowest-fitness chromosomes, ties broken by insertion order."""
-    if k > len(population):
-        raise ValueError(f"k={k} exceeds population size {len(population)}")
-    order = np.argsort(fitnesses, kind="stable")
-    return [population[int(i)] for i in order[:k]]
+def select_top_k(fitnesses: np.ndarray, k: int) -> list[int]:
+    """Indices of the k lowest fitnesses, ties broken by insertion order."""
+    if k > len(fitnesses):
+        raise ValueError(f"k={k} exceeds population size {len(fitnesses)}")
+    return [int(i) for i in np.argsort(fitnesses, kind="stable")[:k]]
 
 
 def non_dominated_sort(objectives: np.ndarray) -> list[list[int]]:
@@ -341,38 +336,95 @@ def non_dominated_sort(objectives: np.ndarray) -> list[list[int]]:
     return fronts
 
 
+def _draw_moves(
+    x: Chromosome, count: int, rng: np.random.Generator, sigma: float
+) -> list[tuple[int, float]]:
+    """The next `count` single-gene moves of the hill-climb: a flat gene index
+    with a direction of -1/+1 for a placement cell, or a Gaussian step for a
+    quota or priority. No draw depends on the incumbent."""
+    genes, cells = x.genes(), x.placement.size
+    moves = []
+    for _ in range(count):
+        idx = int(rng.integers(genes))
+        if idx < cells:
+            moves.append((idx, -1 if rng.random() < 0.5 else 1))
+        else:
+            moves.append((idx, sigma * rng.standard_normal()))
+    return moves
+
+
+def _neighbor(
+    x: Chromosome, move: tuple[int, float], max_instances: int | None
+) -> Chromosome | None:
+    """x with one move applied and repaired; None where the placement cell
+    can move neither way."""
+    idx, step = move
+    cand = x.copy()
+    cells, k = cand.placement.size, cand.quota.size
+    if idx < cells:
+        if not _step_placement(cand.placement, idx, step, max_instances):
+            return None
+    elif idx < cells + k:
+        cand.quota[idx - cells] += step
+    else:
+        cand.priority[idx - cells - k] += step
+    return repair(cand)
+
+
+def _move_tree(
+    x: Chromosome, moves: list[tuple[int, float]], max_instances: int | None
+) -> tuple[list[list[Chromosome | None]], list[Chromosome]]:
+    """The accept/reject tree of hill-climb moves from incumbent x.
+
+    Level j holds the candidate of move j from each incumbent the climb can
+    hold before it; incumbent i of a level has children 2i (reject: i again)
+    and 2i+1 (accept: its candidate). A move that cannot apply gives None,
+    and so does every move from an incumbent that cannot exist. Returns the
+    levels and their candidates in level order."""
+    incumbents: list[Chromosome | None] = [x]
+    levels = []
+    for move in moves:
+        level = [None if c is None else _neighbor(c, move, max_instances) for c in incumbents]
+        levels.append(level)
+        incumbents = [b for c, cand in zip(incumbents, level) for b in (c, cand)]
+    return levels, [c for level in levels for c in level if c is not None]
+
+
 def local_search(
     x: Chromosome,
-    fitness_fn,
+    fitness_batch,
     budget: int,
     rng: np.random.Generator,
     sigma: float = 0.05,
     fitness_x: float | None = None,
     max_instances: int | None = None,
 ) -> tuple[Chromosome, float]:
-    """Hill-climb over single-gene neighbors; never returns a worse solution."""
+    """Hill-climb over single-gene neighbors; never returns a worse solution.
+
+    Every LOOKAHEAD steps, the moves of those steps are drawn first, the
+    candidates of their accept/reject tree are evaluated by one
+    `fitness_batch` call (a list of chromosomes to a list of fitnesses), and
+    the climb walks the path a step-by-step climb would take: the same
+    draws, the same comparisons and the same result."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     best = x.copy()
-    best_f = fitness_fn(best) if fitness_x is None else fitness_x
-    genes = best.genes()
-    for step in range(budget):
-        cand = best.copy()
-        idx = int(rng.integers(genes))
-        if idx < cand.placement.size:
-            step_dir = -1 if rng.random() < 0.5 else 1
-            if not _step_placement(cand.placement, idx, step_dir, max_instances):
-                continue
-        elif idx < cand.placement.size + cand.quota.size:
-            cand.quota[idx - cand.placement.size] += sigma * rng.standard_normal()
-        else:
-            cand.priority[idx - cand.placement.size - cand.quota.size] += (
-                sigma * rng.standard_normal()
-            )
-        repair(cand)
-        f = fitness_fn(cand)
-        if f < best_f:
-            best, best_f = cand, f
+    best_f = fitness_x
+    for start in range(0, budget, LOOKAHEAD):
+        moves = _draw_moves(best, min(LOOKAHEAD, budget - start), rng, sigma)
+        levels, candidates = _move_tree(best, moves, max_instances)
+        batch = candidates if best_f is not None else [best] + candidates
+        fits = iter(fitness_batch(batch) if batch else [])
+        if best_f is None:
+            best_f = next(fits)
+        node = 0
+        for level in levels:
+            level_f = [None if c is None else next(fits) for c in level]
+            cand, f = level[node], level_f[node]
+            accept = cand is not None and f < best_f
+            if accept:
+                best, best_f = cand, f
+            node = 2 * node + accept
     return best, best_f
 
 
@@ -458,18 +510,27 @@ def rl_refine(
     reward_spec: RefineReward,
     rng: np.random.Generator,
     learning_rate: float = 1e-3,
+    prefetch=None,
 ) -> tuple[list[Chromosome], list[float], dict, RefineStats]:
     """One policy-guided refinement pass over the elite set.
 
     Each elite yields one transition (state features, delta-action, reward);
     the policy gets one update per transition; a refined chromosome replaces
     the elite member only when its fitness improved.
+
+    `prefetch(elite0, rng)` names chromosomes that roll out in the same batch
+    as the last elite's candidate; it gets the settled first elite and a copy
+    of the generator in the state this pass leaves it in (the pass draws
+    nothing after its last `act`). Rollouts are memoized and consume no
+    random draws, so a prefetch can save a later rollout call but never
+    change a result.
     """
     stats = RefineStats()
     spec = AdamSpec(learning_rate=learning_rate)
     refined: list[Chromosome] = []
     refined_fitness: list[float] = []
-    for chromo, f_old, m_old in zip(elite, elite_fitness, elite_metrics):
+    last = len(elite) - 1
+    for i, (chromo, f_old, m_old) in enumerate(zip(elite, elite_fitness, elite_metrics)):
         features = encoder.encode(m_old.final_state)
         record, _ = core.act(params, features, "sample", rng)
         candidate, magnitude = apply_record_to_chromosome(record, chromo)
@@ -478,7 +539,10 @@ def rl_refine(
             refined.append(chromo)
             refined_fitness.append(f_old)
             continue
-        m_new = evaluator.metrics(candidate)
+        batch = [candidate]
+        if prefetch is not None and i > 0 and i == last:
+            batch += prefetch(refined[0], copy.deepcopy(rng))
+        m_new = evaluator.metrics_batch(batch)[0]
         f_new = fitness_from_metrics(m_new.T, m_new.U, m_new.L, evaluator.weights)
         reward = refine_reward(reward_spec, f_old - f_new, m_new.U - m_old.U, magnitude)
         if not np.isfinite(reward):
@@ -526,6 +590,12 @@ class HybridConfig:
     def __post_init__(self) -> None:
         if min(self.max_iter, self.eval_ticks, self.tournament) < 1:
             raise ConfigError("max_iter, eval_ticks and tournament must be >= 1")
+        if self.max_instances < 1:
+            raise ConfigError("max_instances must be >= 1")
+        if self.local_search_budget < 0:
+            raise ConfigError("local_search_budget must be >= 0 (0 turns local search off)")
+        if self.convergence_window < 1:
+            raise ConfigError("convergence_window must be >= 1")
         if self.elite < 1 or self.elite >= self.population:
             raise ConfigError("need 1 <= elite < population")
         if not self.n_min <= self.population <= self.n_max:
@@ -552,6 +622,15 @@ class HybridResult:
     trace: list[GenerationTrace]
     refine_stats: RefineStats
     converged: bool
+
+
+def _first_move_tree(
+    config: HybridConfig, x: Chromosome, rng: np.random.Generator
+) -> list[Chromosome]:
+    """The candidates of local search's first batch from incumbent x, with
+    `rng` in the state local search starts from."""
+    moves = _draw_moves(x, min(LOOKAHEAD, config.local_search_budget), rng, config.mutation_sigma)
+    return _move_tree(x, moves, config.max_instances)[1]
 
 
 def hybrid_scheduling(
@@ -604,6 +683,8 @@ def hybrid_scheduling(
     n_target = config.population
     converged = False
 
+    prefetch = partial(_first_move_tree, config) if config.local_search_budget > 0 else None
+
     for generation in range(config.max_iter):
         metrics = evaluator.metrics_batch(population)
         fitnesses = np.array(
@@ -622,7 +703,7 @@ def hybrid_scheduling(
         q_max = float(quality[finite].max()) if finite.any() else 0.0
         q_max = max(q_max, q_avg)  # mean can exceed max by one ulp when converged
 
-        elite_idx = [int(i) for i in np.argsort(fitnesses, kind="stable")[: config.elite]]
+        elite_idx = select_top_k(fitnesses, config.elite)
         elite = [population[i] for i in elite_idx]
         elite_fitness = [float(fitnesses[i]) for i in elite_idx]
         elite_metrics = [metrics[i] for i in elite_idx]
@@ -630,7 +711,7 @@ def hybrid_scheduling(
         if config.rl_refinement:
             elite, elite_fitness, params, stats = rl_refine(
                 elite, elite_fitness, elite_metrics, core, params, adam_state,
-                encoder, evaluator, config.refine, rng, config.refine_lr,
+                encoder, evaluator, config.refine, rng, config.refine_lr, prefetch,
             )
             refine_totals.attempted += stats.attempted
             refine_totals.improved += stats.improved
@@ -638,7 +719,7 @@ def hybrid_scheduling(
 
         if config.local_search_budget > 0:
             elite0, f0 = local_search(
-                elite[0], evaluator.fitness, config.local_search_budget,
+                elite[0], evaluator.fitness_batch, config.local_search_budget,
                 rng, config.mutation_sigma, fitness_x=elite_fitness[0],
                 max_instances=config.max_instances,
             )

@@ -249,6 +249,11 @@ class TestSchedulerConfig:
             ("drl", {"checkpoint": 5}, "checkpoint"),
             ("drl", {"ckpt": "policy.npz"}, "checkpoint"),
             ("hybrid", [10, 2], "JSON object"),
+            ("hybrid", {"max_instances": -1}, "max_instances"),
+            ("hybrid", {"max_instances": 0}, "max_instances"),
+            ("hybrid", {"local_search_budget": -2}, "local_search_budget"),
+            ("hybrid", {"convergence_window": 0}, "convergence_window"),
+            ("hybrid", {"convergence_window": -1}, "convergence_window"),
         ],
     )
     def test_bad_option_exits_config(self, small_files, kind, options, named, capsys):

@@ -6,11 +6,13 @@ import pytest
 from tradesim.cluster import ClusterTopology, LatencyModel, NodeSpec
 from tradesim.errors import ConfigError
 from tradesim.hybrid import (
+    LOOKAHEAD,
     Chromosome,
     FitnessWeights,
     HybridConfig,
     RefineReward,
     RolloutEvaluator,
+    _tournament_index,
     adapt_population_size,
     adaptive_rates,
     apply_record_to_chromosome,
@@ -25,7 +27,6 @@ from tradesim.hybrid import (
     repair,
     satisfies_invariants,
     select_top_k,
-    tournament_select,
 )
 from tradesim.workload import ServiceSpec, WorkloadScenario
 
@@ -110,30 +111,25 @@ class TestAdaptiveRates:
 
 class TestTournament:
     def test_single_candidate(self):
-        pop = [chromo([[1, 0], [0, 1]])]
-        assert tournament_select(pop, np.array([1.0]), 2, np.random.default_rng(0)) is pop[0]
+        assert _tournament_index(np.array([1.0]), 2, np.random.default_rng(0)) == 0
 
     def test_full_size_tournament_returns_global_best(self):
         rng = np.random.default_rng(1)
-        pop = [chromo([[1, 0], [0, 1]]) for _ in range(6)]
         fits = np.array([5.0, 3.0, 4.0, 1.0, 2.0, 6.0])
         # large tournament makes missing the best astronomically unlikely
-        winners = {tournament_select(pop, fits, 64, rng) is pop[3] for _ in range(20)}
-        assert winners == {True}
+        winners = {_tournament_index(fits, 64, rng) for _ in range(20)}
+        assert winners == {3}
 
     def test_binary_tournament_win_probability(self):
         # fitnesses {1, 2}: the fitter wins unless both draws hit the other -> 3/4
-        pop = [chromo([[1, 0], [0, 1]]), chromo([[0, 1], [1, 0]])]
         fits = np.array([1.0, 2.0])
         rng = np.random.default_rng(2)
-        wins = sum(
-            tournament_select(pop, fits, 2, rng) is pop[0] for _ in range(10_000)
-        )
+        wins = sum(_tournament_index(fits, 2, rng) == 0 for _ in range(10_000))
         assert wins / 10_000 == pytest.approx(0.75, abs=0.02)
 
     def test_empty_population_raises(self):
         with pytest.raises(ValueError):
-            tournament_select([], np.array([]), 2, np.random.default_rng(0))
+            _tournament_index(np.array([]), 2, np.random.default_rng(0))
 
 
 class TestCrossover:
@@ -197,29 +193,26 @@ class TestMutation:
 
 class TestSelectTopK:
     def test_whole_population(self):
-        pop = [chromo([[1, 0], [0, 1]]) for _ in range(4)]
         fits = np.array([4.0, 2.0, 3.0, 1.0])
-        assert len(select_top_k(pop, fits, 4)) == 4
+        assert select_top_k(fits, 4) == [3, 1, 2, 0]
 
     def test_k_one_is_global_best(self):
-        pop = [chromo([[1, 0], [0, 1]]) for _ in range(4)]
         fits = np.array([4.0, 2.0, 3.0, 1.0])
-        assert select_top_k(pop, fits, 1)[0] is pop[3]
+        assert select_top_k(fits, 1) == [3]
 
     def test_matches_sort_oracle_with_stable_ties(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             n = int(rng.integers(2, 30))
-            pop = list(range(n))  # identity works for the oracle comparison
             fits = rng.integers(0, 5, size=n).astype(float)  # force ties
             k = int(rng.integers(1, n + 1))
-            got = select_top_k(pop, fits, k)
+            got = select_top_k(fits, k)
             want = [i for _, i in sorted(zip(fits, range(n)), key=lambda t: (t[0], t[1]))][:k]
             assert got == want
 
     def test_oversized_k_raises(self):
         with pytest.raises(ValueError):
-            select_top_k([chromo([[1, 0], [0, 1]])], np.array([1.0]), 2)
+            select_top_k(np.array([1.0]), 2)
 
 
 class TestNonDominatedSort:
@@ -268,10 +261,23 @@ class TestNonDominatedSort:
             assert int(np.argmin(fits)) in fronts[0]
 
 
+def batched(fitness_fn, sizes=None):
+    """A batch fitness callable over a per-chromosome one; records batch sizes."""
+
+    def fitness_batch(chromos):
+        if sizes is not None:
+            sizes.append(len(chromos))
+        return [fitness_fn(c) for c in chromos]
+
+    return fitness_batch
+
+
 class TestLocalSearch:
     def test_no_improvement_returns_input(self):
         x = chromo([[1, 0], [0, 1]])
-        best, best_f = local_search(x, lambda c: 0.0, budget=5, rng=np.random.default_rng(0))
+        best, best_f = local_search(
+            x, batched(lambda c: 0.0), budget=5, rng=np.random.default_rng(0)
+        )
         assert best.equals(x) and best_f == 0.0
 
     def test_never_worse_than_input(self):
@@ -283,7 +289,7 @@ class TestLocalSearch:
                 return float(np.sum(c.placement) * 0.1 + c.quota.sum())
 
             f0 = noisy_fitness(x)
-            _, f1 = local_search(x, noisy_fitness, budget=8, rng=rng)
+            _, f1 = local_search(x, batched(noisy_fitness), budget=8, rng=rng)
             assert f1 <= f0
 
     def test_reaches_single_gene_optimum(self):
@@ -293,13 +299,21 @@ class TestLocalSearch:
 
         x = chromo([[6, 1], [0, 1]])
         exhaustive_best = min(fitness_fn(chromo([[v, 1], [0, 1]])) for v in range(0, 10))
-        best, best_f = local_search(x, fitness_fn, budget=60, rng=np.random.default_rng(3))
+        sizes: list[int] = []
+        best, best_f = local_search(
+            x, batched(fitness_fn, sizes), budget=60, rng=np.random.default_rng(3)
+        )
         assert best_f == exhaustive_best == 0.0
         assert best.placement[0, 0] == 3
+        # one batch per LOOKAHEAD steps, each at most the 2^L - 1 tree (+ x itself first)
+        assert len(sizes) == 60 // LOOKAHEAD
+        assert sizes[0] <= 2**LOOKAHEAD and max(sizes[1:]) <= 2**LOOKAHEAD - 1
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            local_search(chromo([[1, 0], [0, 1]]), lambda c: 0.0, 0, np.random.default_rng(0))
+            local_search(
+                chromo([[1, 0], [0, 1]]), batched(lambda c: 0.0), 0, np.random.default_rng(0)
+            )
 
 
 class TestAdaptPopulation:

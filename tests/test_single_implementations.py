@@ -2,9 +2,12 @@
 
 The GA's feasible placement step (shared by `mutate` and `local_search`) and
 the checkpoint writer/reader (shared by the LSTM predictor and the PPO policy)
-each replaced two copies. The earlier copies live here, test-only, and the
-shared code must give equal results, compared by bytes: chromosomes and final
-random-generator states, checkpoint arrays and `__meta__` bytes.
+each replaced two copies. The batched hill-climb, and the refinement pass that
+rolls out the climb's first move tree with its last candidate, replaced a
+step-by-step climb and a refinement that rolled out one candidate per call.
+The earlier copies live here, test-only, and the code that runs must give
+equal results, compared by bytes: chromosomes and final random-generator
+states, whole GA runs, checkpoint arrays and `__meta__` bytes.
 """
 
 from __future__ import annotations
@@ -16,9 +19,25 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tradesim import hybrid
+from tradesim.baselines import scheduler_options
+from tradesim.cluster import uniform_topology
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder, load_policy, save_policy
 from tradesim.errors import ConfigError
-from tradesim.hybrid import Chromosome, local_search, mutate, repair
+from tradesim.hybrid import (
+    LOOKAHEAD,
+    Chromosome,
+    HybridConfig,
+    RefineStats,
+    RolloutEvaluator,
+    apply_record_to_chromosome,
+    fitness_from_metrics,
+    hybrid_scheduling,
+    local_search,
+    mutate,
+    refine_reward,
+    repair,
+)
 from tradesim.lstm import (
     ForecastModel,
     LstmConfig,
@@ -26,8 +45,8 @@ from tradesim.lstm import (
     load_checkpoint,
     save_checkpoint,
 )
-from tradesim.optim import load_params, save_params
-from tradesim.workload import FeatureScaling
+from tradesim.optim import AdamSpec, adam_step, load_params, save_params
+from tradesim.workload import BurstSpec, FeatureScaling, RampSpec, WorkloadScenario
 
 # --- the GA placement step --------------------------------------------------------
 
@@ -91,6 +110,44 @@ def old_local_search(x, fitness_fn, budget, rng, sigma=0.05, fitness_x=None, max
     return best, best_f
 
 
+def old_rl_refine(
+    elite, elite_fitness, elite_metrics, core, params, adam_state, encoder, evaluator,
+    reward_spec, rng, learning_rate=1e-3, prefetch=None,
+):
+    """One rollout call per elite; `prefetch` is accepted and ignored."""
+    stats = RefineStats()
+    spec = AdamSpec(learning_rate=learning_rate)
+    refined, refined_fitness = [], []
+    for chromo, f_old, m_old in zip(elite, elite_fitness, elite_metrics):
+        features = encoder.encode(m_old.final_state)
+        record, _ = core.act(params, features, "sample", rng)
+        candidate, magnitude = apply_record_to_chromosome(record, chromo)
+        stats.attempted += 1
+        if candidate.equals(chromo):
+            refined.append(chromo)
+            refined_fitness.append(f_old)
+            continue
+        m_new = evaluator.metrics(candidate)
+        f_new = fitness_from_metrics(m_new.T, m_new.U, m_new.L, evaluator.weights)
+        reward = refine_reward(reward_spec, f_old - f_new, m_new.U - m_old.U, magnitude)
+        if not np.isfinite(reward):
+            stats.discarded_nonfinite += 1
+            refined.append(chromo)
+            refined_fitness.append(f_old)
+            continue
+        logp, cache = core.log_prob(params, features[None], {k: v[None] for k, v in record.items()})
+        grads = core.logp_backward(params, cache, np.array([-reward]))
+        params = adam_step(params, grads, adam_state, spec)
+        if f_new < f_old:
+            refined.append(candidate)
+            refined_fitness.append(f_new)
+            stats.improved += 1
+        else:
+            refined.append(chromo)
+            refined_fitness.append(f_old)
+    return refined, refined_fitness, params, stats
+
+
 def chromosome_bytes(c: Chromosome) -> list:
     return [(a.dtype.str, a.shape, a.tobytes()) for a in (c.placement, c.quota, c.priority)]
 
@@ -148,6 +205,7 @@ class TestPlacementStep:
         x = make_chromosome(placement, seed)
         weights = np.random.default_rng(seed + 1).normal(size=placement.shape)
         seen: dict[str, list] = {"got": [], "want": []}
+        batch_calls = 0
 
         def fitness(log):
             def fn(c):
@@ -156,17 +214,110 @@ class TestPlacementStep:
 
             return fn
 
+        def fitness_batch(chromos):
+            nonlocal batch_calls
+            batch_calls += 1
+            return [fitness("got")(c) for c in chromos]
+
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got, got_f = local_search(
-            x, fitness("got"), budget, rng, sigma=0.1, max_instances=max_instances
+            x, fitness_batch, budget, rng, sigma=0.1, max_instances=max_instances
         )
         want, want_f = old_local_search(
             x, fitness("want"), budget, ref_rng, sigma=0.1, max_instances=max_instances
         )
         assert chromosome_bytes(got) == chromosome_bytes(want)
         assert got_f == want_f
-        assert seen["got"] == seen["want"]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the batches hold every chromosome the step-by-step climb evaluated, in
+        # its order, among the candidates of the paths it did not take
+        batched = iter(seen["got"])
+        assert all(any(b == w for b in batched) for w in seen["want"])
+        assert batch_calls <= -(-budget // LOOKAHEAD)
+
+
+# --- the GA loop with the sequential hill-climb and refinement -----------------------
+
+
+def market_open(seed: int) -> WorkloadScenario:
+    return WorkloadScenario(
+        base_rate=55.0, peak_rate=55.0 * 9, horizon=100, seed=seed,
+        ramp=RampSpec(10, 40, 1000, 3000), bursts=(BurstSpec(60, 30, 3.0),),
+    )
+
+
+def topology_of(kind: str, scenario: WorkloadScenario):
+    if kind == "default":
+        return uniform_topology(services=scenario.service_mix)
+    # the c03/c04 topology
+    return uniform_topology(node_count=2, node_cpu=2000.0, services=scenario.service_mix, quota=0.08)
+
+
+def run_ga(scenario, topology, config):
+    current = Chromosome(
+        np.array(topology.initial_placement), np.array(topology.initial_quota),
+        np.array(topology.initial_priority),
+    )
+    return hybrid_scheduling(scenario, topology, config, seed_chromosome=current, start_tick=40)
+
+
+def sequential_local_search(x, fitness_batch, budget, rng, sigma=0.05, fitness_x=None,
+                            max_instances=None):
+    return old_local_search(
+        x, lambda c: fitness_batch([c])[0], budget, rng, sigma, fitness_x, max_instances
+    )
+
+
+CLI_DEFAULTS = scheduler_options("hybrid", {})
+GA_CONFIGS = {
+    "cli-defaults": dict(CLI_DEFAULTS),
+    "config-defaults": {},
+    "elite-1": dict(CLI_DEFAULTS, elite=1),
+    "elite-3": dict(CLI_DEFAULTS, elite=3),
+    "budget-1": dict(CLI_DEFAULTS, local_search_budget=1),
+    "budget-3": dict(CLI_DEFAULTS, local_search_budget=3),
+    "budget-5": dict(CLI_DEFAULTS, local_search_budget=5),
+    "no-refinement": dict(CLI_DEFAULTS, rl_refinement=False),
+}
+
+
+@pytest.mark.parametrize("topology_kind", ["default", "c03"])
+@pytest.mark.parametrize("config_name", list(GA_CONFIGS))
+def test_hybrid_scheduling_matches_sequential_search(monkeypatch, config_name, topology_kind):
+    seed = 1
+    scenario = market_open(2 * seed)
+    topology = topology_of(topology_kind, scenario)
+    config = HybridConfig(seed=seed, **GA_CONFIGS[config_name])
+    batched = run_ga(scenario, topology, config)
+    monkeypatch.setattr(hybrid, "local_search", sequential_local_search)
+    monkeypatch.setattr(hybrid, "rl_refine", old_rl_refine)
+    sequential = run_ga(scenario, topology, config)
+
+    assert chromosome_bytes(batched.best) == chromosome_bytes(sequential.best)
+    assert batched.best_fitness == sequential.best_fitness
+    assert batched.trace == sequential.trace
+    assert batched.refine_stats == sequential.refine_stats
+    assert batched.converged == sequential.converged
+
+
+@pytest.mark.parametrize("topology_kind", ["default", "c03"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_rollout_calls_per_generation_at_cli_defaults(monkeypatch, topology_kind, seed):
+    # the population, the first elite's refinement, and the second elite's
+    # refinement together with local search's move tree
+    scenario = market_open(2 * seed)
+    topology = topology_of(topology_kind, scenario)
+    calls = 0
+    rollouts = RolloutEvaluator._rollouts
+
+    def counting(self, chromos):
+        nonlocal calls
+        calls += 1
+        return rollouts(self, chromos)
+
+    monkeypatch.setattr(RolloutEvaluator, "_rollouts", counting)
+    result = run_ga(scenario, topology, HybridConfig(seed=seed, **CLI_DEFAULTS))
+    assert calls == 3 * len(result.trace)
 
 
 # --- checkpoints ------------------------------------------------------------------
