@@ -90,6 +90,13 @@ class ExperimentConfig:
             raise ConfigError(f"predictor checkpoint not found: {self.predictor}")
         if self.decision_interval < 1:
             raise ConfigError("decision interval must be >= 1 tick")
+        if self.predictor_interval < 1:
+            raise ConfigError(f"predictor_interval must be >= 1 tick, got {self.predictor_interval}")
+        if self.cache_accesses_per_tick < 0:
+            raise ConfigError(
+                f"cache_accesses_per_tick must be >= 0, got {self.cache_accesses_per_tick}"
+            )
+        NoiseSpec(std=self.noise_std)
         return self
 
 

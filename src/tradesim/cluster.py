@@ -63,6 +63,10 @@ class NoiseSpec:
 
     std: float = 0.01
 
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.std) and self.std >= 0):
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.std}")
+
 
 @dataclass(frozen=True)
 class RewardSpec:

@@ -9,15 +9,13 @@ so that better candidates receive the protective low rates.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .cluster import QUOTA_FLOOR, ClusterTopology, node_commit, rollout_batch
 from .errors import ConfigError
-from .optim import AdamSpec, adam_init, adam_step
+from .optim import AdamSpec, adam_init, adam_step, sigmoid
 from .workload import WorkloadScenario, generate_tick_counts
 
 INFEASIBLE = float("inf")
@@ -393,26 +391,23 @@ def _move_tree(
 def local_search(
     x: Chromosome,
     fitness_batch,
-    budget: int,
-    rng: np.random.Generator,
-    sigma: float = 0.05,
+    moves: list[tuple[int, float]],
     fitness_x: float | None = None,
     max_instances: int | None = None,
 ) -> tuple[Chromosome, float]:
-    """Hill-climb over single-gene neighbors; never returns a worse solution.
+    """Hill-climb over single-gene neighbors, one step per move of `moves`
+    (drawn by `_draw_moves`); never returns a worse solution.
 
-    Every LOOKAHEAD steps, the moves of those steps are drawn first, the
-    candidates of their accept/reject tree are evaluated by one
-    `fitness_batch` call (a list of chromosomes to a list of fitnesses), and
-    the climb walks the path a step-by-step climb would take: the same
-    draws, the same comparisons and the same result."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    Every LOOKAHEAD moves, the candidates of their accept/reject tree are
+    evaluated by one `fitness_batch` call (a list of chromosomes to a list of
+    fitnesses), and the climb walks the path a step-by-step climb would take:
+    the same comparisons and the same result."""
+    if not moves:
+        raise ValueError("local search needs at least one move")
     best = x.copy()
     best_f = fitness_x
-    for start in range(0, budget, LOOKAHEAD):
-        moves = _draw_moves(best, min(LOOKAHEAD, budget - start), rng, sigma)
-        levels, candidates = _move_tree(best, moves, max_instances)
+    for start in range(0, len(moves), LOOKAHEAD):
+        levels, candidates = _move_tree(best, moves[start : start + LOOKAHEAD], max_instances)
         batch = candidates if best_f is not None else [best] + candidates
         fits = iter(fitness_batch(batch) if batch else [])
         if best_f is None:
@@ -468,12 +463,8 @@ def apply_record_to_chromosome(
             out.placement[s, int(np.argmin(out.placement.sum(axis=0)))] += 1
         elif out.placement[s].sum() > 1:
             out.placement[s, int(np.argmax(out.placement[s]))] -= 1
-
-    def squash(u: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-u))
-
     for name, attr in (("priority", "priority"), ("quota", "quota")):
-        target = squash(record[name])
+        target = sigmoid(record[name])
         arr = getattr(out, attr)
         change = step_scale * (target - arr)
         magnitude += float(np.abs(change).sum()) if attr == "quota" else 0.0
@@ -498,69 +489,82 @@ class RefineStats:
     discarded_nonfinite: int = 0
 
 
+@dataclass
+class Refinement:
+    """One elite's proposed transition: the policy's input and sampled
+    delta-action, and the chromosome the action gives (None where it leaves
+    the elite unchanged)."""
+
+    features: np.ndarray
+    record: dict[str, np.ndarray]
+    candidate: Chromosome | None
+    magnitude: float
+
+
+def propose_refinements(
+    elite: list[Chromosome],
+    elite_metrics: list[RolloutMetrics],
+    core,
+    params,
+    encoder,
+    rng: np.random.Generator,
+) -> list[Refinement]:
+    """The policy acts once for every elite, in order, all with `params`."""
+    proposals = []
+    for chromo, m in zip(elite, elite_metrics):
+        features = encoder.encode(m.final_state)
+        record, _ = core.act(params, features, "sample", rng)
+        candidate, magnitude = apply_record_to_chromosome(record, chromo)
+        proposals.append(
+            Refinement(features, record, None if candidate.equals(chromo) else candidate, magnitude)
+        )
+    return proposals
+
+
 def rl_refine(
     elite: list[Chromosome],
     elite_fitness: list[float],
     elite_metrics: list[RolloutMetrics],
+    proposals: list[Refinement],
     core,
     params,
     adam_state,
-    encoder,
     evaluator: RolloutEvaluator,
     reward_spec: RefineReward,
-    rng: np.random.Generator,
     learning_rate: float = 1e-3,
-    prefetch=None,
 ) -> tuple[list[Chromosome], list[float], dict, RefineStats]:
-    """One policy-guided refinement pass over the elite set.
+    """One batched REINFORCE step (Williams, 1992) over the elite set.
 
-    Each elite yields one transition (state features, delta-action, reward);
-    the policy gets one update per transition; a refined chromosome replaces
-    the elite member only when its fitness improved.
-
-    `prefetch(elite0, rng)` names chromosomes that roll out in the same batch
-    as the last elite's candidate; it gets the settled first elite and a copy
-    of the generator in the state this pass leaves it in (the pass draws
-    nothing after its last `act`). Rollouts are memoized and consume no
-    random draws, so a prefetch can save a later rollout call but never
-    change a result.
+    The candidates of `proposals` roll out in one `metrics_batch` call (all
+    memo hits when the GA rolled them out already). Each candidate is one
+    transition; a transition whose reward is not finite is discarded. The
+    policy makes one Adam step on the mean gradient of -reward * logp over
+    the rest, and a candidate replaces its elite only when its fitness
+    improved.
     """
-    stats = RefineStats()
-    spec = AdamSpec(learning_rate=learning_rate)
-    refined: list[Chromosome] = []
-    refined_fitness: list[float] = []
-    last = len(elite) - 1
-    for i, (chromo, f_old, m_old) in enumerate(zip(elite, elite_fitness, elite_metrics)):
-        features = encoder.encode(m_old.final_state)
-        record, _ = core.act(params, features, "sample", rng)
-        candidate, magnitude = apply_record_to_chromosome(record, chromo)
-        stats.attempted += 1
-        if candidate.equals(chromo):
-            refined.append(chromo)
-            refined_fitness.append(f_old)
-            continue
-        batch = [candidate]
-        if prefetch is not None and i > 0 and i == last:
-            batch += prefetch(refined[0], copy.deepcopy(rng))
-        m_new = evaluator.metrics_batch(batch)[0]
+    stats = RefineStats(attempted=len(proposals))
+    refined, refined_fitness = list(elite), list(elite_fitness)
+    changed = [i for i, p in enumerate(proposals) if p.candidate is not None]
+    new_metrics = evaluator.metrics_batch([proposals[i].candidate for i in changed])
+    used: list[Refinement] = []
+    rewards: list[float] = []
+    for i, m_new in zip(changed, new_metrics):
+        p, f_old = proposals[i], elite_fitness[i]
         f_new = fitness_from_metrics(m_new.T, m_new.U, m_new.L, evaluator.weights)
-        reward = refine_reward(reward_spec, f_old - f_new, m_new.U - m_old.U, magnitude)
+        reward = refine_reward(reward_spec, f_old - f_new, m_new.U - elite_metrics[i].U, p.magnitude)
         if not np.isfinite(reward):
             stats.discarded_nonfinite += 1
-            refined.append(chromo)
-            refined_fitness.append(f_old)
             continue
-        # single-transition policy-gradient update: grad of -reward * logp
-        logp, cache = core.log_prob(params, features[None], {k: v[None] for k, v in record.items()})
-        grads = core.logp_backward(params, cache, np.array([-reward]))
-        params = adam_step(params, grads, adam_state, spec)
+        used.append(p)
+        rewards.append(reward)
         if f_new < f_old:
-            refined.append(candidate)
-            refined_fitness.append(f_new)
+            refined[i], refined_fitness[i] = p.candidate, f_new
             stats.improved += 1
-        else:
-            refined.append(chromo)
-            refined_fitness.append(f_old)
+    if used:
+        records = {name: np.stack([p.record[name] for p in used]) for name in used[0].record}
+        _, cache = core.log_prob(params, np.stack([p.features for p in used]), records)
+        grads = core.logp_backward(params, cache, -np.array(rewards) / len(used))
+        params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=learning_rate))
     return refined, refined_fitness, params, stats
 
 
@@ -624,13 +628,32 @@ class HybridResult:
     converged: bool
 
 
-def _first_move_tree(
-    config: HybridConfig, x: Chromosome, rng: np.random.Generator
-) -> list[Chromosome]:
-    """The candidates of local search's first batch from incumbent x, with
-    `rng` in the state local search starts from."""
-    moves = _draw_moves(x, min(LOOKAHEAD, config.local_search_budget), rng, config.mutation_sigma)
-    return _move_tree(x, moves, config.max_instances)[1]
+def _breed(
+    pool: list[Chromosome],
+    pool_fitness: np.ndarray,
+    count: int,
+    q_avg: float,
+    q_max: float,
+    config: HybridConfig,
+    rng: np.random.Generator,
+) -> tuple[list[Chromosome], list[float], list[float]]:
+    """`count` offspring of the mating pool, two per tournament pair; returns
+    them with each pair's adaptive P_c and P_m."""
+    offspring: list[Chromosome] = []
+    pc_values: list[float] = []
+    pm_values: list[float] = []
+    while len(offspring) < count:
+        ia = _tournament_index(pool_fitness, config.tournament, rng)
+        ib = _tournament_index(pool_fitness, config.tournament, rng)
+        q_prime = float(-min(pool_fitness[ia], pool_fitness[ib]))
+        p_c, p_m = adaptive_rates(q_prime, q_avg, q_max)
+        pc_values.append(p_c)
+        pm_values.append(p_m)
+        c1, c2 = crossover(pool[ia], pool[ib], p_c, rng)
+        offspring.append(mutate(c1, p_m, rng, config.mutation_sigma, config.max_instances))
+        if len(offspring) < count:
+            offspring.append(mutate(c2, p_m, rng, config.mutation_sigma, config.max_instances))
+    return offspring, pc_values, pm_values
 
 
 def hybrid_scheduling(
@@ -646,7 +669,13 @@ def hybrid_scheduling(
     policy_params=None,
 ) -> HybridResult:
     """Full optimization loop: evaluate, adapt rates, preserve+refine elites,
-    breed offspring, iterate to convergence or the iteration cap."""
+    breed offspring, iterate to convergence or the iteration cap.
+
+    Each generation makes all of its random draws first (the policy's actions,
+    local search's moves, the offspring), then rolls out every candidate it
+    can need in one `metrics_batch` call, then refines, climbs and selects
+    from the memo. Only a local-search tree past the first LOOKAHEAD moves
+    rolls out on its own."""
     from .drl.policy import PolicyCore, StateEncoder, cluster_layout
 
     weights = weights or FitnessWeights()
@@ -683,9 +712,8 @@ def hybrid_scheduling(
     n_target = config.population
     converged = False
 
-    prefetch = partial(_first_move_tree, config) if config.local_search_budget > 0 else None
-
     for generation in range(config.max_iter):
+        # memo hits after the first generation: the last batch rolled them out
         metrics = evaluator.metrics_batch(population)
         fitnesses = np.array(
             [fitness_from_metrics(m.T, m.U, m.L, weights) for m in metrics]
@@ -708,28 +736,6 @@ def hybrid_scheduling(
         elite_fitness = [float(fitnesses[i]) for i in elite_idx]
         elite_metrics = [metrics[i] for i in elite_idx]
 
-        if config.rl_refinement:
-            elite, elite_fitness, params, stats = rl_refine(
-                elite, elite_fitness, elite_metrics, core, params, adam_state,
-                encoder, evaluator, config.refine, rng, config.refine_lr, prefetch,
-            )
-            refine_totals.attempted += stats.attempted
-            refine_totals.improved += stats.improved
-            refine_totals.discarded_nonfinite += stats.discarded_nonfinite
-
-        if config.local_search_budget > 0:
-            elite0, f0 = local_search(
-                elite[0], evaluator.fitness_batch, config.local_search_budget,
-                rng, config.mutation_sigma, fitness_x=elite_fitness[0],
-                max_instances=config.max_instances,
-            )
-            elite[0], elite_fitness[0] = elite0, f0
-
-        if elite_fitness[0] < best_fitness:
-            best_fitness = float(elite_fitness[0])
-            best = elite[0].copy()
-            best_history[-1] = best_fitness
-
         # non-dominated pre-filter of the mating pool
         objectives = np.array([[m.T, -m.U, -m.L] for m in metrics])
         fronts = non_dominated_sort(objectives)
@@ -738,31 +744,64 @@ def hybrid_scheduling(
             pool_idx.extend(front)
             if len(pool_idx) >= max(len(population) // 2, 2 * config.elite):
                 break
-        pool = [population[i] for i in pool_idx]
-        pool_fitness = fitnesses[pool_idx]
+
+        # propose: every random draw of the generation, before any rollout.
+        # Offspring are bred for the largest population the adaptation can ask for.
+        proposals = (
+            propose_refinements(elite, elite_metrics, core, params, encoder, rng)
+            if config.rl_refinement else []
+        )
+        moves = _draw_moves(elite[0], config.local_search_budget, rng, config.mutation_sigma)
+        n_bred = (
+            min(config.n_max, max(n_target, round(1.25 * n_target)))
+            if config.adapt_population else n_target
+        )
+        offspring, pc_values, pm_values = _breed(
+            [population[i] for i in pool_idx], fitnesses[pool_idx],
+            n_bred - config.elite, q_avg, q_max, config, rng,
+        )
+
+        # roll out once: the refinement candidates, local search's first move
+        # tree from either incumbent it can start from, and the offspring
+        batch = [p.candidate for p in proposals if p.candidate is not None]
+        if moves:
+            incumbents = [elite[0]]
+            if proposals and proposals[0].candidate is not None:
+                incumbents.append(proposals[0].candidate)
+            for x in incumbents:
+                batch += _move_tree(x, moves[:LOOKAHEAD], config.max_instances)[1]
+        if generation < config.max_iter - 1:
+            batch += offspring
+        evaluator.metrics_batch(batch)
+
+        # consume
+        if config.rl_refinement:
+            elite, elite_fitness, params, stats = rl_refine(
+                elite, elite_fitness, elite_metrics, proposals, core, params,
+                adam_state, evaluator, config.refine, config.refine_lr,
+            )
+            refine_totals.attempted += stats.attempted
+            refine_totals.improved += stats.improved
+            refine_totals.discarded_nonfinite += stats.discarded_nonfinite
+
+        if moves:
+            elite[0], elite_fitness[0] = local_search(
+                elite[0], evaluator.fitness_batch, moves, fitness_x=elite_fitness[0],
+                max_instances=config.max_instances,
+            )
+
+        if elite_fitness[0] < best_fitness:
+            best_fitness = float(elite_fitness[0])
+            best = elite[0].copy()
+            best_history[-1] = best_fitness
 
         if config.adapt_population:
             n_target = adapt_population_size(
                 best_history, n_target, config.n_min, config.n_max
             )
-
-        offspring: list[Chromosome] = []
-        pc_values: list[float] = []
-        pm_values: list[float] = []
-        while len(offspring) < n_target - config.elite:
-            ia = _tournament_index(pool_fitness, config.tournament, rng)
-            ib = _tournament_index(pool_fitness, config.tournament, rng)
-            pa, pb = pool[ia], pool[ib]
-            q_prime = float(-min(pool_fitness[ia], pool_fitness[ib]))
-            p_c, p_m = adaptive_rates(q_prime, q_avg, q_max)
-            pc_values.append(p_c)
-            pm_values.append(p_m)
-            c1, c2 = crossover(pa, pb, p_c, rng)
-            offspring.append(mutate(c1, p_m, rng, config.mutation_sigma, config.max_instances))
-            if len(offspring) < n_target - config.elite:
-                offspring.append(mutate(c2, p_m, rng, config.mutation_sigma, config.max_instances))
-
-        population = [e.copy() for e in elite] + offspring
+        kept = n_target - config.elite
+        pairs = (kept + 1) // 2  # the tournament pairs that bred the kept offspring
+        population = [e.copy() for e in elite] + offspring[:kept]
         trace.append(
             GenerationTrace(
                 generation=generation,
@@ -771,8 +810,8 @@ def hybrid_scheduling(
                 mean_fitness=float(fitnesses[np.isfinite(fitnesses)].mean())
                 if np.isfinite(fitnesses).any()
                 else INFEASIBLE,
-                pc_mean=float(np.mean(pc_values)) if pc_values else 0.9,
-                pm_mean=float(np.mean(pm_values)) if pm_values else 0.1,
+                pc_mean=float(np.mean(pc_values[:pairs])),
+                pm_mean=float(np.mean(pm_values[:pairs])),
                 population=len(population),
             )
         )

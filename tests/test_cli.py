@@ -196,8 +196,15 @@ class TestSimulateConfigFile:
             (lambda cfg: "simulate", "JSON object"),
             (lambda cfg: {**cfg, "cache_keys": 0}, "at least one key"),
             (lambda cfg: {**cfg, "strict_deterministic": True}, "'strict_deterministic'"),
+            (lambda cfg: {**cfg, "predictor_interval": 0}, "predictor_interval"),
+            (lambda cfg: {**cfg, "predictor_interval": -3}, "predictor_interval"),
+            (lambda cfg: {**cfg, "cache_accesses_per_tick": -5}, "cache_accesses_per_tick"),
+            (lambda cfg: {**cfg, "noise_std": -0.5}, "noise_std"),
+            (lambda cfg: {**cfg, "noise_std": float("nan")}, "noise_std"),
         ],
-        ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys", "retired-key"],
+        ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys", "retired-key",
+             "zero-predictor-interval", "negative-predictor-interval",
+             "negative-cache-accesses", "negative-noise", "nan-noise"],
     )
     def test_bad_config_exits_config(self, small_files, edit, named, capsys):
         sc, topo, tmp = small_files
@@ -206,6 +213,14 @@ class TestSimulateConfigFile:
         cfg.write_text(json.dumps(edit(resolved)))
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise_std", ["-0.5", "nan"])
+    def test_bad_noise_flag_exits_config(self, small_files, noise_std, capsys):
+        sc, topo, tmp = small_files
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--noise-std", noise_std, "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert "noise_std" in capsys.readouterr().err
 
     def test_negative_history_window_exits_config(self, small_files, capsys):
         sc, topo, tmp = small_files

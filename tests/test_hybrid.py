@@ -12,6 +12,7 @@ from tradesim.hybrid import (
     HybridConfig,
     RefineReward,
     RolloutEvaluator,
+    _draw_moves,
     _tournament_index,
     adapt_population_size,
     adaptive_rates,
@@ -272,12 +273,14 @@ def batched(fitness_fn, sizes=None):
     return fitness_batch
 
 
+def moves(x: Chromosome, count: int, seed: int, sigma: float = 0.05) -> list:
+    return _draw_moves(x, count, np.random.default_rng(seed), sigma)
+
+
 class TestLocalSearch:
     def test_no_improvement_returns_input(self):
         x = chromo([[1, 0], [0, 1]])
-        best, best_f = local_search(
-            x, batched(lambda c: 0.0), budget=5, rng=np.random.default_rng(0)
-        )
+        best, best_f = local_search(x, batched(lambda c: 0.0), moves(x, 5, seed=0))
         assert best.equals(x) and best_f == 0.0
 
     def test_never_worse_than_input(self):
@@ -289,7 +292,7 @@ class TestLocalSearch:
                 return float(np.sum(c.placement) * 0.1 + c.quota.sum())
 
             f0 = noisy_fitness(x)
-            _, f1 = local_search(x, batched(noisy_fitness), budget=8, rng=rng)
+            _, f1 = local_search(x, batched(noisy_fitness), _draw_moves(x, 8, rng, 0.05))
             assert f1 <= f0
 
     def test_reaches_single_gene_optimum(self):
@@ -300,9 +303,7 @@ class TestLocalSearch:
         x = chromo([[6, 1], [0, 1]])
         exhaustive_best = min(fitness_fn(chromo([[v, 1], [0, 1]])) for v in range(0, 10))
         sizes: list[int] = []
-        best, best_f = local_search(
-            x, batched(fitness_fn, sizes), budget=60, rng=np.random.default_rng(3)
-        )
+        best, best_f = local_search(x, batched(fitness_fn, sizes), moves(x, 60, seed=3))
         assert best_f == exhaustive_best == 0.0
         assert best.placement[0, 0] == 3
         # one batch per LOOKAHEAD steps, each at most the 2^L - 1 tree (+ x itself first)
@@ -310,10 +311,10 @@ class TestLocalSearch:
         assert sizes[0] <= 2**LOOKAHEAD and max(sizes[1:]) <= 2**LOOKAHEAD - 1
 
     def test_budget_must_be_positive(self):
+        x = chromo([[1, 0], [0, 1]])
+        assert moves(x, 0, seed=0) == []
         with pytest.raises(ValueError):
-            local_search(
-                chromo([[1, 0], [0, 1]]), batched(lambda c: 0.0), 0, np.random.default_rng(0)
-            )
+            local_search(x, batched(lambda c: 0.0), [])
 
 
 class TestAdaptPopulation:

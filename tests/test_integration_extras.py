@@ -17,6 +17,7 @@ from tradesim.hybrid import (
     GenerationTrace,
     RefineReward,
     RolloutEvaluator,
+    propose_refinements,
     rl_refine,
     trace_to_csv,
 )
@@ -80,9 +81,9 @@ class TestRlRefine:
         fits = [evaluator.fitness(c) for c in elite]
         metrics = [evaluator.metrics(c) for c in elite]
         adam = adam_init(params)
+        proposals = propose_refinements(elite, metrics, core, params, encoder, rng)
         refined, refined_fits, _, stats = rl_refine(
-            elite, fits, metrics, core, params, adam, encoder, evaluator,
-            RefineReward(), rng,
+            elite, fits, metrics, proposals, core, params, adam, evaluator, RefineReward(),
         )
         assert stats.attempted == 3
         for f_new, f_old in zip(refined_fits, fits):
@@ -106,9 +107,10 @@ class TestRlRefine:
             ]
             fits = [evaluator.fitness(c) for c in elite]
             metrics = [evaluator.metrics(c) for c in elite]
+            proposals = propose_refinements(elite, metrics, core, params, encoder, rng)
             refined, refined_fits, _, _ = rl_refine(
-                elite, fits, metrics, core, params, adam_init(params), encoder,
-                evaluator, RefineReward(), rng,
+                elite, fits, metrics, proposals, core, params, adam_init(params),
+                evaluator, RefineReward(),
             )
             out.append(refined_fits)
         assert out[0] == out[1]

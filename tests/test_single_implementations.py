@@ -2,12 +2,14 @@
 
 The GA's feasible placement step (shared by `mutate` and `local_search`) and
 the checkpoint writer/reader (shared by the LSTM predictor and the PPO policy)
-each replaced two copies. The batched hill-climb, and the refinement pass that
-rolls out the climb's first move tree with its last candidate, replaced a
-step-by-step climb and a refinement that rolled out one candidate per call.
-The earlier copies live here, test-only, and the code that runs must give
-equal results, compared by bytes: chromosomes and final random-generator
-states, whole GA runs, checkpoint arrays and `__meta__` bytes.
+each replaced two copies, and the batched hill-climb replaced a step-by-step
+climb. The earlier copies live here, test-only, and the code that runs must
+give equal results, compared by bytes: chromosomes and final random-generator
+states, checkpoint arrays and `__meta__` bytes.
+
+The GA rolls out each generation's candidates in one batch. A test-only
+step-by-step reference of the same algorithm, which rolls out each candidate
+where it is first needed, must give byte-equal whole GA runs.
 """
 
 from __future__ import annotations
@@ -19,24 +21,44 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tradesim import hybrid
 from tradesim.baselines import scheduler_options
 from tradesim.cluster import uniform_topology
-from tradesim.drl.policy import SchedulerPolicy, StateEncoder, load_policy, save_policy
+from tradesim.drl.policy import (
+    PolicyCore,
+    SchedulerPolicy,
+    StateEncoder,
+    cluster_layout,
+    load_policy,
+    save_policy,
+)
 from tradesim.errors import ConfigError
 from tradesim.hybrid import (
+    INFEASIBLE,
     LOOKAHEAD,
     Chromosome,
+    FitnessWeights,
+    GenerationTrace,
     HybridConfig,
+    HybridResult,
     RefineStats,
     RolloutEvaluator,
+    _draw_moves,
+    _neighbor,
+    _tournament_index,
+    adapt_population_size,
+    adaptive_rates,
     apply_record_to_chromosome,
+    crossover,
     fitness_from_metrics,
     hybrid_scheduling,
     local_search,
     mutate,
+    non_dominated_sort,
+    random_chromosome,
     refine_reward,
     repair,
+    satisfies_invariants,
+    select_top_k,
 )
 from tradesim.lstm import (
     ForecastModel,
@@ -45,7 +67,7 @@ from tradesim.lstm import (
     load_checkpoint,
     save_checkpoint,
 )
-from tradesim.optim import AdamSpec, adam_step, load_params, save_params
+from tradesim.optim import AdamSpec, adam_init, adam_step, load_params, save_params
 from tradesim.workload import BurstSpec, FeatureScaling, RampSpec, WorkloadScenario
 
 # --- the GA placement step --------------------------------------------------------
@@ -108,44 +130,6 @@ def old_local_search(x, fitness_fn, budget, rng, sigma=0.05, fitness_x=None, max
         if f < best_f:
             best, best_f = cand, f
     return best, best_f
-
-
-def old_rl_refine(
-    elite, elite_fitness, elite_metrics, core, params, adam_state, encoder, evaluator,
-    reward_spec, rng, learning_rate=1e-3, prefetch=None,
-):
-    """One rollout call per elite; `prefetch` is accepted and ignored."""
-    stats = RefineStats()
-    spec = AdamSpec(learning_rate=learning_rate)
-    refined, refined_fitness = [], []
-    for chromo, f_old, m_old in zip(elite, elite_fitness, elite_metrics):
-        features = encoder.encode(m_old.final_state)
-        record, _ = core.act(params, features, "sample", rng)
-        candidate, magnitude = apply_record_to_chromosome(record, chromo)
-        stats.attempted += 1
-        if candidate.equals(chromo):
-            refined.append(chromo)
-            refined_fitness.append(f_old)
-            continue
-        m_new = evaluator.metrics(candidate)
-        f_new = fitness_from_metrics(m_new.T, m_new.U, m_new.L, evaluator.weights)
-        reward = refine_reward(reward_spec, f_old - f_new, m_new.U - m_old.U, magnitude)
-        if not np.isfinite(reward):
-            stats.discarded_nonfinite += 1
-            refined.append(chromo)
-            refined_fitness.append(f_old)
-            continue
-        logp, cache = core.log_prob(params, features[None], {k: v[None] for k, v in record.items()})
-        grads = core.logp_backward(params, cache, np.array([-reward]))
-        params = adam_step(params, grads, adam_state, spec)
-        if f_new < f_old:
-            refined.append(candidate)
-            refined_fitness.append(f_new)
-            stats.improved += 1
-        else:
-            refined.append(chromo)
-            refined_fitness.append(f_old)
-    return refined, refined_fitness, params, stats
 
 
 def chromosome_bytes(c: Chromosome) -> list:
@@ -221,7 +205,7 @@ class TestPlacementStep:
 
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got, got_f = local_search(
-            x, fitness_batch, budget, rng, sigma=0.1, max_instances=max_instances
+            x, fitness_batch, _draw_moves(x, budget, rng, 0.1), max_instances=max_instances
         )
         want, want_f = old_local_search(
             x, fitness("want"), budget, ref_rng, sigma=0.1, max_instances=max_instances
@@ -236,7 +220,7 @@ class TestPlacementStep:
         assert batch_calls <= -(-budget // LOOKAHEAD)
 
 
-# --- the GA loop with the sequential hill-climb and refinement -----------------------
+# --- the GA against a step-by-step reference ------------------------------------------
 
 
 def market_open(seed: int) -> WorkloadScenario:
@@ -253,19 +237,147 @@ def topology_of(kind: str, scenario: WorkloadScenario):
     return uniform_topology(node_count=2, node_cpu=2000.0, services=scenario.service_mix, quota=0.08)
 
 
-def run_ga(scenario, topology, config):
-    current = Chromosome(
+def current_of(topology) -> Chromosome:
+    return Chromosome(
         np.array(topology.initial_placement), np.array(topology.initial_quota),
         np.array(topology.initial_priority),
     )
-    return hybrid_scheduling(scenario, topology, config, seed_chromosome=current, start_tick=40)
 
 
-def sequential_local_search(x, fitness_batch, budget, rng, sigma=0.05, fitness_x=None,
-                            max_instances=None):
-    return old_local_search(
-        x, lambda c: fitness_batch([c])[0], budget, rng, sigma, fitness_x, max_instances
+def run_ga(scenario, topology, config):
+    return hybrid_scheduling(
+        scenario, topology, config, seed_chromosome=current_of(topology), start_tick=40
     )
+
+
+def step_by_step_ga(scenario, topology, config) -> HybridResult:
+    """`hybrid_scheduling` from a seed chromosome, one step at a time: the same
+    draws in the same order, but each candidate rolls out where it is first
+    needed. The population rolls out at the start of its generation, each
+    refinement candidate alone when its transition is scored, and each
+    local-search neighbor alone when the climb compares it."""
+    weights = FitnessWeights()
+    k, n = topology.service_count, topology.node_count
+    rng = np.random.default_rng([config.seed, 0xA11CE])
+    evaluator = RolloutEvaluator(scenario, topology, weights, config.eval_ticks, 40)
+
+    def fitness(m) -> float:
+        return fitness_from_metrics(m.T, m.U, m.L, weights)
+
+    encoder = StateEncoder(mode="full", service_count=k, node_count=n)
+    core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
+    params = core.init_params(config.seed)
+    adam_state = adam_init(params)
+
+    population = [repair(current_of(topology))]
+    while len(population) < config.population:
+        cand = random_chromosome(rng, k, n, config.max_instances)
+        if satisfies_invariants(cand):
+            population.append(cand)
+
+    best, best_fitness = None, INFEASIBLE
+    trace, totals, history = [], RefineStats(), []
+    n_target, converged = config.population, False
+    for generation in range(config.max_iter):
+        metrics = evaluator.metrics_batch(population)
+        fits = np.array([fitness(m) for m in metrics])
+        gen_best = int(np.argmin(fits))
+        if fits[gen_best] < best_fitness:
+            best, best_fitness = population[gen_best].copy(), float(fits[gen_best])
+        history.append(best_fitness)
+        finite = fits[np.isfinite(fits)]
+        q_avg = float((-finite).mean()) if finite.size else 0.0
+        q_max = max(float((-finite).max()) if finite.size else 0.0, q_avg)
+        elite_idx = select_top_k(fits, config.elite)
+        elite = [population[i] for i in elite_idx]
+        elite_fits = [float(fits[i]) for i in elite_idx]
+        elite_metrics = [metrics[i] for i in elite_idx]
+        pool_idx: list[int] = []
+        for front in non_dominated_sort(np.array([[m.T, -m.U, -m.L] for m in metrics])):
+            pool_idx.extend(front)
+            if len(pool_idx) >= max(len(population) // 2, 2 * config.elite):
+                break
+        pool, pool_fits = [population[i] for i in pool_idx], fits[pool_idx]
+
+        # the draws: every elite's action from the same params, the moves, the offspring
+        actions = []
+        if config.rl_refinement:
+            for chromo, m in zip(elite, elite_metrics):
+                features = encoder.encode(m.final_state)
+                record, _ = core.act(params, features, "sample", rng)
+                actions.append((features, record, *apply_record_to_chromosome(record, chromo)))
+        moves = _draw_moves(elite[0], config.local_search_budget, rng, config.mutation_sigma)
+        largest = n_target
+        if config.adapt_population:
+            largest = min(config.n_max, max(n_target, round(1.25 * n_target)))
+        offspring, pc_values, pm_values = [], [], []
+        while len(offspring) < largest - config.elite:
+            ia = _tournament_index(pool_fits, config.tournament, rng)
+            ib = _tournament_index(pool_fits, config.tournament, rng)
+            p_c, p_m = adaptive_rates(float(-min(pool_fits[ia], pool_fits[ib])), q_avg, q_max)
+            pc_values.append(p_c)
+            pm_values.append(p_m)
+            c1, c2 = crossover(pool[ia], pool[ib], p_c, rng)
+            for child in (c1, c2):
+                if len(offspring) < largest - config.elite:
+                    offspring.append(
+                        mutate(child, p_m, rng, config.mutation_sigma, config.max_instances)
+                    )
+
+        # refinement: score each transition, then one Adam step on their mean gradient
+        transitions = []
+        for i, (features, record, candidate, magnitude) in enumerate(actions):
+            totals.attempted += 1
+            if candidate.equals(elite[i]):
+                continue
+            m_new = evaluator.metrics(candidate)
+            f_new = fitness(m_new)
+            reward = refine_reward(
+                config.refine, elite_fits[i] - f_new, m_new.U - elite_metrics[i].U, magnitude
+            )
+            if not np.isfinite(reward):
+                totals.discarded_nonfinite += 1
+                continue
+            transitions.append((features, record, reward))
+            if f_new < elite_fits[i]:
+                elite[i], elite_fits[i] = candidate, f_new
+                totals.improved += 1
+        if transitions:
+            records = {
+                name: np.stack([r[name] for _, r, _ in transitions]) for name in transitions[0][1]
+            }
+            _, cache = core.log_prob(params, np.stack([x for x, _, _ in transitions]), records)
+            rewards = np.array([reward for _, _, reward in transitions])
+            grads = core.logp_backward(params, cache, -rewards / len(transitions))
+            params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=config.refine_lr))
+
+        # local search: one move and one rollout at a time
+        for move in moves:
+            cand = _neighbor(elite[0], move, config.max_instances)
+            if cand is not None and (f := fitness(evaluator.metrics(cand))) < elite_fits[0]:
+                elite[0], elite_fits[0] = cand, f
+
+        if elite_fits[0] < best_fitness:
+            best, best_fitness = elite[0].copy(), float(elite_fits[0])
+            history[-1] = best_fitness
+        if config.adapt_population:
+            n_target = adapt_population_size(history, n_target, config.n_min, config.n_max)
+        kept = n_target - config.elite
+        population = [e.copy() for e in elite] + offspring[:kept]
+        trace.append(GenerationTrace(
+            generation=generation,
+            best_fitness=best_fitness,
+            gen_best_fitness=float(fits[gen_best]),
+            mean_fitness=float(finite.mean()) if finite.size else INFEASIBLE,
+            pc_mean=float(np.mean(pc_values[: (kept + 1) // 2])),
+            pm_mean=float(np.mean(pm_values[: (kept + 1) // 2])),
+            population=len(population),
+        ))
+        w = config.convergence_window
+        if len(history) > w and history[-w - 1] - history[-1] < config.convergence_eps:
+            converged = True
+            break
+    return HybridResult(best, best_fitness, trace, totals, converged)
 
 
 CLI_DEFAULTS = scheduler_options("hybrid", {})
@@ -278,20 +390,19 @@ GA_CONFIGS = {
     "budget-3": dict(CLI_DEFAULTS, local_search_budget=3),
     "budget-5": dict(CLI_DEFAULTS, local_search_budget=5),
     "no-refinement": dict(CLI_DEFAULTS, rl_refinement=False),
+    "no-adaptation": dict(CLI_DEFAULTS, adapt_population=False),
 }
 
 
 @pytest.mark.parametrize("topology_kind", ["default", "c03"])
 @pytest.mark.parametrize("config_name", list(GA_CONFIGS))
-def test_hybrid_scheduling_matches_sequential_search(monkeypatch, config_name, topology_kind):
+def test_hybrid_scheduling_matches_sequential_search(config_name, topology_kind):
     seed = 1
     scenario = market_open(2 * seed)
     topology = topology_of(topology_kind, scenario)
     config = HybridConfig(seed=seed, **GA_CONFIGS[config_name])
     batched = run_ga(scenario, topology, config)
-    monkeypatch.setattr(hybrid, "local_search", sequential_local_search)
-    monkeypatch.setattr(hybrid, "rl_refine", old_rl_refine)
-    sequential = run_ga(scenario, topology, config)
+    sequential = step_by_step_ga(scenario, topology, config)
 
     assert chromosome_bytes(batched.best) == chromosome_bytes(sequential.best)
     assert batched.best_fitness == sequential.best_fitness
@@ -303,21 +414,21 @@ def test_hybrid_scheduling_matches_sequential_search(monkeypatch, config_name, t
 @pytest.mark.parametrize("topology_kind", ["default", "c03"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_three_rollout_calls_per_generation_at_cli_defaults(monkeypatch, topology_kind, seed):
-    # the population, the first elite's refinement, and the second elite's
-    # refinement together with local search's move tree
+    # once three calls per generation; now the first population, then one
+    # batch per generation: refinement, local search and the next offspring
     scenario = market_open(2 * seed)
     topology = topology_of(topology_kind, scenario)
-    calls = 0
+    sizes: list[int] = []
     rollouts = RolloutEvaluator._rollouts
 
     def counting(self, chromos):
-        nonlocal calls
-        calls += 1
+        sizes.append(len(chromos))
         return rollouts(self, chromos)
 
     monkeypatch.setattr(RolloutEvaluator, "_rollouts", counting)
     result = run_ga(scenario, topology, HybridConfig(seed=seed, **CLI_DEFAULTS))
-    assert calls == 3 * len(result.trace)
+    assert len(sizes) <= 1 + len(result.trace)
+    assert 4 * sizes.count(1) <= len(sizes)
 
 
 # --- checkpoints ------------------------------------------------------------------
