@@ -414,8 +414,8 @@ def test_hybrid_scheduling_matches_sequential_search(config_name, topology_kind)
 @pytest.mark.parametrize("topology_kind", ["default", "c03"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_three_rollout_calls_per_generation_at_cli_defaults(monkeypatch, topology_kind, seed):
-    # once three calls per generation; now the first population, then one
-    # batch per generation: refinement, local search and the next offspring
+    # the first population, then one batch per generation: the refinement
+    # candidates, local search's first tree and the next offspring
     scenario = market_open(2 * seed)
     topology = topology_of(topology_kind, scenario)
     sizes: list[int] = []
