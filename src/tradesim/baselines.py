@@ -11,6 +11,7 @@ import numpy as np
 from .cluster import ClusterSim, SchedulingAction
 from .errors import ConfigError
 from .hybrid import Chromosome, HybridConfig, hybrid_scheduling
+from .optim import AdamState
 
 
 class RoundRobinScheduler:
@@ -101,14 +102,20 @@ def action_from_chromosome(sim: ClusterSim, target: Chromosome) -> SchedulingAct
 
 @dataclass
 class HybridScheduler:
-    """Re-plans with a short GA+RL burst each decision, warm-started from the
-    cluster's current configuration."""
+    """Re-plans with a short GA+RL burst each decision, on a rolling horizon
+    (Perez et al., GECCO 2013): a decision after the first starts from the
+    cluster's current configuration and the previous decision's best
+    chromosome and elites, continues its refinement policy and Adam state,
+    and runs half the generations."""
 
     scenario: object
     topology: object
     config: HybridConfig
     name: str = "hybrid"
     _decision: int = 0
+    _carried: list = field(default_factory=list)  # the last decision's best and elites
+    _params: dict | None = None
+    _adam_state: AdamState | None = None
 
     def decide(self, sim: ClusterSim, service_rho: np.ndarray, tick: int) -> SchedulingAction:
         current = Chromosome(
@@ -116,15 +123,21 @@ class HybridScheduler:
             quota=sim.quota.copy(),
             priority=sim.priority.copy(),
         )
-        run_config = replace(self.config, seed=self.config.seed + self._decision)
+        max_iter = self.config.max_iter if self._decision == 0 else max(1, self.config.max_iter // 2)
+        run_config = replace(self.config, seed=self.config.seed + self._decision, max_iter=max_iter)
         result = hybrid_scheduling(
             self.scenario,
             self.topology,
             run_config,
-            seed_chromosome=current,
+            initial_population=[current, *self._carried],
             start_tick=tick,
+            policy_params=self._params,
+            adam_state=self._adam_state,
         )
         self._decision += 1
+        # elites only: the offspring of the final population were never rolled out
+        self._carried = [result.best, *result.population[: run_config.elite]]
+        self._params, self._adam_state = result.params, result.adam_state
         return action_from_chromosome(sim, result.best)
 
 

@@ -204,6 +204,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     ), sim
 
 
+# The JSON types each ExperimentConfig field annotation accepts (bool is never an int).
+_JSON_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "float": (int, float)}
+
+
 def _load_experiment_config(path: Path) -> ExperimentConfig:
     try:
         data = json.loads(path.read_text())
@@ -221,6 +225,10 @@ def _load_experiment_config(path: Path) -> ExperimentConfig:
     missing = [name for name, f in known.items() if f.default is MISSING and name not in data]
     if missing:
         raise ConfigError(f"config {path} lacks required key(s) {', '.join(map(repr, missing))}")
+    for name, value in data.items():
+        expected = known[name].type
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
+            raise ConfigError(f"config {path}: {name!r} must be {expected}, got {json.dumps(value)}")
     return ExperimentConfig(**data)
 
 

@@ -29,10 +29,6 @@ class DecisionEnv:
     sim: ClusterSim | None = None
     _state = None
     _tick: int = 0
-    # arrival counts by tick, generated once for the scenario and replayed by
-    # every episode
-    _arrivals: dict = field(default_factory=dict, init=False, repr=False)
-    _arrivals_of: WorkloadScenario | None = field(default=None, init=False, repr=False)
 
     def reset(self, episode: int = 0) -> np.ndarray:
         self.sim = ClusterSim(
@@ -51,22 +47,12 @@ class DecisionEnv:
         for i in range(self.decision_interval):
             if self._tick >= self.scenario.horizon:
                 break
-            counts = self._counts(self._tick)
+            counts = generate_tick_counts(self.scenario, self._tick)
             self._state = self.sim.step_counts(action if i == 0 else self.sim.no_op_action(), counts)
             self._tick += 1
         reward = float(np.mean(self.sim.reward_trace[-self.decision_interval :]))
         done = self._tick >= self.scenario.horizon
         return self.encoder.encode(self._state), reward, done, {}
-
-    def _counts(self, tick: int) -> np.ndarray:
-        """The scenario's arrival counts at `tick`, generated once per scenario."""
-        if self._arrivals_of is not self.scenario:
-            self._arrivals, self._arrivals_of = {}, self.scenario
-        counts = self._arrivals.get(tick)
-        if counts is None:
-            counts = self._arrivals[tick] = generate_tick_counts(self.scenario, tick)
-            counts.flags.writeable = False  # shared by every episode
-        return counts
 
 
 class ContextualBandit:

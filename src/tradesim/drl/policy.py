@@ -121,11 +121,14 @@ class PolicyCore:
     def head_distributions(self, params: Params, x: np.ndarray) -> dict[str, dict]:
         """Per-head distribution parameters for a feature batch (B, F)."""
         z, _ = self._trunk(params, x)
+        return self._heads(params, z)
+
+    def _heads(self, params: Params, z: np.ndarray) -> dict[str, dict]:
         dists: dict[str, dict] = {}
         for head in self.layout.heads:
             if isinstance(head, CategoricalHead):
                 logits = linear_forward(params, f"{head.name}.logits", z)
-                logits = logits.reshape(len(x), head.rows, head.n)
+                logits = logits.reshape(len(z), head.rows, head.n)
                 dists[head.name] = {"probs": _softmax(logits)}
             elif isinstance(head, GaussianHead):
                 mean = linear_forward(params, f"{head.name}.mean", z)
@@ -175,7 +178,7 @@ class PolicyCore:
                 else:
                     choice = _sample_rows(probs, rng)
                 record[head.name] = np.atleast_1d(choice).astype(int)
-        logp, _ = self.log_prob(params, x, _stack_records([record]))
+        logp, _ = self._log_prob_of(params, dists, _stack_records([record]))
         return record, float(logp[0])
 
     def log_prob(
@@ -184,24 +187,30 @@ class PolicyCore:
         """Joint log-probability of stored actions under `params`; cache feeds
         `logp_backward`."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        B = len(x)
         z, trunk_cache = self._trunk(params, x)
+        logp, heads = self._log_prob_of(params, self._heads(params, z), records)
+        return logp, {"x": x, "z": z, "trunk": trunk_cache, "heads": heads}
+
+    def _log_prob_of(
+        self, params: Params, dists: dict[str, dict], records: dict[str, np.ndarray]
+    ) -> tuple[np.ndarray, dict]:
+        """Joint log-probability of `records` under the head distributions
+        `dists`, and the per-head values `logp_backward` needs."""
+        B = len(next(iter(records.values())))
         logp = np.zeros(B)
-        cache: dict = {"x": x, "z": z, "trunk": trunk_cache, "heads": {}}
+        heads: dict = {}
         for head in self.layout.heads:
+            d = dists[head.name]
             if isinstance(head, CategoricalHead):
-                logits = linear_forward(params, f"{head.name}.logits", z)
-                logits = logits.reshape(B, head.rows, head.n)
-                probs = _softmax(logits)
+                probs = d["probs"]
                 acts = records[head.name].reshape(B, head.rows)
                 rows = np.arange(head.rows)
                 p_sel = probs[np.arange(B)[:, None], rows[None, :], acts]
                 logp += np.log(np.maximum(p_sel, 1e-300)).sum(axis=1)
-                cache["heads"][head.name] = {"probs": probs, "acts": acts}
+                heads[head.name] = {"probs": probs, "acts": acts}
             elif isinstance(head, GaussianHead):
-                mean = linear_forward(params, f"{head.name}.mean", z)
+                mean, std = d["mean"], d["std"]
                 log_std = params[f"{head.name}.log_std"]
-                std = np.exp(log_std)
                 u = records[head.name].reshape(B, head.n)
                 a = sigmoid(u)
                 resid = (u - mean) / std
@@ -211,16 +220,13 @@ class PolicyCore:
                     - 0.5 * resid**2
                     - np.log(np.maximum(a * (1.0 - a), 1e-300))
                 ).sum(axis=1)
-                cache["heads"][head.name] = {"mean": mean, "std": std, "u": u}
+                heads[head.name] = {"mean": mean, "std": std, "u": u}
             else:
-                v = linear_forward(params, f"{head.name}.V", z)
-                a_stream = linear_forward(params, f"{head.name}.A", z)
-                q = dueling_combine(v, a_stream)
-                probs = _softmax(q)
+                probs = d["probs"]
                 acts = records[head.name].reshape(B)
                 logp += np.log(np.maximum(probs[np.arange(B), acts], 1e-300))
-                cache["heads"][head.name] = {"probs": probs, "acts": acts}
-        return logp, cache
+                heads[head.name] = {"probs": probs, "acts": acts}
+        return logp, heads
 
     def logp_backward(self, params: Params, cache: dict, coef: np.ndarray) -> Params:
         """Gradient of sum_b coef_b * logp_b with respect to every parameter."""

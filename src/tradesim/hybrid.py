@@ -15,12 +15,14 @@ import numpy as np
 
 from .cluster import QUOTA_FLOOR, ClusterTopology, node_commit, rollout_batch
 from .errors import ConfigError
-from .optim import AdamSpec, adam_init, adam_step, sigmoid
+from .optim import AdamSpec, AdamState, adam_init, adam_step, sigmoid
 from .workload import WorkloadScenario, generate_tick_counts
 
 INFEASIBLE = float("inf")
 
 LOOKAHEAD = 2  # local-search steps whose accept/reject tree rolls out in one batch
+
+ADAPT_WINDOW = 5  # generations of best-fitness history the population adaptation compares
 
 
 @dataclass
@@ -425,7 +427,7 @@ def local_search(
 
 def adapt_population_size(
     best_history: list[float], n_current: int, n_min: int, n_max: int,
-    window: int = 5, stagnation: float = 0.001, fast: float = 0.05,
+    window: int = ADAPT_WINDOW, stagnation: float = 0.001, fast: float = 0.05,
 ) -> int:
     """Shrink 25% on stagnation over the window, grow 25% on fast improvement."""
     if len(best_history) < window + 1:
@@ -626,6 +628,9 @@ class HybridResult:
     trace: list[GenerationTrace]
     refine_stats: RefineStats
     converged: bool
+    population: list[Chromosome]  # the next generation's: the elites first, then offspring
+    params: dict  # the refinement policy's, after the last Adam step
+    adam_state: AdamState
 
 
 def _breed(
@@ -661,12 +666,12 @@ def hybrid_scheduling(
     topology: ClusterTopology,
     config: HybridConfig,
     weights: FitnessWeights | None = None,
-    seed_chromosome: Chromosome | None = None,
     initial_population: list[Chromosome] | None = None,
     start_tick: int = 0,
     encoder=None,
     core=None,
     policy_params=None,
+    adam_state: AdamState | None = None,
 ) -> HybridResult:
     """Full optimization loop: evaluate, adapt rates, preserve+refine elites,
     breed offspring, iterate to convergence or the iteration cap.
@@ -675,7 +680,12 @@ def hybrid_scheduling(
     local search's moves, the offspring), then rolls out every candidate it
     can need in one `metrics_batch` call, then refines, climbs and selects
     from the memo. Only a local-search tree past the first LOOKAHEAD moves
-    rolls out on its own."""
+    rolls out on its own.
+
+    `policy_params` and `adam_state` continue the refinement policy and its
+    optimizer from an earlier run (`adam_state` is updated in place); the
+    result carries both, with the population the next generation would have
+    evaluated."""
     from .drl.policy import PolicyCore, StateEncoder, cluster_layout
 
     weights = weights or FitnessWeights()
@@ -688,13 +698,10 @@ def hybrid_scheduling(
     if core is None:
         core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
     params = policy_params if policy_params is not None else core.init_params(config.seed)
-    adam_state = adam_init(params)
+    if adam_state is None:
+        adam_state = adam_init(params)
 
-    population: list[Chromosome] = []
-    if initial_population is not None:
-        population.extend(repair(c.copy()) for c in initial_population[: config.population])
-    if seed_chromosome is not None and len(population) < config.population:
-        population.append(repair(seed_chromosome.copy()))
+    population = [repair(c.copy()) for c in (initial_population or [])[: config.population]]
     attempts = 0
     while len(population) < config.population:
         cand = random_chromosome(rng, k, n, config.max_instances)
@@ -762,7 +769,8 @@ def hybrid_scheduling(
         )
 
         # roll out once: the refinement candidates, local search's first move
-        # tree from either incumbent it can start from, and the offspring
+        # tree from either incumbent it can start from, and the offspring the
+        # next population can hold (all of them only once the adaptation can act)
         batch = [p.candidate for p in proposals if p.candidate is not None]
         if moves:
             incumbents = [elite[0]]
@@ -771,7 +779,8 @@ def hybrid_scheduling(
             for x in incumbents:
                 batch += _move_tree(x, moves[:LOOKAHEAD], config.max_instances)[1]
         if generation < config.max_iter - 1:
-            batch += offspring
+            can_adapt = config.adapt_population and len(best_history) > ADAPT_WINDOW
+            batch += offspring if can_adapt else offspring[: n_target - config.elite]
         evaluator.metrics_batch(batch)
 
         # consume
@@ -822,7 +831,9 @@ def hybrid_scheduling(
             break
 
     assert best is not None
-    return HybridResult(best, best_fitness, trace, refine_totals, converged)
+    return HybridResult(
+        best, best_fitness, trace, refine_totals, converged, population, params, adam_state
+    )
 
 
 def trace_to_csv(trace: list[GenerationTrace], path) -> None:

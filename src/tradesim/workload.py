@@ -106,6 +106,8 @@ class WorkloadScenario:
     service_mix: tuple[ServiceSpec, ...] = field(default_factory=default_service_mix)
     # (sorted offsets, their multipliers) of tidal_profile, built once for rate_profile
     _tidal_steps: tuple[list[int], list[float]] = field(init=False, repr=False, compare=False)
+    # read-only arrival counts by tick, drawn once by generate_tick_counts
+    _tick_counts: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base_rate <= 0:
@@ -124,6 +126,7 @@ class WorkloadScenario:
             if mult <= 0:
                 raise ConfigError(f"tidal multiplier must be > 0, got {mult} at {off}")
         object.__setattr__(self, "_tidal_steps", _tidal_index(self.tidal_profile))
+        object.__setattr__(self, "_tick_counts", {})
 
     @property
     def service_count(self) -> int:
@@ -202,7 +205,19 @@ def rate_profile(scenario: WorkloadScenario, t: int) -> float:
 
 
 def generate_tick_counts(scenario: WorkloadScenario, t: int) -> np.ndarray:
-    """Per-service Poisson request counts for one tick (fast path, no objects)."""
+    """Per-service Poisson request counts for one tick (fast path, no objects).
+
+    Each tick is drawn once per scenario object and handed out read-only, so
+    the simulate loop, the hybrid's rollouts and every training episode share
+    one copy."""
+    counts = scenario._tick_counts.get(t)
+    if counts is None:
+        counts = scenario._tick_counts[t] = _draw_tick_counts(scenario, t)
+        counts.flags.writeable = False
+    return counts
+
+
+def _draw_tick_counts(scenario: WorkloadScenario, t: int) -> np.ndarray:
     lam = rate_profile(scenario, t) * scenario.tick_length
     if lam <= 0:
         return np.zeros(scenario.service_count, dtype=np.int64)

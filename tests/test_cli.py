@@ -201,10 +201,14 @@ class TestSimulateConfigFile:
             (lambda cfg: {**cfg, "cache_accesses_per_tick": -5}, "cache_accesses_per_tick"),
             (lambda cfg: {**cfg, "noise_std": -0.5}, "noise_std"),
             (lambda cfg: {**cfg, "noise_std": float("nan")}, "noise_std"),
+            (lambda cfg: {**cfg, "decision_interval": "10"}, "'decision_interval'"),
+            (lambda cfg: {**cfg, "cache_keys": "100"}, "'cache_keys'"),
+            (lambda cfg: {**cfg, "seed": 1.5}, "'seed'"),
         ],
         ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys", "retired-key",
              "zero-predictor-interval", "negative-predictor-interval",
-             "negative-cache-accesses", "negative-noise", "nan-noise"],
+             "negative-cache-accesses", "negative-noise", "nan-noise",
+             "string-decision-interval", "string-cache-keys", "float-seed"],
     )
     def test_bad_config_exits_config(self, small_files, edit, named, capsys):
         sc, topo, tmp = small_files

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tradesim.cluster import ClusterTopology, LatencyModel, NodeSpec
+import tradesim.baselines as baselines_module
+from tradesim.baselines import HybridScheduler
+from tradesim.cluster import ClusterSim, ClusterTopology, LatencyModel, NodeSpec
 from tradesim.errors import ConfigError
 from tradesim.hybrid import (
     LOOKAHEAD,
@@ -29,7 +31,7 @@ from tradesim.hybrid import (
     satisfies_invariants,
     select_top_k,
 )
-from tradesim.workload import ServiceSpec, WorkloadScenario
+from tradesim.workload import ServiceSpec, WorkloadScenario, generate_tick_counts
 
 
 def toy_services() -> tuple[ServiceSpec, ...]:
@@ -477,3 +479,70 @@ class TestHybridScheduling:
     def test_infeasible_config_rejected(self):
         with pytest.raises(ConfigError):
             HybridConfig(population=4, elite=4)
+
+
+class TestRollingHorizon:
+    """HybridScheduler carries the policy, its Adam state and the elites from
+    one decision to the next, and a warm decision runs half the generations."""
+
+    def decide_three_times(self, monkeypatch, max_iter=4):
+        calls = []
+
+        def spy(scenario, topology, config, **kwargs):
+            adam = kwargs["adam_state"]
+            call = dict(config=config, kwargs=kwargs, t_in=None if adam is None else adam.t)
+            call["result"] = result = hybrid_scheduling(scenario, topology, config, **kwargs)
+            call["t_out"] = result.adam_state.t
+            calls.append(call)
+            return result
+
+        monkeypatch.setattr(baselines_module, "hybrid_scheduling", spy)
+        config = HybridConfig(
+            population=8, elite=2, max_iter=max_iter, seed=3, eval_ticks=30,
+            n_min=6, n_max=12, local_search_budget=2,
+        )
+        scenario, topology = toy_scenario(), toy_topology()
+        scheduler = HybridScheduler(scenario=scenario, topology=topology, config=config)
+        sim = ClusterSim(topology, seed=0)
+        actions, currents = [], []
+        for tick in range(0, 30, 10):
+            currents.append(chromo(sim.placement.copy(), sim.quota.copy(), sim.priority.copy()))
+            actions.append(scheduler.decide(sim, sim.service_rho(), tick))
+            for t in range(tick, tick + 10):
+                action = actions[-1] if t == tick else sim.no_op_action()
+                sim.step_counts(action, generate_tick_counts(scenario, t))
+        return calls, actions, currents
+
+    def test_second_decision_continues_policy_and_adam_state(self, monkeypatch):
+        first, second, third = self.decide_three_times(monkeypatch)[0]
+        assert first["kwargs"]["policy_params"] is None and first["t_in"] is None
+        for previous, call in ((first, second), (second, third)):
+            assert call["kwargs"]["policy_params"] is previous["result"].params
+            assert call["kwargs"]["adam_state"] is previous["result"].adam_state
+            assert call["t_in"] == previous["t_out"]
+        assert 0 < first["t_out"] < second["t_out"]
+
+    def test_warm_population_is_current_configuration_plus_carried_elites(self, monkeypatch):
+        calls, _, currents = self.decide_three_times(monkeypatch)
+        for call, current in zip(calls, currents):
+            assert call["kwargs"]["initial_population"][0].equals(current)
+        assert len(calls[0]["kwargs"]["initial_population"]) == 1
+        for previous, call in zip(calls, calls[1:]):
+            _, *carried = call["kwargs"]["initial_population"]
+            result = previous["result"]
+            expected = [result.best, *result.population[: call["config"].elite]]
+            assert len(carried) == len(expected)
+            assert all(c is e for c, e in zip(carried, expected))
+
+    @pytest.mark.parametrize("max_iter, warm", [(4, 2), (5, 2), (1, 1), (2, 1)])
+    def test_warm_decisions_run_half_the_generations(self, monkeypatch, max_iter, warm):
+        calls = self.decide_three_times(monkeypatch, max_iter=max_iter)[0]
+        assert [c["config"].max_iter for c in calls] == [max_iter, warm, warm]
+        assert [len(c["result"].trace) for c in calls] == [max_iter, warm, warm]
+        assert [c["config"].seed for c in calls] == [3, 4, 5]
+
+    def test_repeated_run_is_byte_identical(self, monkeypatch):
+        runs = [self.decide_three_times(monkeypatch)[1] for _ in range(2)]
+        for a, b in zip(*runs):
+            for name in ("instance_delta", "migration", "priority", "quota"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

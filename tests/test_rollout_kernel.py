@@ -220,7 +220,7 @@ def run_ga(scenario, topology, seed):
         np.array(topology.initial_priority),
     )
     return hybrid_scheduling(
-        scenario, topology, config, seed_chromosome=current, start_tick=40
+        scenario, topology, config, initial_population=[current], start_tick=40
     )
 
 

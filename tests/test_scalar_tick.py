@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import tradesim.drl.env as env_module
 import tradesim.lstm as lstm_module
+import tradesim.workload as workload_module
 from tradesim.cluster import (
     QUEUE_RING_START,
     QUOTA_FLOOR,
@@ -526,10 +526,11 @@ def make_env(scenario: WorkloadScenario) -> DecisionEnv:
 
 class TestDecisionEnvArrivals:
     def test_episodes_step_the_regenerated_counts(self, monkeypatch):
-        generated = []
+        drawn = []
+        draw = workload_module._draw_tick_counts
         monkeypatch.setattr(
-            env_module, "generate_tick_counts",
-            lambda sc, t: generated.append((sc.seed, t)) or generate_tick_counts(sc, t),
+            workload_module, "_draw_tick_counts",
+            lambda sc, t: drawn.append((sc.seed, t)) or draw(sc, t),
         )
         stepped = []
         step_counts = ClusterSim.step_counts
@@ -550,20 +551,22 @@ class TestDecisionEnvArrivals:
                     obs, _, done, _ = env.step(record)
                 assert len(stepped) == env.scenario.horizon
                 for t, (_, counts) in enumerate(stepped):
-                    assert_arrays_equal(counts, generate_tick_counts(env.scenario, t), f"tick {t}")
-        assert sorted(generated) == sorted((s, t) for s in (1, 2) for t in range(60))
+                    assert_arrays_equal(counts, draw(env.scenario, t), f"tick {t}")
+        assert sorted(drawn) == sorted((s, t) for s in (1, 2) for t in range(60))
 
     def test_another_scenario_gets_its_own_counts(self):
-        env = make_env(tidal(1))
-        first = env._counts(5)
-        env.scenario = tidal(3)
-        assert_arrays_equal(env._counts(5), generate_tick_counts(tidal(3), 5), "new scenario")
-        assert not np.array_equal(env._counts(5), first)
-        env.scenario = tidal(1)  # an equal but new scenario object is generated again
-        assert_arrays_equal(env._counts(5), first, "back to the first scenario")
+        scenario = tidal(1)
+        first = generate_tick_counts(scenario, 5)
+        assert generate_tick_counts(scenario, 5) is first
+        other = generate_tick_counts(tidal(3), 5)
+        assert_arrays_equal(other, workload_module._draw_tick_counts(tidal(3), 5), "new scenario")
+        assert not np.array_equal(other, first)
+        again = generate_tick_counts(tidal(1), 5)  # an equal but new scenario object draws again
+        assert again is not first
+        assert_arrays_equal(again, first, "back to the first scenario")
 
     def test_shared_counts_are_read_only(self):
-        counts = make_env(tidal(1))._counts(0)
+        counts = generate_tick_counts(tidal(1), 0)
         with pytest.raises(ValueError):
             counts[0] = 1
 

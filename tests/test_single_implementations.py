@@ -14,13 +14,16 @@ where it is first needed, must give byte-equal whole GA runs.
 
 from __future__ import annotations
 
+import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tradesim.hybrid as hybrid_module
 from tradesim.baselines import scheduler_options
 from tradesim.cluster import uniform_topology
 from tradesim.drl.policy import (
@@ -246,12 +249,15 @@ def current_of(topology) -> Chromosome:
 
 def run_ga(scenario, topology, config):
     return hybrid_scheduling(
-        scenario, topology, config, seed_chromosome=current_of(topology), start_tick=40
+        scenario, topology, config, initial_population=[current_of(topology)], start_tick=40
     )
 
 
-def step_by_step_ga(scenario, topology, config) -> HybridResult:
-    """`hybrid_scheduling` from a seed chromosome, one step at a time: the same
+def step_by_step_ga(
+    scenario, topology, config, start=None, params=None, adam_state=None, start_tick=40
+) -> HybridResult:
+    """`hybrid_scheduling` from the topology's configuration (or the chromosomes `start`,
+    a policy's `params` and its `adam_state`), one step at a time: the same
     draws in the same order, but each candidate rolls out where it is first
     needed. The population rolls out at the start of its generation, each
     refinement candidate alone when its transition is scored, and each
@@ -259,17 +265,19 @@ def step_by_step_ga(scenario, topology, config) -> HybridResult:
     weights = FitnessWeights()
     k, n = topology.service_count, topology.node_count
     rng = np.random.default_rng([config.seed, 0xA11CE])
-    evaluator = RolloutEvaluator(scenario, topology, weights, config.eval_ticks, 40)
+    evaluator = RolloutEvaluator(scenario, topology, weights, config.eval_ticks, start_tick)
 
     def fitness(m) -> float:
         return fitness_from_metrics(m.T, m.U, m.L, weights)
 
     encoder = StateEncoder(mode="full", service_count=k, node_count=n)
     core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
-    params = core.init_params(config.seed)
-    adam_state = adam_init(params)
+    if params is None:
+        params = core.init_params(config.seed)
+    if adam_state is None:
+        adam_state = adam_init(params)
 
-    population = [repair(current_of(topology))]
+    population = [repair(c.copy()) for c in (start or [current_of(topology)])]
     while len(population) < config.population:
         cand = random_chromosome(rng, k, n, config.max_instances)
         if satisfies_invariants(cand):
@@ -377,7 +385,7 @@ def step_by_step_ga(scenario, topology, config) -> HybridResult:
         if len(history) > w and history[-w - 1] - history[-1] < config.convergence_eps:
             converged = True
             break
-    return HybridResult(best, best_fitness, trace, totals, converged)
+    return HybridResult(best, best_fitness, trace, totals, converged, population, params, adam_state)
 
 
 CLI_DEFAULTS = scheduler_options("hybrid", {})
@@ -401,14 +409,48 @@ def test_hybrid_scheduling_matches_sequential_search(config_name, topology_kind)
     scenario = market_open(2 * seed)
     topology = topology_of(topology_kind, scenario)
     config = HybridConfig(seed=seed, **GA_CONFIGS[config_name])
-    batched = run_ga(scenario, topology, config)
-    sequential = step_by_step_ga(scenario, topology, config)
+    assert_same_run(run_ga(scenario, topology, config), step_by_step_ga(scenario, topology, config))
 
+
+def assert_same_run(batched: HybridResult, sequential: HybridResult) -> None:
     assert chromosome_bytes(batched.best) == chromosome_bytes(sequential.best)
     assert batched.best_fitness == sequential.best_fitness
     assert batched.trace == sequential.trace
     assert batched.refine_stats == sequential.refine_stats
     assert batched.converged == sequential.converged
+    assert [chromosome_bytes(c) for c in batched.population] == [
+        chromosome_bytes(c) for c in sequential.population
+    ]
+    assert params_bytes(batched.params) == params_bytes(sequential.params)
+    assert batched.adam_state.t == sequential.adam_state.t
+    assert params_bytes(batched.adam_state.m) == params_bytes(sequential.adam_state.m)
+    assert params_bytes(batched.adam_state.v) == params_bytes(sequential.adam_state.v)
+
+
+def params_bytes(params: dict) -> dict:
+    return {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in params.items()}
+
+
+@pytest.mark.parametrize("topology_kind", ["default", "c03"])
+def test_warm_started_ga_matches_sequential_search(topology_kind):
+    # a rolling-horizon decision: the carried elites, policy and Adam state
+    # continue at a later tick with fewer generations
+    scenario = market_open(2)
+    topology = topology_of(topology_kind, scenario)
+    cold = run_ga(scenario, topology, HybridConfig(seed=1, **CLI_DEFAULTS))
+    config = HybridConfig(seed=2, **dict(CLI_DEFAULTS, max_iter=2))
+    start = [current_of(topology), cold.best, *cold.population[: config.elite]]
+    # both runs update an Adam state in place
+    batched = hybrid_scheduling(
+        scenario, topology, config, initial_population=start, start_tick=50,
+        policy_params=cold.params, adam_state=copy.deepcopy(cold.adam_state),
+    )
+    sequential = step_by_step_ga(
+        scenario, topology, config, start=start, params=cold.params,
+        adam_state=copy.deepcopy(cold.adam_state), start_tick=50,
+    )
+    assert batched.adam_state.t > cold.adam_state.t
+    assert_same_run(batched, sequential)
 
 
 @pytest.mark.parametrize("topology_kind", ["default", "c03"])
@@ -429,6 +471,39 @@ def test_three_rollout_calls_per_generation_at_cli_defaults(monkeypatch, topolog
     result = run_ga(scenario, topology, HybridConfig(seed=seed, **CLI_DEFAULTS))
     assert len(sizes) <= 1 + len(result.trace)
     assert 4 * sizes.count(1) <= len(sizes)
+
+
+@pytest.mark.parametrize("topology_kind", ["default", "c03"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_holds_only_offspring_the_next_population_keeps(
+    monkeypatch, topology_kind, seed
+):
+    # At CLI defaults the population adaptation cannot act within max_iter = 4
+    # generations, so 2 of the 10 offspring bred each generation are never kept.
+    # With ADAPT_WINDOW at 0 the batch holds every offspring bred, as it did
+    # before; the default window of adapt_population_size stays 5, so the runs
+    # must be equal and only the rolled-out total differ.
+    scenario = market_open(2 * seed)
+    topology = topology_of(topology_kind, scenario)
+    config = HybridConfig(seed=seed, **CLI_DEFAULTS)
+    rollouts = RolloutEvaluator._rollouts
+
+    def run(adapt_window: int) -> tuple[HybridResult, list[tuple]]:
+        rolled: list[tuple] = []
+
+        def counting(self, chromos):
+            rolled.extend(tuple(chromosome_bytes(c)) for c in chromos)
+            return rollouts(self, chromos)
+
+        monkeypatch.setattr(RolloutEvaluator, "_rollouts", counting)
+        monkeypatch.setattr(hybrid_module, "ADAPT_WINDOW", adapt_window)
+        return run_ga(scenario, topology, config), rolled
+
+    trimmed, kept_only = run(hybrid_module.ADAPT_WINDOW)
+    full, every_bred = run(0)
+    assert_same_run(trimmed, full)
+    assert set(kept_only) <= set(every_bred)
+    assert len(kept_only) < len(every_bred)
 
 
 # --- checkpoints ------------------------------------------------------------------
