@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
