@@ -182,10 +182,11 @@ def _path_option(value) -> str:
     return value
 
 
-_HYBRID_DEFAULTS = {
-    "population": 10, "elite": 2, "max_iter": 4, "eval_ticks": 30, "n_min": 8,
-    "n_max": 16, "local_search_budget": 2, "convergence_window": 3, "max_instances": 3,
-}
+# the HybridConfig fields a scheduler config can set; HybridConfig holds their defaults
+_HYBRID_OPTIONS = (
+    "population", "elite", "max_iter", "eval_ticks", "n_min", "n_max",
+    "local_search_budget", "convergence_window", "max_instances",
+)
 
 # Options each scheduler kind accepts: name -> (parser, default).
 SCHEDULER_OPTIONS: dict[str, dict[str, tuple]] = {
@@ -196,7 +197,7 @@ SCHEDULER_OPTIONS: dict[str, dict[str, tuple]] = {
         "scale_down_at": (_float_option, 0.3),
         "cooldown_ticks": (_int_option, 30),
     },
-    "hybrid": {name: (_int_option, default) for name, default in _HYBRID_DEFAULTS.items()},
+    "hybrid": {name: (_int_option, getattr(HybridConfig, name)) for name in _HYBRID_OPTIONS},
     "drl": {"checkpoint": (_path_option, None)},
 }
 

@@ -324,6 +324,17 @@ def _write_timings(out: Path, phase_ns: dict[str, int]) -> None:
     out.with_suffix(".timings.json").write_text(json.dumps({"phase_ns": phase_ns}, indent=2) + "\n")
 
 
+def _check_training_flags(args, minimums: dict[str, int]) -> None:
+    """A training command's numeric flags: each flag of `minimums` at least its
+    minimum, `--seed` >= 0 and `--learning-rate` finite and >= 0."""
+    for name, least in {"seed": 0, **minimums}.items():
+        value = getattr(args, name)
+        if value < least:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
+    if not (np.isfinite(args.learning_rate) and args.learning_rate >= 0):
+        raise ConfigError(f"--learning-rate must be finite and >= 0, got {args.learning_rate}")
+
+
 def cmd_train_predictor(args) -> int:
     resolved = {
         "scenario": args.scenario, "out": args.out, "seed": args.seed,
@@ -332,6 +343,7 @@ def cmd_train_predictor(args) -> int:
         "dataset": args.dataset,
     }
     print(json.dumps(resolved, indent=2))
+    _check_training_flags(args, {"epochs": 0, "seq_len": 1, "horizon_ticks": 1})
     if not args.dataset and not args.scenario:
         raise ConfigError("train-predictor needs --scenario or --dataset")
     if args.dataset and not Path(args.dataset).exists():
@@ -387,6 +399,7 @@ def cmd_train_drl(args) -> int:
         "decision_interval": args.decision_interval,
     }
     print(json.dumps(resolved, indent=2))
+    _check_training_flags(args, {"episodes": 0, "decision_interval": 1})
     phase_ns: dict[str, int] = {}
     started = time.perf_counter_ns()
     scenario = load_scenario(args.scenario)

@@ -433,7 +433,6 @@ class ClusterSim:
         topology: ClusterTopology,
         seed: int = 0,
         noise: NoiseSpec | None = None,
-        reward_spec: RewardSpec | None = None,
         cache_hit_rate: float = 0.0,
         latency_sample_cap: int = 64,
         record_trace: bool = False,
@@ -442,7 +441,7 @@ class ClusterSim:
             raise ConfigError(f"latency_sample_cap must be >= 1, got {latency_sample_cap}")
         self.topology = topology
         self.noise = noise if noise is not None else NoiseSpec()
-        self.reward_spec = reward_spec or RewardSpec()
+        self.reward_spec = RewardSpec()
         self.cache_hit_rate = cache_hit_rate
         self.latency_sample_cap = latency_sample_cap
         self.record_trace = record_trace

@@ -3,11 +3,11 @@ contextual bandit used to sanity-check the optimizer end to end."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster import ClusterSim, ClusterTopology, NoiseSpec, RewardSpec
+from ..cluster import ClusterSim, ClusterTopology, NoiseSpec
 from ..workload import WorkloadScenario, generate_tick_counts
 from .policy import SchedulerPolicy, StateEncoder
 
@@ -22,8 +22,6 @@ class DecisionEnv:
     encoder: StateEncoder
     mapper: SchedulerPolicy  # supplies record -> SchedulingAction mapping
     decision_interval: int = 10
-    reward_spec: RewardSpec = field(default_factory=RewardSpec)
-    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(std=0.0))
     episode_seed_base: int = 0
 
     sim: ClusterSim | None = None
@@ -34,8 +32,7 @@ class DecisionEnv:
         self.sim = ClusterSim(
             self.topology,
             seed=int(self.episode_seed_base + episode),
-            noise=self.noise,
-            reward_spec=self.reward_spec,
+            noise=NoiseSpec(std=0.0),
         )
         self._tick = 0
         self._state = self.sim.observe_state()

@@ -9,7 +9,7 @@ so that better candidates receive the protective low rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,16 @@ INFEASIBLE = float("inf")
 LOOKAHEAD = 2  # local-search steps whose accept/reject tree rolls out in one batch
 
 ADAPT_WINDOW = 5  # generations of best-fitness history the population adaptation compares
+
+TOURNAMENT = 2  # uniform draws per tournament pick
+
+CONVERGENCE_EPS = 1e-4  # best-fitness gain over the convergence window that counts as none
+
+# refinement reward: alpha * performance gain (fitness improvement) + beta *
+# resource-efficiency gain (utilization increase) - gamma * action-magnitude cost
+REFINE_ALPHA, REFINE_BETA, REFINE_GAMMA_COST = 1.0, 0.5, 0.2
+
+REFINE_LR = 1e-3  # the refinement policy's Adam learning rate
 
 
 @dataclass
@@ -117,19 +127,8 @@ def adaptive_rates(f_prime: float, f_avg: float, f_max: float) -> tuple[float, f
     return (9.0 - 6.0 * ratio) / 10.0, (10.0 - 7.0 * ratio) / 100.0
 
 
-@dataclass(frozen=True)
-class RefineReward:
-    alpha: float = 1.0  # performance gain (fitness improvement)
-    beta: float = 0.5  # resource-efficiency gain (utilization increase)
-    gamma_cost: float = 0.2  # action-magnitude cost
-
-    def __post_init__(self) -> None:
-        if min(self.alpha, self.beta, self.gamma_cost) < 0:
-            raise ConfigError("refine-reward coefficients must be >= 0")
-
-
-def refine_reward(spec: RefineReward, perf_gain: float, efficiency_gain: float, cost: float) -> float:
-    return spec.alpha * perf_gain + spec.beta * efficiency_gain - spec.gamma_cost * cost
+def refine_reward(perf_gain: float, efficiency_gain: float, cost: float) -> float:
+    return REFINE_ALPHA * perf_gain + REFINE_BETA * efficiency_gain - REFINE_GAMMA_COST * cost
 
 
 # --- rollout evaluation --------------------------------------------------------
@@ -213,9 +212,6 @@ class RolloutEvaluator:
             cv = float(node_work.std() / mean_work) if mean_work > 0 else 0.0
             out.append(RolloutMetrics(T=T, U=U, L=max(0.0, 1.0 - cv), final_state=state))
         return out
-
-    def fitness(self, chromo: Chromosome) -> float:
-        return self.fitness_batch([chromo])[0]
 
     def fitness_batch(self, chromos: list[Chromosome]) -> list[float]:
         return [
@@ -448,13 +444,14 @@ def adapt_population_size(
 
 
 def apply_record_to_chromosome(
-    record: dict[str, np.ndarray], chromo: Chromosome, step_scale: float = 0.2
+    record: dict[str, np.ndarray], chromo: Chromosome
 ) -> tuple[Chromosome, float]:
     """Delta-action on top of a chromosome; returns (refined, action magnitude).
 
     Instance deltas add/remove instances; the squashed continuous heads pull
-    quota/priority toward the emitted values; a migration choice moves one
-    instance of the chosen service toward its least-committed node.
+    quota/priority a fifth of the way toward the emitted values; a migration
+    choice moves one instance of the chosen service toward its least-committed
+    node.
     """
     out = chromo.copy()
     delta = record["delta"].astype(int) - 1
@@ -468,7 +465,7 @@ def apply_record_to_chromosome(
     for name, attr in (("priority", "priority"), ("quota", "quota")):
         target = sigmoid(record[name])
         arr = getattr(out, attr)
-        change = step_scale * (target - arr)
+        change = 0.2 * (target - arr)
         magnitude += float(np.abs(change).sum()) if attr == "quota" else 0.0
         setattr(out, attr, arr + change)
 
@@ -532,8 +529,6 @@ def rl_refine(
     params,
     adam_state,
     evaluator: RolloutEvaluator,
-    reward_spec: RefineReward,
-    learning_rate: float = 1e-3,
 ) -> tuple[list[Chromosome], list[float], dict, RefineStats]:
     """One batched REINFORCE step (Williams, 1992) over the elite set.
 
@@ -553,7 +548,7 @@ def rl_refine(
     for i, m_new in zip(changed, new_metrics):
         p, f_old = proposals[i], elite_fitness[i]
         f_new = fitness_from_metrics(m_new.T, m_new.U, m_new.L, evaluator.weights)
-        reward = refine_reward(reward_spec, f_old - f_new, m_new.U - elite_metrics[i].U, p.magnitude)
+        reward = refine_reward(f_old - f_new, m_new.U - elite_metrics[i].U, p.magnitude)
         if not np.isfinite(reward):
             stats.discarded_nonfinite += 1
             continue
@@ -566,7 +561,7 @@ def rl_refine(
         records = {name: np.stack([p.record[name] for p in used]) for name in used[0].record}
         _, cache = core.log_prob(params, np.stack([p.features for p in used]), records)
         grads = core.logp_backward(params, cache, -np.array(rewards) / len(used))
-        params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=learning_rate))
+        params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=REFINE_LR))
     return refined, refined_fitness, params, stats
 
 
@@ -575,27 +570,25 @@ def rl_refine(
 
 @dataclass(frozen=True)
 class HybridConfig:
-    population: int = 24
-    elite: int = 4
-    max_iter: int = 30
+    """The hybrid scheduler's settings; the defaults are the CLI's."""
+
+    population: int = 10
+    elite: int = 2
+    max_iter: int = 4
     seed: int = 0
-    eval_ticks: int = 120
-    tournament: int = 2
+    eval_ticks: int = 30
     mutation_sigma: float = 0.05
     n_min: int = 8
-    n_max: int = 48
-    local_search_budget: int = 4
-    refine: RefineReward = field(default_factory=RefineReward)
-    refine_lr: float = 1e-3
-    convergence_eps: float = 1e-4
-    convergence_window: int = 10
+    n_max: int = 16
+    local_search_budget: int = 2
+    convergence_window: int = 3
     max_instances: int = 3
     adapt_population: bool = True
     rl_refinement: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.max_iter, self.eval_ticks, self.tournament) < 1:
-            raise ConfigError("max_iter, eval_ticks and tournament must be >= 1")
+        if min(self.max_iter, self.eval_ticks) < 1:
+            raise ConfigError("max_iter and eval_ticks must be >= 1")
         if self.max_instances < 1:
             raise ConfigError("max_instances must be >= 1")
         if self.local_search_budget < 0:
@@ -648,8 +641,8 @@ def _breed(
     pc_values: list[float] = []
     pm_values: list[float] = []
     while len(offspring) < count:
-        ia = _tournament_index(pool_fitness, config.tournament, rng)
-        ib = _tournament_index(pool_fitness, config.tournament, rng)
+        ia = _tournament_index(pool_fitness, TOURNAMENT, rng)
+        ib = _tournament_index(pool_fitness, TOURNAMENT, rng)
         q_prime = float(-min(pool_fitness[ia], pool_fitness[ib]))
         p_c, p_m = adaptive_rates(q_prime, q_avg, q_max)
         pc_values.append(p_c)
@@ -668,8 +661,6 @@ def hybrid_scheduling(
     weights: FitnessWeights | None = None,
     initial_population: list[Chromosome] | None = None,
     start_tick: int = 0,
-    encoder=None,
-    core=None,
     policy_params=None,
     adam_state: AdamState | None = None,
 ) -> HybridResult:
@@ -693,10 +684,8 @@ def hybrid_scheduling(
     rng = np.random.default_rng([config.seed, 0xA11CE])
     evaluator = RolloutEvaluator(scenario, topology, weights, config.eval_ticks, start_tick)
 
-    if encoder is None:
-        encoder = StateEncoder(mode="full", service_count=k, node_count=n)
-    if core is None:
-        core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
+    encoder = StateEncoder(mode="full", service_count=k, node_count=n)
+    core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
     params = policy_params if policy_params is not None else core.init_params(config.seed)
     if adam_state is None:
         adam_state = adam_init(params)
@@ -786,8 +775,7 @@ def hybrid_scheduling(
         # consume
         if config.rl_refinement:
             elite, elite_fitness, params, stats = rl_refine(
-                elite, elite_fitness, elite_metrics, proposals, core, params,
-                adam_state, evaluator, config.refine, config.refine_lr,
+                elite, elite_fitness, elite_metrics, proposals, core, params, adam_state, evaluator
             )
             refine_totals.attempted += stats.attempted
             refine_totals.improved += stats.improved
@@ -826,7 +814,7 @@ def hybrid_scheduling(
         )
 
         w = config.convergence_window
-        if len(best_history) > w and best_history[-w - 1] - best_history[-1] < config.convergence_eps:
+        if len(best_history) > w and best_history[-w - 1] - best_history[-1] < CONVERGENCE_EPS:
             converged = True
             break
 

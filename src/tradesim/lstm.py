@@ -76,18 +76,19 @@ def init_params(config: LstmConfig, seed: int = 0) -> Params:
 
 def cell_forward(
     x: np.ndarray, h: np.ndarray, c: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell step; x (B, D), h/c (B, H) -> (h', c')."""
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One LSTM cell step; x (B, D), h/c (B, H) -> (h', c', (i, f, o, g)),
+    the gates being what backpropagation through the step needs."""
     hidden = U.shape[1]
     if x.shape[-1] != W.shape[1]:
         raise ValueError(f"input width {x.shape[-1]} does not match W {W.shape}")
     z = x @ W.T + h @ U.T + b
-    ifo = sigmoid(z[..., : 3 * hidden])
+    ifo = sigmoid(z[..., : 3 * hidden])  # input, forget and output gates in one call
     i, f, o = ifo[..., :hidden], ifo[..., hidden : 2 * hidden], ifo[..., 2 * hidden :]
     g = np.tanh(z[..., 3 * hidden :])
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
-    return h_new, c_new
+    return h_new, c_new, (i, f, o, g)
 
 
 def forward(
@@ -127,14 +128,9 @@ def forward(
         c_seq = np.empty((B, T, H))
         h_seq = np.empty((B, T, H))
         for t in range(T):
-            z = inp[:, t] @ W.T + h @ U.T + b
-            ifo = sigmoid(z[:, : 3 * H])  # input, forget and output gates in one call
-            i, f, o = ifo[:, :H], ifo[:, H : 2 * H], ifo[:, 2 * H :]
-            g = np.tanh(z[:, 3 * H :])
             c_prev_seq[:, t] = c
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            gates_i[:, t], gates_f[:, t], gates_o[:, t], gates_g[:, t] = i, f, o, g
+            h, c, gates = cell_forward(inp[:, t], h, c, W, U, b)
+            gates_i[:, t], gates_f[:, t], gates_o[:, t], gates_g[:, t] = gates
             c_seq[:, t] = c
             h_seq[:, t] = h
         if not np.all(np.isfinite(h_seq)):

@@ -16,7 +16,7 @@ from tradesim.baselines import (
 from tradesim.cli import EXIT_CONFIG, EXIT_OK, main, run_experiment, ExperimentConfig
 from tradesim.cluster import ClusterSim, NoiseSpec, save_topology, uniform_topology
 from tradesim.errors import ConfigError
-from tradesim.hybrid import Chromosome
+from tradesim.hybrid import Chromosome, HybridConfig
 from tradesim.workload import (
     BurstSpec,
     WorkloadScenario,
@@ -305,6 +305,14 @@ class TestSchedulerConfig:
         }
         assert scheduler_options("round-robin", {}) == {}
 
+    def test_hybrid_defaults_are_hybrid_configs(self):
+        names = (
+            "population", "elite", "max_iter", "eval_ticks", "n_min", "n_max",
+            "local_search_budget", "convergence_window", "max_instances",
+        )
+        defaults = HybridConfig()
+        assert scheduler_options("hybrid", {}) == {name: getattr(defaults, name) for name in names}
+
     def test_options_of_other_kinds_ignored(self):
         # one options dict can configure every scheduler of a comparison
         assert scheduler_options("round-robin", {"population": 8, "elite": 2}) == {}
@@ -467,6 +475,30 @@ class TestTrainPredictorCommand:
                      "--out", str(tmp_path / "m.npz"), *self.ARGS])
         assert code == EXIT_CONFIG
 
+    def dataset(self, tmp_path):
+        data = tmp_path / "volume.csv"
+        data.write_text("tick,volume\n" + "".join(f"{t},{(t * 7) % 23}\n" for t in range(40)))
+        return data
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon-ticks", "0"), ("--horizon-ticks", "-1"), ("--seq-len", "0"),
+        ("--epochs", "-2"), ("--learning-rate", "nan"), ("--learning-rate", "-1"),
+        ("--seed", "-1"),
+    ])
+    def test_bad_numeric_flag_exits_config(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "m.npz"
+        code = main(["train-predictor", "--dataset", str(self.dataset(tmp_path)),
+                     "--out", str(out), *self.ARGS, flag, value])
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_epochs_and_learning_rate_accepted(self, tmp_path):
+        code = main(["train-predictor", "--dataset", str(self.dataset(tmp_path)),
+                     "--out", str(tmp_path / "m.npz"), *self.ARGS,
+                     "--epochs", "0", "--learning-rate", "0"])
+        assert code == EXIT_OK
+
     def test_phase_timings_written_beside_deterministic_outputs(self, tmp_path):
         data = tmp_path / "volume.csv"
         data.write_text("tick,volume\n" + "".join(f"{t},{(t * 7) % 23}\n" for t in range(40)))
@@ -486,18 +518,32 @@ class TestTrainPredictorCommand:
 
 
 class TestTrainDrlCommand:
-    def train(self, small_files, run: str):
+    def train(self, small_files, run: str, *flags: str) -> tuple[int, object]:
         sc_path, topo_path, tmp_path = small_files
         out = tmp_path / run / "policy.npz"
         code = main(["train-drl", "--scenario", str(sc_path), "--topology", str(topo_path),
-                     "--out", str(out), "--episodes", "2", "--decision-interval", "20"])
+                     "--out", str(out), "--episodes", "2", "--decision-interval", "20", *flags])
+        return code, out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--decision-interval", "0"), ("--decision-interval", "-3"), ("--episodes", "-1"),
+        ("--learning-rate", "nan"), ("--learning-rate", "-1"), ("--seed", "-1"),
+    ])
+    def test_bad_numeric_flag_exits_config(self, small_files, flag, value, capsys):
+        code, out = self.train(small_files, "bad", flag, value)
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_episodes_and_learning_rate_accepted(self, small_files):
+        code, _ = self.train(small_files, "zero", "--episodes", "0", "--learning-rate", "0")
         assert code == EXIT_OK
-        return out
 
     def test_phase_timings_written_beside_deterministic_outputs(self, small_files):
         outputs = []
         for run in ("a", "b"):
-            out = self.train(small_files, run)
+            code, out = self.train(small_files, run)
+            assert code == EXIT_OK
             timings = json.loads(out.with_suffix(".timings.json").read_text())
             assert list(timings["phase_ns"]) == ["setup", "train", "save"]
             assert all(isinstance(v, int) and v >= 0 for v in timings["phase_ns"].values())
@@ -507,7 +553,8 @@ class TestTrainDrlCommand:
         assert outputs[0] == outputs[1]
 
     def test_timings_do_not_alter_the_policy_files(self, small_files):
-        out = self.train(small_files, "c")
+        code, out = self.train(small_files, "c")
+        assert code == EXIT_OK
         written = sorted(p.name for p in out.parent.iterdir())
         assert written == ["policy.curve.csv", "policy.npz", "policy.timings.json"]
 

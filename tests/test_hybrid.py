@@ -12,7 +12,6 @@ from tradesim.hybrid import (
     Chromosome,
     FitnessWeights,
     HybridConfig,
-    RefineReward,
     RolloutEvaluator,
     _draw_moves,
     _tournament_index,
@@ -338,11 +337,11 @@ class TestAdaptPopulation:
 
 class TestRefinement:
     def test_zero_delta_reward_is_zero(self):
-        assert refine_reward(RefineReward(), 0.0, 0.0, 0.0) == 0.0
+        assert refine_reward(0.0, 0.0, 0.0) == 0.0
 
     def test_direct_reward_arithmetic(self):
-        spec = RefineReward(alpha=1.0, beta=0.0, gamma_cost=0.0)
-        assert refine_reward(spec, 0.05, 0.3, 2.0) == pytest.approx(0.05)
+        assert refine_reward(0.05, 0.0, 0.0) == pytest.approx(0.05)
+        assert refine_reward(0.05, 0.3, 2.0) == pytest.approx(0.05 + 0.5 * 0.3 - 0.2 * 2.0)
 
     def test_zero_record_leaves_chromosome_unchanged(self):
         x = chromo([[1, 0], [0, 1]], quota=(0.5, 0.5), priority=(0.5, 0.5))
@@ -386,7 +385,7 @@ class TestHybridScheduling:
     def small_config(self, **kw) -> HybridConfig:
         cfg = dict(
             population=8, elite=2, max_iter=4, seed=3, eval_ticks=30,
-            n_min=6, n_max=12, local_search_budget=2,
+            n_min=6, n_max=12, local_search_budget=2, convergence_window=10,
         )
         cfg.update(kw)
         return HybridConfig(**cfg)
@@ -499,7 +498,7 @@ class TestRollingHorizon:
         monkeypatch.setattr(baselines_module, "hybrid_scheduling", spy)
         config = HybridConfig(
             population=8, elite=2, max_iter=max_iter, seed=3, eval_ticks=30,
-            n_min=6, n_max=12, local_search_budget=2,
+            n_min=6, n_max=12, local_search_budget=2, convergence_window=10,
         )
         scenario, topology = toy_scenario(), toy_topology()
         scheduler = HybridScheduler(scenario=scenario, topology=topology, config=config)

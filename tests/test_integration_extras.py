@@ -15,7 +15,6 @@ from tradesim.hybrid import (
     Chromosome,
     FitnessWeights,
     GenerationTrace,
-    RefineReward,
     RolloutEvaluator,
     propose_refinements,
     rl_refine,
@@ -78,12 +77,12 @@ class TestRlRefine:
             )
             for _ in range(3)
         ]
-        fits = [evaluator.fitness(c) for c in elite]
+        fits = evaluator.fitness_batch(elite)
         metrics = [evaluator.metrics(c) for c in elite]
         adam = adam_init(params)
         proposals = propose_refinements(elite, metrics, core, params, encoder, rng)
         refined, refined_fits, _, stats = rl_refine(
-            elite, fits, metrics, proposals, core, params, adam, evaluator, RefineReward(),
+            elite, fits, metrics, proposals, core, params, adam, evaluator
         )
         assert stats.attempted == 3
         for f_new, f_old in zip(refined_fits, fits):
@@ -105,12 +104,11 @@ class TestRlRefine:
                     priority=np.array([0.5, 0.5]),
                 )
             ]
-            fits = [evaluator.fitness(c) for c in elite]
+            fits = evaluator.fitness_batch(elite)
             metrics = [evaluator.metrics(c) for c in elite]
             proposals = propose_refinements(elite, metrics, core, params, encoder, rng)
             refined, refined_fits, _, _ = rl_refine(
-                elite, fits, metrics, proposals, core, params, adam_init(params),
-                evaluator, RefineReward(),
+                elite, fits, metrics, proposals, core, params, adam_init(params), evaluator
             )
             out.append(refined_fits)
         assert out[0] == out[1]

@@ -33,6 +33,7 @@ def reference_cell(x, h, c, W, U, b):
     hidden = U.shape[1]
     h_new = np.zeros_like(h)
     c_new = np.zeros_like(c)
+    gates = np.zeros((4,) + h.shape)  # i, f, o, g
     for row in range(x.shape[0]):
         z = [
             sum(W[j, m] * x[row, m] for m in range(x.shape[1]))
@@ -45,9 +46,10 @@ def reference_cell(x, h, c, W, U, b):
             f = 1.0 / (1.0 + math.exp(-z[hidden + m]))
             o = 1.0 / (1.0 + math.exp(-z[2 * hidden + m]))
             g = math.tanh(z[3 * hidden + m])
+            gates[:, row, m] = i, f, o, g
             c_new[row, m] = f * c[row, m] + i * g
             h_new[row, m] = o * math.tanh(c_new[row, m])
-    return h_new, c_new
+    return h_new, c_new, gates
 
 
 def small_config(**kw) -> LstmConfig:
@@ -70,7 +72,7 @@ class TestCellForward:
         h = np.zeros((1, H))
         c = np.full((1, H), 2.0)
         W, U, b = np.zeros((4 * H, 3)), np.zeros((4 * H, H)), np.zeros(4 * H)
-        h2, c2 = cell_forward(x, h, c, W, U, b)
+        h2, c2, _ = cell_forward(x, h, c, W, U, b)
         assert np.allclose(c2, 0.5 * c)
         assert np.allclose(h2, 0.5 * np.tanh(0.5 * c))
 
@@ -83,7 +85,7 @@ class TestCellForward:
         b = np.zeros(4 * H)
         b[:H] = -30.0  # input gate shut
         b[H : 2 * H] = 30.0  # forget gate wide open
-        _, c2 = cell_forward(x, h, c, W, U, b)
+        _, c2, _ = cell_forward(x, h, c, W, U, b)
         assert np.allclose(c2, c, atol=1e-9)
 
     def test_matches_clean_room_reference(self):
@@ -96,10 +98,11 @@ class TestCellForward:
             W = rng.normal(size=(4 * H, D))
             U = rng.normal(size=(4 * H, H))
             b = rng.normal(size=4 * H)
-            got_h, got_c = cell_forward(x, h, c, W, U, b)
-            want_h, want_c = reference_cell(x, h, c, W, U, b)
+            got_h, got_c, got_gates = cell_forward(x, h, c, W, U, b)
+            want_h, want_c, want_gates = reference_cell(x, h, c, W, U, b)
             assert np.allclose(got_h, want_h, atol=1e-10)
             assert np.allclose(got_c, want_c, atol=1e-10)
+            assert np.allclose(np.stack(got_gates), want_gates, atol=1e-10)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -137,7 +140,7 @@ class TestForward:
         inp = x[:, 0]
         H = cfg.hidden_size
         for layer in range(cfg.layers):
-            h, _ = cell_forward(
+            h, _, _ = cell_forward(
                 inp, np.zeros((1, H)), np.zeros((1, H)),
                 params[f"W{layer}"], params[f"U{layer}"], params[f"b{layer}"],
             )

@@ -35,8 +35,11 @@ from tradesim.drl.policy import (
 )
 from tradesim.errors import ConfigError
 from tradesim.hybrid import (
+    CONVERGENCE_EPS,
     INFEASIBLE,
     LOOKAHEAD,
+    REFINE_LR,
+    TOURNAMENT,
     Chromosome,
     FitnessWeights,
     GenerationTrace,
@@ -319,8 +322,8 @@ def step_by_step_ga(
             largest = min(config.n_max, max(n_target, round(1.25 * n_target)))
         offspring, pc_values, pm_values = [], [], []
         while len(offspring) < largest - config.elite:
-            ia = _tournament_index(pool_fits, config.tournament, rng)
-            ib = _tournament_index(pool_fits, config.tournament, rng)
+            ia = _tournament_index(pool_fits, TOURNAMENT, rng)
+            ib = _tournament_index(pool_fits, TOURNAMENT, rng)
             p_c, p_m = adaptive_rates(float(-min(pool_fits[ia], pool_fits[ib])), q_avg, q_max)
             pc_values.append(p_c)
             pm_values.append(p_m)
@@ -339,9 +342,7 @@ def step_by_step_ga(
                 continue
             m_new = evaluator.metrics(candidate)
             f_new = fitness(m_new)
-            reward = refine_reward(
-                config.refine, elite_fits[i] - f_new, m_new.U - elite_metrics[i].U, magnitude
-            )
+            reward = refine_reward(elite_fits[i] - f_new, m_new.U - elite_metrics[i].U, magnitude)
             if not np.isfinite(reward):
                 totals.discarded_nonfinite += 1
                 continue
@@ -356,7 +357,7 @@ def step_by_step_ga(
             _, cache = core.log_prob(params, np.stack([x for x, _, _ in transitions]), records)
             rewards = np.array([reward for _, _, reward in transitions])
             grads = core.logp_backward(params, cache, -rewards / len(transitions))
-            params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=config.refine_lr))
+            params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=REFINE_LR))
 
         # local search: one move and one rollout at a time
         for move in moves:
@@ -381,7 +382,7 @@ def step_by_step_ga(
             population=len(population),
         ))
         w = config.convergence_window
-        if len(history) > w and history[-w - 1] - history[-1] < config.convergence_eps:
+        if len(history) > w and history[-w - 1] - history[-1] < CONVERGENCE_EPS:
             converged = True
             break
     return HybridResult(best, best_fitness, trace, totals, converged, population, params, adam_state)
@@ -390,7 +391,12 @@ def step_by_step_ga(
 CLI_DEFAULTS = scheduler_options("hybrid", {})
 GA_CONFIGS = {
     "cli-defaults": dict(CLI_DEFAULTS),
-    "config-defaults": {},
+    # HybridConfig's defaults before it took the CLI's: a long run with
+    # multi-tree local search, population adaptation and convergence
+    "config-defaults": dict(
+        population=24, elite=4, max_iter=30, eval_ticks=120, n_min=8, n_max=48,
+        local_search_budget=4, convergence_window=10, max_instances=3,
+    ),
     "elite-1": dict(CLI_DEFAULTS, elite=1),
     "elite-3": dict(CLI_DEFAULTS, elite=3),
     "budget-1": dict(CLI_DEFAULTS, local_search_budget=1),
