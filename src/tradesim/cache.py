@@ -365,11 +365,70 @@ def replay_trace(cache: TieredCache, rows: list[tuple[float, str, bytes]]) -> Ca
     return cache.stats
 
 
+class Pcg64Draws:
+    """`Generator.random()` and `Generator.integers(high)` of a PCG64 generator,
+    called one value at a time, answered from raw words read in bulk.
+
+    numpy reads a double from the top 53 bits of one 64-bit word. It reads an
+    integer below `high` < 2**32 from 32-bit halves by Lemire's
+    multiply-and-reject method: the low half of a fresh word, with the high
+    half kept in the state (`has_uint32`, `uinteger`) for the next 32-bit read,
+    across calls. `integers(1)` reads nothing. `close` leaves the generator
+    exactly where the same scalar calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self._bits = rng.bit_generator
+        if not isinstance(self._bits, np.random.PCG64):
+            raise TypeError(f"raw words are read as PCG64's, got {type(self._bits).__name__}")
+        self._start = self._bits.state
+        self._size = max(size, 1)
+        self._words = self._bits.random_raw(self._size).tolist()
+        self._used = 0
+        self._has_half = self._start["has_uint32"]
+        self._half = self._start["uinteger"]
+
+    def _next_word(self) -> int:
+        if self._used == len(self._words):  # past the buffer: only Lemire's rejections get here
+            self._words += self._bits.random_raw(self._size).tolist()
+        self._used += 1
+        return self._words[self._used - 1]
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        word = self._next_word()
+        self._has_half, self._half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, high: int) -> int:
+        if high == 1:
+            return 0
+        m = self._uint32() * high
+        if m & 0xFFFFFFFF < high:
+            threshold = (0x100000000 - high) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * high
+        return m >> 32
+
+    def close(self) -> None:
+        """Move the generator past the words used, with the half they left."""
+        # back to the start with the final half; reading raw words leaves the half alone
+        self._bits.state = {**self._start, "has_uint32": self._has_half, "uinteger": self._half}
+        self._bits.random_raw(self._used)
+
+
 class ZipfAccessDriver:
     """Feeds the cache a Zipf-popular, session-local key stream during simulation
     so the latency model sees a live memory hit rate.
 
-    Accesses per tick are capped; misses fill the hierarchy (cache-aside).
+    Accesses per tick are capped; misses fill the hierarchy (cache-aside). The
+    key stream is that of scalar `random()` and `integers()` calls on a PCG64
+    generator; `Pcg64Draws` reads their words in bulk, which relies on PCG64.
     """
 
     def __init__(
@@ -384,7 +443,7 @@ class ZipfAccessDriver:
             raise ConfigError(f"the access driver needs at least one key, got {n_keys}")
         self.cache = cache
         self.per_tick_cap = per_tick_cap
-        self._rng = np.random.default_rng([seed, 0xCAC4E])
+        self._rng = np.random.Generator(np.random.PCG64([seed, 0xCAC4E]))
         ranks = np.arange(1, n_keys + 1, dtype=float)
         probs = (1.0 / ranks) / np.sum(1.0 / ranks)
         # Generator.choice(n_keys, p=probs) builds this CDF on every call and
@@ -400,14 +459,18 @@ class ZipfAccessDriver:
         combined memory hit rate."""
         n = min(int(request_count), self.per_tick_cap)
         if n > 0:
-            fresh = self._cdf.searchsorted(self._rng.random(n), side="right")
+            fresh = self._cdf.searchsorted(self._rng.random(n), side="right").tolist()
+            # n coins, and n picks of 32 bits each, two to a word (rejections aside)
+            draws = Pcg64Draws(self._rng, n + (n + 1) // 2)
+            recent, keys, cache = self._recent, self._keys, self.cache
             for key_id in fresh:
-                if self._recent and self._rng.random() < self._reaccess_p:
-                    key_id = self._recent[int(self._rng.integers(len(self._recent)))]
-                key = self._keys[int(key_id)]
-                if self.cache.get(key, tick) is None:
-                    self.cache.put(key, b"v", tick)
-                self._recent.append(int(key_id))
-            if len(self._recent) > 64:
-                del self._recent[: len(self._recent) - 64]
+                if recent and draws.random() < self._reaccess_p:
+                    key_id = recent[draws.integers(len(recent))]
+                key = keys[key_id]
+                if cache.get(key, tick) is None:
+                    cache.put(key, b"v", tick)
+                recent.append(key_id)
+            draws.close()
+            if len(recent) > 64:
+                del recent[: len(recent) - 64]
         return self.cache.stats.memory_hit_rate

@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"scheduler config not found: {self.scheduler_config}")
         if self.predictor and not Path(self.predictor).exists():
             raise ConfigError(f"predictor checkpoint not found: {self.predictor}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.decision_interval < 1:
             raise ConfigError("decision interval must be >= 1 tick")
         if self.predictor_interval < 1:
@@ -144,8 +146,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
 
     for t in range(scenario.horizon):
         counts = generate_tick_counts(scenario, t)
-        # per-service utilization signal: the latency model's contention factor
-        service_rho = sim.service_rho()
 
         action = None
         if model is not None and t >= model.min_history() and t % config.predictor_interval == 0:
@@ -161,18 +161,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
                     )
                     last_warn_tick = t
         if action is None and t % config.decision_interval == 0:
-            action = scheduler.decide(sim, service_rho, t)
+            # per-service utilization signal: the latency model's contention factor
+            action = scheduler.decide(sim, sim.service_rho(), t)
         if action is None:
             action = sim.no_op_action()
 
         sim.step_counts(action, counts)
-        hit_rate = driver.on_tick(t * scenario.tick_length, int(counts.sum()))
-        sim.cache_hit_rate = hit_rate
+        arrived = int(counts.sum())
+        sim.cache_hit_rate = driver.on_tick(t * scenario.tick_length, arrived)
         history.append(
-            volume=float(counts.sum()) / scenario.tick_length,
+            volume=arrived / scenario.tick_length,
             busiest_utilization=float(sim.util_true[:, 0].max()),
         )
-        util_cpu_sum += sim.util_obs.mean(axis=0)
+        util_cpu_sum += sim.util_obs.sum(axis=0) / sim.n  # .mean(axis=0), without its wrapper
         util_ticks += 1
 
     samples, weights = sim.all_latency_samples()

@@ -118,6 +118,10 @@ class ClusterTopology:
             raise ConfigError("per-node quota commitment exceeds 1")
         if self.history_window < 0:
             raise ConfigError(f"history_window must be >= 0, got {self.history_window}")
+        if not 0.0 < self.ewma_alpha <= 1.0:
+            raise ConfigError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
+        if not (np.isfinite(self.tick_length) and self.tick_length > 0):
+            raise ConfigError(f"tick_length must be finite and > 0, got {self.tick_length}")
         if not np.all(np.isfinite(self.initial_priority)):
             raise ConfigError(f"initial_priority must be finite, got {self.initial_priority}")
 
@@ -341,7 +345,7 @@ def utilization_step(
     inst[..., 1] = (cap.instance_mem + queued_payload.sum(axis=-2)) / arrays.node_mem
     moved_mb = (completed * arrays.payload_mb)[..., None] * cap.placement_share
     inst[..., 2] = moved_mb.sum(axis=-2) / arrays.node_net
-    np.clip(inst, 0.0, 1.0, out=inst)
+    inst.clip(0.0, 1.0, out=inst)
     return (1.0 - alpha) * util_true + alpha * inst
 
 
@@ -405,8 +409,8 @@ def reward(
     `state`, plus the scheduling cost C_t of `action` (instance changes,
     migrations, quota drift from `previous_quota`). Always <= 0; 0 only when
     every term vanishes. `ClusterSim` charges the action as applied."""
-    t_term = float(np.sum(state.latency_ms / spec.T_target))
-    u_term = float(np.sum(np.abs(state.util[:, 0] - spec.u_target)))
+    t_term = float((state.latency_ms / spec.T_target).sum())
+    u_term = float(np.abs(state.util[:, 0] - spec.u_target).sum())
     c_term = (
         spec.cost_instance * float(np.abs(action.instance_delta).sum())
         + spec.cost_migration * float(action.migration.sum())
@@ -456,7 +460,9 @@ class ClusterSim:
         self._capacity_key: tuple[bytes, bytes, bytes] | None = None
         self._capacity: Capacity | None = None
         self._sanitize_key: list | None = None
-        self._sanitized: tuple[SchedulingAction, int] | None = None
+        # the last sanitized action, its clamps and, when it keeps every
+        # instance where it is, the node commitment it leaves (see _clamp_action)
+        self._sanitized: tuple[SchedulingAction, int, float | None] | None = None
 
         self.tick = 0
         # FIFO queues: a ring of per-arrival-tick buckets per service (see `drain`)
@@ -498,18 +504,17 @@ class ClusterSim:
         hold on an unchanged configuration, most ticks) reuses that result."""
         delta = np.asarray(action.instance_delta, dtype=int)
         mig = np.asarray(action.migration)
-        moves = mig > 0 if mig.shape == (self.k, self.n) else None
         priority = np.asarray(action.priority, dtype=float)
         quota = np.asarray(action.quota, dtype=float)
-        key = [mig.shape] + [
+        key = [
             (a.dtype, a.shape, a.tobytes())
-            for a in (delta, moves, priority, quota, self.placement, self.priority, self.quota)
-            if a is not None
+            for a in (delta, mig, priority, quota, self.placement, self.priority, self.quota)
         ]
         if key != self._sanitize_key:
             self._sanitize_key = key
+            moves = mig > 0 if mig.shape == (self.k, self.n) else None
             self._sanitized = self._clamp_action(delta, moves, mig.size, priority, quota)
-        act, clamps = self._sanitized
+        act, clamps, _ = self._sanitized
         return (
             SchedulingAction(
                 act.instance_delta.copy(), act.migration.copy(), act.priority.copy(),
@@ -521,8 +526,11 @@ class ClusterSim:
     def _clamp_action(
         self, delta: np.ndarray, moves: np.ndarray | None, mig_size: int,
         priority: np.ndarray, quota: np.ndarray,
-    ) -> tuple[SchedulingAction, int]:
-        """The sanitized action and its clamp count, computed in full."""
+    ) -> tuple[SchedulingAction, int, float | None]:
+        """The sanitized action and its clamp count, computed in full; and, for
+        an action that adds, removes and moves no instance, the largest node
+        commitment of its quota on the current placement, which applying it
+        leaves (None for any other action)."""
         floor = 1 - self.placement.sum(axis=1)  # keeps at least one instance per service
         clamped_delta = np.maximum(delta, floor)
         clamps = int(np.count_nonzero(clamped_delta != delta))
@@ -535,47 +543,52 @@ class ClusterSim:
         priority, priority_clamps = _clamped(priority, self.priority, 0.0, 1.0)
         quota, quota_clamps = _clamped(quota, self.quota, QUOTA_FLOOR, 1.0)
         clamps += priority_clamps + quota_clamps
-        return SchedulingAction(clamped_delta, migration, priority, quota), clamps
+        keeps_placement = not (clamped_delta.any() or migration.any())
+        worst = node_commit(self.placement, quota).max() if keeps_placement else None
+        return SchedulingAction(clamped_delta, migration, priority, quota), clamps, worst
 
     def _apply_action(self, action: SchedulingAction) -> SchedulingAction:
         """Apply the action; returns it as applied: the sanitized deltas, the
         migrations that took effect and the quota after any rescale."""
         act, clamps = self.sanitize_action(action)
         self.sanitized_actions += clamps
+        worst = self._sanitized[2]  # known when the action keeps every instance in place
 
-        deltas = act.instance_delta.tolist()
-        for s, d in enumerate(deltas):
-            while d > 0:
-                j = int(np.argmin(self._node_commit()))
+        migrated = act.migration  # all zeros when it does
+        if worst is None:
+            deltas = act.instance_delta.tolist()
+            for s, d in enumerate(deltas):
+                while d > 0:
+                    j = int(np.argmin(self._node_commit()))
+                    self.placement[s, j] += 1
+                    d -= 1
+                while d < 0 and self.placement[s].sum() > 1:
+                    j = int(np.argmax(self.placement[s]))
+                    self.placement[s, j] -= 1
+                    d += 1
+
+            migrated = np.zeros_like(act.migration)
+            for s, j in zip(*np.nonzero(act.migration)):
+                sources = np.flatnonzero(self.placement[s] > 0)
+                sources = sources[sources != j]
+                if sources.size == 0:
+                    self.sanitized_actions += 1
+                    continue
+                src = int(sources[np.argmax(self.placement[s, sources])])
+                self.placement[s, src] -= 1
                 self.placement[s, j] += 1
-                d -= 1
-            while d < 0 and self.placement[s].sum() > 1:
-                j = int(np.argmax(self.placement[s]))
-                self.placement[s, j] -= 1
-                d += 1
+                migrated[s, j] = 1
 
-        migrated = np.zeros_like(act.migration)
-        for s, j in zip(*np.nonzero(act.migration)):
-            sources = np.flatnonzero(self.placement[s] > 0)
-            sources = sources[sources != j]
-            if sources.size == 0:
-                self.sanitized_actions += 1
-                continue
-            src = int(sources[np.argmax(self.placement[s, sources])])
-            self.placement[s, src] -= 1
-            self.placement[s, j] += 1
-            migrated[s, j] = 1
+            if sum(deltas) > 0 and self.first_scale_up_tick < 0:
+                self.first_scale_up_tick = self.tick
 
         self.priority = act.priority
         self.quota = act.quota
-        commit = self._node_commit()
-        worst = commit.max()
+        if worst is None:
+            worst = self._node_commit().max()
         if worst > 1.0:
             self.quota = self.quota / worst
             self.sanitized_actions += 1
-
-        if sum(deltas) > 0 and self.first_scale_up_tick < 0:
-            self.first_scale_up_tick = self.tick
         return SchedulingAction(act.instance_delta, migrated, act.priority, self.quota)
 
     def _node_commit(self) -> np.ndarray:
@@ -621,7 +634,8 @@ class ClusterSim:
             cap, self.node_cpu, self.queue_len * work_units + 0.0, self.carry_work
         )
         model = self.topology.latency
-        formula = service_latency(model, self.service_rho(), self.cache_hit_rate)
+        rho = contention(cap.share, self.util_true[:, 0])
+        formula = service_latency(model, rho, self.cache_hit_rate)
         served: list[tuple[np.ndarray, ...]] = []
         completed, sum_base_ms = drain(
             self._buckets, self._head, available, work_units, formula, self.tick,
@@ -637,12 +651,12 @@ class ClusterSim:
                 _, waits, formulas, n_served = served[0]
             else:
                 rows, waits, formulas, n_served = map(np.concatenate, zip(*served))
-                order = np.argsort(rows, kind="stable")
+                order = rows.argsort(kind="stable")
                 waits, formulas, n_served = waits[order], formulas[order], n_served[order]
             draws = np.minimum(n_served, self.latency_sample_cap)  # 0 for an empty bucket
             jit = sample_jitter(model, self._jitter_rng, int(draws.sum()))
-            samples = np.repeat(waits, draws) + np.repeat(formulas, draws) * jit
-            weights = np.repeat(n_served / np.maximum(draws, 1), draws)
+            samples = waits.repeat(draws) + formulas.repeat(draws) * jit
+            weights = (n_served / np.maximum(draws, 1)).repeat(draws)
         else:
             samples = np.zeros(0)
             weights = np.zeros(0)
@@ -659,7 +673,7 @@ class ClusterSim:
             eps = self._noise_rng.normal(0.0, self.noise.std, size=self.util_true.shape)
         else:
             eps = 0.0
-        self.util_obs = np.clip(self.util_true + eps, 0.0, 1.0)
+        self.util_obs = (self.util_true + eps).clip(0.0, 1.0)
 
         w = self.topology.history_window
         if w:
@@ -682,7 +696,7 @@ class ClusterSim:
             self.trace.append(
                 TickRecord(
                     tick=self.tick,
-                    completed=completed.copy(),
+                    completed=completed,
                     p50_ms=p50,
                     p95_ms=p95,
                     util=self.util_obs.copy(),
@@ -714,9 +728,9 @@ class ClusterSim:
     def observe_state(self) -> SystemState:
         hist_mean, hist_var = window_stats(self._load_window())
         return SystemState(
-            load=self.last_load.astype(float).copy(),
+            load=self.last_load.astype(float),
             util=self.util_obs.copy(),
-            queue_len=self.queue_len.astype(float).copy(),
+            queue_len=self.queue_len.astype(float),
             hist_mean=hist_mean,
             hist_var=hist_var,
             latency_ms=self.last_latency_ms.copy(),

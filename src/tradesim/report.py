@@ -63,12 +63,11 @@ def weighted_percentile(samples, weights, level: float | Sequence[float]) -> flo
     weights = np.asarray(weights, dtype=float)
     if samples.size == 0:
         raise ValueError("percentile of an empty sample")
-    order = np.argsort(samples, kind="stable")
-    cum = np.cumsum(weights[order])
-    targets = np.asarray(level, dtype=float) * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, targets, side="left"), samples.size - 1)
-    values = samples[order][idx]
-    return float(values) if values.ndim == 0 else [float(v) for v in values]
+    order = samples.argsort(kind="stable")
+    cum = weights[order].cumsum()
+    idx = cum.searchsorted(np.asarray(level, dtype=float) * cum[-1], side="left")
+    values = samples[order[np.minimum(idx, samples.size - 1)]]
+    return float(values) if values.ndim == 0 else values.tolist()
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -110,10 +110,10 @@ class WorkloadScenario:
     _tick_counts: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.base_rate <= 0:
-            raise ConfigError(f"base_rate must be > 0, got {self.base_rate}")
-        if self.peak_rate < self.base_rate:
-            raise ConfigError("peak_rate must be >= base_rate")
+        if not (math.isfinite(self.base_rate) and self.base_rate > 0):
+            raise ConfigError(f"base_rate must be finite and > 0, got {self.base_rate}")
+        if not (math.isfinite(self.peak_rate) and self.peak_rate >= self.base_rate):
+            raise ConfigError(f"peak_rate must be finite and >= base_rate, got {self.peak_rate}")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
         if self.tick_length <= 0:

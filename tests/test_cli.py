@@ -169,6 +169,32 @@ class TestSimulateCommand:
         second = {n: (out / n).read_bytes() for n in ("summary.json", "trace.csv")}
         assert first == second
 
+    def test_service_rho_only_on_decision_ticks(self, small_files, monkeypatch):
+        sc, topo, tmp = small_files
+        rho_ticks, decided = [], []
+        rho = ClusterSim.service_rho
+        decide = ThresholdAutoscaler.decide
+
+        def spy_rho(sim):
+            value = rho(sim)
+            rho_ticks.append((sim.tick, value))
+            return value
+
+        def spy_decide(scheduler, sim, service_rho, tick):
+            decided.append((tick, service_rho))
+            return decide(scheduler, sim, service_rho, tick)
+
+        monkeypatch.setattr(ClusterSim, "service_rho", spy_rho)
+        monkeypatch.setattr(ThresholdAutoscaler, "decide", spy_decide)
+        config = ExperimentConfig(
+            scenario=str(sc), topology=str(topo), scheduler="threshold-autoscaler",
+            out=str(tmp / "run"), seed=1, decision_interval=7,
+        )
+        run_experiment(config)
+        assert [t for t, _ in rho_ticks] == list(range(0, 60, 7))
+        assert [t for t, _ in decided] == list(range(0, 60, 7))
+        assert all(a is b for (_, a), (_, b) in zip(rho_ticks, decided))
+
     def test_hybrid_scheduler_runs(self, small_files, tmp_path):
         sc, topo, tmp = small_files
         sched_cfg = tmp_path / "hybrid.json"
@@ -204,11 +230,12 @@ class TestSimulateConfigFile:
             (lambda cfg: {**cfg, "decision_interval": "10"}, "'decision_interval'"),
             (lambda cfg: {**cfg, "cache_keys": "100"}, "'cache_keys'"),
             (lambda cfg: {**cfg, "seed": 1.5}, "'seed'"),
+            (lambda cfg: {**cfg, "seed": -1}, "seed must be >= 0"),
         ],
         ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys", "retired-key",
              "zero-predictor-interval", "negative-predictor-interval",
              "negative-cache-accesses", "negative-noise", "nan-noise",
-             "string-decision-interval", "string-cache-keys", "float-seed"],
+             "string-decision-interval", "string-cache-keys", "float-seed", "negative-seed"],
     )
     def test_bad_config_exits_config(self, small_files, edit, named, capsys):
         sc, topo, tmp = small_files
@@ -225,6 +252,39 @@ class TestSimulateConfigFile:
                      "--noise-std", noise_std, "--out", str(tmp / "x")])
         assert code == EXIT_CONFIG
         assert "noise_std" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_config(self, small_files, capsys):
+        sc, topo, tmp = small_files
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--seed", "-1", "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("base_rate", float("nan")),
+                                              ("peak_rate", float("nan")),
+                                              ("peak_rate", float("inf"))])
+    def test_non_finite_scenario_rate_exits_config(self, small_files, field, value, capsys):
+        sc, topo, tmp = small_files
+        scenario = json.loads(sc.read_text())
+        sc.write_text(json.dumps({**scenario, field: value}))
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("ewma_alpha", 0), ("ewma_alpha", -1), ("ewma_alpha", 2.0), ("ewma_alpha", float("nan")),
+        ("tick_length", 0), ("tick_length", -1.0), ("tick_length", float("nan")),
+        ("tick_length", float("inf")),
+    ])
+    def test_bad_ewma_alpha_or_tick_length_exits_config(self, small_files, field, value, capsys):
+        sc, topo, tmp = small_files
+        topology = json.loads(topo.read_text())
+        topo.write_text(json.dumps({**topology, field: value}))
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
 
     def test_negative_history_window_exits_config(self, small_files, capsys):
         sc, topo, tmp = small_files

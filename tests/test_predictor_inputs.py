@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tradesim.cache import ZipfAccessDriver
+from tradesim.cache import CacheConfig, Pcg64Draws, TieredCache, ZipfAccessDriver
 from tradesim.errors import WarmupError
 from tradesim.lstm import build_dataset, feature_sequence
 from tradesim.optim import sigmoid
@@ -336,7 +336,86 @@ class _ChoiceDriver(ZipfAccessDriver):
         return self.cache.stats.memory_hit_rate
 
 
+class _ScalarDriver(ZipfAccessDriver):
+    """The driver's draws one at a time: a scalar `Generator.random()` per coin
+    and `Generator.integers()` per recent-key pick, as before the bulk read."""
+
+    def on_tick(self, tick, request_count):
+        n = min(int(request_count), self.per_tick_cap)
+        if n > 0:
+            fresh = self._cdf.searchsorted(self._rng.random(n), side="right")
+            for key_id in fresh:
+                if self._recent and self._rng.random() < self._reaccess_p:
+                    key_id = self._recent[int(self._rng.integers(len(self._recent)))]
+                key = self._keys[int(key_id)]
+                if self.cache.get(key, tick) is None:
+                    self.cache.put(key, b"v", tick)
+                self._recent.append(int(key_id))
+            if len(self._recent) > 64:
+                del self._recent[: len(self._recent) - 64]
+        return self.cache.stats.memory_hit_rate
+
+
+@st.composite
+def driver_runs(draw):
+    """(n_keys, seed, per_tick_cap, reaccess_p, per-tick request counts)."""
+    cap = draw(st.sampled_from([0, 1, 2, 7, 50, 64]))
+    count = st.sampled_from([0, 1, cap, cap + 1, 3 * cap + 5]) | st.integers(0, 120)
+    return (
+        draw(st.sampled_from([1, 3, 200, 20_000])),
+        draw(st.integers(0, 2**32 - 1)),
+        cap,
+        draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)),
+        draw(st.lists(count, min_size=1, max_size=40)),
+    )
+
+
 class TestZipfDriver:
+    @given(driver_runs())
+    def test_bulk_draws_equal_scalar_calls_after_every_tick(self, run):
+        n_keys, seed, cap, reaccess_p, counts = run
+        new_cache, old_cache = _NullCache(), _NullCache()
+        new = ZipfAccessDriver(new_cache, n_keys, seed, per_tick_cap=cap, reaccess_p=reaccess_p)
+        old = _ScalarDriver(old_cache, n_keys, seed, per_tick_cap=cap, reaccess_p=reaccess_p)
+        for tick, count in enumerate(counts):
+            new.on_tick(float(tick), count)
+            old.on_tick(float(tick), count)
+            assert new_cache.keys == old_cache.keys
+            assert new._recent == old._recent
+            # the whole state, the buffered 32-bit half (has_uint32, uinteger) too
+            assert new._rng.bit_generator.state == old._rng.bit_generator.state
+
+    def test_hit_rates_on_a_tiered_cache_equal_scalar_calls(self):
+        new = ZipfAccessDriver(TieredCache(CacheConfig(l1_capacity=64, l2_capacity=256)),
+                               n_keys=2_000, seed=5)
+        old = _ScalarDriver(TieredCache(CacheConfig(l1_capacity=64, l2_capacity=256)),
+                            n_keys=2_000, seed=5)
+        counts = np.random.default_rng(17).integers(0, 90, size=600)
+        rates = [(new.on_tick(0.5 * t, int(c)), old.on_tick(0.5 * t, int(c)))
+                 for t, c in enumerate(counts)]
+        assert [a for a, _ in rates] == [b for _, b in rates]
+        assert 0.0 < rates[-1][0] < 1.0
+        assert new.cache.stats == old.cache.stats
+        assert new._rng.bit_generator.state == old._rng.bit_generator.state
+
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    def test_rejections_read_words_past_the_buffer(self, size):
+        # 2**31 + 1 rejects about half of its 32-bit draws, so a few calls run
+        # past any small buffer of raw words
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        ref.integers(7), rng.integers(7)  # start with a buffered half
+        for _ in range(4):
+            draws = Pcg64Draws(rng, size)
+            for high in (2**31 + 1, 1, 3, 2**32, 2**31 + 1, 113):
+                assert draws.integers(high) == int(ref.integers(high))
+                assert draws.random() == ref.random()
+            draws.close()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_other_bit_generators_are_refused(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            Pcg64Draws(np.random.Generator(np.random.MT19937(0)), 4)
+
     @pytest.mark.parametrize("n_keys, seed", [(20_000, 0), (20_000, 7), (3, 1)])
     def test_key_stream_equals_choice_with_p(self, n_keys, seed):
         new_cache, old_cache = _NullCache(), _NullCache()

@@ -487,6 +487,69 @@ class TestSanitizeReuse:
         assert np.array_equal(second.quota, hold.quota)
 
 
+def assert_tick_equal(sim: ClusterSim, ref: ReferenceSim, got: SystemState, want: SystemState):
+    """One tick's outputs: the state, the reward, the trace row and the clamp count."""
+    assert_states_equal(got, want)
+    assert_arrays_equal(sim.reward_trace[-1], ref.reward_trace[-1], "reward")
+    for f in fields(TickRecord):
+        assert_arrays_equal(getattr(sim.trace[-1], f.name), getattr(ref.trace[-1], f.name), f.name)
+    assert sim.sanitized_actions == ref.sanitized_actions
+
+
+class TestStepTrims:
+    """A hold reuses the node commitment its sanitized action computed, and the
+    tick reads the capacity once; the reference computes every step in full."""
+
+    @given(topologies(), sim_kwargs(), st.integers(0, 2**32 - 1))
+    def test_holds_between_generated_actions_equal_full_path(self, topology, kwargs, seed):
+        sim, ref = ClusterSim(topology, **kwargs), ReferenceSim(topology, **kwargs)
+        rng = np.random.default_rng(seed)
+        capacity = np.asarray(topology.initial_quota) * sum(nd.cpu_capacity for nd in topology.nodes)
+        rate = capacity / np.array([s.work_units for s in topology.services])
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.2:
+                a = b = random_action(rng, sim.k, sim.n)
+            elif roll < 0.3:  # the configuration changed in place, then a hold
+                part = rng.choice(["quota", "priority", "placement"])
+                s = rng.integers(sim.k)
+                value = rng.integers(1, 8) if part == "placement" else rng.choice([0.02, 0.4, 1.5])
+                getattr(sim, part)[s] = getattr(ref, part)[s] = value
+                a, b = sim.no_op_action(), ref.no_op_action()
+            else:
+                a, b = sim.no_op_action(), ref.no_op_action()
+            counts = rng.poisson(rate)
+            assert_tick_equal(sim, ref, sim.step_counts(a, counts), ref.step_counts(b, counts))
+        assert_sims_equal(sim, ref)
+
+    def test_rescaled_commitment_just_above_one(self):
+        # [3, 3] instances at quota [0.15, 0.52] commit 2.01 on the node; divided
+        # by 2.01 they commit 1.0000000000000002, so the first hold rescales again
+        services = (ServiceSpec("a", 1.0, 5.0, 256), ServiceSpec("b", 1.0, 5.0, 256))
+        topology = ClusterTopology(
+            nodes=(NodeSpec(1000.0, 4096.0, 100.0),), services=services,
+            initial_placement=((1,), (1,)), initial_quota=(0.15, 0.52),
+            initial_priority=(0.5, 0.5), history_window=4,
+        )
+        sim = ClusterSim(topology, seed=2, record_trace=True)
+        ref = ReferenceSim(topology, seed=2, record_trace=True)
+        grow = SchedulingAction(np.array([2, 2]), np.zeros((2, 1)), np.array([0.5, 0.5]),
+                                np.array([0.15, 0.52]))
+        counts = np.array([40, 40])
+        assert_tick_equal(sim, ref, sim.step_counts(grow, counts), ref.step_counts(grow, counts))
+        assert (sim.placement.T @ sim.quota).max() > 1.0
+        rescales = sim.sanitized_actions
+        for _ in range(4):
+            assert_tick_equal(
+                sim, ref,
+                sim.step_counts(sim.no_op_action(), counts),
+                ref.step_counts(ref.no_op_action(), counts),
+            )
+        assert sim.sanitized_actions == rescales + 1  # once more, then the commitment holds
+        assert (sim.placement.T @ sim.quota).max() <= 1.0
+        assert_sims_equal(sim, ref)
+
+
 class TestConfigurationChecks:
     def test_sample_cap_below_one_is_a_config_error(self):
         # a cap of 0 used to divide by zero at the first request served
