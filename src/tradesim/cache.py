@@ -370,7 +370,7 @@ class Pcg64Draws:
     called one value at a time, answered from raw words read in bulk.
 
     numpy reads a double from the top 53 bits of one 64-bit word. It reads an
-    integer below `high` < 2**32 from 32-bit halves by Lemire's
+    integer below `high` <= 2**32 from 32-bit halves by Lemire's
     multiply-and-reject method: the low half of a fresh word, with the high
     half kept in the state (`has_uint32`, `uinteger`) for the next 32-bit read,
     across calls. `integers(1)` reads nothing. `close` leaves the generator
