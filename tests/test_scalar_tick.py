@@ -504,8 +504,8 @@ class TestStepTrims:
     def test_holds_between_generated_actions_equal_full_path(self, topology, kwargs, seed):
         sim, ref = ClusterSim(topology, **kwargs), ReferenceSim(topology, **kwargs)
         rng = np.random.default_rng(seed)
-        capacity = np.asarray(topology.initial_quota) * sum(nd.cpu_capacity for nd in topology.nodes)
-        rate = capacity / np.array([s.work_units for s in topology.services])
+        node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
+        rate = np.asarray(topology.initial_quota) * node_cpu / [s.work_units for s in topology.services]
         for _ in range(40):
             roll = rng.random()
             if roll < 0.2:
