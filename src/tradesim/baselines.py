@@ -184,7 +184,7 @@ def _path_option(value) -> str:
 
 # the HybridConfig fields a scheduler config can set; HybridConfig holds their defaults
 _HYBRID_OPTIONS = (
-    "population", "elite", "max_iter", "eval_ticks", "n_min", "n_max",
+    "population", "elite", "max_iter", "eval_ticks",
     "local_search_budget", "convergence_window", "max_instances",
 )
 

@@ -52,10 +52,6 @@ class LatencyModel:
     jitter_enabled: bool = True
     rho_cap: float = 0.9  # contention factor saturates here; beyond it queueing takes over
 
-    @property
-    def uncontended_ms(self) -> float:
-        return self.network_ms + self.processing_ms + self.data_access_ms
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

@@ -1,6 +1,6 @@
 """Hybrid GA+RL scheduler: adaptive crossover/mutation rates, elite
-preservation, non-dominated pre-filtering, policy-guided elite refinement,
-local search and adaptive population sizing over cluster configurations.
+preservation, non-dominated pre-filtering, policy-guided elite refinement and
+local search over cluster configurations, with a fixed population size.
 
 Fitness is the weighted cost  w1*T/Tmax + w2*(1-U/Umax) + w3*(1-L/Lmax),
 minimized. The adaptive-rate formulas consume quality values (negated cost)
@@ -21,8 +21,6 @@ from .workload import WorkloadScenario, generate_tick_counts
 INFEASIBLE = float("inf")
 
 LOOKAHEAD = 2  # local-search steps whose accept/reject tree rolls out in one batch
-
-ADAPT_WINDOW = 5  # generations of best-fitness history the population adaptation compares
 
 TOURNAMENT = 2  # uniform draws per tournament pick
 
@@ -421,25 +419,6 @@ def local_search(
     return best, best_f
 
 
-def adapt_population_size(
-    best_history: list[float], n_current: int, n_min: int, n_max: int,
-    window: int = ADAPT_WINDOW, stagnation: float = 0.001, fast: float = 0.05,
-) -> int:
-    """Shrink 25% on stagnation over the window, grow 25% on fast improvement."""
-    if len(best_history) < window + 1:
-        return n_current
-    then = best_history[-window - 1]
-    now = best_history[-1]
-    improvement = (then - now) / max(abs(then), 1e-12)
-    if improvement < stagnation:
-        n_new = int(round(n_current * 0.75))
-    elif improvement > fast:
-        n_new = int(round(n_current * 1.25))
-    else:
-        n_new = n_current
-    return max(n_min, min(n_max, n_new))
-
-
 # --- RL refinement ---------------------------------------------------------------
 
 
@@ -578,12 +557,9 @@ class HybridConfig:
     seed: int = 0
     eval_ticks: int = 30
     mutation_sigma: float = 0.05
-    n_min: int = 8
-    n_max: int = 16
     local_search_budget: int = 2
     convergence_window: int = 3
     max_instances: int = 3
-    adapt_population: bool = True
     rl_refinement: bool = True
 
     def __post_init__(self) -> None:
@@ -597,10 +573,6 @@ class HybridConfig:
             raise ConfigError("convergence_window must be >= 1")
         if self.elite < 1 or self.elite >= self.population:
             raise ConfigError("need 1 <= elite < population")
-        if not self.n_min <= self.population <= self.n_max:
-            raise ConfigError("population outside [n_min, n_max]")
-        if self.n_min <= self.elite:
-            raise ConfigError("n_min must exceed the elite count")
 
 
 @dataclass
@@ -611,7 +583,6 @@ class GenerationTrace:
     mean_fitness: float
     pc_mean: float
     pm_mean: float
-    population: int
 
 
 @dataclass
@@ -705,7 +676,6 @@ def hybrid_scheduling(
     trace: list[GenerationTrace] = []
     refine_totals = RefineStats()
     best_history: list[float] = []
-    n_target = config.population
     converged = False
 
     for generation in range(config.max_iter):
@@ -741,25 +711,19 @@ def hybrid_scheduling(
             if len(pool_idx) >= max(len(population) // 2, 2 * config.elite):
                 break
 
-        # propose: every random draw of the generation, before any rollout.
-        # Offspring are bred for the largest population the adaptation can ask for.
+        # propose: every random draw of the generation, before any rollout
         proposals = (
             propose_refinements(elite, elite_metrics, core, params, encoder, rng)
             if config.rl_refinement else []
         )
         moves = _draw_moves(elite[0], config.local_search_budget, rng, config.mutation_sigma)
-        n_bred = (
-            min(config.n_max, max(n_target, round(1.25 * n_target)))
-            if config.adapt_population else n_target
-        )
         offspring, pc_values, pm_values = _breed(
             [population[i] for i in pool_idx], fitnesses[pool_idx],
-            n_bred - config.elite, q_avg, q_max, config, rng,
+            config.population - config.elite, q_avg, q_max, config, rng,
         )
 
         # roll out once: the refinement candidates, local search's first move
-        # tree from either incumbent it can start from, and the offspring the
-        # next population can hold (all of them only once the adaptation can act)
+        # tree from either incumbent it can start from, and the offspring
         batch = [p.candidate for p in proposals if p.candidate is not None]
         if moves:
             incumbents = [elite[0]]
@@ -768,8 +732,7 @@ def hybrid_scheduling(
             for x in incumbents:
                 batch += _move_tree(x, moves[:LOOKAHEAD], config.max_instances)[1]
         if generation < config.max_iter - 1:
-            can_adapt = config.adapt_population and len(best_history) > ADAPT_WINDOW
-            batch += offspring if can_adapt else offspring[: n_target - config.elite]
+            batch += offspring
         evaluator.metrics_batch(batch)
 
         # consume
@@ -792,13 +755,7 @@ def hybrid_scheduling(
             best = elite[0].copy()
             best_history[-1] = best_fitness
 
-        if config.adapt_population:
-            n_target = adapt_population_size(
-                best_history, n_target, config.n_min, config.n_max
-            )
-        kept = n_target - config.elite
-        pairs = (kept + 1) // 2  # the tournament pairs that bred the kept offspring
-        population = [e.copy() for e in elite] + offspring[:kept]
+        population = [e.copy() for e in elite] + offspring
         trace.append(
             GenerationTrace(
                 generation=generation,
@@ -807,9 +764,8 @@ def hybrid_scheduling(
                 mean_fitness=float(fitnesses[np.isfinite(fitnesses)].mean())
                 if np.isfinite(fitnesses).any()
                 else INFEASIBLE,
-                pc_mean=float(np.mean(pc_values[:pairs])),
-                pm_mean=float(np.mean(pm_values[:pairs])),
-                population=len(population),
+                pc_mean=float(np.mean(pc_values)),
+                pm_mean=float(np.mean(pm_values)),
             )
         )
 
@@ -827,9 +783,9 @@ def hybrid_scheduling(
 def trace_to_csv(trace: list[GenerationTrace], path) -> None:
     from pathlib import Path
 
-    lines = ["generation,best_fitness,mean_fitness,P_c_mean,P_m_mean,N"]
+    lines = ["generation,best_fitness,mean_fitness,P_c_mean,P_m_mean"]
     lines += [
-        f"{t.generation},{t.best_fitness!r},{t.mean_fitness!r},{t.pc_mean!r},{t.pm_mean!r},{t.population}"
+        f"{t.generation},{t.best_fitness!r},{t.mean_fitness!r},{t.pc_mean!r},{t.pm_mean!r}"
         for t in trace
     ]
     Path(path).write_text("\n".join(lines) + "\n")

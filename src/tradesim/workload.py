@@ -179,23 +179,14 @@ def _tidal_index(profile: tuple[tuple[int, float], ...]) -> tuple[list[int], lis
     return offsets, [mult for _, mult in profile]
 
 
-def _step_at(steps: tuple[list[int], list[float]], t: int) -> float:
-    offsets, mults = steps
-    idx = bisect_right(offsets, t) - 1
-    return mults[idx] if idx >= 0 else 1.0
-
-
-def tidal_multiplier(profile: tuple[tuple[int, float], ...], t: int) -> float:
-    """Step profile: the multiplier of the last breakpoint at or before t (1.0 if none)."""
-    return _step_at(_tidal_index(profile), t)
-
-
 def rate_profile(scenario: WorkloadScenario, t: int) -> float:
     """Deterministic arrival rate lambda(t) in requests/second."""
     if not 0 <= t < scenario.horizon:
         raise ValueError(f"tick {t} outside horizon [0, {scenario.horizon})")
+    offsets, mults = scenario._tidal_steps
+    idx = bisect_right(offsets, t) - 1  # the last breakpoint at or before t
     rate = scenario.base_rate
-    rate *= _step_at(scenario._tidal_steps, t)
+    rate *= mults[idx] if idx >= 0 else 1.0
     if scenario.ramp is not None:
         rate *= scenario.ramp.factor_at(t)
     for burst in scenario.bursts:

@@ -98,8 +98,7 @@ def run_scheduler_experiment(kind: str, scenario, topology, seed: int, interval:
     """In-process simulate loop mirroring the CLI (no file IO)."""
     sched = make_scheduler(
         kind, seed=seed, scenario=scenario, topology=topology,
-        options={"population": 8, "elite": 2, "max_iter": 3, "eval_ticks": 20,
-                 "n_min": 6, "n_max": 10},
+        options={"population": 8, "elite": 2, "max_iter": 3, "eval_ticks": 20},
     )
     sim = ClusterSim(topology, seed=seed, noise=NoiseSpec(std=0.0))
     node_work = np.zeros(sim.n)
@@ -273,9 +272,8 @@ class TestC05GaSuite:
         for seed in range(10):
             config = HybridConfig(
                 population=14, elite=2, max_iter=30, seed=seed, eval_ticks=30,
-                n_min=6, n_max=20, mutation_sigma=0.0, max_instances=2,
-                local_search_budget=8, rl_refinement=False, adapt_population=False,
-                convergence_window=40,
+                mutation_sigma=0.0, max_instances=2, local_search_budget=8,
+                rl_refinement=False, convergence_window=40,
             )
             # whole initial population on the oracle's quantized grid
             rng = np.random.default_rng(seed)

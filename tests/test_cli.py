@@ -200,7 +200,7 @@ class TestSimulateCommand:
         sched_cfg = tmp_path / "hybrid.json"
         sched_cfg.write_text(json.dumps({
             "population": 6, "elite": 1, "max_iter": 2, "eval_ticks": 10,
-            "n_min": 4, "n_max": 8, "local_search_budget": 1,
+            "local_search_budget": 1,
         }))
         config = ExperimentConfig(
             scenario=str(sc), topology=str(topo), scheduler="hybrid",
@@ -333,6 +333,8 @@ class TestSchedulerConfig:
             ("hybrid", {"local_search_budget": -2}, "local_search_budget"),
             ("hybrid", {"convergence_window": 0}, "convergence_window"),
             ("hybrid", {"convergence_window": -1}, "convergence_window"),
+            ("hybrid", {"n_min": 6}, "'n_min'"),
+            ("hybrid", {"n_max": 12}, "'n_max'"),
         ],
     )
     def test_bad_option_exits_config(self, small_files, kind, options, named, capsys):
@@ -345,6 +347,17 @@ class TestSchedulerConfig:
         ])
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("population", [4, 20])
+    def test_any_population_above_the_elite_runs(self, small_files, population):
+        sc, topo, tmp = small_files
+        cfg = tmp / "sched.json"
+        cfg.write_text(json.dumps({"population": population}))
+        code = main([
+            "simulate", "--scenario", str(sc), "--topology", str(topo),
+            "--scheduler", "hybrid", "--scheduler-config", str(cfg), "--out", str(tmp / "x"),
+        ])
+        assert code == 0
 
     def test_invalid_json_exits_config(self, small_files):
         sc, topo, tmp = small_files
@@ -367,7 +380,7 @@ class TestSchedulerConfig:
 
     def test_hybrid_defaults_are_hybrid_configs(self):
         names = (
-            "population", "elite", "max_iter", "eval_ticks", "n_min", "n_max",
+            "population", "elite", "max_iter", "eval_ticks",
             "local_search_budget", "convergence_window", "max_instances",
         )
         defaults = HybridConfig()

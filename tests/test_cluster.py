@@ -103,10 +103,10 @@ class TestStep:
         assert state.latency_ms[0] == pytest.approx(85.0, abs=1e-9)
 
     def test_latency_components_example(self):
-        model = LatencyModel(network_ms=15, processing_ms=45, data_access_ms=25, jitter_enabled=False)
         sim = make_sim(topology=two_service_topology(node_cpu=100000.0))
         state = sim.step_counts(no_op(sim), counts(sim, 0, 1))
-        assert state.latency_ms[1] == pytest.approx(model.uncontended_ms, abs=1e-9)
+        # network 15 + processing 45 + data access 25 ms, uncontended
+        assert state.latency_ms[1] == pytest.approx(85.0, abs=1e-9)
 
     def test_overload_grows_queue_monotonically(self):
         # offered 2x effective capacity: a lone backlogged service can drain

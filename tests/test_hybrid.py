@@ -15,7 +15,6 @@ from tradesim.hybrid import (
     RolloutEvaluator,
     _draw_moves,
     _tournament_index,
-    adapt_population_size,
     adaptive_rates,
     apply_record_to_chromosome,
     crossover,
@@ -318,23 +317,6 @@ class TestLocalSearch:
             local_search(x, batched(lambda c: 0.0), [])
 
 
-class TestAdaptPopulation:
-    def test_stagnation_shrinks_25_percent(self):
-        history = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        assert adapt_population_size(history, 40, 20, 60) == 30
-
-    def test_clamped_at_minimum(self):
-        history = [1.0] * 6
-        assert adapt_population_size(history, 20, 20, 60) == 20
-
-    def test_fast_improvement_grows_25_percent(self):
-        history = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]
-        assert adapt_population_size(history, 40, 20, 60) == 50
-
-    def test_short_history_unchanged(self):
-        assert adapt_population_size([1.0, 0.5], 40, 20, 60) == 40
-
-
 class TestRefinement:
     def test_zero_delta_reward_is_zero(self):
         assert refine_reward(0.0, 0.0, 0.0) == 0.0
@@ -385,7 +367,7 @@ class TestHybridScheduling:
     def small_config(self, **kw) -> HybridConfig:
         cfg = dict(
             population=8, elite=2, max_iter=4, seed=3, eval_ticks=30,
-            n_min=6, n_max=12, local_search_budget=2, convergence_window=10,
+            local_search_budget=2, convergence_window=10,
         )
         cfg.update(kw)
         return HybridConfig(**cfg)
@@ -405,19 +387,12 @@ class TestHybridScheduling:
         fits = [t.best_fitness for t in result.trace]
         assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
 
-    def test_population_size_tracks_target_each_generation(self):
-        result = hybrid_scheduling(
-            toy_scenario(), toy_topology(), self.small_config(max_iter=6)
-        )
-        for t in result.trace:
-            assert t.population >= 6 and t.population <= 12
-
-    def test_population_size_exact_without_adaptation(self):
-        result = hybrid_scheduling(
-            toy_scenario(), toy_topology(),
-            self.small_config(max_iter=5, adapt_population=False),
-        )
-        assert all(t.population == 8 for t in result.trace)
+    def test_population_size_is_config_population(self):
+        # an even and an odd number of offspring per generation
+        for elite in (2, 3):
+            config = self.small_config(max_iter=6, elite=elite)
+            result = hybrid_scheduling(toy_scenario(), toy_topology(), config)
+            assert len(result.population) == config.population
 
     def test_rates_within_bounds_each_generation(self):
         result = hybrid_scheduling(
@@ -461,9 +436,8 @@ class TestHybridScheduling:
 
         config = HybridConfig(
             population=14, elite=2, max_iter=30, seed=1, eval_ticks=30,
-            n_min=6, n_max=20, mutation_sigma=0.0, max_instances=2,
-            local_search_budget=8, rl_refinement=False, adapt_population=False,
-            convergence_window=40,
+            mutation_sigma=0.0, max_instances=2, local_search_budget=8,
+            rl_refinement=False, convergence_window=40,
         )
         rng = np.random.default_rng(1)
         init = [
@@ -498,7 +472,7 @@ class TestRollingHorizon:
         monkeypatch.setattr(baselines_module, "hybrid_scheduling", spy)
         config = HybridConfig(
             population=8, elite=2, max_iter=max_iter, seed=3, eval_ticks=30,
-            n_min=6, n_max=12, local_search_budget=2, convergence_window=10,
+            local_search_budget=2, convergence_window=10,
         )
         scenario, topology = toy_scenario(), toy_topology()
         scheduler = HybridScheduler(scenario=scenario, topology=topology, config=config)

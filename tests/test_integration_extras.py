@@ -117,13 +117,13 @@ class TestRlRefine:
 class TestHybridTraceCsv:
     def test_trace_csv_columns(self, tmp_path):
         trace = [
-            GenerationTrace(0, 0.5, 0.5, 0.7, 0.6, 0.065, 12),
-            GenerationTrace(1, 0.4, 0.45, 0.6, 0.9, 0.1, 12),
+            GenerationTrace(0, 0.5, 0.5, 0.7, 0.6, 0.065),
+            GenerationTrace(1, 0.4, 0.45, 0.6, 0.9, 0.1),
         ]
         path = tmp_path / "ga.csv"
         trace_to_csv(trace, path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "generation,best_fitness,mean_fitness,P_c_mean,P_m_mean,N"
+        assert lines[0] == "generation,best_fitness,mean_fitness,P_c_mean,P_m_mean"
         assert len(lines) == 3
         assert lines[1].startswith("0,0.5,")
 

@@ -30,7 +30,6 @@ from tradesim.workload import (
     _window_slope,
     extract_features,
     rate_profile,
-    tidal_multiplier,
 )
 
 # --- test-only copies of the replaced code -----------------------------------
@@ -246,9 +245,6 @@ class TestRateProfile:
         )
         for t in range(scenario.horizon):
             assert _bits(rate_profile(scenario, t)) == _bits(old_rate_profile(scenario, t))
-            assert tidal_multiplier(scenario.tidal_profile, t) == old_tidal_multiplier(
-                scenario.tidal_profile, t
-            )
 
     def test_index_is_not_part_of_equality(self):
         a = WorkloadScenario(base_rate=1.0, peak_rate=2.0, horizon=5, seed=0,

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import tradesim.hybrid as hybrid_module
 from tradesim.baselines import scheduler_options
 from tradesim.cluster import uniform_topology
 from tradesim.drl.policy import (
@@ -50,7 +49,6 @@ from tradesim.hybrid import (
     _draw_moves,
     _neighbor,
     _tournament_index,
-    adapt_population_size,
     adaptive_rates,
     apply_record_to_chromosome,
     crossover,
@@ -287,7 +285,7 @@ def step_by_step_ga(
 
     best, best_fitness = None, INFEASIBLE
     trace, totals, history = [], RefineStats(), []
-    n_target, converged = config.population, False
+    converged = False
     for generation in range(config.max_iter):
         metrics = evaluator.metrics_batch(population)
         fits = np.array([fitness(m) for m in metrics])
@@ -317,11 +315,8 @@ def step_by_step_ga(
                 record, _ = core.act(params, features, "sample", rng)
                 actions.append((features, record, *apply_record_to_chromosome(record, chromo)))
         moves = _draw_moves(elite[0], config.local_search_budget, rng, config.mutation_sigma)
-        largest = n_target
-        if config.adapt_population:
-            largest = min(config.n_max, max(n_target, round(1.25 * n_target)))
         offspring, pc_values, pm_values = [], [], []
-        while len(offspring) < largest - config.elite:
+        while len(offspring) < config.population - config.elite:
             ia = _tournament_index(pool_fits, TOURNAMENT, rng)
             ib = _tournament_index(pool_fits, TOURNAMENT, rng)
             p_c, p_m = adaptive_rates(float(-min(pool_fits[ia], pool_fits[ib])), q_avg, q_max)
@@ -329,7 +324,7 @@ def step_by_step_ga(
             pm_values.append(p_m)
             c1, c2 = crossover(pool[ia], pool[ib], p_c, rng)
             for child in (c1, c2):
-                if len(offspring) < largest - config.elite:
+                if len(offspring) < config.population - config.elite:
                     offspring.append(
                         mutate(child, p_m, rng, config.mutation_sigma, config.max_instances)
                     )
@@ -368,18 +363,14 @@ def step_by_step_ga(
         if elite_fits[0] < best_fitness:
             best, best_fitness = elite[0].copy(), float(elite_fits[0])
             history[-1] = best_fitness
-        if config.adapt_population:
-            n_target = adapt_population_size(history, n_target, config.n_min, config.n_max)
-        kept = n_target - config.elite
-        population = [e.copy() for e in elite] + offspring[:kept]
+        population = [e.copy() for e in elite] + offspring
         trace.append(GenerationTrace(
             generation=generation,
             best_fitness=best_fitness,
             gen_best_fitness=float(fits[gen_best]),
             mean_fitness=float(finite.mean()) if finite.size else INFEASIBLE,
-            pc_mean=float(np.mean(pc_values[: (kept + 1) // 2])),
-            pm_mean=float(np.mean(pm_values[: (kept + 1) // 2])),
-            population=len(population),
+            pc_mean=float(np.mean(pc_values)),
+            pm_mean=float(np.mean(pm_values)),
         ))
         w = config.convergence_window
         if len(history) > w and history[-w - 1] - history[-1] < CONVERGENCE_EPS:
@@ -392,9 +383,9 @@ CLI_DEFAULTS = scheduler_options("hybrid", {})
 GA_CONFIGS = {
     "cli-defaults": dict(CLI_DEFAULTS),
     # HybridConfig's defaults before it took the CLI's: a long run with
-    # multi-tree local search, population adaptation and convergence
+    # multi-tree local search and convergence
     "config-defaults": dict(
-        population=24, elite=4, max_iter=30, eval_ticks=120, n_min=8, n_max=48,
+        population=24, elite=4, max_iter=30, eval_ticks=120,
         local_search_budget=4, convergence_window=10, max_instances=3,
     ),
     "elite-1": dict(CLI_DEFAULTS, elite=1),
@@ -403,7 +394,6 @@ GA_CONFIGS = {
     "budget-3": dict(CLI_DEFAULTS, local_search_budget=3),
     "budget-5": dict(CLI_DEFAULTS, local_search_budget=5),
     "no-refinement": dict(CLI_DEFAULTS, rl_refinement=False),
-    "no-adaptation": dict(CLI_DEFAULTS, adapt_population=False),
 }
 
 
@@ -476,39 +466,6 @@ def test_three_rollout_calls_per_generation_at_cli_defaults(monkeypatch, topolog
     result = run_ga(scenario, topology, HybridConfig(seed=seed, **CLI_DEFAULTS))
     assert len(sizes) <= 1 + len(result.trace)
     assert 4 * sizes.count(1) <= len(sizes)
-
-
-@pytest.mark.parametrize("topology_kind", ["default", "c03"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batch_holds_only_offspring_the_next_population_keeps(
-    monkeypatch, topology_kind, seed
-):
-    # At CLI defaults the population adaptation cannot act within max_iter = 4
-    # generations, so 2 of the 10 offspring bred each generation are never kept.
-    # With ADAPT_WINDOW at 0 the batch holds every offspring bred, as it did
-    # before; the default window of adapt_population_size stays 5, so the runs
-    # must be equal and only the rolled-out total differ.
-    scenario = market_open(2 * seed)
-    topology = topology_of(topology_kind, scenario)
-    config = HybridConfig(seed=seed, **CLI_DEFAULTS)
-    rollouts = RolloutEvaluator._rollouts
-
-    def run(adapt_window: int) -> tuple[HybridResult, list[tuple]]:
-        rolled: list[tuple] = []
-
-        def counting(self, chromos):
-            rolled.extend(tuple(chromosome_bytes(c)) for c in chromos)
-            return rollouts(self, chromos)
-
-        monkeypatch.setattr(RolloutEvaluator, "_rollouts", counting)
-        monkeypatch.setattr(hybrid_module, "ADAPT_WINDOW", adapt_window)
-        return run_ga(scenario, topology, config), rolled
-
-    trimmed, kept_only = run(hybrid_module.ADAPT_WINDOW)
-    full, every_bred = run(0)
-    assert_same_run(trimmed, full)
-    assert set(kept_only) <= set(every_bred)
-    assert len(kept_only) < len(every_bred)
 
 
 # --- checkpoints ------------------------------------------------------------------
