@@ -387,10 +387,29 @@ class TestHybridScheduling:
         fits = [t.best_fitness for t in result.trace]
         assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
 
-    def test_population_size_is_config_population(self):
-        # an even and an odd number of offspring per generation
+    def test_population_size_tracks_target_each_generation(self, monkeypatch):
+        # every generation breeds exactly population - elite offspring, for
+        # an even and an odd offspring count
+        import tradesim.hybrid as hybrid_module
+
+        bred: list[int] = []
+        breed = hybrid_module._breed
+
+        def spy(*args, **kwargs):
+            out = breed(*args, **kwargs)
+            bred.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(hybrid_module, "_breed", spy)
         for elite in (2, 3):
+            bred.clear()
             config = self.small_config(max_iter=6, elite=elite)
+            hybrid_scheduling(toy_scenario(), toy_topology(), config)
+            assert bred == [config.population - config.elite] * config.max_iter
+
+    def test_population_size_exact_without_adaptation(self):
+        for elite in (2, 3):
+            config = self.small_config(max_iter=5, elite=elite)
             result = hybrid_scheduling(toy_scenario(), toy_topology(), config)
             assert len(result.population) == config.population
 
