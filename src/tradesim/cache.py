@@ -1,20 +1,18 @@
-"""Three-level cache: in-process LRU (L1), consistent-hash sharded tier (L2)
-and an authoritative persistent map (L3) with MVCC versioned reads.
+"""Three-level cache: in-process LRU (L1), a larger LRU tier (L2) and an
+authoritative in-memory map (L3) with MVCC versioned reads.
 
-Time is caller-driven, in seconds; expiry is lazy (checked on access) plus an
-explicit purge. Single-writer / multi-reader: the simulator drives it
-single-threaded.
+L2 is one LRU tier: `get` and `put` do not route keys through the `HashRing`
+that `TieredCache` builds from `l2_shards`. Time is caller-driven, in seconds;
+expiry is lazy (checked on access, or when an expired entry is the LRU
+victim). Single-writer / multi-reader: the simulator drives it single-threaded.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -32,11 +30,9 @@ def stable_hash64(data: bytes) -> int:
 
 @dataclass
 class CacheEntry:
-    key: bytes
     value: bytes
     version: int
     inserted_at: float
-    last_access: float
 
 
 @dataclass(frozen=True)
@@ -69,10 +65,6 @@ class TierStats:
     evictions: int = 0
     expired: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
 
 @dataclass
 class CacheStats:
@@ -85,10 +77,6 @@ class CacheStats:
     @property
     def memory_hit_rate(self) -> float:
         return self.memory_hits / self.total_gets if self.total_gets else 0.0
-
-    @property
-    def defined(self) -> bool:
-        return self.total_gets > 0
 
 
 class HashRing:
@@ -134,23 +122,14 @@ class HashRing:
 
 
 class _LruTier:
-    """One bounded LRU tier with per-entry TTL; holds the latest version only."""
+    """One bounded LRU tier with per-entry TTL; holds the latest version only.
+    The `OrderedDict` order is the recency order, least recent first."""
 
-    def __init__(self, name: str, capacity: int, ttl: float, stats: TierStats):
-        self.name = name
+    def __init__(self, capacity: int, ttl: float, stats: TierStats):
         self.capacity = capacity
         self.ttl = ttl
         self.stats = stats
         self._entries: OrderedDict[bytes, CacheEntry] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._entries
-
-    def peek(self, key: bytes) -> CacheEntry | None:
-        return self._entries.get(key)
 
     def lookup(self, key: bytes, now: float, max_version: int | None = None) -> CacheEntry | None:
         """TTL-aware lookup; refreshes recency on hit, drops expired entries.
@@ -170,7 +149,6 @@ class _LruTier:
         if max_version is not None and entry.version > max_version:
             self.stats.misses += 1
             return None
-        entry.last_access = now
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
@@ -186,46 +164,20 @@ class _LruTier:
                 self.stats.expired += 1
             else:
                 self.stats.evictions += 1
-        self._entries[key] = CacheEntry(key, value, version, now, now)
-
-    def evict_one(self, now: float) -> bytes | None:
-        """Drop one entry: expired entries first, else the LRU victim."""
-        for k, entry in self._entries.items():
-            if now - entry.inserted_at > self.ttl:
-                del self._entries[k]
-                self.stats.expired += 1
-                return k
-        if not self._entries:
-            return None
-        k, _ = self._entries.popitem(last=False)
-        self.stats.evictions += 1
-        return k
-
-    def purge_expired(self, now: float) -> int:
-        stale = [k for k, e in self._entries.items() if now - e.inserted_at > self.ttl]
-        for k in stale:
-            del self._entries[k]
-        self.stats.expired += len(stale)
-        return len(stale)
-
-    def discard(self, key: bytes) -> None:
-        self._entries.pop(key, None)
+        self._entries[key] = CacheEntry(value, version, now)
 
 
 class TieredCache:
     """L1 -> L2 -> L3 lookup with upward promotion and MVCC snapshot reads."""
 
-    def __init__(self, config: CacheConfig | None = None, log_path: str | Path | None = None):
+    def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
         self.stats = CacheStats()
-        self._l1 = _LruTier(L1, self.config.l1_capacity, self.config.l1_ttl, self.stats.l1)
-        self._l2 = _LruTier(L2, self.config.l2_capacity, self.config.l2_ttl, self.stats.l2)
+        self._l1 = _LruTier(self.config.l1_capacity, self.config.l1_ttl, self.stats.l1)
+        self._l2 = _LruTier(self.config.l2_capacity, self.config.l2_ttl, self.stats.l2)
         self.ring = HashRing(self.config.l2_shards, self.config.l2_virtual_nodes)
-        # L3: key -> list of (version, value, tick), newest last; never expires
-        self._l3: dict[bytes, list[tuple[int, bytes, float]]] = {}
-        self._log: BinaryIO | None = open(log_path, "ab") if log_path else None
-
-    # -- core operations -------------------------------------------------
+        # L3: key -> list of (version, value), oldest first; never expires
+        self._l3: dict[bytes, list[tuple[int, bytes]]] = {}
 
     def get(
         self, key: bytes, now: float, snapshot_version: int | None = None
@@ -251,13 +203,13 @@ class TieredCache:
         versions = self._l3.get(key)
         if versions:
             if snapshot_version is None:
-                version, value, _ = versions[-1]
+                version, value = versions[-1]
             else:
                 candidates = [v for v in versions if v[0] <= snapshot_version]
                 if not candidates:
                     self.stats.l3.misses += 1
                     return None
-                version, value, _ = candidates[-1]
+                version, value = candidates[-1]
             self.stats.l3.hits += 1
             if snapshot_version is None:  # promote only latest-version reads
                 self._l2.install(key, value, version, now)
@@ -270,99 +222,17 @@ class TieredCache:
         """Write through to L3 (authoritative) and install in L2/L1."""
         versions = self._l3.setdefault(key, [])
         version = versions[-1][0] + 1 if versions else 1
-        versions.append((version, value, now))
+        versions.append((version, value))
         if len(versions) > self.config.mvcc_retention:
             del versions[: len(versions) - self.config.mvcc_retention]
         self._l2.install(key, value, version, now)
         self._l1.install(key, value, version, now)
-        if self._log is not None:
-            self._log.write(encode_log_record(key, value, version, int(now)))
-            self._log.flush()
         return version
-
-    def evict_lru(self, tier: str, now: float) -> bytes | None:
-        if tier == L1:
-            return self._l1.evict_one(now)
-        if tier == L2:
-            return self._l2.evict_one(now)
-        raise ConfigError(f"evict_lru only applies to L1/L2, got {tier!r}")
-
-    def purge_expired(self, now: float) -> int:
-        return self._l1.purge_expired(now) + self._l2.purge_expired(now)
-
-    # -- ring management ---------------------------------------------------
-
-    def add_shard(self, shard: int) -> None:
-        self.ring.add_shard(shard)
-
-    def remove_shard(self, shard: int) -> None:
-        self.ring.remove_shard(shard)
-
-    # -- introspection ----------------------------------------------------
-
-    def tier_len(self, tier: str) -> int:
-        if tier == L1:
-            return len(self._l1)
-        if tier == L2:
-            return len(self._l2)
-        return len(self._l3)
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
         self._l1.stats = self.stats.l1
         self._l2.stats = self.stats.l2
-
-    def memory_hit_rate(self) -> float:
-        return self.stats.memory_hit_rate
-
-    def close(self) -> None:
-        if self._log is not None:
-            self._log.close()
-            self._log = None
-
-
-# --- write-through log format: [u32 klen][key][u32 vlen][value][u64 ver][u64 tick]
-
-
-def encode_log_record(key: bytes, value: bytes, version: int, tick: int) -> bytes:
-    return (
-        struct.pack("<I", len(key))
-        + key
-        + struct.pack("<I", len(value))
-        + value
-        + struct.pack("<QQ", version, tick)
-    )
-
-
-def read_log(path: str | Path) -> list[tuple[bytes, bytes, int, int]]:
-    records = []
-    raw = Path(path).read_bytes()
-    off = 0
-    while off < len(raw):
-        (klen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        key = raw[off : off + klen]
-        off += klen
-        (vlen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        value = raw[off : off + vlen]
-        off += vlen
-        version, tick = struct.unpack_from("<QQ", raw, off)
-        off += 16
-        records.append((key, value, version, tick))
-    return records
-
-
-def replay_trace(cache: TieredCache, rows: list[tuple[float, str, bytes]]) -> CacheStats:
-    """Replay (tick, op, key) rows; puts write a tick-derived placeholder value."""
-    for tick, op, key in rows:
-        if op == "get":
-            cache.get(key, tick)
-        elif op == "put":
-            cache.put(key, b"v%d" % int(tick), tick)
-        else:
-            raise ConfigError(f"unknown trace op {op!r}")
-    return cache.stats
 
 
 class Pcg64Draws:

@@ -21,6 +21,7 @@ from .baselines import SCHEDULER_OPTIONS, make_scheduler
 from .cache import CacheConfig, TieredCache, ZipfAccessDriver
 from .cluster import (
     ClusterSim,
+    ClusterTopology,
     NoiseSpec,
     SchedulingAction,
     load_topology,
@@ -106,12 +107,25 @@ def _echo_resolved(config) -> None:
     print(json.dumps(asdict(config), indent=2))
 
 
+def _load_inputs(
+    scenario_path: str, topology_path: str
+) -> tuple[WorkloadScenario, ClusterTopology]:
+    """The scenario and the topology, which must agree on the tick length:
+    arrival rates and TPS use the scenario's, queue times the topology's."""
+    scenario, topology = load_scenario(scenario_path), load_topology(topology_path)
+    if scenario.tick_length != topology.tick_length:
+        raise ConfigError(
+            f"scenario tick_length {scenario.tick_length} s != topology tick_length "
+            f"{topology.tick_length} s"
+        )
+    return scenario, topology
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     """Deterministic simulate loop: scheduler decisions on the decision grid,
     optional predictor-triggered proactive scale-ups, live cache hit rate."""
     config.validate()
-    scenario = load_scenario(config.scenario)
-    topology = load_topology(config.topology)
+    scenario, topology = _load_inputs(config.scenario, config.topology)
     options = {}
     if config.scheduler_config:
         try:
@@ -403,8 +417,7 @@ def cmd_train_drl(args) -> int:
     _check_training_flags(args, {"episodes": 0, "decision_interval": 1})
     phase_ns: dict[str, int] = {}
     started = time.perf_counter_ns()
-    scenario = load_scenario(args.scenario)
-    topology = load_topology(args.topology)
+    scenario, topology = _load_inputs(args.scenario, args.topology)
     encoder = StateEncoder(
         mode="full",
         service_count=topology.service_count,

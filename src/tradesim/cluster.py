@@ -94,7 +94,6 @@ class ClusterTopology:
     latency: LatencyModel = field(default_factory=LatencyModel)
     history_window: int = 60  # ticks of load statistics
     ewma_alpha: float = 0.2
-    queue_reference: float = 1000.0  # requests; normalizes the compact L component
     tick_length: float = 1.0  # seconds
 
     def __post_init__(self) -> None:
@@ -184,16 +183,6 @@ class SystemState:
     latency_ms: np.ndarray  # (k,) mean completed-request latency last tick
     throughput: np.ndarray  # (k,) completions per second
     tick: int = 0
-
-    def dimensions(self) -> dict[str, int]:
-        k = len(self.load)
-        return {
-            "d_l": k,
-            "d_r": self.util.size,
-            "d_g": k,
-            "d_h": 2 * k,
-            "d_p": 2 * k,
-        }
 
 
 def service_latency(
@@ -949,7 +938,6 @@ def topology_to_dict(topo: ClusterTopology) -> dict:
         },
         "history_window": topo.history_window,
         "ewma_alpha": topo.ewma_alpha,
-        "queue_reference": topo.queue_reference,
         "tick_length": topo.tick_length,
     }
 
@@ -965,7 +953,6 @@ def topology_from_dict(data: dict) -> ClusterTopology:
             latency=LatencyModel(**data.get("latency", {})),
             history_window=data.get("history_window", 60),
             ewma_alpha=data.get("ewma_alpha", 0.2),
-            queue_reference=data.get("queue_reference", 1000.0),
             tick_length=data.get("tick_length", 1.0),
         )
     except (KeyError, TypeError) as exc:

@@ -779,13 +779,3 @@ def hybrid_scheduling(
         best, best_fitness, trace, refine_totals, converged, population, params, adam_state
     )
 
-
-def trace_to_csv(trace: list[GenerationTrace], path) -> None:
-    from pathlib import Path
-
-    lines = ["generation,best_fitness,mean_fitness,P_c_mean,P_m_mean"]
-    lines += [
-        f"{t.generation},{t.best_fitness!r},{t.mean_fitness!r},{t.pc_mean!r},{t.pm_mean!r}"
-        for t in trace
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")

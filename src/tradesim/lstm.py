@@ -441,23 +441,17 @@ def build_dataset(
 
 
 def accuracy(predictions, actuals, tolerance: float = 0.10) -> float:
-    frac, _ = accuracy_detail(predictions, actuals, tolerance)
-    return frac
-
-
-def accuracy_detail(predictions, actuals, tolerance: float = 0.10) -> tuple[float, int]:
     """Fraction of points with |pred-actual|/actual <= tolerance; zero-valued
-    actuals are excluded from the denominator and counted."""
+    actuals are excluded from the denominator."""
     preds = np.asarray(predictions, dtype=float)
     acts = np.asarray(actuals, dtype=float)
     if preds.shape != acts.shape:
         raise ValueError("prediction/actual length mismatch")
     valid = acts != 0.0
-    excluded = int(np.sum(~valid))
     if not np.any(valid):
-        return 0.0, excluded
+        return 0.0
     rel = np.abs(preds[valid] - acts[valid]) / np.abs(acts[valid])
-    return float(np.mean(rel <= tolerance)), excluded
+    return float(np.mean(rel <= tolerance))
 
 
 # --- checkpointing -------------------------------------------------------------

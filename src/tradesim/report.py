@@ -1,4 +1,4 @@
-"""Latency percentiles, lognormal fits, and cross-run comparison tables."""
+"""Latency percentiles and cross-run comparison tables."""
 
 from __future__ import annotations
 
@@ -70,39 +70,6 @@ def weighted_percentile(samples, weights, level: float | Sequence[float]) -> flo
     return float(values) if values.ndim == 0 else values.tolist()
 
 
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
-
-
-def fit_lognormal(samples) -> tuple[float, float, float]:
-    """MLE (mu, sigma) on log-samples plus the KS statistic against the fit."""
-    data = np.asarray(samples, dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot fit an empty sample")
-    if np.any(data <= 0):
-        raise ValueError("lognormal fit requires strictly positive samples")
-    logs = np.log(data)
-    mu = float(logs.mean())
-    sigma = float(logs.std())
-    if sigma < 1e-12 * max(1.0, abs(mu)):  # constant sample: exactly degenerate
-        sigma = 0.0
-    n = data.size
-    sorted_logs = np.sort(logs)
-    if sigma == 0.0:
-        ks = 0.0
-    else:
-        fitted = _normal_cdf((sorted_logs - mu) / sigma)
-        i = np.arange(1, n + 1)
-        ks = float(np.max(np.maximum(i / n - fitted, fitted - (i - 1) / n)))
-    return mu, sigma, ks
-
-
-def ks_critical_value(n: int, alpha: float = 0.05) -> float:
-    """Asymptotic two-sided KS critical value."""
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
-    return c / math.sqrt(n)
-
-
 _LOWER_IS_BETTER = ("latency", "_ms", "backlog", "sanitized")
 
 
@@ -166,14 +133,3 @@ def save_comparison_csv(table: dict[str, dict[str, float]], path: str | Path) ->
                 [metric, repr(row["before"]), repr(row["after"]), repr(row["improvement_pct"])]
             )
 
-
-def load_comparison_csv(path: str | Path) -> dict[str, dict[str, float]]:
-    table: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            table[row["metric"]] = {
-                "before": float(row["before"]),
-                "after": float(row["after"]),
-                "improvement_pct": float(row["improvement_pct"]),
-            }
-    return table

@@ -116,15 +116,17 @@ class WorkloadScenario:
             raise ConfigError(f"peak_rate must be finite and >= base_rate, got {self.peak_rate}")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
-        if self.tick_length <= 0:
-            raise ConfigError("tick_length must be > 0")
+        if not (math.isfinite(self.tick_length) and self.tick_length > 0):
+            raise ConfigError(f"tick_length must be finite and > 0, got {self.tick_length}")
         if not self.service_mix:
             raise ConfigError("service_mix must not be empty")
         if sum(s.weight for s in self.service_mix) <= 0:
             raise ConfigError("service mix weights must sum to > 0")
         for off, mult in self.tidal_profile:
-            if mult <= 0:
-                raise ConfigError(f"tidal multiplier must be > 0, got {mult} at {off}")
+            if not (math.isfinite(mult) and mult > 0):
+                raise ConfigError(
+                    f"tidal_profile multiplier must be finite and > 0, got {mult} at {off}"
+                )
         object.__setattr__(self, "_tidal_steps", _tidal_index(self.tidal_profile))
         object.__setattr__(self, "_tick_counts", {})
 

@@ -10,8 +10,6 @@ from tradesim.cache import (
     CacheConfig,
     HashRing,
     TieredCache,
-    encode_log_record,
-    read_log,
     stable_hash64,
 )
 from tradesim.errors import ConfigError
@@ -109,30 +107,13 @@ class TestLru:
         c.put(b"b", b"2", 0.1)
         c.get(b"a", 0.2)
         c.put(b"c", b"3", 0.3)
-        assert c._l1.peek(b"b") is None
-        assert c._l1.peek(b"a") is not None and c._l1.peek(b"c") is not None
+        assert list(c._l1._entries) == [b"a", b"c"]
 
     def test_capacity_never_exceeded(self):
         c = small_cache(l1_capacity=3, l2_capacity=5)
         for i in range(40):
             c.put(b"k%d" % i, b"v", float(i) * 0.01)
-            assert c.tier_len(L1) <= 3 and c.tier_len(L2) <= 5
-
-    def test_expired_purged_before_lru_eviction(self):
-        c = small_cache(l1_capacity=3)
-        c.put(b"old", b"v", 0.0)
-        c.put(b"new", b"v", 50.0)  # "old" now expired in L1 (ttl 10)
-        victim = c.evict_lru(L1, now=50.0)
-        assert victim == b"old"
-        assert c.stats.l1.expired >= 1
-
-    def test_evict_on_empty_tier_returns_none(self):
-        c = small_cache()
-        assert c.evict_lru(L1, 0.0) is None
-
-    def test_evict_rejects_l3(self):
-        with pytest.raises(ConfigError):
-            small_cache().evict_lru(L3, 0.0)
+            assert len(c._l1._entries) <= 3 and len(c._l2._entries) <= 5
 
     def test_hot_key_survives_insert_pressure(self):
         c = small_cache(l1_capacity=4)
@@ -141,7 +122,7 @@ class TestLru:
             now = 0.01 * (i + 1)
             c.get(b"hot", now)
             c.put(b"filler%d" % i, b"v", now)
-            assert c._l1.peek(b"hot") is not None
+            assert b"hot" in c._l1._entries
 
 
 class ReferenceModel:
@@ -254,7 +235,6 @@ class TestStats:
     def test_no_lookups_reports_zero_with_flag(self):
         c = small_cache()
         assert c.stats.memory_hit_rate == 0.0
-        assert not c.stats.defined
 
     def test_all_l1_hits_rate_one(self):
         c = small_cache()
@@ -272,36 +252,14 @@ class TestStats:
                 c.put(key, b"v", float(i))
             else:
                 c.get(key, float(i))
-        for tier in (c.stats.l1, c.stats.l2, c.stats.l3):
-            assert tier.hits + tier.misses == tier.lookups
+        # each get looks in L1, then in L2 on an L1 miss, then in L3 on an L2 miss
+        s = c.stats
+        assert s.l1.hits + s.l1.misses == s.total_gets
+        assert s.l2.hits + s.l2.misses == s.l1.misses
+        assert s.l3.hits + s.l3.misses == s.l2.misses
 
     def test_zipf_trading_trace_hits_memory_80_percent(self):
         c = TieredCache(CacheConfig(l1_capacity=1000, l2_capacity=10_000, l2_shards=4))
         keys = zipf_trading_trace(n_keys=100_000, length=250_000, warmup=50_000, seed=7)
         run_read_trace(c, keys, warmup=50_000)
         assert c.stats.memory_hit_rate >= 0.80
-
-
-class TestLogFormat:
-    def test_log_round_trip(self, tmp_path):
-        path = tmp_path / "l3.log"
-        c = TieredCache(CacheConfig(), log_path=path)
-        c.put(b"alpha", b"one", 3.0)
-        c.put(b"beta", b"two", 4.0)
-        c.put(b"alpha", b"three", 5.0)
-        c.close()
-        records = read_log(path)
-        assert records == [
-            (b"alpha", b"one", 1, 3),
-            (b"beta", b"two", 1, 4),
-            (b"alpha", b"three", 2, 5),
-        ]
-
-    def test_record_layout(self):
-        raw = encode_log_record(b"k", b"vv", 7, 9)
-        assert raw[:4] == (1).to_bytes(4, "little")
-        assert raw[4:5] == b"k"
-        assert raw[5:9] == (2).to_bytes(4, "little")
-        assert raw[9:11] == b"vv"
-        assert raw[11:19] == (7).to_bytes(8, "little")
-        assert raw[19:27] == (9).to_bytes(8, "little")

@@ -272,6 +272,34 @@ class TestSimulateConfigFile:
         assert code == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "simulate", "train-predictor"])
+    @pytest.mark.parametrize("field, value", [("tick_length", float("nan")),
+                                              ("tick_length", float("inf")),
+                                              ("tidal_profile", [[0, float("nan")]])])
+    def test_non_finite_tick_length_or_tidal_multiplier_exits_config(
+        self, small_files, command, field, value, capsys
+    ):
+        sc, topo, tmp = small_files
+        scenario = json.loads(sc.read_text())
+        sc.write_text(json.dumps({**scenario, field: value}))
+        argv = {
+            "generate": ["--out", str(tmp / "trace.csv")],
+            "simulate": ["--topology", str(topo), "--out", str(tmp / "x")],
+            "train-predictor": ["--out", str(tmp / "m.npz"), *TestTrainPredictorCommand.ARGS],
+        }[command]
+        assert main([command, "--scenario", str(sc), *argv]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "train-drl"])
+    def test_scenario_and_topology_tick_lengths_must_agree(self, small_files, command, capsys):
+        sc, topo, tmp = small_files
+        scenario = json.loads(sc.read_text())
+        sc.write_text(json.dumps({**scenario, "tick_length": 0.5}))
+        code = main([command, "--scenario", str(sc), "--topology", str(topo),
+                     "--out", str(tmp / "x" / "policy.npz"), "--decision-interval", "20"])
+        assert code == EXIT_CONFIG
+        assert "tick_length" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [
         ("ewma_alpha", 0), ("ewma_alpha", -1), ("ewma_alpha", 2.0), ("ewma_alpha", float("nan")),
         ("tick_length", 0), ("tick_length", -1.0), ("tick_length", float("nan")),

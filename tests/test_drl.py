@@ -84,8 +84,10 @@ class TestEncodeState:
     def test_full_mode_dimension_bookkeeping(self):
         enc = StateEncoder(mode="full", service_count=8, node_count=4)
         state = make_state()
-        dims = state.dimensions()
-        assert enc.dim == dims["d_l"] + dims["d_r"] + dims["d_g"] + dims["d_h"] + dims["d_p"]
+        k, n = len(state.load), len(state.util)
+        # d_l + d_r + d_g + d_h + d_p: loads, the utilization matrix, queues,
+        # history mean and variance, latency and throughput
+        assert enc.dim == k + 3 * n + k + 2 * k + 2 * k
         assert enc.encode(state).shape == (enc.dim,)
 
     def test_normalized_components_bounded(self):

@@ -1,12 +1,11 @@
-"""Coverage for the remaining module surfaces: trace replay, RL elite
-refinement, GA trace emission, policy checkpoints, train-drl, exit codes."""
+"""Coverage for the remaining module surfaces: RL elite refinement, policy
+checkpoints, train-drl, exit codes."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from tradesim.cache import CacheConfig, TieredCache, replay_trace
 from tradesim.cli import EXIT_DIVERGENCE, EXIT_OK, main
 from tradesim.cluster import LatencyModel, save_topology, uniform_topology
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder, load_policy, save_policy
@@ -14,34 +13,12 @@ from tradesim.errors import ConfigError, DivergenceError
 from tradesim.hybrid import (
     Chromosome,
     FitnessWeights,
-    GenerationTrace,
     RolloutEvaluator,
     propose_refinements,
     rl_refine,
-    trace_to_csv,
 )
 from tradesim.optim import adam_init
 from tradesim.workload import ServiceSpec, WorkloadScenario, save_scenario
-
-
-class TestCacheTraceReplay:
-    def test_replay_counts_ops(self):
-        cache = TieredCache(CacheConfig(l1_capacity=4, l2_capacity=8, l2_shards=1))
-        rows = [
-            (0.0, "put", b"a"),
-            (1.0, "get", b"a"),
-            (2.0, "get", b"b"),
-            (3.0, "put", b"b"),
-            (4.0, "get", b"b"),
-        ]
-        stats = replay_trace(cache, rows)
-        assert stats.total_gets == 3
-        assert stats.memory_hits == 2
-
-    def test_replay_rejects_unknown_op(self):
-        cache = TieredCache(CacheConfig())
-        with pytest.raises(ConfigError):
-            replay_trace(cache, [(0.0, "del", b"k")])
 
 
 class TestRlRefine:
@@ -112,20 +89,6 @@ class TestRlRefine:
             )
             out.append(refined_fits)
         assert out[0] == out[1]
-
-
-class TestHybridTraceCsv:
-    def test_trace_csv_columns(self, tmp_path):
-        trace = [
-            GenerationTrace(0, 0.5, 0.5, 0.7, 0.6, 0.065),
-            GenerationTrace(1, 0.4, 0.45, 0.6, 0.9, 0.1),
-        ]
-        path = tmp_path / "ga.csv"
-        trace_to_csv(trace, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "generation,best_fitness,mean_fitness,P_c_mean,P_m_mean"
-        assert len(lines) == 3
-        assert lines[1].startswith("0,0.5,")
 
 
 class TestPolicyCheckpoint:

@@ -12,7 +12,6 @@ from tradesim.lstm import (
     LstmConfig,
     TrainSpec,
     accuracy,
-    accuracy_detail,
     build_dataset,
     cell_forward,
     feature_sequence,
@@ -301,8 +300,7 @@ class TestAccuracyMetric:
         assert accuracy([1.0, 4.0], [1.0, 2.0], tolerance=0.10) == 0.5
 
     def test_zero_actuals_excluded_and_counted(self):
-        frac, excluded = accuracy_detail([1.0, 5.0], [0.0, 5.0])
-        assert excluded == 1 and frac == 1.0
+        assert accuracy([1.0, 5.0], [0.0, 5.0]) == 1.0
 
     def test_monotone_in_tolerance(self):
         rng = np.random.default_rng(4)
