@@ -10,7 +10,7 @@ import numpy as np
 
 from .cluster import ClusterSim, SchedulingAction
 from .errors import ConfigError
-from .hybrid import Chromosome, HybridConfig, hybrid_scheduling
+from .hybrid import Chromosome, HybridConfig, check_max_instances, hybrid_scheduling
 from .optim import AdamState
 
 
@@ -116,6 +116,9 @@ class HybridScheduler:
     _carried: list = field(default_factory=list)  # the last decision's best and elites
     _params: dict | None = None
     _adam_state: AdamState | None = None
+
+    def __post_init__(self) -> None:
+        check_max_instances(self.config.max_instances, self.topology.service_count)
 
     def decide(self, sim: ClusterSim, service_rho: np.ndarray, tick: int) -> SchedulingAction:
         current = Chromosome(

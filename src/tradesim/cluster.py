@@ -270,8 +270,9 @@ class Capacity:
 
 
 def node_commit(placement: np.ndarray, quota: np.ndarray) -> np.ndarray:
-    """(n,) quota committed on each node by a (k, n) placement."""
-    return placement.T.astype(float) @ quota
+    """(..., n) quota committed on each node by a (..., k, n) placement; each
+    leading index gives the bits of the (k, n) case."""
+    return (np.swapaxes(placement, -1, -2).astype(float) @ quota[..., None])[..., 0]
 
 
 def allocate_work(
@@ -766,13 +767,34 @@ def _clamped(values, current: np.ndarray, low: float, high: float) -> tuple[np.n
 
 @dataclass
 class RolloutBatch:
-    """Per-candidate sums over the ticks of a batched rollout."""
+    """Per-candidate sums over the ticks of a batched rollout, and what the
+    observation after the last tick is built from."""
 
     latency_sum: np.ndarray  # (P,) per tick: mean latency (ms) . completions
     completed: np.ndarray  # (P,) completions
     util_sum: np.ndarray  # (P,) per tick: mean node CPU utilization
     node_work: np.ndarray  # (P, n) per tick: node CPU utilization
-    final_states: list[SystemState]  # observation after the last tick
+    util: np.ndarray  # (P, n, 3) last tick
+    queue_len: np.ndarray  # (P, k) last tick
+    latency_ms: np.ndarray  # (P, k) last tick
+    throughput: np.ndarray  # (P, k) last tick
+    load: np.ndarray  # (k,) shared by every candidate
+    hist_mean: np.ndarray  # (k,)
+    hist_var: np.ndarray  # (k,)
+    ticks: int
+
+    def final_state(self, p: int) -> SystemState:
+        """Candidate p's observation after the last tick, built on demand."""
+        return SystemState(
+            load=self.load.copy(),
+            util=self.util[p],
+            queue_len=self.queue_len[p].astype(float),
+            hist_mean=self.hist_mean.copy(),
+            hist_var=self.hist_var.copy(),
+            latency_ms=self.latency_ms[p],
+            throughput=self.throughput[p],
+            tick=self.ticks,
+        )
 
 
 def rollout_batch(
@@ -809,12 +831,12 @@ def rollout_batch(
         raise ConfigError("quota outside (0, 1]")
     priority = np.clip(np.asarray(priority, dtype=float), 0.0, 1.0)
     quota = np.clip(quota, QUOTA_FLOOR, 1.0)
-    for p in range(P):
-        worst = node_commit(placement[p], quota[p]).max()
-        if worst > 1.0 + 1e-9:
-            raise ConfigError("per-node quota commitment exceeds 1")
-        if worst > 1.0:
-            quota[p] = quota[p] / worst
+    worst = node_commit(placement, quota).max(axis=-1)
+    if np.any(worst > 1.0 + 1e-9):
+        raise ConfigError("per-node quota commitment exceeds 1")
+    over = worst > 1.0
+    if over.any():
+        quota[over] = quota[over] / worst[over, None]
 
     arrays = TopologyArrays.of(topology)
     cap = Capacity.of(placement, quota, priority, arrays)
@@ -864,23 +886,17 @@ def rollout_batch(
     if not len(window):  # history_window 0, as ClusterSim.observe_state treats it
         window = np.zeros((1, k))
     hist_mean, hist_var = window_stats(window)
-    load = arrivals[-1].astype(float)
-    util_obs = np.clip(util_true + 0.0, 0.0, 1.0)
-    throughput = completed / tick_length
-    final_states = [
-        SystemState(
-            load=load.copy(),
-            util=util_obs[p],
-            queue_len=queue_len[p].astype(float),
-            hist_mean=hist_mean.copy(),
-            hist_var=hist_var.copy(),
-            latency_ms=latency_ms[p],
-            throughput=throughput[p],
-            tick=T,
-        )
-        for p in range(P)
-    ]
-    return RolloutBatch(latency_sum, completed_sum, util_sum, node_work, final_states)
+    return RolloutBatch(
+        latency_sum, completed_sum, util_sum, node_work,
+        util=np.clip(util_true + 0.0, 0.0, 1.0),
+        queue_len=queue_len,
+        latency_ms=latency_ms,
+        throughput=completed / tick_length,
+        load=arrivals[-1].astype(float),
+        hist_mean=hist_mean,
+        hist_var=hist_var,
+        ticks=T,
+    )
 
 
 def encode_compact_state(state: SystemState, queue_reference: float = 1000.0) -> np.ndarray:

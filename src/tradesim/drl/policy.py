@@ -156,30 +156,41 @@ class PolicyCore:
     ) -> tuple[dict[str, np.ndarray], float]:
         """Draw (or take the mode of) one composite action; returns the action
         record and its joint log-probability."""
+        x = np.atleast_2d(np.asarray(features, dtype=float))[:1]
+        records, logp, _ = self.act_batch(params, x, mode, rng)
+        return {name: r[0] for name, r in records.items()}, float(logp[0])
+
+    def act_batch(
+        self, params: Params, x: np.ndarray, mode: str = "sample",
+        rng: np.random.Generator | None = None,
+    ) -> tuple[dict[str, np.ndarray], np.ndarray, dict]:
+        """One composite action per row of the feature batch x (B, F), each
+        head drawing for every row at once; returns the stacked records, their
+        joint log-probabilities (B,) and the cache `logp_backward` takes, as
+        `log_prob` would give it. At B = 1 the draws and bits are those of
+        `act`."""
         if mode not in ("sample", "greedy"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "sample" and rng is None:
             raise ValueError("sampling requires a generator")
-        x = np.atleast_2d(np.asarray(features, dtype=float))
-        dists = self.head_distributions(params, x)
-        record: dict[str, np.ndarray] = {}
+        z, trunk_cache = self._trunk(params, x)
+        dists = self._heads(params, z)
+        records: dict[str, np.ndarray] = {}
         for head in self.layout.heads:
             d = dists[head.name]
             if isinstance(head, GaussianHead):
                 if mode == "greedy":
-                    u = d["mean"][0]
+                    records[head.name] = d["mean"]
                 else:
-                    u = d["mean"][0] + d["std"][0] * rng.standard_normal(head.n)
-                record[head.name] = u
+                    records[head.name] = d["mean"] + d["std"] * rng.standard_normal(d["mean"].shape)
             else:
-                probs = d["probs"][0]
                 if mode == "greedy":
-                    choice = np.argmax(probs, axis=-1)
+                    choice = np.argmax(d["probs"], axis=-1)
                 else:
-                    choice = _sample_rows(probs, rng)
-                record[head.name] = np.atleast_1d(choice).astype(int)
-        logp, _ = self._log_prob_of(params, dists, _stack_records([record]))
-        return record, float(logp[0])
+                    choice = _sample_rows(d["probs"], rng)
+                records[head.name] = choice.reshape(len(x), -1).astype(int)
+        logp, heads = self._log_prob_of(params, dists, records)
+        return records, logp, {"x": x, "z": z, "trunk": trunk_cache, "heads": heads}
 
     def log_prob(
         self, params: Params, x: np.ndarray, records: dict[str, np.ndarray]

@@ -29,6 +29,7 @@ ALLOWED = {
     "assign": "c08 measures how many keys HashRing relocates when a shard joins",
     "remove_shard": "HashRing's other membership change; its relocation property is tested",
     "percentiles": "the nearest-rank reference that weighted_percentile is tested against",
+    "satisfies_invariants": "c05 keeps its exhaustive oracle to feasible chromosomes with it",
 }
 
 

@@ -387,6 +387,26 @@ class TestSchedulerConfig:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("max_instances, code", [(20, EXIT_CONFIG), (13, EXIT_CONFIG), (12, EXIT_OK)])
+    def test_max_instances_checked_before_the_first_tick(
+        self, small_files, capsys, max_instances, code
+    ):
+        # 8 services on 2 nodes: 13 instances of each on one node commit 1.04
+        # of it at the quota floor, 12 commit 0.96
+        sc, topo, tmp = small_files
+        cfg = tmp / "sched.json"
+        cfg.write_text(json.dumps({"max_instances": max_instances}))
+        out = tmp / "x"
+        assert main([
+            "simulate", "--scenario", str(sc), "--topology", str(topo),
+            "--scheduler", "hybrid", "--scheduler-config", str(cfg), "--out", str(out),
+        ]) == code
+        assert (out / "summary.json").exists() == (code == EXIT_OK)
+        if code == EXIT_CONFIG:
+            err = capsys.readouterr().err
+            assert f"max_instances {max_instances}" in err
+            assert "largest accepted value is 12" in err
+
     def test_invalid_json_exits_config(self, small_files):
         sc, topo, tmp = small_files
         cfg = tmp / "sched.json"

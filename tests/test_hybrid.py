@@ -9,21 +9,23 @@ from tradesim.cluster import ClusterSim, ClusterTopology, LatencyModel, NodeSpec
 from tradesim.errors import ConfigError
 from tradesim.hybrid import (
     LOOKAHEAD,
+    QUOTA_FLOOR,
     Chromosome,
     FitnessWeights,
     HybridConfig,
+    Population,
     RolloutEvaluator,
+    _crossover,
     _draw_moves,
-    _tournament_index,
+    _mutate,
+    _tournament,
     adaptive_rates,
-    apply_record_to_chromosome,
-    crossover,
+    apply_records,
+    check_max_instances,
     fitness_from_metrics,
     hybrid_scheduling,
     local_search,
-    mutate,
     non_dominated_sort,
-    random_chromosome,
     refine_reward,
     repair,
     satisfies_invariants,
@@ -65,6 +67,27 @@ def chromo(placement, quota=(0.4, 0.4), priority=(0.5, 0.5)) -> Chromosome:
     )
 
 
+def pop(*chromos: Chromosome) -> Population:
+    return Population.of(list(chromos))
+
+
+def same(a: Chromosome, b: Chromosome) -> bool:
+    return all(np.array_equal(getattr(a, g), getattr(b, g)) for g in ("placement", "quota", "priority"))
+
+
+def random_rows(rng, count: int, k: int, n: int, cap: int = 3) -> Population:
+    """`count` repaired random chromosomes, the GA's random fill."""
+    return repair(Population(
+        rng.integers(0, cap + 1, size=(count, k, n)),
+        rng.uniform(QUOTA_FLOOR, 0.5, size=(count, k)),
+        rng.uniform(0.0, 1.0, size=(count, k)),
+    ))
+
+
+def copies(x: Chromosome, count: int) -> Population:
+    return pop(*[x] * count)
+
+
 class TestFitness:
     def test_boundary_all_max(self):
         w = FitnessWeights(T_max=100.0)
@@ -81,6 +104,14 @@ class TestFitness:
     def test_nonfinite_is_infeasible(self):
         w = FitnessWeights()
         assert fitness_from_metrics(float("nan"), 0.5, 0.5, w) == float("inf")
+
+    def test_arrays_equal_scalars_elementwise(self):
+        rng = np.random.default_rng(0)
+        T, U, L = rng.uniform(0, 600, 50), rng.uniform(-0.2, 1.2, 50), rng.uniform(-0.2, 1.2, 50)
+        T[3], U[7] = np.inf, np.nan
+        w = FitnessWeights(T_max=300.0)
+        want = [fitness_from_metrics(float(t), float(u), float(l), w) for t, u, l in zip(T, U, L)]
+        assert fitness_from_metrics(T, U, L, w).tolist() == want
 
 
 class TestAdaptiveRates:
@@ -109,28 +140,41 @@ class TestAdaptiveRates:
             assert 0.3 <= pc <= 0.9
             assert 0.03 <= pm <= 0.1
 
+    def test_arrays_equal_scalars_elementwise(self):
+        q = np.linspace(3.0, 11.0, 17)
+        for f_avg, f_max in ((5.0, 10.0), (5.0, 5.0)):
+            pc, pm = adaptive_rates(q, f_avg, f_max)
+            want = [adaptive_rates(float(v), f_avg, f_max) for v in q]
+            assert list(zip(pc.tolist(), pm.tolist())) == want
+
 
 class TestTournament:
     def test_single_candidate(self):
-        assert _tournament_index(np.array([1.0]), 2, np.random.default_rng(0)) == 0
+        assert _tournament(np.array([1.0]), (3,), np.random.default_rng(0)).tolist() == [0, 0, 0]
 
     def test_full_size_tournament_returns_global_best(self):
         rng = np.random.default_rng(1)
         fits = np.array([5.0, 3.0, 4.0, 1.0, 2.0, 6.0])
         # large tournament makes missing the best astronomically unlikely
-        winners = {_tournament_index(fits, 64, rng) for _ in range(20)}
-        assert winners == {3}
+        assert set(_tournament(fits, (20,), rng, size=64).tolist()) == {3}
 
     def test_binary_tournament_win_probability(self):
         # fitnesses {1, 2}: the fitter wins unless both draws hit the other -> 3/4
         fits = np.array([1.0, 2.0])
-        rng = np.random.default_rng(2)
-        wins = sum(_tournament_index(fits, 2, rng) == 0 for _ in range(10_000))
-        assert wins / 10_000 == pytest.approx(0.75, abs=0.02)
+        wins = _tournament(fits, (100, 100), np.random.default_rng(2)) == 0
+        assert wins.shape == (100, 100)
+        assert wins.mean() == pytest.approx(0.75, abs=0.02)
+
+    def test_ties_go_to_the_earlier_draw(self):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        fits = np.array([1.0, 1.0, 2.0, 1.0])
+        picks = ref.integers(0, 4, size=(50, 2))
+        want = [int(p[np.argmin(fits[p])]) for p in picks]
+        assert _tournament(fits, (50,), rng).tolist() == want
 
     def test_empty_population_raises(self):
         with pytest.raises(ValueError):
-            _tournament_index(np.array([]), 2, np.random.default_rng(0))
+            _tournament(np.array([]), (1,), np.random.default_rng(0))
 
 
 class TestCrossover:
@@ -138,58 +182,71 @@ class TestCrossover:
         rng = np.random.default_rng(3)
         a = chromo([[2, 0], [0, 1]], quota=(0.3, 0.2))
         b = chromo([[0, 1], [1, 1]], quota=(0.1, 0.4))
-        c1, c2 = crossover(a, b, 0.0, rng)
-        assert c1.equals(a) and c2.equals(b)
+        c1, c2 = _crossover(pop(a), pop(b), np.array([0.0]), rng).chromosomes()
+        assert same(c1, a) and same(c2, b)
 
     def test_identical_parents_fixed_point(self):
         rng = np.random.default_rng(4)
         a = chromo([[1, 1], [0, 1]], quota=(0.25, 0.25))
-        c1, c2 = crossover(a, a.copy(), 1.0, rng)
-        assert c1.equals(a) and c2.equals(a)
+        c1, c2 = _crossover(pop(a), pop(a), np.array([1.0]), rng).chromosomes()
+        assert same(c1, a) and same(c2, a)
+
+    def test_children_swap_genes_between_their_parents(self):
+        # each gene of a pair's children is the two parents' genes, in some order
+        rng = np.random.default_rng(5)
+        a, b = random_rows(rng, 200, 3, 2), random_rows(rng, 200, 3, 2)
+        children = _crossover(a, b, np.full(200, 0.9), rng)
+        for g in ("placement", "quota", "priority"):
+            first, second = getattr(children, g)[0::2], getattr(children, g)[1::2]
+            pa, pb = getattr(a, g), getattr(b, g)
+            assert np.all(((first == pa) & (second == pb)) | ((first == pb) & (second == pa)))
 
     def test_children_satisfy_invariants(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            a = random_chromosome(rng, 3, 2)
-            b = random_chromosome(rng, 3, 2)
-            c1, c2 = crossover(a, b, 0.9, rng)
-            assert satisfies_invariants(c1) and satisfies_invariants(c2)
+        a, b = random_rows(rng, 200, 3, 2), random_rows(rng, 200, 3, 2)
+        children = repair(_crossover(a, b, np.full(200, 0.9), rng))
+        assert len(children) == 400
+        assert all(satisfies_invariants(c) for c in children.chromosomes())
 
 
 class TestMutation:
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(6)
         x = chromo([[2, 1], [1, 1]], quota=(0.2, 0.3))
-        assert mutate(x, 0.0, rng).equals(x)
+        (y,) = _mutate(pop(x), np.array([0.0]), rng, 0.05, 3).chromosomes()
+        assert same(y, x)
 
     def test_rate_one_sigma_zero_changes_every_placement_gene(self):
         rng = np.random.default_rng(7)
         x = chromo([[3, 2], [2, 3]], quota=(0.08, 0.08))
-        y = mutate(x, 1.0, rng, sigma=0.0)
-        assert np.all(y.placement != x.placement)
-        assert np.array_equal(y.quota, x.quota)
-        assert np.array_equal(y.priority, x.priority)
+        for y in _mutate(copies(x, 20), np.ones(20), rng, 0.0, 10).chromosomes():
+            assert np.all(y.placement != x.placement)
+            assert np.array_equal(y.quota, x.quota)
+            assert np.array_equal(y.priority, x.priority)
 
     def test_changed_gene_fraction_matches_binomial(self):
         # quota headroom keeps repair inactive so gene flips are independent
         rng = np.random.default_rng(8)
         x = chromo([[3, 3], [3, 3]], quota=(0.05, 0.05), priority=(0.5, 0.5))
-        total_genes = x.genes()
-        changed = 0
         trials = 10_000
-        for _ in range(trials):
-            y = mutate(x, 0.1, rng, sigma=0.01)
-            changed += int(np.sum(y.placement != x.placement))
-            changed += int(np.sum(y.quota != x.quota))
-            changed += int(np.sum(y.priority != x.priority))
-        frac = changed / (trials * total_genes)
+        y = _mutate(copies(x, trials), np.full(trials, 0.1), rng, 0.01, 10)
+        changed = sum(int(np.sum(getattr(y, g) != getattr(x, g))) for g in ("placement", "quota", "priority"))
+        frac = changed / (trials * 8)
         assert frac == pytest.approx(0.1, abs=0.01)
+
+    def test_each_row_mutates_at_its_own_rate(self):
+        rng = np.random.default_rng(10)
+        x = chromo([[3, 3], [3, 3]], quota=(0.05, 0.05), priority=(0.5, 0.5))
+        rates = np.repeat([0.0, 0.5], 5000)
+        y = _mutate(copies(x, 10_000), rates, rng, 0.01, 10)
+        changed = (y.placement != x.placement).reshape(10_000, -1).mean(axis=1)
+        assert changed[:5000].max() == 0.0
+        assert changed[5000:].mean() == pytest.approx(0.5, abs=0.02)
 
     def test_mutants_satisfy_invariants(self):
         rng = np.random.default_rng(9)
-        for _ in range(300):
-            x = random_chromosome(rng, 3, 2)
-            assert satisfies_invariants(mutate(x, 0.5, rng))
+        y = _mutate(random_rows(rng, 300, 3, 2), np.full(300, 0.5), rng, 0.05, 3)
+        assert all(satisfies_invariants(c) for c in y.chromosomes())
 
 
 class TestSelectTopK:
@@ -265,35 +322,38 @@ class TestNonDominatedSort:
 def batched(fitness_fn, sizes=None):
     """A batch fitness callable over a per-chromosome one; records batch sizes."""
 
-    def fitness_batch(chromos):
+    def fitness_batch(population):
         if sizes is not None:
-            sizes.append(len(chromos))
-        return [fitness_fn(c) for c in chromos]
+            sizes.append(len(population))
+        return np.array([fitness_fn(c) for c in population.chromosomes()])
 
     return fitness_batch
 
 
 def moves(x: Chromosome, count: int, seed: int, sigma: float = 0.05) -> list:
-    return _draw_moves(x, count, np.random.default_rng(seed), sigma)
+    return _draw_moves(x.placement.shape, count, np.random.default_rng(seed), sigma)
+
+
+def climb(x: Chromosome, fitness_fn, moves, sizes=None, max_instances=10):
+    best, best_f = local_search(pop(x), fitness_fn(x), batched(fitness_fn, sizes), moves, max_instances)
+    return best.chromosomes()[0], best_f
 
 
 class TestLocalSearch:
     def test_no_improvement_returns_input(self):
         x = chromo([[1, 0], [0, 1]])
-        best, best_f = local_search(x, batched(lambda c: 0.0), moves(x, 5, seed=0))
-        assert best.equals(x) and best_f == 0.0
+        best, best_f = climb(x, lambda c: 0.0, moves(x, 5, seed=0))
+        assert same(best, x) and best_f == 0.0
 
     def test_never_worse_than_input(self):
         rng = np.random.default_rng(13)
-        for trial in range(20):
-            x = random_chromosome(rng, 2, 2)
+        for x in random_rows(rng, 20, 2, 2).chromosomes():
 
-            def noisy_fitness(c, t=trial):
+            def noisy_fitness(c):
                 return float(np.sum(c.placement) * 0.1 + c.quota.sum())
 
-            f0 = noisy_fitness(x)
-            _, f1 = local_search(x, batched(noisy_fitness), _draw_moves(x, 8, rng, 0.05))
-            assert f1 <= f0
+            _, f1 = climb(x, noisy_fitness, _draw_moves((2, 2), 8, rng, 0.05))
+            assert f1 <= noisy_fitness(x)
 
     def test_reaches_single_gene_optimum(self):
         # convex landscape in one placement gene: optimum at placement[0,0] == 3
@@ -303,18 +363,18 @@ class TestLocalSearch:
         x = chromo([[6, 1], [0, 1]])
         exhaustive_best = min(fitness_fn(chromo([[v, 1], [0, 1]])) for v in range(0, 10))
         sizes: list[int] = []
-        best, best_f = local_search(x, batched(fitness_fn, sizes), moves(x, 60, seed=3))
+        best, best_f = climb(x, fitness_fn, moves(x, 60, seed=3), sizes)
         assert best_f == exhaustive_best == 0.0
         assert best.placement[0, 0] == 3
-        # one batch per LOOKAHEAD steps, each at most the 2^L - 1 tree (+ x itself first)
+        # one batch per LOOKAHEAD steps, each at most the 2^L - 1 tree
         assert len(sizes) == 60 // LOOKAHEAD
-        assert sizes[0] <= 2**LOOKAHEAD and max(sizes[1:]) <= 2**LOOKAHEAD - 1
+        assert max(sizes) <= 2**LOOKAHEAD - 1
 
     def test_budget_must_be_positive(self):
         x = chromo([[1, 0], [0, 1]])
         assert moves(x, 0, seed=0) == []
         with pytest.raises(ValueError):
-            local_search(x, batched(lambda c: 0.0), [])
+            climb(x, lambda c: 0.0, [])
 
 
 class TestRefinement:
@@ -327,40 +387,83 @@ class TestRefinement:
 
     def test_zero_record_leaves_chromosome_unchanged(self):
         x = chromo([[1, 0], [0, 1]], quota=(0.5, 0.5), priority=(0.5, 0.5))
-        record = {
-            "delta": np.ones(2, dtype=int),  # maps to 0 delta
-            "priority": np.zeros(2),  # sigmoid(0) = 0.5 = current value
-            "quota": np.zeros(2),
-            "migration": np.array([0]),
+        records = {
+            "delta": np.ones((1, 2), dtype=int),  # maps to 0 delta
+            "priority": np.zeros((1, 2)),  # sigmoid(0) = 0.5 = current value
+            "quota": np.zeros((1, 2)),
+            "migration": np.array([[0]]),
         }
-        refined, magnitude = apply_record_to_chromosome(record, x)
-        assert refined.equals(x)
-        assert magnitude == 0.0
+        refined, magnitude = apply_records(records, pop(x), 3)
+        assert same(refined.chromosomes()[0], x)
+        assert magnitude.tolist() == [0.0]
 
     def test_refined_always_satisfies_invariants(self):
         rng = np.random.default_rng(14)
-        for _ in range(100):
-            x = random_chromosome(rng, 2, 2)
-            record = {
-                "delta": rng.integers(0, 3, size=2),
-                "priority": rng.normal(size=2),
-                "quota": rng.normal(size=2),
-                "migration": rng.integers(0, 3, size=1),
-            }
-            refined, _ = apply_record_to_chromosome(record, x)
-            assert satisfies_invariants(refined)
+        records = {
+            "delta": rng.integers(0, 3, size=(100, 2)),
+            "priority": rng.normal(size=(100, 2)),
+            "quota": rng.normal(size=(100, 2)),
+            "migration": rng.integers(0, 3, size=(100, 1)),
+        }
+        refined, _ = apply_records(records, random_rows(rng, 100, 2, 2), 3)
+        assert all(satisfies_invariants(c) for c in refined.chromosomes())
+
+    def test_additions_spread_over_the_least_committed_nodes(self):
+        # four services each add one instance, in service order: each goes to
+        # the node with the fewest instances so far, the lower index on a tie
+        x = chromo([[1, 0], [1, 0], [0, 1], [0, 1]], quota=(0.1,) * 4, priority=(0.5,) * 4)
+        records = {
+            "delta": np.full((1, 4), 2), "priority": np.zeros((1, 4)),
+            "quota": np.zeros((1, 4)), "migration": np.array([[0]]),
+        }
+        refined, magnitude = apply_records(records, pop(x), 3)
+        assert refined.placement[0].tolist() == [[2, 0], [1, 1], [1, 1], [0, 2]]
+        assert magnitude[0] == pytest.approx(4.0 + 4 * 0.2 * 0.4)
+
+    def test_full_cells_take_no_instance(self):
+        # every node already holds max_instances of service 0: its addition
+        # and a migration to it are dropped, service 1 still grows
+        x = chromo([[2, 2], [1, 0]], quota=(0.1, 0.1))
+        records = {
+            "delta": np.array([[2, 2]]), "priority": np.zeros((1, 2)),
+            "quota": np.zeros((1, 2)), "migration": np.array([[1]]),
+        }
+        refined, _ = apply_records(records, pop(x), 2)
+        assert refined.placement[0].tolist() == [[2, 2], [1, 1]]
 
 
 class TestRepair:
     def test_every_service_keeps_an_instance(self):
         x = chromo([[0, 0], [1, 0]])
-        assert satisfies_invariants(repair(x))
+        assert satisfies_invariants(repair(pop(x)).chromosomes()[0])
 
     def test_quota_commitment_scaled_down(self):
-        x = chromo([[3, 0], [2, 0]], quota=(0.4, 0.4))
-        repair(x)
+        (x,) = repair(pop(chromo([[3, 0], [2, 0]], quota=(0.4, 0.4)))).chromosomes()
         commit = x.placement.T.astype(float) @ x.quota
         assert commit.max() <= 1.0 + 1e-9
+
+    def test_infeasible_floor_raises(self):
+        with pytest.raises(ConfigError, match="quota floor"):
+            repair(pop(chromo([[60, 0], [50, 0]])))
+
+
+class TestMaxInstancesBound:
+    def test_worst_case_within_the_floor_budget_is_accepted(self):
+        check_max_instances(12, 8)  # 8 services x 12 x 0.01 = 0.96
+        check_max_instances(100, 1)
+
+    @pytest.mark.parametrize("cap, services, largest", [(13, 8, 12), (20, 8, 12), (4, 30, 3), (2, 60, 1)])
+    def test_larger_cap_names_the_largest_accepted(self, cap, services, largest):
+        with pytest.raises(ConfigError, match=f"largest accepted value is {largest}$"):
+            check_max_instances(cap, services)
+        check_max_instances(largest, services)
+
+    def test_scheduler_rejects_cap_when_built(self):
+        scenario = WorkloadScenario(base_rate=40.0, peak_rate=120.0, horizon=60, seed=3)
+        topology = toy_topology()
+        config = HybridConfig(max_instances=51)  # 2 services x 51 x 0.01 > 1
+        with pytest.raises(ConfigError, match="largest accepted value is 50"):
+            HybridScheduler(scenario=scenario, topology=topology, config=config)
 
 
 class TestHybridScheduling:
@@ -425,7 +528,7 @@ class TestHybridScheduling:
         a = hybrid_scheduling(toy_scenario(), toy_topology(), self.small_config())
         b = hybrid_scheduling(toy_scenario(), toy_topology(), self.small_config())
         assert a.best_fitness == b.best_fitness
-        assert a.best.equals(b.best)
+        assert same(a.best, b.best)
         assert [t.best_fitness for t in a.trace] == [t.best_fitness for t in b.trace]
 
     def test_toy_instance_matches_exhaustive_search(self):
@@ -517,7 +620,7 @@ class TestRollingHorizon:
     def test_warm_population_is_current_configuration_plus_carried_elites(self, monkeypatch):
         calls, _, currents = self.decide_three_times(monkeypatch)
         for call, current in zip(calls, currents):
-            assert call["kwargs"]["initial_population"][0].equals(current)
+            assert same(call["kwargs"]["initial_population"][0], current)
         assert len(calls[0]["kwargs"]["initial_population"]) == 1
         for previous, call in zip(calls, calls[1:]):
             _, *carried = call["kwargs"]["initial_population"]

@@ -13,9 +13,11 @@ from tradesim.errors import ConfigError, DivergenceError
 from tradesim.hybrid import (
     Chromosome,
     FitnessWeights,
+    Population,
     RolloutEvaluator,
     propose_refinements,
     rl_refine,
+    satisfies_invariants,
 )
 from tradesim.optim import adam_init
 from tradesim.workload import ServiceSpec, WorkloadScenario, save_scenario
@@ -43,30 +45,34 @@ class TestRlRefine:
         params = core.init_params(seed)
         return evaluator, encoder, core, params
 
-    def test_replacement_guard_never_worsens_elite(self):
-        evaluator, encoder, core, params = self.setup_refine()
-        rng = np.random.default_rng(3)
-        elite = [
+    def refine(self, evaluator, encoder, core, params, adam, elite: Population, rng):
+        T, U, L, fits = evaluator.evaluate(elite).T
+        proposals = propose_refinements(
+            elite, evaluator.final_states(elite), core, params, encoder, rng, max_instances=3
+        )
+        return fits, rl_refine(elite, fits, U, proposals, core, params, adam, evaluator)
+
+    @staticmethod
+    def elite(count: int) -> Population:
+        return Population.of([
             Chromosome(
                 placement=np.array([[1, 0], [0, 1]]),
                 quota=np.array([0.2, 0.2]),
                 priority=np.array([0.5, 0.5]),
             )
-            for _ in range(3)
-        ]
-        fits = evaluator.fitness_batch(elite)
-        metrics = [evaluator.metrics(c) for c in elite]
-        adam = adam_init(params)
-        proposals = propose_refinements(elite, metrics, core, params, encoder, rng)
-        refined, refined_fits, _, stats = rl_refine(
-            elite, fits, metrics, proposals, core, params, adam, evaluator
+            for _ in range(count)
+        ])
+
+    def test_replacement_guard_never_worsens_elite(self):
+        evaluator, encoder, core, params = self.setup_refine()
+        rng = np.random.default_rng(3)
+        fits, (refined, refined_fits, _, stats) = self.refine(
+            evaluator, encoder, core, params, adam_init(params), self.elite(3), rng
         )
         assert stats.attempted == 3
         for f_new, f_old in zip(refined_fits, fits):
             assert f_new <= f_old + 1e-12
-        for c in refined:
-            from tradesim.hybrid import satisfies_invariants
-
+        for c in refined.chromosomes():
             assert satisfies_invariants(c)
 
     def test_refinement_is_deterministic(self):
@@ -74,21 +80,12 @@ class TestRlRefine:
         for _ in range(2):
             evaluator, encoder, core, params = self.setup_refine(seed=1)
             rng = np.random.default_rng(9)
-            elite = [
-                Chromosome(
-                    placement=np.array([[1, 0], [0, 1]]),
-                    quota=np.array([0.2, 0.2]),
-                    priority=np.array([0.5, 0.5]),
-                )
-            ]
-            fits = evaluator.fitness_batch(elite)
-            metrics = [evaluator.metrics(c) for c in elite]
-            proposals = propose_refinements(elite, metrics, core, params, encoder, rng)
-            refined, refined_fits, _, _ = rl_refine(
-                elite, fits, metrics, proposals, core, params, adam_init(params), evaluator
+            _, (refined, refined_fits, new_params, _) = self.refine(
+                evaluator, encoder, core, params, adam_init(params), self.elite(1), rng
             )
-            out.append(refined_fits)
-        assert out[0] == out[1]
+            out.append((refined_fits.tolist(), refined.keys(), new_params))
+        assert out[0][:2] == out[1][:2]
+        assert all(np.array_equal(out[0][2][k], out[1][2][k]) for k in out[0][2])
 
 
 class TestPolicyCheckpoint:

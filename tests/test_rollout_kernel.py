@@ -29,6 +29,7 @@ from tradesim.hybrid import (
     Chromosome,
     FitnessWeights,
     HybridConfig,
+    Population,
     RolloutEvaluator,
     RolloutMetrics,
     hybrid_scheduling,
@@ -70,6 +71,21 @@ def reference_rollout(evaluator: RolloutEvaluator, chromo: Chromosome) -> Rollou
     cv = float(node_work.std() / mean_work) if mean_work > 0 else 0.0
     L = max(0.0, 1.0 - cv)
     return RolloutMetrics(T=T, U=U, L=L, final_state=sim.observe_state())
+
+
+def reference_rollouts(evaluator: RolloutEvaluator, pop: Population):
+    """`RolloutEvaluator._rollouts` from one scalar reference rollout per row."""
+    metrics = [reference_rollout(evaluator, c) for c in pop.chromosomes()]
+    tul = np.array([[m.T, m.U, m.L] for m in metrics]).reshape(len(metrics), 3)
+    return tul, lambda p: metrics[p].final_state
+
+
+def kernel_metrics(evaluator: RolloutEvaluator, chromos: list[Chromosome]) -> list[RolloutMetrics]:
+    """Every candidate's metrics and final state, the states built on demand."""
+    pop = Population.of(chromos)
+    scores = evaluator.evaluate(pop)
+    states = evaluator.final_states(pop)
+    return [RolloutMetrics(T, U, L, state) for (T, U, L, _), state in zip(scores, states)]
 
 
 def assert_identical(got: RolloutMetrics, want: RolloutMetrics) -> None:
@@ -134,7 +150,7 @@ def rollout_cases(draw, overloaded: bool = False):
             [draw(st.one_of(st.just(QUOTA_FLOOR), st.floats(QUOTA_FLOOR, 1.0))) for _ in range(k)]
         )
         priority = np.array([draw(st.floats(0.0, 1.0)) for _ in range(k)])
-        chromos.append(repair(Chromosome(placement, quota, priority)))
+        chromos.append(repair(Population.of([Chromosome(placement, quota, priority)])).chromosomes()[0])
     return evaluator, chromos
 
 
@@ -142,13 +158,13 @@ class TestKernelEqualsScalarReference:
     @given(rollout_cases())
     def test_metrics_and_final_state_identical(self, case):
         evaluator, chromos = case
-        for got, chromo in zip(evaluator.metrics_batch(chromos), chromos):
+        for got, chromo in zip(kernel_metrics(evaluator, chromos), chromos):
             assert_identical(got, reference_rollout(evaluator, chromo))
 
     @given(rollout_cases(overloaded=True))
     def test_identical_with_deep_queues(self, case):
         evaluator, chromos = case
-        for got, chromo in zip(evaluator.metrics_batch(chromos), chromos):
+        for got, chromo in zip(kernel_metrics(evaluator, chromos), chromos):
             assert_identical(got, reference_rollout(evaluator, chromo))
 
     def test_overloaded_queues_are_many_buckets_deep(self):
@@ -174,9 +190,12 @@ class TestKernelEqualsScalarReference:
         evaluator, chromos = case
         batch = chromos + chromos[:1]  # a duplicate shares the batch
         rnd.shuffle(batch)
-        together = evaluator._rollouts(batch)
-        for got, chromo in zip(together, batch):
-            assert_identical(got, evaluator._rollouts([chromo])[0])
+        tul, state_of = evaluator._rollouts(Population.of(batch))
+        for p, chromo in enumerate(batch):
+            alone, alone_state = evaluator._rollouts(Population.of([chromo]))
+            assert_identical(
+                RolloutMetrics(*tul[p], state_of(p)), RolloutMetrics(*alone[0], alone_state(0))
+            )
 
 
 class TestMemo:
@@ -186,21 +205,23 @@ class TestMemo:
         evaluator = RolloutEvaluator(scenario, topology, FitnessWeights(), eval_ticks=10)
         rng = np.random.default_rng(0)
         a, b = (
-            repair(Chromosome(rng.integers(0, 3, (8, 2)), np.full(8, 0.05), rng.random(8)))
+            repair(Population.of([Chromosome(rng.integers(0, 3, (8, 2)), np.full(8, 0.05), rng.random(8))]))
             for _ in range(2)
         )
+        a, b = a.chromosomes()[0], b.chromosomes()[0]
         batches = []
         rollouts = RolloutEvaluator._rollouts
         monkeypatch.setattr(
             RolloutEvaluator, "_rollouts",
-            lambda self, cs: batches.append(len(cs)) or rollouts(self, cs),
+            lambda self, pop: batches.append(len(pop)) or rollouts(self, pop),
         )
-        first = evaluator.metrics_batch([a, b, a.copy(), b])
+        first = evaluator.evaluate(Population.of([a, b, a.copy(), b]))
         assert batches == [2]
-        assert first[0] is first[2] and first[1] is first[3]
-        again = evaluator.metrics_batch([b, a])
-        assert batches == [2] and again == [first[1], first[0]]
-        assert evaluator.metrics(a) is first[0]
+        assert first[0].tobytes() == first[2].tobytes() and first[1].tobytes() == first[3].tobytes()
+        again = evaluator.evaluate(Population.of([b, a]))
+        assert batches == [2] and again.tobytes() == first[[1, 0]].tobytes()
+        m = evaluator.metrics(a)
+        assert batches == [2] and [m.T, m.U, m.L] == first[0, :3].tolist()
 
 
 # --- GA-level equivalence -----------------------------------------------------------
@@ -235,10 +256,7 @@ def test_hybrid_scheduling_identical_to_scalar_rollouts(monkeypatch, topology_ki
             node_count=2, node_cpu=2000.0, services=scenario.service_mix, quota=0.08
         )
     batched = run_ga(scenario, topology, seed)
-    monkeypatch.setattr(
-        RolloutEvaluator, "_rollouts",
-        lambda self, cs: [reference_rollout(self, c) for c in cs],
-    )
+    monkeypatch.setattr(RolloutEvaluator, "_rollouts", reference_rollouts)
     scalar = run_ga(scenario, topology, seed)
 
     for attr in ("placement", "quota", "priority"):

@@ -1,15 +1,17 @@
 """Code that now exists once, against the copies it replaced.
 
-The GA's feasible placement step (shared by `mutate` and `local_search`) and
-the checkpoint writer/reader (shared by the LSTM predictor and the PPO policy)
-each replaced two copies, and the batched hill-climb replaced a step-by-step
-climb. The earlier copies live here, test-only, and the code that runs must
-give equal results, compared by bytes: chromosomes and final random-generator
-states, checkpoint arrays and `__meta__` bytes.
+The checkpoint writer/reader (shared by the LSTM predictor and the PPO policy)
+replaced two copies; the earlier copies live here, test-only, and the code
+that runs must give equal bytes.
 
-The GA rolls out each generation's candidates in one batch. A test-only
-step-by-step reference of the same algorithm, which rolls out each candidate
-where it is first needed, must give byte-equal whole GA runs.
+The GA holds each generation's population as arrays, and each operator acts
+on all rows at once. Test-only scalar references loop over chromosomes and
+cells, reading the same random draws: today's scalar `repair` (the copy the
+array repair replaced), a per-cell mutation, and a step-by-step hill-climb.
+The array operators must give byte-equal chromosomes and final generator
+states. The GA rolls out each generation's candidates in one batch; a
+test-only step-by-step reference of the same algorithm, which rolls out each
+candidate where it is first needed, must give byte-equal whole GA runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tradesim.baselines import scheduler_options
-from tradesim.cluster import uniform_topology
+from tradesim.cluster import QUOTA_FLOOR, node_commit, uniform_topology
 from tradesim.drl.policy import (
     PolicyCore,
     SchedulerPolicy,
@@ -38,26 +40,24 @@ from tradesim.hybrid import (
     INFEASIBLE,
     LOOKAHEAD,
     REFINE_LR,
-    TOURNAMENT,
     Chromosome,
     FitnessWeights,
     GenerationTrace,
     HybridConfig,
     HybridResult,
+    Population,
     RefineStats,
     RolloutEvaluator,
+    _breed,
     _draw_moves,
-    _neighbor,
-    _tournament_index,
-    adaptive_rates,
-    apply_record_to_chromosome,
-    crossover,
-    fitness_from_metrics,
+    _move_tree,
+    _mutate,
+    _neighbors,
+    apply_records,
     hybrid_scheduling,
     local_search,
-    mutate,
     non_dominated_sort,
-    random_chromosome,
+    propose_refinements,
     refine_reward,
     repair,
     satisfies_invariants,
@@ -73,62 +73,81 @@ from tradesim.lstm import (
 from tradesim.optim import AdamSpec, adam_init, adam_step, load_params, save_params
 from tradesim.workload import BurstSpec, FeatureScaling, RampSpec, WorkloadScenario
 
-# --- the GA placement step --------------------------------------------------------
+# --- the GA operators against scalar references ------------------------------------------
 
 
-def old_mutate(x, p_m, rng, sigma=0.05, max_instances=None):
-    out = x.copy()
-    flat = out.placement.reshape(-1)
-    hit = rng.random(flat.size) < p_m
-    if hit.any():
-        signs = np.where(rng.random(flat.size) < 0.5, -1, 1)
-        k, n = out.placement.shape
-        for idx in np.flatnonzero(hit):
-            row = idx // n
-            step = signs[idx]
-            if step < 0 and (flat[idx] == 0 or out.placement[row].sum() <= 1):
-                step = 1
-            if step > 0 and max_instances is not None and flat[idx] >= max_instances:
-                if flat[idx] > 0 and out.placement[row].sum() > 1:
-                    step = -1
-                else:
-                    continue
-            flat[idx] += step
+def scalar_repair(chromo: Chromosome) -> Chromosome:
+    """The scalar `repair` the array repair replaced, as it was."""
+    placement = np.maximum(chromo.placement, 0)
+    for s in np.flatnonzero(placement.sum(axis=1) < 1):
+        placement[s, int(np.argmin(placement.sum(axis=0)))] = 1
+    chromo.placement = placement
+    chromo.quota = np.clip(chromo.quota, QUOTA_FLOOR, 1.0)
+    chromo.priority = np.clip(chromo.priority, 0.0, 1.0)
+    if node_commit(placement, np.full_like(chromo.quota, QUOTA_FLOOR)).max() > 1.0:
+        raise ConfigError("cannot satisfy per-node quota budget even at the quota floor")
+    for _ in range(64):  # floor clipping can re-violate; iterate to feasibility
+        worst = node_commit(placement, chromo.quota).max()
+        if worst <= 1.0:
+            break
+        chromo.quota = np.maximum(chromo.quota / worst, QUOTA_FLOOR)
+    else:
+        chromo.quota = np.full_like(chromo.quota, QUOTA_FLOOR)
+    return chromo
+
+
+def step_cell(before: np.ndarray, placement: np.ndarray, s: int, j: int, step: int, cap: int) -> bool:
+    """One cell's step, read from the placement `before` any cell moved."""
+    cell, row_sum = before[s, j], before[s].sum()
+    if step < 0 and (cell == 0 or row_sum <= 1):
+        step = 1
+    if step > 0 and cell >= cap:
+        if cell == 0 or row_sum <= 1:
+            return False
+        step = -1
+    placement[s, j] += step
+    return True
+
+
+def old_mutate(xs: list[Chromosome], p_m, rng, sigma, max_instances) -> list[Chromosome]:
+    """`_mutate` chromosome by chromosome and cell by cell, on its draws: the
+    placement hits and directions of all rows, then each continuous gene's
+    hits and Gaussian steps, in row order."""
+    k, n = xs[0].placement.shape
+    hit = rng.random((len(xs), k, n)) < np.asarray(p_m)[:, None, None]
+    down = rng.random(hit.shape) < 0.5
+    out = [x.copy() for x in xs]
+    for i, x in enumerate(out):
+        before = x.placement.copy()
+        for s, j in zip(*np.nonzero(hit[i])):
+            step_cell(before, x.placement, s, j, -1 if down[i, s, j] else 1, max_instances)
     for attr in ("quota", "priority"):
-        arr = getattr(out, attr)
-        hit = rng.random(arr.size) < p_m
-        arr[hit] += sigma * rng.standard_normal(int(hit.sum()))
-    return repair(out)
+        hits = rng.random((len(xs), k)) < np.asarray(p_m)[:, None]
+        steps = iter(sigma * rng.standard_normal(int(hits.sum())))
+        for i, s in zip(*np.nonzero(hits)):
+            getattr(out[i], attr)[s] += next(steps)
+    return [scalar_repair(x) for x in out]
 
 
-def old_local_search(x, fitness_fn, budget, rng, sigma=0.05, fitness_x=None, max_instances=None):
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    best = x.copy()
-    best_f = fitness_fn(best) if fitness_x is None else fitness_x
-    genes = best.genes()
-    for step in range(budget):
+def old_local_search(x, fitness_fn, budget, rng, sigma, max_instances):
+    """The hill-climb one move and one evaluation at a time, on the draws of
+    `_draw_moves`: every gene index, every direction, every Gaussian step."""
+    k, n = x.placement.shape
+    idx = rng.integers(k * n + 2 * k, size=budget)
+    down = rng.random(budget) < 0.5
+    normal = rng.standard_normal(budget)
+    best, best_f = x.copy(), fitness_fn(x)
+    for m in range(budget):
         cand = best.copy()
-        idx = int(rng.integers(genes))
-        if idx < cand.placement.size:
-            flat = cand.placement.reshape(-1)
-            row = idx // cand.placement.shape[1]
-            step_dir = -1 if rng.random() < 0.5 else 1
-            if step_dir < 0 and (flat[idx] == 0 or cand.placement[row].sum() <= 1):
-                step_dir = 1
-            if step_dir > 0 and max_instances is not None and flat[idx] >= max_instances:
-                if flat[idx] > 0 and cand.placement[row].sum() > 1:
-                    step_dir = -1
-                else:
-                    continue
-            flat[idx] += step_dir
-        elif idx < cand.placement.size + cand.quota.size:
-            cand.quota[idx - cand.placement.size] += sigma * rng.standard_normal()
+        if idx[m] < k * n:
+            s, j = divmod(int(idx[m]), n)
+            if not step_cell(best.placement, cand.placement, s, j, -1 if down[m] else 1, max_instances):
+                continue
+        elif idx[m] < k * n + k:
+            cand.quota[idx[m] - k * n] += sigma * normal[m]
         else:
-            cand.priority[idx - cand.placement.size - cand.quota.size] += (
-                sigma * rng.standard_normal()
-            )
-        repair(cand)
+            cand.priority[idx[m] - k * n - k] += sigma * normal[m]
+        scalar_repair(cand)
         f = fitness_fn(cand)
         if f < best_f:
             best, best_f = cand, f
@@ -140,13 +159,15 @@ def chromosome_bytes(c: Chromosome) -> list:
 
 
 @st.composite
-def placements(draw):
-    """(k, n) instance counts, 0-3 per cell and at least one per service; rows
-    of a single instance are common."""
-    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    cells = draw(st.lists(st.integers(0, 3), min_size=k * n, max_size=k * n))
-    placement = np.array(cells, dtype=int).reshape(k, n)
-    for s in np.flatnonzero(placement.sum(axis=1) == 0):
+def placements(draw, k=None, n=None, cells=st.integers(0, 3)):
+    """(k, n) instance counts, at least one per service; rows of a single
+    instance are common."""
+    k = k or draw(st.integers(1, 4))
+    n = n or draw(st.integers(1, 4))
+    values = draw(st.lists(cells, min_size=k * n, max_size=k * n))
+    placement = np.array(values, dtype=np.int64).reshape(k, n)
+    for s in np.flatnonzero(placement.sum(axis=1) <= 0):
+        placement[s] = np.maximum(placement[s], 0)
         placement[s, draw(st.integers(0, n - 1))] = 1
     return placement
 
@@ -157,36 +178,88 @@ def make_chromosome(placement, seed) -> Chromosome:
     return Chromosome(placement.copy(), rng.uniform(0.01, 0.05, k), rng.uniform(0.0, 1.0, k))
 
 
+@st.composite
+def populations(draw, cap=None, raw=False):
+    """(P, k, n) chromosomes. `raw` ones are what repair sees: negative cells,
+    services without an instance, quotas and priorities outside their range
+    and over-committed nodes; the others are repaired-looking, with every
+    cell at most `cap`."""
+    k, n, P = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    if raw:
+        cells = st.lists(st.integers(-1, 4), min_size=k * n, max_size=k * n)
+        placement = [np.array(draw(cells), dtype=np.int64).reshape(k, n) for _ in range(P)]
+        value = st.one_of(st.sampled_from([QUOTA_FLOOR, 0.0, 1.0, -0.0]), st.floats(-0.5, 1.5))
+    else:
+        placement = [draw(placements(k, n, st.integers(0, cap))) for _ in range(P)]
+        value = st.floats(QUOTA_FLOOR, 0.6)
+    genes = st.lists(value, min_size=k, max_size=k)
+    return [Chromosome(pl, np.array(draw(genes)), np.array(draw(genes))) for pl in placement]
+
+
+def rows_bytes(pop: Population) -> list:
+    return [chromosome_bytes(c) for c in pop.chromosomes()]
+
+
 # zeros, cells at and above the cap, single-instance rows
 EDGE_PLACEMENT = np.array([[0, 2, 1], [1, 0, 0], [0, 0, 3]])
+
+
+class TestArrayRepair:
+    @given(populations(raw=True))
+    @example([Chromosome(np.array([[0, 0], [-1, 2]]), np.array([0.9, -0.0]), np.array([-0.0, 1.5]))])
+    @example([Chromosome(np.array([[4, 4, 4], [4, 4, 4]]), np.array([0.9, 0.02]), np.array([0.5, 0.5]))])
+    @example([  # the second row cannot fit even at the quota floor
+        Chromosome(np.array([[1, 0], [0, 1]]), np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+        Chromosome(np.array([[60, 0], [50, 0]]), np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+    ])
+    def test_rows_equal_scalar_repair(self, chromos):
+        try:
+            want = [chromosome_bytes(scalar_repair(c.copy())) for c in chromos]
+        except ConfigError:
+            with pytest.raises(ConfigError, match="quota floor"):
+                repair(Population.of(chromos))
+            return
+        assert rows_bytes(repair(Population.of(chromos))) == want
+
+    @given(populations(raw=True))
+    def test_output_satisfies_invariants_and_is_idempotent(self, chromos):
+        try:
+            once = repair(Population.of(chromos))
+        except ConfigError:
+            return
+        assert all(satisfies_invariants(c) for c in once.chromosomes())
+        twice = repair(Population(once.placement.copy(), once.quota.copy(), once.priority.copy()))
+        assert rows_bytes(twice) == rows_bytes(once)
 
 
 class TestPlacementStep:
     @given(
         placement=placements(),
-        max_instances=st.sampled_from([None, 1, 2, 3]),
+        max_instances=st.sampled_from([1, 2, 3, 10]),
         p_m=st.sampled_from([0.3, 0.7, 1.0]),
+        copies=st.integers(1, 4),
         seed=st.integers(0, 2**16),
     )
-    @example(placement=EDGE_PLACEMENT, max_instances=2, p_m=1.0, seed=0)
-    @example(placement=EDGE_PLACEMENT, max_instances=None, p_m=1.0, seed=1)
-    @example(placement=np.array([[1]]), max_instances=1, p_m=1.0, seed=2)
-    def test_mutate_matches_earlier_copy(self, placement, max_instances, p_m, seed):
-        x = make_chromosome(placement, seed)
+    @example(placement=EDGE_PLACEMENT, max_instances=2, p_m=1.0, copies=3, seed=0)
+    @example(placement=EDGE_PLACEMENT, max_instances=10, p_m=1.0, copies=1, seed=1)
+    @example(placement=np.array([[1]]), max_instances=1, p_m=1.0, copies=2, seed=2)
+    def test_mutate_matches_earlier_copy(self, placement, max_instances, p_m, copies, seed):
+        xs = [make_chromosome(placement, seed + i) for i in range(copies)]
+        rates = np.linspace(p_m, p_m / 2, copies)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = mutate(x, p_m, rng, sigma=0.1, max_instances=max_instances)
-        want = old_mutate(x, p_m, ref_rng, sigma=0.1, max_instances=max_instances)
-        assert chromosome_bytes(got) == chromosome_bytes(want)
+        got = _mutate(Population.of(xs), rates, rng, 0.1, max_instances)
+        want = old_mutate(xs, rates, ref_rng, 0.1, max_instances)
+        assert rows_bytes(got) == [chromosome_bytes(c) for c in want]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @given(
         placement=placements(),
-        max_instances=st.sampled_from([None, 1, 2, 3]),
+        max_instances=st.sampled_from([1, 2, 3, 10]),
         budget=st.integers(1, 20),
         seed=st.integers(0, 2**16),
     )
     @example(placement=EDGE_PLACEMENT, max_instances=2, budget=20, seed=0)
-    @example(placement=EDGE_PLACEMENT, max_instances=None, budget=20, seed=1)
+    @example(placement=EDGE_PLACEMENT, max_instances=10, budget=20, seed=1)
     @example(placement=np.array([[1]]), max_instances=1, budget=8, seed=2)
     def test_local_search_matches_earlier_copy(self, placement, max_instances, budget, seed):
         x = make_chromosome(placement, seed)
@@ -201,26 +274,71 @@ class TestPlacementStep:
 
             return fn
 
-        def fitness_batch(chromos):
+        def fitness_batch(pop):
             nonlocal batch_calls
             batch_calls += 1
-            return [fitness("got")(c) for c in chromos]
+            return np.array([fitness("got")(c) for c in pop.chromosomes()])
 
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        start = repair(Population.of([x]))
+        (x,) = start.chromosomes()
+        f_x = fitness("want")(x)
+        seen["want"].clear()
         got, got_f = local_search(
-            x, fitness_batch, _draw_moves(x, budget, rng, 0.1), max_instances=max_instances
+            start, f_x, fitness_batch, _draw_moves(placement.shape, budget, rng, 0.1), max_instances
         )
-        want, want_f = old_local_search(
-            x, fitness("want"), budget, ref_rng, sigma=0.1, max_instances=max_instances
-        )
-        assert chromosome_bytes(got) == chromosome_bytes(want)
+        want, want_f = old_local_search(x, fitness("want"), budget, ref_rng, 0.1, max_instances)
+        assert rows_bytes(got) == [chromosome_bytes(want)]
         assert got_f == want_f
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # the batches hold every chromosome the step-by-step climb evaluated, in
         # its order, among the candidates of the paths it did not take
         batched = iter(seen["got"])
-        assert all(any(b == w for b in batched) for w in seen["want"])
+        assert all(any(b == w for b in batched) for w in seen["want"][1:])
         assert batch_calls <= -(-budget // LOOKAHEAD)
+
+
+def random_records(rng, E: int, k: int) -> dict[str, np.ndarray]:
+    return {
+        "delta": rng.integers(0, 3, size=(E, k)),
+        "priority": rng.normal(size=(E, k)),
+        "quota": rng.normal(size=(E, k)),
+        "migration": rng.integers(0, 6, size=(E, 1)),
+    }
+
+
+class TestInstanceCap:
+    """From chromosomes with every cell at or below `max_instances`, no
+    operator makes a cell above it."""
+
+    @given(
+        data=st.data(),
+        max_instances=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_offspring_refinements_and_neighbors_stay_capped(self, data, max_instances, seed):
+        chromos = data.draw(populations(cap=max_instances))
+        pool = repair(Population.of(chromos))
+        assert pool.placement.max() <= max_instances
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 9))
+        config = HybridConfig(population=count + 1, elite=1, max_instances=max_instances)
+        fitness = rng.normal(size=len(pool))
+        offspring, _, _ = _breed(pool, fitness, count, 0.0, 1.0, config, rng)
+        refined, _ = apply_records(random_records(rng, len(pool), pool.quota.shape[1]), pool, max_instances)
+        k, n = pool.placement.shape[1:]
+        _, neighbors = _move_tree(pool, _draw_moves((k, n), 3, rng, 0.05), max_instances)
+        for made in (offspring, refined, neighbors):
+            assert made.placement.max(initial=0) <= max_instances
+            assert all(satisfies_invariants(c) for c in made.chromosomes())
+
+    def test_a_full_cluster_is_left_to_removals(self):
+        # every cell at the cap: refinement can only remove or move nothing
+        x = Chromosome(np.full((3, 2), 2), np.full(3, 0.1), np.full(3, 0.5))
+        records = random_records(np.random.default_rng(0), 50, 3)
+        refined, _ = apply_records(records, Population.of([x] * 50), 2)
+        assert refined.placement.max() == 2
+        assert np.all(refined.placement.sum(axis=2) <= 4)
 
 
 # --- the GA against a step-by-step reference ------------------------------------------
@@ -264,11 +382,13 @@ def step_by_step_ga(
     local-search neighbor alone when the climb compares it."""
     weights = FitnessWeights()
     k, n = topology.service_count, topology.node_count
+    cap = config.max_instances
     rng = np.random.default_rng([config.seed, 0xA11CE])
     evaluator = RolloutEvaluator(scenario, topology, weights, config.eval_ticks, start_tick)
 
-    def fitness(m) -> float:
-        return fitness_from_metrics(m.T, m.U, m.L, weights)
+    def scores(row: Population) -> np.ndarray:  # T, U, L, fitness of one row
+        assert len(row) == 1
+        return evaluator.evaluate(row)[0]
 
     encoder = StateEncoder(mode="full", service_count=k, node_count=n)
     core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
@@ -277,93 +397,86 @@ def step_by_step_ga(
     if adam_state is None:
         adam_state = adam_init(params)
 
-    population = [repair(c.copy()) for c in (start or [current_of(topology)])]
-    while len(population) < config.population:
-        cand = random_chromosome(rng, k, n, config.max_instances)
-        if satisfies_invariants(cand):
-            population.append(cand)
+    start = start or [current_of(topology)]
+    fill = config.population - len(start)
+    population = repair(Population.concat([Population.of(start), Population(
+        rng.integers(0, cap + 1, size=(fill, k, n)),
+        rng.uniform(QUOTA_FLOOR, 0.5, size=(fill, k)),
+        rng.uniform(0.0, 1.0, size=(fill, k)),
+    )]))
 
     best, best_fitness = None, INFEASIBLE
     trace, totals, history = [], RefineStats(), []
     converged = False
     for generation in range(config.max_iter):
-        metrics = evaluator.metrics_batch(population)
-        fits = np.array([fitness(m) for m in metrics])
+        T, U, L, fits = evaluator.evaluate(population).T
         gen_best = int(np.argmin(fits))
         if fits[gen_best] < best_fitness:
-            best, best_fitness = population[gen_best].copy(), float(fits[gen_best])
+            best, best_fitness = population.take([gen_best]), float(fits[gen_best])
         history.append(best_fitness)
         finite = fits[np.isfinite(fits)]
         q_avg = float((-finite).mean()) if finite.size else 0.0
         q_max = max(float((-finite).max()) if finite.size else 0.0, q_avg)
         elite_idx = select_top_k(fits, config.elite)
-        elite = [population[i] for i in elite_idx]
+        elite = population.take(elite_idx)
         elite_fits = [float(fits[i]) for i in elite_idx]
-        elite_metrics = [metrics[i] for i in elite_idx]
         pool_idx: list[int] = []
-        for front in non_dominated_sort(np.array([[m.T, -m.U, -m.L] for m in metrics])):
+        for front in non_dominated_sort(np.stack([T, -U, -L], axis=1)):
             pool_idx.extend(front)
             if len(pool_idx) >= max(len(population) // 2, 2 * config.elite):
                 break
-        pool, pool_fits = [population[i] for i in pool_idx], fits[pool_idx]
 
         # the draws: every elite's action from the same params, the moves, the offspring
-        actions = []
+        proposals = None
         if config.rl_refinement:
-            for chromo, m in zip(elite, elite_metrics):
-                features = encoder.encode(m.final_state)
-                record, _ = core.act(params, features, "sample", rng)
-                actions.append((features, record, *apply_record_to_chromosome(record, chromo)))
-        moves = _draw_moves(elite[0], config.local_search_budget, rng, config.mutation_sigma)
-        offspring, pc_values, pm_values = [], [], []
-        while len(offspring) < config.population - config.elite:
-            ia = _tournament_index(pool_fits, TOURNAMENT, rng)
-            ib = _tournament_index(pool_fits, TOURNAMENT, rng)
-            p_c, p_m = adaptive_rates(float(-min(pool_fits[ia], pool_fits[ib])), q_avg, q_max)
-            pc_values.append(p_c)
-            pm_values.append(p_m)
-            c1, c2 = crossover(pool[ia], pool[ib], p_c, rng)
-            for child in (c1, c2):
-                if len(offspring) < config.population - config.elite:
-                    offspring.append(
-                        mutate(child, p_m, rng, config.mutation_sigma, config.max_instances)
-                    )
+            states = evaluator.final_states(elite)
+            proposals = propose_refinements(elite, states, core, params, encoder, rng, cap)
+        moves = _draw_moves((k, n), config.local_search_budget, rng, config.mutation_sigma)
+        offspring, pc_values, pm_values = _breed(
+            population.take(pool_idx), fits[pool_idx], config.population - config.elite,
+            q_avg, q_max, config, rng,
+        )
 
         # refinement: score each transition, then one Adam step on their mean gradient
-        transitions = []
-        for i, (features, record, candidate, magnitude) in enumerate(actions):
-            totals.attempted += 1
-            if candidate.equals(elite[i]):
-                continue
-            m_new = evaluator.metrics(candidate)
-            f_new = fitness(m_new)
-            reward = refine_reward(elite_fits[i] - f_new, m_new.U - elite_metrics[i].U, magnitude)
-            if not np.isfinite(reward):
-                totals.discarded_nonfinite += 1
-                continue
-            transitions.append((features, record, reward))
-            if f_new < elite_fits[i]:
-                elite[i], elite_fits[i] = candidate, f_new
-                totals.improved += 1
-        if transitions:
-            records = {
-                name: np.stack([r[name] for _, r, _ in transitions]) for name in transitions[0][1]
-            }
-            _, cache = core.log_prob(params, np.stack([x for x, _, _ in transitions]), records)
-            rewards = np.array([reward for _, _, reward in transitions])
-            grads = core.logp_backward(params, cache, -rewards / len(transitions))
-            params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=REFINE_LR))
+        if proposals is not None:
+            coef = np.zeros(len(elite))
+            transitions = []
+            for i in range(len(elite)):
+                totals.attempted += 1
+                if not proposals.changed[i]:
+                    continue
+                candidate = proposals.candidates.take([i])
+                _, U_new, _, f_new = scores(candidate)
+                reward = refine_reward(
+                    elite_fits[i] - f_new, U_new - U[elite_idx[i]], proposals.magnitude[i]
+                )
+                if not np.isfinite(reward):
+                    totals.discarded_nonfinite += 1
+                    continue
+                transitions.append((i, reward))
+                if f_new < elite_fits[i]:
+                    for g in ("placement", "quota", "priority"):
+                        getattr(elite, g)[i] = getattr(candidate, g)[0]
+                    elite_fits[i] = float(f_new)
+                    totals.improved += 1
+            if transitions:
+                for i, reward in transitions:
+                    coef[i] = -reward / len(transitions)
+                grads = core.logp_backward(params, proposals.cache, coef)
+                params = adam_step(params, grads, adam_state, AdamSpec(learning_rate=REFINE_LR))
 
         # local search: one move and one rollout at a time
         for move in moves:
-            cand = _neighbor(elite[0], move, config.max_instances)
-            if cand is not None and (f := fitness(evaluator.metrics(cand))) < elite_fits[0]:
-                elite[0], elite_fits[0] = cand, f
+            cand, applies = _neighbors(elite.take([0]), move, cap)
+            if applies[0] and (f := float(scores(cand)[3])) < elite_fits[0]:
+                for g in ("placement", "quota", "priority"):
+                    getattr(elite, g)[0] = getattr(cand, g)[0]
+                elite_fits[0] = f
 
         if elite_fits[0] < best_fitness:
-            best, best_fitness = elite[0].copy(), float(elite_fits[0])
+            best, best_fitness = elite.take([0]), float(elite_fits[0])
             history[-1] = best_fitness
-        population = [e.copy() for e in elite] + offspring
+        population = Population.concat([elite, offspring])
         trace.append(GenerationTrace(
             generation=generation,
             best_fitness=best_fitness,
@@ -376,7 +489,10 @@ def step_by_step_ga(
         if len(history) > w and history[-w - 1] - history[-1] < CONVERGENCE_EPS:
             converged = True
             break
-    return HybridResult(best, best_fitness, trace, totals, converged, population, params, adam_state)
+    return HybridResult(
+        best.chromosomes()[0], best_fitness, trace, totals, converged, population.chromosomes(),
+        params, adam_state,
+    )
 
 
 CLI_DEFAULTS = scheduler_options("hybrid", {})
