@@ -156,8 +156,7 @@ class PolicyCore:
     ) -> tuple[dict[str, np.ndarray], float]:
         """Draw (or take the mode of) one composite action; returns the action
         record and its joint log-probability."""
-        x = np.atleast_2d(np.asarray(features, dtype=float))[:1]
-        records, logp, _ = self.act_batch(params, x, mode, rng)
+        records, logp, _ = self.act_batch(params, np.atleast_2d(features)[:1], mode, rng)
         return {name: r[0] for name, r in records.items()}, float(logp[0])
 
     def act_batch(
@@ -173,6 +172,7 @@ class PolicyCore:
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "sample" and rng is None:
             raise ValueError("sampling requires a generator")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         z, trunk_cache = self._trunk(params, x)
         dists = self._heads(params, z)
         records: dict[str, np.ndarray] = {}

@@ -6,7 +6,8 @@ A generation's chromosomes are held as arrays (`Population`): placement
 (P, k, n), quota and priority (P, k). Repair, the random fill, tournament
 selection, crossover, mutation, the non-dominated sort and local search's
 neighbours each act on all rows in a few numpy calls. No operator adds an
-instance to a placement cell at `max_instances`.
+instance to a placement cell at `max_instances`, and a scheduler whose
+`max_instances` could fail repair's quota-floor check is rejected when built.
 
 Fitness is the weighted cost  w1*T/Tmax + w2*(1-U/Umax) + w3*(1-L/Lmax),
 minimized. The adaptive-rate formulas consume quality values (negated cost)
@@ -62,8 +63,8 @@ class Population:
     @classmethod
     def of(cls, chromos: list[Chromosome]) -> "Population":
         return cls(*(
-            np.array([getattr(c, g) for c in chromos], dtype=np.int64 if g == "placement" else float)
-            for g in GENES
+            np.array([getattr(c, g) for c in chromos], dtype=d)
+            for g, d in zip(GENES, (np.int64, float, float))
         ))
 
     @classmethod
@@ -117,16 +118,21 @@ def repair(pop: Population) -> Population:
     if np.any(_floor_commit(placement) > 1.0):
         raise ConfigError("cannot satisfy per-node quota budget even at the quota floor")
     quota = np.clip(pop.quota, QUOTA_FLOOR, 1.0)
-    rows, worst = np.arange(len(quota)), node_commit(placement, quota).max(axis=-1)
-    for _ in range(64):  # floor clipping can re-violate; iterate to feasibility
+    # floor clipping can re-violate; iterate to feasibility on the rows still over
+    rows, q, counts = np.arange(len(quota)), quota, placement
+    worst = node_commit(counts, q).max(axis=-1)
+    for _ in range(64):
         over = worst > 1.0
-        if not over.any():
-            break
-        rows, worst = rows[over], worst[over]
-        quota[rows] = np.maximum(quota[rows] / worst[:, None], QUOTA_FLOOR)
-        worst = node_commit(placement[rows], quota[rows]).max(axis=-1)
+        if not over.all():
+            quota[rows] = q
+            rows, q, counts, worst = rows[over], q[over], counts[over], worst[over]
+            if not len(rows):
+                break
+        q = np.maximum(q / worst[:, None], QUOTA_FLOOR)
+        worst = node_commit(counts, q).max(axis=-1)
     else:
-        quota[rows] = QUOTA_FLOOR
+        q = np.full_like(q, QUOTA_FLOOR)
+    quota[rows] = q
     pop.quota = quota
     return pop
 
@@ -265,9 +271,11 @@ class RolloutEvaluator:
 
     def _rollouts(self, pop: Population) -> tuple[np.ndarray, object]:
         """(len(pop), 3) T, U, L per candidate, and its final-state builder."""
-        batch = rollout_batch(self.topology, pop.placement, pop.quota, pop.priority, self.arrivals())
-        zeros = np.zeros(len(pop))
-        T = np.divide(batch.latency_sum, batch.completed, out=zeros.copy(), where=batch.completed > 0)
+        batch = rollout_batch(
+            self.topology, pop.placement, pop.quota, pop.priority, self.arrivals()
+        )
+        zeros, done = np.zeros(len(pop)), batch.completed
+        T = np.divide(batch.latency_sum, done, out=zeros.copy(), where=done > 0)
         mean_work = batch.node_work.mean(axis=1)
         cv = np.divide(batch.node_work.std(axis=1), mean_work, out=zeros, where=mean_work > 0)
         U = batch.util_sum / self.eval_ticks
@@ -332,7 +340,8 @@ def _mutate(pop: Population, p_m: np.ndarray, rng, sigma: float, max_instances: 
     rate = p_m[:, None, None]
     hit = rng.random(pop.placement.shape) < rate
     step = np.where(rng.random(hit.shape) < 0.5, -1, 1) * hit
-    out = Population(_step_cells(pop.placement, step, max_instances), pop.quota.copy(), pop.priority.copy())
+    placement = _step_cells(pop.placement, step, max_instances)
+    out = Population(placement, pop.quota.copy(), pop.priority.copy())
     for g in ("quota", "priority"):
         arr = getattr(out, g)
         hit = rng.random(arr.shape) < rate[..., 0]
@@ -378,7 +387,9 @@ def _draw_moves(shape: tuple[int, int], count: int, rng, sigma: float) -> list[t
     return list(zip(idx.tolist(), step.tolist()))
 
 
-def _neighbors(x: Population, move: tuple[int, float], max_instances: int) -> tuple[Population, np.ndarray]:
+def _neighbors(
+    x: Population, move: tuple[int, float], max_instances: int
+) -> tuple[Population, np.ndarray]:
     """Every row of x with one move applied, repaired in one call, and the
     mask of rows it applies to: a placement cell that can move neither way
     leaves its row as it was."""
@@ -493,8 +504,8 @@ def apply_records(
     placement[rows[go], service[go], src[go]] -= 1
     placement[rows[go], service[go], dst[go]] += 1
     magnitude += go
-    refined = Population(placement, elite.quota + change["quota"], elite.priority + change["priority"])
-    return repair(refined), magnitude
+    quota, priority = elite.quota + change["quota"], elite.priority + change["priority"]
+    return repair(Population(placement, quota, priority)), magnitude
 
 
 @dataclass
@@ -625,7 +636,9 @@ def _breed(
     p_c, p_m = adaptive_rates(-pool_fitness[parents].min(axis=1), q_avg, q_max)
     children = _crossover(pool.take(parents[:, 0]), pool.take(parents[:, 1]), p_c, rng)
     p_m_child = np.repeat(p_m, 2)[:count]
-    offspring = _mutate(children.take(slice(count)), p_m_child, rng, config.mutation_sigma, config.max_instances)
+    offspring = _mutate(
+        children.take(slice(count)), p_m_child, rng, config.mutation_sigma, config.max_instances
+    )
     return offspring, p_c, p_m
 
 
@@ -698,10 +711,10 @@ def hybrid_scheduling(
                 break
 
         # propose: every random draw of the generation, before any rollout
-        proposals = (
-            propose_refinements(elite, evaluator.final_states(elite), core, params, encoder, rng, cap)
-            if config.rl_refinement else None
-        )
+        proposals = None
+        if config.rl_refinement:
+            states = evaluator.final_states(elite)
+            proposals = propose_refinements(elite, states, core, params, encoder, rng, cap)
         moves = _draw_moves((k, n), config.local_search_budget, rng, config.mutation_sigma)
         offspring, pc_values, pm_values = _breed(
             population.take(pool_idx), fitnesses[pool_idx],
