@@ -480,18 +480,16 @@ def apply_records(
     delta = records["delta"].astype(int) - 1
     magnitude = np.abs(delta).sum(axis=1).astype(float)
 
-    def least_committed(service) -> np.ndarray:  # per row, -1 where no node has room
-        room = placement[rows, service] < max_instances
-        return np.where(room.any(axis=1), np.argmin(np.where(room, nodes, np.inf), axis=1), -1)
-
     r, s = np.nonzero((delta < 0) & (placement.sum(axis=2) > 1))
     placement[r, s, np.argmax(placement[r, s], axis=1)] -= 1
     nodes = placement.sum(axis=1)  # instances per node, kept current below
-    for s in np.flatnonzero((delta > 0).any(axis=0)):
-        dst = least_committed(s)
-        go = rows[(delta[:, s] > 0) & (dst >= 0)]
-        placement[go, s, dst[go]] += 1
-        nodes[go, dst[go]] += 1
+    room = placement < max_instances  # a service's cells change only in its own step
+    grow = (delta > 0) & room.any(axis=2)
+    for s in np.flatnonzero(grow.any(axis=0)):
+        r = np.flatnonzero(grow[:, s])
+        dst = np.argmin(np.where(room[r, s], nodes[r], np.inf), axis=1)
+        placement[r, s, dst] += 1
+        nodes[r, dst] += 1
     change = {g: 0.2 * (sigmoid(records[g]) - getattr(elite, g)) for g in ("priority", "quota")}
     magnitude += np.abs(change["quota"]).sum(axis=1)
 
@@ -499,8 +497,9 @@ def apply_records(
     order = np.argsort(-placement.sum(axis=2), axis=1, kind="stable")
     service = order[rows, (choice - 1) % placement.shape[1]]
     src = np.argmax(placement[rows, service], axis=1)
-    dst = least_committed(service)
-    go = (choice > 0) & (dst >= 0) & (dst != src)
+    room = placement[rows, service] < max_instances
+    dst = np.argmin(np.where(room, nodes, np.inf), axis=1)
+    go = (choice > 0) & room[rows, dst] & (dst != src)
     placement[rows[go], service[go], src[go]] -= 1
     placement[rows[go], service[go], dst[go]] += 1
     magnitude += go
