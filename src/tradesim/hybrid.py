@@ -126,8 +126,8 @@ def repair(pop: Population) -> Population:
         if not over.all():
             quota[rows] = q
             rows, q, counts, worst = rows[over], q[over], counts[over], worst[over]
-            if not len(rows):
-                break
+        if not len(rows):
+            break
         q = np.maximum(q / worst[:, None], QUOTA_FLOOR)
         worst = node_commit(counts, q).max(axis=-1)
     else:
