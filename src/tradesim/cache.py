@@ -1,10 +1,12 @@
 """Three-level cache: in-process LRU (L1), a larger LRU tier (L2) and an
 authoritative in-memory map (L3) with MVCC versioned reads.
 
-L2 is one LRU tier: `get` and `put` do not route keys through the `HashRing`
-that `TieredCache` builds from `l2_shards`. Time is caller-driven, in seconds;
-expiry is lazy (checked on access, or when an expired entry is the LRU
-victim). Single-writer / multi-reader: the simulator drives it single-threaded.
+L2 is one LRU tier, not sharded. `HashRing`, a consistent-hash ring with
+virtual nodes, stands alone: no tier routes keys through it, and acceptance
+criterion c08 bounds how many keys it relocates when a shard joins. Time is
+caller-driven, in seconds; expiry is lazy (checked on access, or when an
+expired entry is the LRU victim). Single-writer / multi-reader: the simulator
+drives it single-threaded.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ class CacheConfig:
     l1_ttl: float = 10.0
     l2_capacity: int = 16384
     l2_ttl: float = 60.0
-    l2_shards: int = 4
-    l2_virtual_nodes: int = 128
     mvcc_retention: int = 8  # versions kept per key in L3
 
     def __post_init__(self) -> None:
@@ -50,10 +50,6 @@ class CacheConfig:
             raise ConfigError("cache capacities must be > 0")
         if self.l1_ttl <= 0 or self.l2_ttl <= 0:
             raise ConfigError("cache TTLs must be > 0")
-        if self.l2_shards < 1:
-            raise ConfigError("l2_shards must be >= 1")
-        if self.l2_virtual_nodes < 1:
-            raise ConfigError("l2_virtual_nodes must be >= 1")
         if self.mvcc_retention < 1:
             raise ConfigError("mvcc_retention must be >= 1")
 
@@ -175,7 +171,6 @@ class TieredCache:
         self.stats = CacheStats()
         self._l1 = _LruTier(self.config.l1_capacity, self.config.l1_ttl, self.stats.l1)
         self._l2 = _LruTier(self.config.l2_capacity, self.config.l2_ttl, self.stats.l2)
-        self.ring = HashRing(self.config.l2_shards, self.config.l2_virtual_nodes)
         # L3: key -> list of (version, value), oldest first; never expires
         self._l3: dict[bytes, list[tuple[int, bytes]]] = {}
 

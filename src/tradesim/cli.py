@@ -27,7 +27,7 @@ from .cluster import (
     load_topology,
     write_trace_csv,
 )
-from .errors import ConfigError, DivergenceError, WarmupError
+from .errors import ConfigError, DivergenceError, WarmupError, read_json
 from .lstm import (
     ForecastModel,
     LstmConfig,
@@ -128,12 +128,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     scenario, topology = _load_inputs(config.scenario, config.topology)
     options = {}
     if config.scheduler_config:
-        try:
-            options = json.loads(Path(config.scheduler_config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"scheduler config {config.scheduler_config} is not valid JSON: {exc}"
-            ) from exc
+        options = read_json(config.scheduler_config, "scheduler config")
     scheduler = make_scheduler(
         config.scheduler, seed=config.seed, scenario=scenario, topology=topology,
         options=options,
@@ -224,10 +219,7 @@ _JSON_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "f
 
 
 def _load_experiment_config(path: Path) -> ExperimentConfig:
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(data).__name__}")
     known = {f.name: f for f in fields(ExperimentConfig)}
@@ -249,8 +241,6 @@ def _load_experiment_config(path: Path) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     if args.config:
-        if not Path(args.config).exists():
-            raise ConfigError(f"config file not found: {args.config}")
         config = _load_experiment_config(Path(args.config))
     else:
         if not args.scenario or not args.topology:

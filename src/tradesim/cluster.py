@@ -14,12 +14,12 @@ what the hybrid scheduler's fitness rollouts need.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .report import weighted_percentile
 from .workload import ServiceSpec, default_service_mix
 
@@ -925,66 +925,30 @@ def write_trace_csv(sim: ClusterSim, path: str | Path) -> None:
 # --- topology (de)serialization ----------------------------------------------
 
 
-def topology_to_dict(topo: ClusterTopology) -> dict:
-    return {
-        "nodes": [
-            {"cpu_capacity": n.cpu_capacity, "mem_capacity": n.mem_capacity, "net_capacity": n.net_capacity}
-            for n in topo.nodes
-        ],
-        "services": [
-            {
-                "name": s.name,
-                "weight": s.weight,
-                "work_units": s.work_units,
-                "payload_bytes": s.payload_bytes,
-                "mem_mb": s.mem_mb,
-            }
-            for s in topo.services
-        ],
-        "initial_placement": [list(row) for row in topo.initial_placement],
-        "initial_quota": list(topo.initial_quota),
-        "initial_priority": list(topo.initial_priority),
-        "latency": {
-            "network_ms": topo.latency.network_ms,
-            "processing_ms": topo.latency.processing_ms,
-            "data_access_ms": topo.latency.data_access_ms,
-            "jitter_sigma": topo.latency.jitter_sigma,
-            "jitter_enabled": topo.latency.jitter_enabled,
-            "rho_cap": topo.latency.rho_cap,
-        },
-        "history_window": topo.history_window,
-        "ewma_alpha": topo.ewma_alpha,
-        "tick_length": topo.tick_length,
-    }
-
-
 def topology_from_dict(data: dict) -> ClusterTopology:
+    """The topology a JSON object describes. Keys it omits take the
+    `ClusterTopology` defaults, and keys it does not name are ignored."""
     try:
-        return ClusterTopology(
+        given = {f.name: data[f.name] for f in fields(ClusterTopology) if f.name in data}
+        given.update(
             nodes=tuple(NodeSpec(**n) for n in data["nodes"]),
             services=tuple(ServiceSpec(**s) for s in data["services"]),
-            initial_placement=tuple(tuple(int(v) for v in row) for row in data["initial_placement"]),
+            initial_placement=tuple(
+                tuple(int(v) for v in row) for row in data["initial_placement"]
+            ),
             initial_quota=tuple(float(q) for q in data["initial_quota"]),
             initial_priority=tuple(float(p) for p in data["initial_priority"]),
-            latency=LatencyModel(**data.get("latency", {})),
-            history_window=data.get("history_window", 60),
-            ewma_alpha=data.get("ewma_alpha", 0.2),
-            tick_length=data.get("tick_length", 1.0),
         )
+        if "latency" in given:
+            given["latency"] = LatencyModel(**given["latency"])
+        return ClusterTopology(**given)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad topology definition: {exc}") from exc
 
 
 def save_topology(topo: ClusterTopology, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(topology_to_dict(topo), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(topo), indent=2) + "\n")
 
 
 def load_topology(path: str | Path) -> ClusterTopology:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"topology file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"topology file {p} is not valid JSON: {exc}") from exc
-    return topology_from_dict(data)
+    return topology_from_dict(read_json(path, "topology"))

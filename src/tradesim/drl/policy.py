@@ -13,11 +13,12 @@ finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..cluster import SchedulingAction, SystemState, encode_compact_state
+from ..errors import ConfigError
 from ..optim import load_params, save_params, sigmoid
 from .nets import (
     Params,
@@ -402,16 +403,7 @@ def _stack_records(records: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray
 
 def save_policy(policy: SchedulerPolicy, path) -> None:
     meta = {
-        "encoder": {
-            "mode": policy.encoder.mode,
-            "service_count": policy.encoder.service_count,
-            "node_count": policy.encoder.node_count,
-            "load_ref": policy.encoder.load_ref,
-            "queue_ref": policy.encoder.queue_ref,
-            "latency_ref": policy.encoder.latency_ref,
-            "throughput_ref": policy.encoder.throughput_ref,
-            "clip": policy.encoder.clip,
-        },
+        "encoder": asdict(policy.encoder),
         "hidden": list(policy.core.hidden),
         "migration_choices": policy.core.layout.dueling().n,
     }
@@ -420,7 +412,10 @@ def save_policy(policy: SchedulerPolicy, path) -> None:
 
 def load_policy(path) -> SchedulerPolicy:
     params, meta = load_params(path, ("encoder", "hidden", "migration_choices"))
-    encoder = StateEncoder(**meta["encoder"])
+    try:
+        encoder = StateEncoder(**meta["encoder"])
+    except TypeError as exc:
+        raise ConfigError(f"{path} is not a policy checkpoint: {exc}") from exc
     core = PolicyCore(
         encoder.dim,
         cluster_layout(meta["encoder"]["service_count"], meta["migration_choices"]),

@@ -8,7 +8,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -457,45 +457,37 @@ def accuracy(predictions, actuals, tolerance: float = 0.10) -> float:
 # --- checkpointing -------------------------------------------------------------
 
 
+def _meta_fields() -> list[Field]:
+    """The `ForecastModel` fields a checkpoint's meta holds: those set at
+    construction, except the params, which are the checkpoint's arrays."""
+    return [f for f in fields(ForecastModel) if f.init and f.name != "params"]
+
+
 def save_checkpoint(model: ForecastModel, path: str | Path) -> None:
-    meta = {
-        "config": {
-            "input_size": model.config.input_size,
-            "hidden_size": model.config.hidden_size,
-            "layers": model.config.layers,
-            "dropout": model.config.dropout,
-        },
-        "scaling": {
-            "volume_scale": model.scaling.volume_scale,
-            "session_minutes": model.scaling.session_minutes,
-        },
-        "seq_len": model.seq_len,
-        "feature_window": model.feature_window,
-        "horizon": model.horizon,
-        "residual_quantiles": list(model.residual_quantiles),
-        "ticks_per_day": model.ticks_per_day,
-        "market_open_tick": model.market_open_tick,
-        "market_close_tick": model.market_close_tick,
-    }
+    meta = {}
+    for f in _meta_fields():
+        value = getattr(model, f.name)
+        meta[f.name] = asdict(value) if is_dataclass(value) else value
     save_params(path, model.params, meta)
 
 
 def load_checkpoint(path: str | Path) -> ForecastModel:
-    params, meta = load_params(
-        path, ("config", "scaling", "seq_len", "feature_window", "horizon", "residual_quantiles")
+    """The model of a `save_checkpoint` file. Meta keys it omits take the
+    `ForecastModel` defaults, and keys it does not name are ignored."""
+    meta_fields = _meta_fields()
+    required = tuple(
+        f.name for f in meta_fields if f.default is MISSING and f.default_factory is MISSING
     )
-    return ForecastModel(
-        params=params,
-        config=LstmConfig(**meta["config"]),
-        scaling=FeatureScaling(**meta["scaling"]),
-        seq_len=meta["seq_len"],
-        feature_window=meta["feature_window"],
-        horizon=meta["horizon"],
-        residual_quantiles=tuple(meta["residual_quantiles"]),
-        ticks_per_day=meta.get("ticks_per_day", 86_400),
-        market_open_tick=meta.get("market_open_tick", 0),
-        market_close_tick=meta.get("market_close_tick", 86_400),
-    )
+    params, meta = load_params(path, required)
+    given = {f.name: meta[f.name] for f in meta_fields if f.name in meta}
+    try:
+        given["config"] = LstmConfig(**given["config"])
+        given["scaling"] = FeatureScaling(**given["scaling"])
+    except TypeError as exc:
+        raise ConfigError(f"{path} is not a predictor checkpoint: {exc}") from exc
+    if "residual_quantiles" in given:
+        given["residual_quantiles"] = tuple(given["residual_quantiles"])
+    return ForecastModel(params=params, **given)
 
 
 def save_curve_csv(curve: list[dict], path: str | Path) -> None:

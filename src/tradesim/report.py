@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError, read_json
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -103,25 +105,21 @@ def compare_runs(baseline: RunSummary, candidate: RunSummary) -> dict[str, dict[
     return table
 
 
-# --- serialization (stable field order, lossless round-trip) -----------------
-
-_FIELDS = list(RunSummary.__dataclass_fields__)
-
-
-def summary_to_json(summary: RunSummary) -> str:
-    return json.dumps({name: getattr(summary, name) for name in _FIELDS}, indent=2)
-
-
-def summary_from_json(text: str) -> RunSummary:
-    return RunSummary(**json.loads(text))
+# --- serialization (field order, lossless round-trip) ------------------------
 
 
 def save_summary(summary: RunSummary, path: str | Path) -> None:
-    Path(path).write_text(summary_to_json(summary) + "\n")
+    Path(path).write_text(json.dumps(asdict(summary), indent=2) + "\n")
 
 
 def load_summary(path: str | Path) -> RunSummary:
-    return summary_from_json(Path(path).read_text())
+    """The summary a `save_summary` file holds; a missing file, one that is not
+    JSON, or one that is not a valid summary is a ConfigError naming the path."""
+    data = read_json(path, "summary")
+    try:
+        return RunSummary(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad summary in {path}: {exc}") from exc
 
 
 def save_comparison_csv(table: dict[str, dict[str, float]], path: str | Path) -> None:

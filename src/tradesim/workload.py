@@ -6,12 +6,12 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, WarmupError
+from .errors import ConfigError, WarmupError, read_json
 
 FEATURE_COUNT = 18
 
@@ -104,10 +104,6 @@ class WorkloadScenario:
     tidal_profile: tuple[tuple[int, float], ...] = ()
     bursts: tuple[BurstSpec, ...] = ()
     service_mix: tuple[ServiceSpec, ...] = field(default_factory=default_service_mix)
-    # (sorted offsets, their multipliers) of tidal_profile, built once for rate_profile
-    _tidal_steps: tuple[list[int], list[float]] = field(init=False, repr=False, compare=False)
-    # read-only arrival counts by tick, drawn once by generate_tick_counts
-    _tick_counts: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.base_rate) and self.base_rate > 0):
@@ -127,6 +123,10 @@ class WorkloadScenario:
                 raise ConfigError(
                     f"tidal_profile multiplier must be finite and > 0, got {mult} at {off}"
                 )
+        # Plain attributes, not fields, so they stay out of files, `==` and `repr`:
+        # (sorted offsets, their multipliers) of tidal_profile, built once for
+        # rate_profile, and the read-only arrival counts by tick, drawn once by
+        # generate_tick_counts.
         object.__setattr__(self, "_tidal_steps", _tidal_index(self.tidal_profile))
         object.__setattr__(self, "_tick_counts", {})
 
@@ -368,69 +368,27 @@ def extract_features(
 # --- scenario (de)serialization ----------------------------------------------
 
 
-def scenario_to_dict(scenario: WorkloadScenario) -> dict:
-    return {
-        "base_rate": scenario.base_rate,
-        "peak_rate": scenario.peak_rate,
-        "ramp": None
-        if scenario.ramp is None
-        else {
-            "start_tick": scenario.ramp.start_tick,
-            "duration_ticks": scenario.ramp.duration_ticks,
-            "start_users": scenario.ramp.start_users,
-            "end_users": scenario.ramp.end_users,
-        },
-        "tidal_profile": [[off, mult] for off, mult in scenario.tidal_profile],
-        "bursts": [
-            {"start_tick": b.start_tick, "duration": b.duration, "magnitude": b.magnitude}
-            for b in scenario.bursts
-        ],
-        "horizon": scenario.horizon,
-        "tick_length": scenario.tick_length,
-        "seed": scenario.seed,
-        "service_mix": [
-            {
-                "name": s.name,
-                "weight": s.weight,
-                "work_units": s.work_units,
-                "payload_bytes": s.payload_bytes,
-                "mem_mb": s.mem_mb,
-            }
-            for s in scenario.service_mix
-        ],
-    }
-
-
 def scenario_from_dict(data: dict) -> WorkloadScenario:
+    """The scenario a JSON object describes. Keys it omits take the
+    `WorkloadScenario` defaults, and keys it does not name are ignored."""
     try:
-        ramp = data.get("ramp")
-        return WorkloadScenario(
-            base_rate=data["base_rate"],
-            peak_rate=data["peak_rate"],
-            horizon=data["horizon"],
-            seed=data["seed"],
-            tick_length=data.get("tick_length", 1.0),
-            ramp=None if ramp is None else RampSpec(**ramp),
-            tidal_profile=tuple((int(o), float(m)) for o, m in data.get("tidal_profile", [])),
-            bursts=tuple(BurstSpec(**b) for b in data.get("bursts", [])),
-            service_mix=tuple(ServiceSpec(**s) for s in data["service_mix"])
-            if data.get("service_mix")
-            else default_service_mix(),
-        )
-    except (KeyError, TypeError) as exc:
+        given = {f.name: data[f.name] for f in fields(WorkloadScenario) if f.name in data}
+        if given.get("ramp") is not None:
+            given["ramp"] = RampSpec(**given["ramp"])
+        if "tidal_profile" in given:
+            given["tidal_profile"] = tuple((int(o), float(m)) for o, m in given["tidal_profile"])
+        if "bursts" in given:
+            given["bursts"] = tuple(BurstSpec(**b) for b in given["bursts"])
+        if "service_mix" in given:
+            given["service_mix"] = tuple(ServiceSpec(**s) for s in given["service_mix"])
+        return WorkloadScenario(**given)
+    except TypeError as exc:
         raise ConfigError(f"bad scenario definition: {exc}") from exc
 
 
 def save_scenario(scenario: WorkloadScenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(scenario), indent=2) + "\n")
 
 
 def load_scenario(path: str | Path) -> WorkloadScenario:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"scenario file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {p} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path, "scenario"))

@@ -413,11 +413,11 @@ class TestC07BanditSanity:
 
 class TestC08CacheSuite:
     def test_c08_ttl_semantics_exact(self):
-        cache = TieredCache(CacheConfig(l1_capacity=4, l2_capacity=16, l2_shards=2))
+        cache = TieredCache(CacheConfig(l1_capacity=4, l2_capacity=16))
         cache.put(b"k", b"v", now=0.0)
         assert cache.get(b"k", now=9.99)[2] == "L1"
         assert cache.get(b"k", now=10.01)[2] == "L2"  # L1 ttl 10s lapsed
-        cache2 = TieredCache(CacheConfig(l1_capacity=4, l2_capacity=16, l2_shards=2))
+        cache2 = TieredCache(CacheConfig(l1_capacity=4, l2_capacity=16))
         cache2.put(b"k", b"v", now=0.0)
         assert cache2.get(b"k", now=60.01)[2] == "L3"  # both memory TTLs lapsed
         assert cache2.get(b"k", now=1e9) is not None  # L3 permanent
@@ -425,7 +425,7 @@ class TestC08CacheSuite:
     def test_c08_reference_model_equivalence(self):
         from test_cache import ReferenceModel
 
-        cfg = CacheConfig(l1_capacity=6, l2_capacity=20, l2_shards=3, l2_virtual_nodes=16)
+        cfg = CacheConfig(l1_capacity=6, l2_capacity=20)
         real, ref = TieredCache(cfg), ReferenceModel(cfg)
         rng = np.random.default_rng(123)
         now = 0.0
@@ -440,7 +440,7 @@ class TestC08CacheSuite:
                 assert real.get(key, now) == ref.get(key, now)
 
     def test_c08_zipf_memory_hit_rate(self):
-        cache = TieredCache(CacheConfig(l1_capacity=1000, l2_capacity=10_000, l2_shards=4))
+        cache = TieredCache(CacheConfig(l1_capacity=1000, l2_capacity=10_000))
         trace = zipf_trading_trace(n_keys=100_000, length=1_000_000, warmup=100_000, seed=7)
         run_read_trace(cache, trace, warmup=100_000)
         assert cache.stats.memory_hit_rate >= 0.80, cache.stats.memory_hit_rate

@@ -18,7 +18,7 @@ from cachetrace import run_read_trace, zipf_trading_trace
 
 
 def small_cache(**overrides) -> TieredCache:
-    cfg = dict(l1_capacity=4, l2_capacity=16, l2_shards=2, l2_virtual_nodes=8)
+    cfg = dict(l1_capacity=4, l2_capacity=16)
     cfg.update(overrides)
     return TieredCache(CacheConfig(**cfg))
 
@@ -178,7 +178,7 @@ class ReferenceModel:
 
 class TestReferenceEquivalence:
     def test_randomized_ops_match_reference(self):
-        cfg = CacheConfig(l1_capacity=6, l2_capacity=20, l2_shards=3, l2_virtual_nodes=16)
+        cfg = CacheConfig(l1_capacity=6, l2_capacity=20)
         real, ref = TieredCache(cfg), ReferenceModel(cfg)
         rng = np.random.default_rng(42)
         now = 0.0
@@ -259,7 +259,7 @@ class TestStats:
         assert s.l3.hits + s.l3.misses == s.l2.misses
 
     def test_zipf_trading_trace_hits_memory_80_percent(self):
-        c = TieredCache(CacheConfig(l1_capacity=1000, l2_capacity=10_000, l2_shards=4))
+        c = TieredCache(CacheConfig(l1_capacity=1000, l2_capacity=10_000))
         keys = zipf_trading_trace(n_keys=100_000, length=250_000, warmup=50_000, seed=7)
         run_read_trace(c, keys, warmup=50_000)
         assert c.stats.memory_hit_rate >= 0.80

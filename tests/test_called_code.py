@@ -26,6 +26,7 @@ ALLOWED = {
     "ContextualBandit": "c07's bandit sanity check runs on it",
     "optimal_rate": "c07 compares the learned policy with the bandit's best arm",
     "reset_stats": "c08 resets the cache's counters after warmup (tests/cachetrace.py)",
+    "HashRing": "c08 bounds how many keys the ring relocates when a shard joins; no tier uses it",
     "assign": "c08 measures how many keys HashRing relocates when a shard joins",
     "remove_shard": "HashRing's other membership change; its relocation property is tested",
     "percentiles": "the nearest-rank reference that weighted_percentile is tested against",

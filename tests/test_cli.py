@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tradesim.cli import EXIT_CONFIG, EXIT_OK, main, run_experiment, ExperimentC
 from tradesim.cluster import ClusterSim, NoiseSpec, save_topology, uniform_topology
 from tradesim.errors import ConfigError
 from tradesim.hybrid import Chromosome, HybridConfig
+from tradesim.optim import save_params
 from tradesim.workload import (
     BurstSpec,
     WorkloadScenario,
@@ -443,14 +445,19 @@ class TestSchedulerConfig:
 class TestCheckpointArguments:
     """A checkpoint path naming a file that is not a checkpoint exits 1."""
 
-    @pytest.fixture(params=["text", "no-meta"])
+    @pytest.fixture(params=["text", "no-meta", "unknown-nested-key"])
     def not_a_checkpoint(self, request, tmp_path):
         path = tmp_path / "bad.npz"
         if request.param == "text":
             path.write_text("epoch,loss\n0,1.0\n")
-        else:
+        elif request.param == "no-meta":
             with open(path, "wb") as fh:
                 np.savez(fh, w=np.zeros(3))
+        else:  # every key either kind requires, each model part naming no field
+            meta = {"config": {"extra": 1}, "scaling": {}, "seq_len": 4, "feature_window": 6,
+                    "horizon": 3, "residual_quantiles": [0.0, 0.0], "encoder": {"extra": 1},
+                    "hidden": [4], "migration_choices": 2}
+            save_params(path, {"w": np.zeros(3)}, meta)
         return path
 
     def test_predictor(self, small_files, not_a_checkpoint, capsys):
@@ -569,6 +576,30 @@ class TestCompareCommand:
             "--candidate", str(tmp_path / "y.json"),
         ])
         assert code != EXIT_OK
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            lambda: None,
+            lambda: "epoch,loss\n0,1.0\n",
+            lambda: '{"a": 1}',
+            lambda: json.dumps(asdict(_summary()) | {"p50_ms": 130.0}),  # p50 above p95
+        ],
+        ids=["missing", "not-json", "not-a-summary", "unordered-percentiles"],
+    )
+    def test_bad_summary_file_exits_config_naming_it(self, tmp_path, capsys, text):
+        from tradesim.report import save_summary
+
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_summary(_summary(), good)
+        content = text()
+        if content is not None:
+            bad.write_text(content)
+        for baseline, candidate in ((bad, good), (good, bad)):
+            capsys.readouterr()
+            code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate)])
+            assert code == EXIT_CONFIG
+            assert "bad.json" in capsys.readouterr().err
 
 
 class TestTrainPredictorCommand:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from tradesim.cluster import (
     save_topology,
     service_latency,
     topology_from_dict,
-    topology_to_dict,
     uniform_topology,
     write_trace_csv,
 )
@@ -374,7 +373,7 @@ class TestTopologyIO:
         path = tmp_path / "topo.json"
         save_topology(topo, path)
         assert load_topology(path) == topo
-        assert topology_from_dict(topology_to_dict(topo)) == topo
+        assert topology_from_dict(asdict(topo)) == topo
 
     def test_invalid_topology_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from tradesim.workload import (
     rate_profile,
     save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 
@@ -186,12 +187,12 @@ class TestScenarioRoundTrip:
 
     def test_dict_round_trip(self):
         sc = flat_scenario()
-        assert scenario_from_dict(scenario_to_dict(sc)) == sc
+        assert scenario_from_dict(asdict(sc)) == sc
 
     def test_file_with_a_retired_key_still_loads(self):
         # files written while scenarios carried users_to_rate
         sc = flat_scenario()
-        assert scenario_from_dict({**scenario_to_dict(sc), "users_to_rate": 2.5}) == sc
+        assert scenario_from_dict({**asdict(sc), "users_to_rate": 2.5}) == sc
 
     def test_missing_file_raises_config_error(self):
         with pytest.raises(ConfigError):
