@@ -7,7 +7,9 @@ equal from their JSON files, and a second save must give the same bytes.
 
 The hand-written `topology_to_dict` that `save_topology` replaced lives here,
 test-only, and the topology files must equal its bytes. The scenario file
-holds what the replaced `scenario_to_dict` wrote, in field order.
+holds what the replaced `scenario_to_dict` wrote, in field order. A predictor
+checkpoint's meta follows the same rule; its byte equality with the earlier
+writer is checked in `test_single_implementations.py`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,15 @@ from tradesim.cluster import (
     uniform_topology,
 )
 from tradesim.errors import ConfigError
-from tradesim.lstm import FeatureScaling, ForecastModel, LstmConfig, init_params, load_checkpoint
-from tradesim.optim import save_params
+from tradesim.lstm import (
+    FeatureScaling,
+    ForecastModel,
+    LstmConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from tradesim.optim import load_params, save_params
 from tradesim.workload import (
     BurstSpec,
     RampSpec,
@@ -343,20 +352,14 @@ def lstm_model() -> ForecastModel:
     )
 
 
-def checkpoint_meta(model: ForecastModel) -> dict:
-    """The meta a checkpoint of `model` holds, as written before the dataclass
-    defined it."""
-    return {
-        "config": asdict(model.config),
-        "scaling": asdict(model.scaling),
-        "seq_len": model.seq_len,
-        "feature_window": model.feature_window,
-        "horizon": model.horizon,
-        "residual_quantiles": list(model.residual_quantiles),
-        "ticks_per_day": model.ticks_per_day,
-        "market_open_tick": model.market_open_tick,
-        "market_close_tick": model.market_close_tick,
-    }
+def checkpoint_without(tmp_path, key: str, extra: dict | None = None) -> Path:
+    """A checkpoint of `lstm_model()` whose meta lacks `key` and adds `extra`."""
+    path = tmp_path / "m.npz"
+    save_checkpoint(lstm_model(), path)
+    params, meta = load_params(path)
+    del meta[key]
+    save_params(path, params, {**meta, **(extra or {})})
+    return path
 
 
 class TestCheckpointMeta:
@@ -364,21 +367,13 @@ class TestCheckpointMeta:
         "key", ["residual_quantiles", "ticks_per_day", "market_open_tick", "market_close_tick"]
     )
     def test_omitted_optional_key_takes_the_default(self, tmp_path, key):
-        model = lstm_model()
-        meta = checkpoint_meta(model)
-        del meta[key]
-        save_params(tmp_path / "m.npz", model.params, {**meta, "retired": 1})
-        loaded = load_checkpoint(tmp_path / "m.npz")
-        expected = replace(model, **{key: defaulted(ForecastModel)[key]})
+        loaded = load_checkpoint(checkpoint_without(tmp_path, key, {"retired": 1}))
+        expected = replace(lstm_model(), **{key: defaulted(ForecastModel)[key]})
         for f in fields(ForecastModel):
             if f.init and f.name != "params":
                 assert getattr(loaded, f.name) == getattr(expected, f.name), f.name
 
     @pytest.mark.parametrize("key", ["config", "scaling", "seq_len", "feature_window", "horizon"])
     def test_missing_required_key_is_config_error(self, tmp_path, key):
-        model = lstm_model()
-        meta = checkpoint_meta(model)
-        del meta[key]
-        save_params(tmp_path / "m.npz", model.params, meta)
         with pytest.raises(ConfigError, match=f"lacks \\['{key}'\\]"):
-            load_checkpoint(tmp_path / "m.npz")
+            load_checkpoint(checkpoint_without(tmp_path, key))
