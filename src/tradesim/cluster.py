@@ -5,7 +5,8 @@ The tick model (capacity sharing, contention and formula latency, the
 utilization EWMA) is written once, over arrays with optional leading batch
 axes, and so is the FIFO drain of the queues (`drain`), over flat rows of
 per-arrival-tick buckets. `ClusterSim` steps one cluster with them: a bucket
-ring per service, actions, jitter draws, noise, reward and trace.
+ring per service, actions, noise, reward and trace, and the latency samples,
+whose jitter it draws only when something reads them.
 `rollout_batch` steps a whole population of candidate configurations at once
 through the same arrivals, with no-op actions and no jitter or noise, which is
 what the hybrid scheduler's fitness rollouts need.
@@ -182,7 +183,7 @@ class SystemState:
     hist_var: np.ndarray  # (k,) windowed load variance
     latency_ms: np.ndarray  # (k,) mean completed-request latency last tick
     throughput: np.ndarray  # (k,) completions per second
-    tick: int = 0
+    tick: int = 0  # ticks stepped so far, as in RolloutBatch.final_state
 
 
 def service_latency(
@@ -387,16 +388,18 @@ def sample_jitter(model: LatencyModel, rng: np.random.Generator, size: int) -> n
 
 def reward(
     previous_quota: np.ndarray,
-    state: SystemState,
+    latency_ms: np.ndarray,
+    util: np.ndarray,
     action: SchedulingAction,
     spec: RewardSpec,
 ) -> float:
-    """Negative weighted penalty: latency overshoot and utilization distance in
-    `state`, plus the scheduling cost C_t of `action` (instance changes,
-    migrations, quota drift from `previous_quota`). Always <= 0; 0 only when
-    every term vanishes. `ClusterSim` charges the action as applied."""
-    t_term = float((state.latency_ms / spec.T_target).sum())
-    u_term = float(np.abs(state.util[:, 0] - spec.u_target).sum())
+    """Negative weighted penalty: the latency overshoot of the (k,) per-service
+    `latency_ms` and the CPU utilization distance of the (n, 3) node `util`,
+    plus the scheduling cost C_t of `action` (instance changes, migrations,
+    quota drift from `previous_quota`). Always <= 0; 0 only when every term
+    vanishes. `ClusterSim` charges the action as applied."""
+    t_term = float((latency_ms / spec.T_target).sum())
+    u_term = float(np.abs(util[:, 0] - spec.u_target).sum())
     c_term = (
         spec.cost_instance * float(np.abs(action.instance_delta).sum())
         + spec.cost_migration * float(action.migration.sum())
@@ -473,8 +476,11 @@ class ClusterSim:
         self.backlog_integral = 0.0
         self.reward_trace: list[float] = []
         self.trace: list[TickRecord] = []
-        self.latency_samples: list[np.ndarray] = []
-        self.latency_weights: list[np.ndarray] = []
+        # per tick stepped, the (wait ms, formula ms, requests) of each bucket
+        # served, in service-then-arrival order, until `_materialize` samples them
+        self._served: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._samples: list[np.ndarray] = []
+        self._weights: list[np.ndarray] = []
 
         self._noise_rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 101])
         self._jitter_rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 202])
@@ -594,9 +600,10 @@ class ClusterSim:
 
     # -- stepping ----------------------------------------------------------
 
-    def step_counts(self, action: SchedulingAction, counts: np.ndarray) -> SystemState:
+    def step_counts(self, action: SchedulingAction, counts: np.ndarray) -> None:
         """Advance one tick: apply the action, enqueue arrivals, drain queues by
-        priority-weighted capacity sharing, update utilization and statistics."""
+        priority-weighted capacity sharing, update utilization and statistics.
+        `observe_state` reads the state it leaves."""
         prev_quota = self.quota.copy()
         applied = self._apply_action(action)
         counts = np.asarray(counts, dtype=np.int64)
@@ -619,9 +626,8 @@ class ClusterSim:
         available, used_by_node = allocate_work(
             cap, self.node_cpu, self.queue_len * work_units + 0.0, self.carry_work
         )
-        model = self.topology.latency
         rho = contention(cap.share, self.util_true[:, 0])
-        formula = service_latency(model, rho, self.cache_hit_rate)
+        formula = service_latency(self.topology.latency, rho, self.cache_hit_rate)
         served: list[tuple[np.ndarray, ...]] = []
         completed, sum_base_ms = drain(
             self._buckets, self._head, available, work_units, formula, self.tick,
@@ -630,22 +636,18 @@ class ClusterSim:
         self.queue_len -= completed
         self.carry_work = np.where(self.queue_len > 0, np.remainder(available, work_units), 0.0)
 
-        # One jitter draw for the whole tick: the buckets' consecutive draws in
-        # service-major, then arrival order, the order of a per-service loop.
-        if served:
-            if len(served) == 1:
-                _, waits, formulas, n_served = served[0]
-            else:
-                rows, waits, formulas, n_served = map(np.concatenate, zip(*served))
-                order = rows.argsort(kind="stable")
-                waits, formulas, n_served = waits[order], formulas[order], n_served[order]
-            draws = np.minimum(n_served, self.latency_sample_cap)  # 0 for an empty bucket
-            jit = sample_jitter(model, self._jitter_rng, int(draws.sum()))
-            samples = waits.repeat(draws) + formulas.repeat(draws) * jit
-            weights = (n_served / np.maximum(draws, 1)).repeat(draws)
+        # the buckets served, in service-major, then arrival order: the order
+        # of a per-service loop, in which their jitter is drawn
+        if len(served) == 1:
+            _, waits, formulas, n_served = served[0]
+        elif served:
+            rows, waits, formulas, n_served = map(np.concatenate, zip(*served))
+            order = rows.argsort(kind="stable")
+            waits, formulas, n_served = waits[order], formulas[order], n_served[order]
         else:
-            samples = np.zeros(0)
-            weights = np.zeros(0)
+            waits = formulas = np.zeros(0)
+            n_served = np.zeros(0, dtype=np.int64)
+        self._served.append((waits, formulas, n_served))
 
         self.completed_total += int(completed.sum())
         self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
@@ -669,13 +671,13 @@ class ClusterSim:
         self.last_latency_ms = np.where(completed > 0, sum_base_ms / np.maximum(completed, 1), 0.0)
         self.last_throughput = completed / self.topology.tick_length
 
-        self.latency_samples.append(samples)
-        self.latency_weights.append(weights)
-
-        state = self.observe_state()
-        self.reward_trace.append(reward(prev_quota, state, applied, self.reward_spec))
+        self.reward_trace.append(
+            reward(prev_quota, self.last_latency_ms, self.util_obs, applied, self.reward_spec)
+        )
 
         if self.record_trace:
+            self._materialize()
+            samples, weights = self._samples[-1], self._weights[-1]
             p50, p95 = (
                 weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
             )
@@ -690,7 +692,39 @@ class ClusterSim:
                 )
             )
         self.tick += 1
-        return state
+
+    def _materialize(self) -> None:
+        """Sample the latencies of the ticks stepped since the last call.
+
+        Each bucket served gives min(requests, `latency_sample_cap`) samples of
+        its wait plus its formula latency times a jitter draw, each weighted by
+        its share of the bucket's requests. The jitter of all pending ticks is
+        one draw, in tick order: the stream a draw per tick would give, so the
+        samples do not depend on when they are read."""
+        if not self._served:
+            return
+        pending, self._served = self._served, []
+        draws = [np.minimum(n_served, self.latency_sample_cap) for _, _, n_served in pending]
+        sizes = [int(d.sum()) for d in draws]  # a bucket with no request served draws none
+        jit = sample_jitter(self.topology.latency, self._jitter_rng, sum(sizes))
+        start = 0
+        for (waits, formulas, n_served), d, size in zip(pending, draws, sizes):
+            self._samples.append(waits.repeat(d) + formulas.repeat(d) * jit[start : start + size])
+            self._weights.append((n_served / np.maximum(d, 1)).repeat(d))
+            start += size
+
+    @property
+    def latency_samples(self) -> list[np.ndarray]:
+        """Per tick stepped, the sampled latencies (ms) of the requests it
+        completed (see `_materialize`)."""
+        self._materialize()
+        return self._samples
+
+    @property
+    def latency_weights(self) -> list[np.ndarray]:
+        """Per tick stepped, the number of requests each latency sample stands for."""
+        self._materialize()
+        return self._weights
 
     def _grow_queues(self) -> None:
         """Double the bucket ring; each waiting bucket keeps its arrival tick."""
@@ -748,9 +782,10 @@ class ClusterSim:
     # -- summary helpers -----------------------------------------------------
 
     def all_latency_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.latency_samples:
+        samples, weights = self.latency_samples, self.latency_weights
+        if not samples:
             return np.zeros(0), np.zeros(0)
-        return np.concatenate(self.latency_samples), np.concatenate(self.latency_weights)
+        return np.concatenate(samples), np.concatenate(weights)
 
 
 def _clamped(values, current: np.ndarray, low: float, high: float) -> tuple[np.ndarray, int]:

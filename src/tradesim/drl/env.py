@@ -45,8 +45,9 @@ class DecisionEnv:
             if self._tick >= self.scenario.horizon:
                 break
             counts = generate_tick_counts(self.scenario, self._tick)
-            self._state = self.sim.step_counts(action if i == 0 else self.sim.no_op_action(), counts)
+            self.sim.step_counts(action if i == 0 else self.sim.no_op_action(), counts)
             self._tick += 1
+        self._state = self.sim.observe_state()
         reward = float(np.mean(self.sim.reward_trace[-self.decision_interval :]))
         done = self._tick >= self.scenario.horizon
         return self.encoder.encode(self._state), reward, done, {}

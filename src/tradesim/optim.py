@@ -76,13 +76,13 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|x|.
 
-    Both branches are evaluated on the whole array and `where` picks one per
-    element, so there is no boolean gather/scatter; each element gets the same
-    bits as 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below. NaN stays NaN.
+    With e = exp(-|x|) <= 1, the numerator max(e, x >= 0) is 1 for x >= 0 and
+    e below, so one division over the whole array gives each element the same
+    bits as 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, with no
+    boolean gather/scatter and no second branch. NaN stays NaN.
     """
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:

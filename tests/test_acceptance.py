@@ -162,7 +162,8 @@ class TestC02LoadLatencyTrend:
             sim = ClusterSim(topo, seed=0, noise=NoiseSpec(std=0.0), latency_sample_cap=4)
             lat_sum = done_sum = 0.0
             for t in range(scenario.horizon):
-                state = sim.step_counts(sim.no_op_action(), generate_tick_counts(scenario, t))
+                sim.step_counts(sim.no_op_action(), generate_tick_counts(scenario, t))
+                state = sim.observe_state()
                 if t >= 60:  # EWMA settled
                     done = sim.last_throughput
                     lat_sum += float(np.dot(state.latency_ms, done))

@@ -54,6 +54,12 @@ def no_op(sim: ClusterSim) -> SchedulingAction:
     return sim.no_op_action()
 
 
+def step(sim: ClusterSim, action: SchedulingAction, arrivals) -> SystemState:
+    """Step one tick and observe the state it leaves."""
+    sim.step_counts(action, arrivals)
+    return sim.observe_state()
+
+
 def counts(sim: ClusterSim, *values) -> np.ndarray:
     out = np.zeros(sim.k, dtype=np.int64)
     out[: len(values)] = values
@@ -98,12 +104,12 @@ class TestStep:
 
     def test_single_request_to_idle_instance_sees_85ms(self):
         sim = make_sim()
-        state = sim.step_counts(no_op(sim), counts(sim, 1))
+        state = step(sim, no_op(sim), counts(sim, 1))
         assert state.latency_ms[0] == pytest.approx(85.0, abs=1e-9)
 
     def test_latency_components_example(self):
         sim = make_sim(topology=two_service_topology(node_cpu=100000.0))
-        state = sim.step_counts(no_op(sim), counts(sim, 0, 1))
+        state = step(sim, no_op(sim), counts(sim, 0, 1))
         # network 15 + processing 45 + data access 25 ms, uncontended
         assert state.latency_ms[1] == pytest.approx(85.0, abs=1e-9)
 
@@ -121,7 +127,7 @@ class TestStep:
     def test_queue_wait_adds_tick_latency(self):
         sim = make_sim()
         sim.step_counts(no_op(sim), counts(sim, 150))  # 100 served, 50 wait
-        state = sim.step_counts(no_op(sim), counts(sim))
+        state = step(sim, no_op(sim), counts(sim))
         assert state.latency_ms[0] > 1000.0  # waited >= 1 tick = 1000 ms
 
     def test_conservation_under_random_load(self):
@@ -137,7 +143,7 @@ class TestStep:
             states = []
             rng = np.random.default_rng(9)
             for _ in range(50):
-                states.append(sim.step_counts(no_op(sim), rng.poisson(20, size=sim.k)))
+                states.append(step(sim, no_op(sim), rng.poisson(20, size=sim.k)))
             return states
 
         for a, b in zip(run(), run()):
@@ -149,7 +155,7 @@ class TestStep:
         prev = None
         deltas = []
         for _ in range(1000):
-            state = sim.step_counts(no_op(sim), counts(sim, 20, 20))
+            state = step(sim, no_op(sim), counts(sim, 20, 20))
             if prev is not None:
                 deltas.append(np.abs(state.util - prev.util).max())
             prev = state
@@ -253,7 +259,8 @@ class TestReward:
     def test_zero_penalties_give_zero_reward(self):
         spec = RewardSpec(u_target=0.7)
         state = self.make_state([0.0, 0.0], [0.7, 0.7])
-        assert reward(np.array([0.4, 0.4]), state, self.zero_action(), spec) == 0.0
+        quota = np.array([0.4, 0.4])
+        assert reward(quota, state.latency_ms, state.util, self.zero_action(), spec) == 0.0
 
     def test_direct_arithmetic_example(self):
         # one service T=100 at T_target=50, one node u=0.9 vs 0.7, C_t=0.1
@@ -266,7 +273,7 @@ class TestReward:
             priority=np.array([0.5]),
             quota=np.array([0.4]),
         )
-        assert reward(quota_before, after, action, spec) == pytest.approx(-2.3)
+        assert reward(quota_before, after.latency_ms, after.util, action, spec) == pytest.approx(-2.3)
 
     def test_reward_never_positive(self):
         rng = np.random.default_rng(2)
@@ -280,7 +287,7 @@ class TestReward:
                 priority=rng.random(2),
                 quota=rng.random(2) * 0.5 + 0.1,
             )
-            assert reward(quota_before, after, action, spec) <= 0.0
+            assert reward(quota_before, after.latency_ms, after.util, action, spec) <= 0.0
 
     def test_simulator_charges_the_applied_action(self):
         # service 0 grows to two instances on node 0, and one of them moves to
@@ -295,7 +302,7 @@ class TestReward:
             priority=np.array([0.5, 0.5]),
             quota=np.array([0.8, 0.5]),
         )
-        state = sim.step_counts(requested, counts(sim, 30, 30))
+        state = step(sim, requested, counts(sim, 30, 30))
         assert sim.placement.tolist() == [[1, 1], [0, 1]]
         assert sim.quota.tolist() == (np.array([0.8, 0.5]) / 1.3).tolist()
         applied = SchedulingAction(
@@ -305,9 +312,9 @@ class TestReward:
             quota=sim.quota,
         )
         got = sim.reward_trace[-1]
-        want = reward(prev_quota, state, applied, sim.reward_spec)
+        want = reward(prev_quota, state.latency_ms, state.util, applied, sim.reward_spec)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert got != reward(prev_quota, state, requested, sim.reward_spec)
+        assert got != reward(prev_quota, state.latency_ms, state.util, requested, sim.reward_spec)
 
 
 class TestObserveState:
@@ -319,7 +326,7 @@ class TestObserveState:
 
     def test_load_reflects_request_counts_exactly(self):
         sim = make_sim()
-        state = sim.step_counts(no_op(sim), counts(sim, 13, 7))
+        state = step(sim, no_op(sim), counts(sim, 13, 7))
         assert state.load.tolist() == [13.0, 7.0]
 
     def test_repeated_observation_equal_without_step(self):
@@ -342,7 +349,7 @@ class TestObserveState:
 
     def test_observation_noise_applied_to_util_only(self):
         sim = make_sim(noise=NoiseSpec(std=0.05), seed=4)
-        state = sim.step_counts(no_op(sim), counts(sim, 20, 20))
+        state = step(sim, no_op(sim), counts(sim, 20, 20))
         assert not np.array_equal(state.util, sim.util_true)
         assert np.all(state.util >= 0.0) and np.all(state.util <= 1.0)
 

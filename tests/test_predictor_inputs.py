@@ -115,6 +115,13 @@ def masked_sigmoid(x):
     return out
 
 
+def where_sigmoid(x):
+    # the sigmoid before its single division: both branches, `where` picks one
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def old_weighted_percentile(samples, weights, level):
     samples = np.asarray(samples, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -257,12 +264,21 @@ class TestRateProfile:
 
 class TestSigmoid:
     SPECIALS = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 710.0, -710.0, 746.0, -746.0,
-                5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 36.7, -36.7]
+                5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 36.7, -36.7, 800.0, -800.0]
+    NANS = [np.nan, -np.nan]  # the masked version gives NaN another sign bit
 
     @given(st.lists(st.floats(allow_nan=False, allow_subnormal=True), min_size=1, max_size=64))
     def test_bits_equal_masked_version(self, values):
         x = np.array(values + self.SPECIALS)
         assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+        x = np.array(values + self.SPECIALS + self.NANS)
+        assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+    def test_bits_equal_where_version_on_normals(self):
+        x = np.random.default_rng(3).standard_normal(200_000) * 20.0
+        assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+        z = x[:32 * 512].reshape(32, 512)[:, :384]  # a strided gate block, as the LSTM's
+        assert sigmoid(z).tobytes() == where_sigmoid(z).tobytes()
 
     @given(st.integers(1, 6), st.integers(1, 40), st.floats(0.1, 50.0))
     def test_gate_block_equals_three_slices(self, batch, hidden, spread):

@@ -59,9 +59,9 @@ def reference_rollout(evaluator: RolloutEvaluator, chromo: Chromosome) -> Rollou
     util_sum = 0.0
     node_work = np.zeros(topo.node_count)
     for counts in evaluator.arrivals():
-        state = sim.step_counts(sim.no_op_action(), counts)
+        sim.step_counts(sim.no_op_action(), counts)
         done = sim.last_throughput * topo.tick_length
-        latency_sum += float(np.dot(state.latency_ms, done))
+        latency_sum += float(np.dot(sim.observe_state().latency_ms, done))
         completed += float(done.sum())
         util_sum += float(sim.util_true[:, 0].mean())
         node_work += sim.util_true[:, 0]

@@ -260,6 +260,13 @@ def assert_states_equal(a: SystemState, b: SystemState) -> None:
             assert x == y, f.name
 
 
+def step_both(sim: ClusterSim, ref: ReferenceSim, a, b, counts) -> None:
+    """Step both simulators one tick, then compare the states they leave."""
+    sim.step_counts(a, counts)
+    ref.step_counts(b, counts)
+    assert_states_equal(sim.observe_state(), ref.observe_state())
+
+
 def assert_sims_equal(sim: ClusterSim, ref: ReferenceSim) -> None:
     for name in (
         "placement", "quota", "priority", "queue_len", "carry_work", "util_true", "util_obs",
@@ -376,7 +383,7 @@ def run_both(topology, kwargs, ticks: int, load: float, hold_share: float, seed:
         if rng.random() < 0.03:  # the configuration changed in place
             value = rng.choice([0.0005, 0.2, 1.0])
             sim.quota[0] = ref.quota[0] = value
-        assert_states_equal(sim.step_counts(a, counts), ref.step_counts(b, counts))
+        step_both(sim, ref, a, b, counts)
     return sim, ref
 
 
@@ -446,12 +453,61 @@ class TestTickEqualsReference:
         assert sim.quota[1] < QUOTA_FLOOR
         before = sim.sanitized_actions
         for _ in range(5):
-            assert_states_equal(
-                sim.step_counts(sim.no_op_action(), counts),
-                ref.step_counts(ref.no_op_action(), counts),
-            )
+            step_both(sim, ref, sim.no_op_action(), ref.no_op_action(), counts)
         assert sim.sanitized_actions > before + 5  # each hold clamped and rescaled
         assert_sims_equal(sim, ref)
+
+
+class TestDeferredSamples:
+    """A tick keeps the buckets it served, and reading the samples draws their
+    jitter; when they are read changes no sample, weight or random state."""
+
+    @pytest.mark.parametrize("jitter, cap", [(True, 64), (True, 1), (False, 3)])
+    @given(
+        topology=topologies(), kwargs=sim_kwargs(), ticks=st.integers(1, 40),
+        load=st.floats(0.1, 3.0), empty_share=st.sampled_from([0.0, 0.3, 0.7]),
+        read_at=st.sets(st.integers(0, 39)), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_read_every_tick_equals_read_at_the_end(
+        self, jitter, cap, topology, kwargs, ticks, load, empty_share, read_at, seed
+    ):
+        # one run reads the samples after every tick, one after the drawn
+        # ticks and one only at the end; a share of the ticks have no arrivals
+        topology = replace(topology, latency=LatencyModel(jitter_enabled=jitter))
+        kwargs = dict(kwargs, latency_sample_cap=cap, record_trace=False)
+        every, sometimes, end = (ClusterSim(topology, **kwargs) for _ in range(3))
+        rng = np.random.default_rng(seed)
+        node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
+        rate = load * np.asarray(topology.initial_quota) * node_cpu / [
+            s.work_units for s in topology.services
+        ]
+        for t in range(ticks):
+            counts = rng.poisson(rate) * (rng.random() >= empty_share)
+            for sim in (every, sometimes, end):
+                sim.step_counts(sim.no_op_action(), counts)
+            every.latency_samples
+            if t in read_at:
+                sometimes.latency_weights
+        for sim in (sometimes, end):
+            assert len(sim.latency_samples) == len(every.latency_samples) == ticks
+            for name in ("latency_samples", "latency_weights"):
+                for t, (a, b) in enumerate(zip(getattr(sim, name), getattr(every, name))):
+                    assert_arrays_equal(a, b, f"{name} of tick {t}")
+            assert sim._jitter_rng.bit_generator.state == every._jitter_rng.bit_generator.state
+            assert_arrays_equal(sim.reward_trace, every.reward_trace, "reward_trace")
+
+    def test_unread_samples_draw_no_jitter(self):
+        topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
+        sim = ClusterSim(topology, seed=4)
+        seeded = sim._jitter_rng.bit_generator.state
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            sim.step_counts(sim.no_op_action(), rng.poisson(40, size=sim.k))
+        assert sim.completed_total > 0
+        assert sim._jitter_rng.bit_generator.state == seeded
+        samples, weights = sim.all_latency_samples()
+        assert samples.size and weights.sum() == pytest.approx(sim.completed_total)
+        assert sim._jitter_rng.bit_generator.state != seeded
 
 
 class TestSanitizeReuse:
@@ -487,9 +543,10 @@ class TestSanitizeReuse:
         assert np.array_equal(second.quota, hold.quota)
 
 
-def assert_tick_equal(sim: ClusterSim, ref: ReferenceSim, got: SystemState, want: SystemState):
-    """One tick's outputs: the state, the reward, the trace row and the clamp count."""
-    assert_states_equal(got, want)
+def assert_tick_equal(sim: ClusterSim, ref: ReferenceSim, a, b, counts) -> None:
+    """Step both simulators one tick, then compare its outputs: the state it
+    leaves, the reward, the trace row and the clamp count."""
+    step_both(sim, ref, a, b, counts)
     assert_arrays_equal(sim.reward_trace[-1], ref.reward_trace[-1], "reward")
     for f in fields(TickRecord):
         assert_arrays_equal(getattr(sim.trace[-1], f.name), getattr(ref.trace[-1], f.name), f.name)
@@ -519,7 +576,7 @@ class TestStepTrims:
             else:
                 a, b = sim.no_op_action(), ref.no_op_action()
             counts = rng.poisson(rate)
-            assert_tick_equal(sim, ref, sim.step_counts(a, counts), ref.step_counts(b, counts))
+            assert_tick_equal(sim, ref, a, b, counts)
         assert_sims_equal(sim, ref)
 
     def test_rescaled_commitment_just_above_one(self):
@@ -536,15 +593,11 @@ class TestStepTrims:
         grow = SchedulingAction(np.array([2, 2]), np.zeros((2, 1)), np.array([0.5, 0.5]),
                                 np.array([0.15, 0.52]))
         counts = np.array([40, 40])
-        assert_tick_equal(sim, ref, sim.step_counts(grow, counts), ref.step_counts(grow, counts))
+        assert_tick_equal(sim, ref, grow, grow, counts)
         assert (sim.placement.T @ sim.quota).max() > 1.0
         rescales = sim.sanitized_actions
         for _ in range(4):
-            assert_tick_equal(
-                sim, ref,
-                sim.step_counts(sim.no_op_action(), counts),
-                ref.step_counts(ref.no_op_action(), counts),
-            )
+            assert_tick_equal(sim, ref, sim.no_op_action(), ref.no_op_action(), counts)
         assert sim.sanitized_actions == rescales + 1  # once more, then the commitment holds
         assert (sim.placement.T @ sim.quota).max() <= 1.0
         assert_sims_equal(sim, ref)
@@ -616,6 +669,23 @@ class TestDecisionEnvArrivals:
                 for t, (_, counts) in enumerate(stepped):
                     assert_arrays_equal(counts, draw(env.scenario, t), f"tick {t}")
         assert sorted(drawn) == sorted((s, t) for s in (1, 2) for t in range(60))
+
+    def test_observes_once_per_decision(self, monkeypatch):
+        observed = []
+        observe = ClusterSim.observe_state
+        monkeypatch.setattr(
+            ClusterSim, "observe_state", lambda sim: observed.append(sim.tick) or observe(sim)
+        )
+        env = make_env(tidal(1, horizon=55))
+        obs = env.reset(0)
+        rng = np.random.default_rng(0)
+        steps, done = 0, False
+        while not done:
+            record, _ = env.mapper.core.act(env.mapper.params, obs, "sample", rng)
+            obs, _, done, _ = env.step(record)
+            steps += 1
+        assert steps == 6  # five full decision intervals and a short last one
+        assert observed == [0, 10, 20, 30, 40, 50, 55]  # at reset, then after each interval
 
     def test_another_scenario_gets_its_own_counts(self):
         scenario = tidal(1)
