@@ -174,7 +174,10 @@ class SchedulingAction:
 @dataclass
 class SystemState:
     """Observation vector: per-service loads, node utilization matrix, queue
-    lengths, windowed history statistics and performance metrics."""
+    lengths, windowed history statistics and performance metrics.
+
+    `tick` is the number of ticks stepped so far, both for
+    `ClusterSim.observe_state` and for `RolloutBatch.final_state`."""
 
     load: np.ndarray  # (k,) requests arrived last tick
     util: np.ndarray  # (n, 3) cpu/mem/net in [0, 1], observation-noised
@@ -183,7 +186,7 @@ class SystemState:
     hist_var: np.ndarray  # (k,) windowed load variance
     latency_ms: np.ndarray  # (k,) mean completed-request latency last tick
     throughput: np.ndarray  # (k,) completions per second
-    tick: int = 0  # ticks stepped so far, as in RolloutBatch.final_state
+    tick: int = 0
 
 
 def service_latency(
