@@ -4,18 +4,21 @@ latency/reward model driving every scheduler in this package.
 The tick model (capacity sharing, contention and formula latency, the
 utilization EWMA) is written once, over arrays with optional leading batch
 axes, and so is the FIFO drain of the queues (`drain`), over flat rows of
-per-arrival-tick buckets. `ClusterSim` steps one cluster with them: a bucket
-ring per service, actions, noise, reward and trace, and the latency samples,
-whose jitter it draws only when something reads them.
-`rollout_batch` steps a whole population of candidate configurations at once
-through the same arrivals, with no-op actions and no jitter or noise, which is
-what the hybrid scheduler's fitness rollouts need.
+per-arrival-tick buckets. `ClusterSim` has one tick over the same axes: a
+topology whose initial configuration is (k, n) instance counts and (k,) quotas
+and priorities gives one cluster; with leading axes, (P, k, n) and (P, k), it
+gives P clusters stepped through the same arrivals. `step_counts` applies an
+action, then ticks, and returns the action as applied, which `reward` charges.
+`rollout_batch` holds the hybrid scheduler's candidate configurations as the P
+rows of one sim, with no jitter or noise. A sim draws the jitter of its latency
+samples only when something reads them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,11 @@ class RewardSpec:
 
 @dataclass(frozen=True)
 class ClusterTopology:
+    """Nodes, services and their initial configuration. The three initial
+    fields may also be arrays with leading batch axes, one configuration per
+    index (`rollout_batch` builds such a topology); a `ClusterSim` of it steps
+    one cluster per index."""
+
     nodes: tuple[NodeSpec, ...]
     services: tuple[ServiceSpec, ...]
     initial_placement: tuple[tuple[int, ...], ...]  # services x nodes instance counts
@@ -98,28 +106,16 @@ class ClusterTopology:
     tick_length: float = 1.0  # seconds
 
     def __post_init__(self) -> None:
-        k, n = len(self.services), len(self.nodes)
-        if len(self.initial_placement) != k or any(len(r) != n for r in self.initial_placement):
-            raise ConfigError("initial_placement must be services x nodes")
-        if len(self.initial_quota) != k or len(self.initial_priority) != k:
-            raise ConfigError("quota/priority must have one entry per service")
-        placement = np.array(self.initial_placement)
-        if np.any(placement.sum(axis=1) < 1):
-            raise ConfigError("every service needs at least one instance")
-        for q in self.initial_quota:
-            if not 0.0 < q <= 1.0:
-                raise ConfigError(f"quota {q} outside (0, 1]")
-        commit = placement.T @ np.asarray(self.initial_quota)
-        if np.any(commit > 1.0 + 1e-9):
-            raise ConfigError("per-node quota commitment exceeds 1")
+        check_configuration(
+            self.initial_placement, self.initial_quota, self.initial_priority,
+            len(self.services), len(self.nodes),
+        )
         if self.history_window < 0:
             raise ConfigError(f"history_window must be >= 0, got {self.history_window}")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ConfigError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
         if not (np.isfinite(self.tick_length) and self.tick_length > 0):
             raise ConfigError(f"tick_length must be finite and > 0, got {self.tick_length}")
-        if not np.all(np.isfinite(self.initial_priority)):
-            raise ConfigError(f"initial_priority must be finite, got {self.initial_priority}")
 
     @property
     def service_count(self) -> int:
@@ -279,6 +275,31 @@ def node_commit(placement: np.ndarray, quota: np.ndarray) -> np.ndarray:
     return (np.swapaxes(placement, -1, -2).astype(float) @ quota[..., None])[..., 0]
 
 
+def check_configuration(placement, quota, priority, k: int, n: int) -> None:
+    """Raise ConfigError unless (..., k, n) instance counts and (..., k) quotas
+    and priorities, with the same leading axes, are configurations a cluster
+    can start from: every service has an instance, every quota is in (0, 1], no
+    node is committed beyond 1 and every priority is finite."""
+    try:
+        placement = np.asarray(placement)
+    except ValueError:  # rows of different lengths
+        placement = np.zeros(0)
+    if placement.shape[-2:] != (k, n):
+        raise ConfigError("initial_placement must be services x nodes")
+    quota, priority = np.asarray(quota, dtype=float), np.asarray(priority, dtype=float)
+    if quota.shape != placement.shape[:-1] or priority.shape != placement.shape[:-1]:
+        raise ConfigError("quota/priority must have one entry per service")
+    if np.any(placement.sum(axis=-1) < 1):
+        raise ConfigError("every service needs at least one instance")
+    bad = ~((quota > 0.0) & (quota <= 1.0))
+    if bad.any():
+        raise ConfigError(f"quota {quota[bad][0]} outside (0, 1]")
+    if np.any(node_commit(placement, quota) > 1.0 + 1e-9):
+        raise ConfigError("per-node quota commitment exceeds 1")
+    if not np.all(np.isfinite(priority)):
+        raise ConfigError(f"initial_priority must be finite, got {priority}")
+
+
 def allocate_work(
     cap: Capacity, node_cpu: np.ndarray, demand_work: np.ndarray, carry_work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -293,18 +314,16 @@ def allocate_work(
     used_base = served_base[..., None] * cap.share
     rem = demand_work - served_base
     needy = rem > 1e-12
-    if not needy.any():
+    if not np.count_nonzero(needy):
         return served_base, used_base
     leftover = np.maximum(node_cpu - used_base.sum(axis=-2), 0.0)
     weights = np.where(needy[..., None], cap.weights, 0.0)
     col = weights.sum(axis=-2)[..., None, :]
-    has_col = col > 0
-    frac = np.where(has_col, weights / np.where(has_col, col, 1.0), 0.0)
+    frac = np.divide(weights, col, out=np.zeros(weights.shape), where=col > 0)
     offer = frac * leftover[..., None, :]
     offered = offer.sum(axis=-1)
     take = np.minimum(rem, offered)
-    has_offer = offered > 0
-    scale = np.where(has_offer, take / np.where(has_offer, offered, 1.0), 0.0)
+    scale = np.divide(take, offered, out=np.zeros(take.shape), where=offered > 0)
     extra = offer * scale[..., None]
     return served_base + extra.sum(axis=-1), used_base + extra
 
@@ -375,12 +394,6 @@ def drain(
     return completed, sum_base_ms
 
 
-def window_stats(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`hist.mean(0)` and `hist.var(0)`, bit for bit, with the mean computed once."""
-    m = hist.sum(axis=0) / len(hist)
-    return m, np.square(hist - m).sum(axis=0) / len(hist)
-
-
 def sample_jitter(model: LatencyModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Unit-mean lognormal multipliers: exp(sigma*Z - sigma^2/2)."""
     if not model.jitter_enabled or model.jitter_sigma == 0.0:
@@ -400,7 +413,8 @@ def reward(
     `latency_ms` and the CPU utilization distance of the (n, 3) node `util`,
     plus the scheduling cost C_t of `action` (instance changes, migrations,
     quota drift from `previous_quota`). Always <= 0; 0 only when every term
-    vanishes. `ClusterSim` charges the action as applied."""
+    vanishes. `DecisionEnv` charges each tick the action `ClusterSim.step_counts`
+    applied."""
     t_term = float((latency_ms / spec.T_target).sum())
     u_term = float(np.abs(util[:, 0] - spec.u_target).sum())
     c_term = (
@@ -422,7 +436,9 @@ class TickRecord:
 
 
 class ClusterSim:
-    """Single-threaded simulation instance; run one per rollout."""
+    """Single-threaded simulation of one cluster, or of one cluster per
+    leading index of the topology's initial configuration (see the module
+    docstring); run one per rollout."""
 
     def __init__(
         self,
@@ -444,49 +460,61 @@ class ClusterSim:
 
         k, n = topology.service_count, topology.node_count
         self.k, self.n = k, n
-        self.placement = np.array(topology.initial_placement, dtype=int)
-        self.quota = np.array(topology.initial_quota, dtype=float)
+        self.placement = np.array(topology.initial_placement, dtype=int)  # (..., k, n)
+        self.quota = np.array(topology.initial_quota, dtype=float)  # (..., k)
         self.priority = np.array(topology.initial_priority, dtype=float)
+        shape, rows = self.quota.shape, self.quota.size  # rows: (cluster, service) pairs
         self.arrays = TopologyArrays.of(topology)
         self.node_cpu = self.arrays.node_cpu
-        self._capacity_key: tuple[bytes, bytes, bytes] | None = None
-        self._capacity: Capacity | None = None
+        self._row_wu = np.tile(self.arrays.work_units, rows // k)
+        self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
+        self._capacity_of: tuple | None = None  # the sanitized action it was built after
         self._sanitize_key: list | None = None
         # the last sanitized action, its clamps and, when it keeps every
         # instance where it is, the node commitment it leaves (see _clamp_action)
         self._sanitized: tuple[SchedulingAction, int, float | None] | None = None
 
         self.tick = 0
-        # FIFO queues: a ring of per-arrival-tick buckets per service (see `drain`)
-        self._buckets = np.zeros((k, QUEUE_RING_START), dtype=np.int64)
-        self._head = np.zeros(k, dtype=np.int64)
-        self.queue_len = np.zeros(k, dtype=np.int64)
-        self.carry_work = np.zeros(k)
-        self.util_true = np.zeros((n, 3))
-        self.util_obs = np.zeros((n, 3))
+        # FIFO queues: a ring of per-arrival-tick buckets per row (see `drain`)
+        self._buckets = np.zeros((rows, QUEUE_RING_START), dtype=np.int64)
+        self._head = np.zeros(rows, dtype=np.int64)
+        self._oldest = 0  # a lower bound of the oldest head: heads never move back
+        self.queue_len = np.zeros(shape, dtype=np.int64)
+        self.carry_work = np.zeros(shape)
+        self.util_true = np.zeros((*shape[:-1], n, 3))
+        self.util_obs = np.zeros((*shape[:-1], n, 3))
         # the last history_window ticks' arrival counts: row i of a ring is kept
         # at i and i + window, so the window is always one contiguous slice
         self._load_ring = np.zeros((2 * topology.history_window, k))
         self._load_ticks = 0
         self.last_load = np.zeros(k, dtype=np.int64)
-        self.last_latency_ms = np.zeros(k)
-        self.last_throughput = np.zeros(k)
+        self.last_latency_ms = np.zeros(shape)
+        self.last_throughput = np.zeros(shape)
 
+        # the run's totals, over every cluster; step_counts adds each tick
         self.generated_total = 0
         self.completed_total = 0
+        self.backlog_integral = 0.0
         self.sanitized_actions = 0
         self.first_scale_up_tick = -1
-        self.backlog_integral = 0.0
-        self.reward_trace: list[float] = []
         self.trace: list[TickRecord] = []
-        # per tick stepped, the (wait ms, formula ms, requests) of each bucket
-        # served, in service-then-arrival order, until `_materialize` samples them
-        self._served: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # per tick stepped, the drain's steps (see `drain`), until `_materialize`
+        # puts them in order and samples them; the samples of a batch would pool
+        # its clusters, so a batch keeps none
+        self._served: list[list[tuple[np.ndarray, ...]]] | None = [] if shape == (k,) else None
         self._samples: list[np.ndarray] = []
         self._weights: list[np.ndarray] = []
 
-        self._noise_rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 101])
-        self._jitter_rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 202])
+        self._seed = seed & 0xFFFFFFFFFFFFFFFF
+
+    # built on first use: a rollout's sim draws from neither
+    @cached_property
+    def _noise_rng(self) -> np.random.Generator:
+        return np.random.default_rng([self._seed, 101])
+
+    @cached_property
+    def _jitter_rng(self) -> np.random.Generator:
+        return np.random.default_rng([self._seed, 202])
 
     # -- action handling ---------------------------------------------------
 
@@ -507,7 +535,7 @@ class ClusterSim:
         ]
         if key != self._sanitize_key:
             self._sanitize_key = key
-            moves = mig > 0 if mig.shape == (self.k, self.n) else None
+            moves = mig > 0 if mig.shape == self.placement.shape else None
             self._sanitized = self._clamp_action(delta, moves, mig.size, priority, quota)
         act, clamps, _ = self._sanitized
         return (
@@ -524,30 +552,42 @@ class ClusterSim:
     ) -> tuple[SchedulingAction, int, float | None]:
         """The sanitized action and its clamp count, computed in full; and, for
         an action that adds, removes and moves no instance, the largest node
-        commitment of its quota on the current placement, which applying it
-        leaves (None for any other action)."""
-        floor = 1 - self.placement.sum(axis=1)  # keeps at least one instance per service
+        commitment of its quota on the current placement (per cluster), which
+        applying it leaves (None for any other action)."""
+        floor = 1 - self.placement.sum(axis=-1)  # keeps at least one instance per service
         clamped_delta = np.maximum(delta, floor)
         clamps = int(np.count_nonzero(clamped_delta != delta))
         if moves is not None:
             migration = moves.astype(int)
         else:
-            migration = np.zeros((self.k, self.n), dtype=int)
+            migration = np.zeros(self.placement.shape, dtype=int)
             if mig_size:
                 clamps += 1
         priority, priority_clamps = _clamped(priority, self.priority, 0.0, 1.0)
         quota, quota_clamps = _clamped(quota, self.quota, QUOTA_FLOOR, 1.0)
         clamps += priority_clamps + quota_clamps
         keeps_placement = not (clamped_delta.any() or migration.any())
-        worst = node_commit(self.placement, quota).max() if keeps_placement else None
+        worst = node_commit(self.placement, quota).max(axis=-1) if keeps_placement else None
         return SchedulingAction(clamped_delta, migration, priority, quota), clamps, worst
 
-    def _apply_action(self, action: SchedulingAction) -> SchedulingAction:
-        """Apply the action; returns it as applied: the sanitized deltas, the
-        migrations that took effect and the quota after any rescale."""
-        act, clamps = self.sanitize_action(action)
+    def _hold(self) -> None:
+        """Do to every cluster's configuration what a no-op action does: clamp
+        priority and quota to their ranges and rescale an over-committed node,
+        without the sanitize cache."""
+        no_change = np.zeros(self.quota.shape, dtype=int)
+        sanitized = self._clamp_action(no_change, None, 0, self.priority, self.quota)
+        if not sanitized[1] and not np.any(sanitized[2] > 1.0):
+            self._capacity_of = sanitized  # nothing to clamp or rescale: the capacity holds
+        self._enact(*sanitized[:2], sanitized)
+
+    def _enact(self, act: SchedulingAction, clamps: int, sanitized: tuple) -> SchedulingAction:
+        """Put `act`, sanitized as `sanitized` (`_clamp_action`'s result), into
+        effect; returns it as applied: the sanitized deltas, the migrations that
+        took effect and the quota after any rescale. Instance changes and
+        migrations are one cluster's only. The capacity is rebuilt unless it was
+        built after this same sanitized action, which leaves what it left then."""
         self.sanitized_actions += clamps
-        worst = self._sanitized[2]  # known when the action keeps every instance in place
+        worst = sanitized[2]  # known when the action keeps every instance in place
 
         migrated = act.migration  # all zeros when it does
         if worst is None:
@@ -581,83 +621,102 @@ class ClusterSim:
         self.quota = act.quota
         if worst is None:
             worst = self._node_commit().max()
-        if worst > 1.0:
-            self.quota = self.quota / worst
-            self.sanitized_actions += 1
+        over = worst > 1.0
+        if over.any():
+            self.quota = np.where(over[..., None], self.quota / worst[..., None], self.quota)
+            self.sanitized_actions += int(np.count_nonzero(over))
+        if sanitized is not self._capacity_of:
+            self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
+            self._capacity_of = sanitized
         return SchedulingAction(act.instance_delta, migrated, act.priority, self.quota)
 
     def _node_commit(self) -> np.ndarray:
         return node_commit(self.placement, self.quota)
 
-    def capacity(self) -> Capacity:
-        """Capacity of the current configuration, rebuilt when that changed."""
-        key = (self.placement.tobytes(), self.quota.tobytes(), self.priority.tobytes())
-        if key != self._capacity_key:
-            self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
-            self._capacity_key = key
-        return self._capacity
-
     def service_rho(self) -> np.ndarray:
-        """(k,) contention each service sees at the current configuration."""
-        return contention(self.capacity().share, self.util_true[:, 0])
+        """(k,) contention each service sees at the configuration the last
+        action left (the initial one before the first tick)."""
+        return contention(self._capacity.share, self.util_true[..., 0])
 
     # -- stepping ----------------------------------------------------------
 
-    def step_counts(self, action: SchedulingAction, counts: np.ndarray) -> None:
-        """Advance one tick: apply the action, enqueue arrivals, drain queues by
-        priority-weighted capacity sharing, update utilization and statistics.
-        `observe_state` reads the state it leaves."""
-        prev_quota = self.quota.copy()
-        applied = self._apply_action(action)
+    def step_counts(self, action: SchedulingAction, counts: np.ndarray) -> SchedulingAction:
+        """Advance one tick: apply the action, tick on the (k,) arrival counts
+        and add the tick to the run's totals and trace. Returns the action as
+        applied, which `reward` charges."""
+        act, clamps = self.sanitize_action(action)
+        applied = self._enact(act, clamps, self._sanitized)
         counts = np.asarray(counts, dtype=np.int64)
+        tick = self.tick
+        completed = self._tick(counts)
+        self.generated_total += int(counts.sum()) * (self.queue_len.size // self.k)
+        self.completed_total += int(completed.sum())
+        self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
+        if self.record_trace:
+            self._materialize()
+            samples, weights = self._samples[-1], self._weights[-1]
+            p50, p95 = (
+                weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
+            )
+            self.trace.append(
+                TickRecord(
+                    tick=tick,
+                    completed=completed,
+                    p50_ms=p50,
+                    p95_ms=p95,
+                    util=self.util_obs.copy(),
+                    queue_len=self.queue_len.copy(),
+                )
+            )
+        return applied
 
-        self.generated_total += int(counts.sum())
+    def _tick(self, counts: np.ndarray) -> np.ndarray:
+        """Enqueue the (k,) arrivals at every cluster, drain the queues by
+        priority-weighted capacity sharing, update utilization and the load
+        statistics; returns the requests completed. `observe_state` reads the
+        state it leaves."""
+        counts = np.asarray(counts, dtype=np.int64)
+        queue_len = self.queue_len
+        shape = queue_len.shape
         # an empty queue starts at this tick, so idle ticks never deepen the ring
-        self._head[self.queue_len == 0] = self.tick
-        if self.tick - self._head.min() >= self._buckets.shape[1]:
-            self._grow_queues()
-        self._buckets[:, self.tick % self._buckets.shape[1]] = counts
-        self.queue_len += counts
+        self._head[queue_len.reshape(-1) == 0] = self.tick
+        C = self._buckets.shape[1]
+        if self.tick - self._oldest >= C:  # the ring may be full: look at the heads
+            self._oldest = int(self._head.min())
+            if self.tick - self._oldest >= C:
+                self._grow_queues()
+                C *= 2
+        self._buckets.reshape(*shape, C)[..., self.tick % C] = counts
+        queue_len += counts
         self.last_load = counts.copy()
 
         # completions: FIFO, oldest bucket first; capacity is not bankable across idle ticks.
         # Contention rho is the (previous-tick EWMA) CPU utilization of the
         # nodes hosting the service, capacity-weighted: an idle instance sees
         # rho = 0 and queue wait covers anything beyond rho_cap.
-        cap = self.capacity()
-        work_units = self.arrays.work_units
+        cap = self._capacity
         available, used_by_node = allocate_work(
-            cap, self.node_cpu, self.queue_len * work_units + 0.0, self.carry_work
+            cap, self.node_cpu, queue_len * self.arrays.work_units, self.carry_work
         )
-        rho = contention(cap.share, self.util_true[:, 0])
+        rho = contention(cap.share, self.util_true[..., 0])
         formula = service_latency(self.topology.latency, rho, self.cache_hit_rate)
-        served: list[tuple[np.ndarray, ...]] = []
+        available = available.reshape(-1)  # the drain spends it in place
+        served = None if self._served is None else []
         completed, sum_base_ms = drain(
-            self._buckets, self._head, available, work_units, formula, self.tick,
+            self._buckets, self._head, available, self._row_wu, formula.reshape(-1), self.tick,
             self.topology.tick_length * 1000.0, served,
         )
-        self.queue_len -= completed
-        self.carry_work = np.where(self.queue_len > 0, np.remainder(available, work_units), 0.0)
-
-        # the buckets served, in service-major, then arrival order: the order
-        # of a per-service loop, in which their jitter is drawn
-        if len(served) == 1:
-            _, waits, formulas, n_served = served[0]
-        elif served:
-            rows, waits, formulas, n_served = map(np.concatenate, zip(*served))
-            order = rows.argsort(kind="stable")
-            waits, formulas, n_served = waits[order], formulas[order], n_served[order]
-        else:
-            waits = formulas = np.zeros(0)
-            n_served = np.zeros(0, dtype=np.int64)
-        self._served.append((waits, formulas, n_served))
-
-        self.completed_total += int(completed.sum())
-        self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
+        if served is not None:
+            self._served.append(served)
+        completed = completed.reshape(shape)
+        queue_len -= completed
+        self.carry_work = np.where(
+            queue_len > 0, np.remainder(available, self._row_wu).reshape(shape), 0.0
+        )
 
         # utilization (EWMA ground truth, noisy observation)
         self.util_true = utilization_step(
-            self.util_true, used_by_node, self.queue_len, completed, cap, self.arrays,
+            self.util_true, used_by_node, queue_len, completed, cap, self.arrays,
             self.topology.ewma_alpha,
         )
         if self.noise.std > 0:
@@ -671,30 +730,12 @@ class ClusterSim:
             i = self._load_ticks % w
             self._load_ring[i] = self._load_ring[i + w] = counts
         self._load_ticks += 1
-        self.last_latency_ms = np.where(completed > 0, sum_base_ms / np.maximum(completed, 1), 0.0)
-        self.last_throughput = completed / self.topology.tick_length
-
-        self.reward_trace.append(
-            reward(prev_quota, self.last_latency_ms, self.util_obs, applied, self.reward_spec)
+        self.last_latency_ms = np.where(
+            completed > 0, sum_base_ms.reshape(shape) / np.maximum(completed, 1), 0.0
         )
-
-        if self.record_trace:
-            self._materialize()
-            samples, weights = self._samples[-1], self._weights[-1]
-            p50, p95 = (
-                weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
-            )
-            self.trace.append(
-                TickRecord(
-                    tick=self.tick,
-                    completed=completed,
-                    p50_ms=p50,
-                    p95_ms=p95,
-                    util=self.util_obs.copy(),
-                    queue_len=self.queue_len.copy(),
-                )
-            )
+        self.last_throughput = completed / self.topology.tick_length
         self.tick += 1
+        return completed
 
     def _materialize(self) -> None:
         """Sample the latencies of the ticks stepped since the last call.
@@ -707,11 +748,12 @@ class ClusterSim:
         if not self._served:
             return
         pending, self._served = self._served, []
-        draws = [np.minimum(n_served, self.latency_sample_cap) for _, _, n_served in pending]
+        ticks = [_in_row_order(steps) for steps in pending]
+        draws = [np.minimum(n_served, self.latency_sample_cap) for _, _, n_served in ticks]
         sizes = [int(d.sum()) for d in draws]  # a bucket with no request served draws none
         jit = sample_jitter(self.topology.latency, self._jitter_rng, sum(sizes))
         start = 0
-        for (waits, formulas, n_served), d, size in zip(pending, draws, sizes):
+        for (waits, formulas, n_served), d, size in zip(ticks, draws, sizes):
             self._samples.append(waits.repeat(d) + formulas.repeat(d) * jit[start : start + size])
             self._weights.append((n_served / np.maximum(d, 1)).repeat(d))
             start += size
@@ -733,7 +775,7 @@ class ClusterSim:
         """Double the bucket ring; each waiting bucket keeps its arrival tick."""
         C = self._buckets.shape[1]
         ticks = np.arange(self._head.min(), self.tick)
-        buckets = np.zeros((self.k, 2 * C), dtype=np.int64)
+        buckets = np.zeros((len(self._head), 2 * C), dtype=np.int64)
         buckets[:, ticks % (2 * C)] = self._buckets[:, ticks % C]
         self._buckets = buckets
 
@@ -741,7 +783,7 @@ class ClusterSim:
 
     @property
     def queues(self) -> list[list[list[int]]]:
-        """Per service, [arrival tick, requests left] of each waiting bucket, oldest first."""
+        """Per row, [arrival tick, requests left] of each waiting bucket, oldest first."""
         C = self._buckets.shape[1]
         return [
             [[t, ring[t % C]] for t in range(head, self.tick) if ring[t % C]]
@@ -749,7 +791,11 @@ class ClusterSim:
         ]
 
     def observe_state(self) -> SystemState:
-        hist_mean, hist_var = window_stats(self._load_window())
+        """The observation after the last tick; over the leading axes of a
+        batch, whose clusters share the load and its history."""
+        hist = self._load_window()
+        hist_mean = hist.sum(axis=0) / len(hist)  # hist.mean(0), bit for bit
+        hist_var = np.square(hist - hist_mean).sum(axis=0) / len(hist)  # and hist.var(0)
         return SystemState(
             load=self.last_load.astype(float),
             util=self.util_obs.copy(),
@@ -773,8 +819,8 @@ class ClusterSim:
 
     def no_op_action(self) -> SchedulingAction:
         return SchedulingAction(
-            instance_delta=np.zeros(self.k, dtype=int),
-            migration=np.zeros((self.k, self.n), dtype=int),
+            instance_delta=np.zeros(self.quota.shape, dtype=int),
+            migration=np.zeros(self.placement.shape, dtype=int),
             priority=self.priority.copy(),
             quota=self.quota.copy(),
         )
@@ -791,6 +837,19 @@ class ClusterSim:
         return np.concatenate(samples), np.concatenate(weights)
 
 
+def _in_row_order(steps: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """(wait ms, formula ms, requests) of each bucket a tick's drain steps
+    served, in row (service-major), then arrival order: the order of a
+    per-service loop, in which their jitter is drawn."""
+    if len(steps) == 1:
+        return steps[0][1:]
+    if not steps:
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
+    rows, waits, formulas, n_served = map(np.concatenate, zip(*steps))
+    order = rows.argsort(kind="stable")
+    return waits[order], formulas[order], n_served[order]
+
+
 def _clamped(values, current: np.ndarray, low: float, high: float) -> tuple[np.ndarray, int]:
     """`values` clipped to [low, high], a non-finite entry replaced by the
     `current` one; and the number of entries changed."""
@@ -805,33 +864,22 @@ def _clamped(values, current: np.ndarray, low: float, high: float) -> tuple[np.n
 
 @dataclass
 class RolloutBatch:
-    """Per-candidate sums over the ticks of a batched rollout, and what the
-    observation after the last tick is built from."""
+    """Per-candidate sums over the ticks of a batched rollout, and the
+    observation after the last tick."""
 
     latency_sum: np.ndarray  # (P,) per tick: mean latency (ms) . completions
     completed: np.ndarray  # (P,) completions
     util_sum: np.ndarray  # (P,) per tick: mean node CPU utilization
     node_work: np.ndarray  # (P, n) per tick: node CPU utilization
-    util: np.ndarray  # (P, n, 3) last tick
-    queue_len: np.ndarray  # (P, k) last tick
-    latency_ms: np.ndarray  # (P, k) last tick
-    throughput: np.ndarray  # (P, k) last tick
-    load: np.ndarray  # (k,) shared by every candidate
-    hist_mean: np.ndarray  # (k,)
-    hist_var: np.ndarray  # (k,)
-    ticks: int
+    state: SystemState  # over the candidates; load and history are every candidate's
 
     def final_state(self, p: int) -> SystemState:
-        """Candidate p's observation after the last tick, built on demand."""
-        return SystemState(
-            load=self.load.copy(),
-            util=self.util[p],
-            queue_len=self.queue_len[p].astype(float),
-            hist_mean=self.hist_mean.copy(),
-            hist_var=self.hist_var.copy(),
-            latency_ms=self.latency_ms[p],
-            throughput=self.throughput[p],
-            tick=self.ticks,
+        """Candidate p's observation after the last tick: row p of `state`."""
+        s = self.state
+        return replace(
+            s, load=s.load.copy(), util=s.util[p], queue_len=s.queue_len[p],
+            hist_mean=s.hist_mean.copy(), hist_var=s.hist_var.copy(),
+            latency_ms=s.latency_ms[p], throughput=s.throughput[p],
         )
 
 
@@ -843,98 +891,35 @@ def rollout_batch(
     arrivals: np.ndarray,
 ) -> RolloutBatch:
     """Step P candidate configurations of `topology` together through the same
-    arrivals, each holding its configuration (no-op actions), with no latency
-    jitter, observation noise or cache hits.
+    arrivals, each holding its configuration, with no observation noise or
+    cache hits (and no latency jitter: a batch keeps no latency samples).
 
     placement is (P, k, n), quota and priority (P, k), arrivals (T >= 1, k)
-    request counts per tick. Per candidate, the sums and the final state equal
-    those of a `ClusterSim` on that configuration stepped T ticks with no-op
-    actions and zero noise, bit for bit: the tick model is the same functions,
-    and the arithmetic runs in the same order.
-
-    A candidate's FIFO queues are a (k, T) array of requests left per arrival
-    tick, drained by the same `drain` as `ClusterSim`'s bucket ring.
+    request counts per tick. The candidates are the P clusters of one
+    `ClusterSim`: held once, as a first no-op action holds a configuration, then
+    ticked T times. Per candidate, the sums and the final state equal those of
+    a `ClusterSim` on that configuration stepped T ticks with no-op actions and
+    zero noise, bit for bit, whenever that first hold settles the
+    configuration (as it does a repaired chromosome).
     """
-    placement = np.asarray(placement, dtype=np.int64)
-    quota = np.asarray(quota, dtype=float)
-    arrivals = np.asarray(arrivals, dtype=np.int64)
-    P, k, n = placement.shape
-    T = len(arrivals)
-    # what a ClusterSim does to its configuration on the first tick: the
-    # topology's checks, the action clamps and the rescale of an
-    # over-committed node (none of which changes a repaired chromosome)
-    if np.any(placement.sum(axis=-1) < 1):
-        raise ConfigError("every service needs at least one instance")
-    if not np.all((quota > 0.0) & (quota <= 1.0)):
-        raise ConfigError("quota outside (0, 1]")
-    priority = np.clip(np.asarray(priority, dtype=float), 0.0, 1.0)
-    quota = np.clip(quota, QUOTA_FLOOR, 1.0)
-    worst = node_commit(placement, quota).max(axis=-1)
-    if np.any(worst > 1.0 + 1e-9):
-        raise ConfigError("per-node quota commitment exceeds 1")
-    over = worst > 1.0
-    if over.any():
-        quota[over] = quota[over] / worst[over, None]
-
-    arrays = TopologyArrays.of(topology)
-    cap = Capacity.of(placement, quota, priority, arrays)
-    model = topology.latency
-    tick_length = topology.tick_length
-    tick_ms = tick_length * 1000.0
-
-    # flat (candidate, service) rows, each with a (T,) bucket row
-    row_wu = np.tile(arrays.work_units, P)
-    buckets = np.tile(arrivals.T, (P, 1))
-    head = np.zeros(P * k, dtype=np.int64)
-
-    queue_len = np.zeros((P, k), dtype=np.int64)
-    carry_work = np.zeros((P, k))
-    util_true = np.zeros((P, n, 3))
-    latency_sum = np.zeros(P)
-    completed_sum = np.zeros(P)
-    util_sum = np.zeros(P)
-    node_work = np.zeros((P, n))
-
-    for t in range(T):
-        queue_len += arrivals[t]
-        work_done, used_by_node = allocate_work(
-            cap, arrays.node_cpu, queue_len * arrays.work_units + 0.0, carry_work
-        )
-        formula = service_latency(model, contention(cap.share, util_true[..., 0])).reshape(-1)
-        available = work_done.reshape(-1)
-        done_flat, sum_base_ms = drain(buckets, head, available, row_wu, formula, t, tick_ms)
-        completed = done_flat.reshape(P, k)
-        queue_len -= completed
-        carry_work = np.where(
-            queue_len > 0, np.remainder(available, row_wu).reshape(P, k), 0.0
-        )
-        util_true = utilization_step(
-            util_true, used_by_node, queue_len, completed, cap, arrays, topology.ewma_alpha
-        )
-        latency_ms = np.where(
-            completed > 0, sum_base_ms.reshape(P, k) / np.maximum(completed, 1), 0.0
-        )
-        done = completed / tick_length * tick_length
-        latency_sum += (latency_ms[:, None, :] @ done[:, :, None])[:, 0, 0]
-        completed_sum += done.sum(axis=-1)
-        util_sum += util_true[..., 0].sum(axis=-1) / n  # as .mean(), without its overhead
-        node_work += util_true[..., 0]
-
-    window = arrivals[max(T - topology.history_window, 0):].astype(float)
-    if not len(window):  # history_window 0, as ClusterSim.observe_state treats it
-        window = np.zeros((1, k))
-    hist_mean, hist_var = window_stats(window)
-    return RolloutBatch(
-        latency_sum, completed_sum, util_sum, node_work,
-        util=np.clip(util_true + 0.0, 0.0, 1.0),
-        queue_len=queue_len,
-        latency_ms=latency_ms,
-        throughput=completed / tick_length,
-        load=arrivals[-1].astype(float),
-        hist_mean=hist_mean,
-        hist_var=hist_var,
-        ticks=T,
+    sim = ClusterSim(
+        replace(topology, initial_placement=placement, initial_quota=quota,
+                initial_priority=priority),
+        noise=NoiseSpec(std=0.0),
     )
+    sim._hold()
+    P, n = len(sim.quota), topology.node_count
+    latency_sum, completed, util_sum = np.zeros(P), np.zeros(P), np.zeros(P)
+    node_work = np.zeros((P, n))
+    for counts in arrivals:
+        sim._tick(counts)
+        done = sim.last_throughput * topology.tick_length
+        latency_sum += (sim.last_latency_ms[:, None, :] @ done[:, :, None])[:, 0, 0]
+        completed += done.sum(axis=-1)
+        cpu = sim.util_true[..., 0]
+        util_sum += cpu.sum(axis=-1) / n  # as .mean(), without its overhead
+        node_work += cpu
+    return RolloutBatch(latency_sum, completed, util_sum, node_work, sim.observe_state())
 
 
 def encode_compact_state(state: SystemState, queue_reference: float = 1000.0) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster import ClusterSim, ClusterTopology, NoiseSpec
+from ..cluster import ClusterSim, ClusterTopology, NoiseSpec, reward
 from ..workload import WorkloadScenario, generate_tick_counts
 from .policy import SchedulerPolicy, StateEncoder
 
@@ -39,18 +39,25 @@ class DecisionEnv:
         return self.encoder.encode(self._state)
 
     def step(self, record: dict[str, np.ndarray]):
+        """Apply the decision and step its interval; the reward is the mean of
+        its ticks' rewards, each charging the action applied at that tick."""
         assert self.sim is not None, "call reset() first"
+        sim = self.sim
         action = self.mapper.to_scheduling_action(record, self._state)
+        rewards = []
         for i in range(self.decision_interval):
             if self._tick >= self.scenario.horizon:
                 break
             counts = generate_tick_counts(self.scenario, self._tick)
-            self.sim.step_counts(action if i == 0 else self.sim.no_op_action(), counts)
+            prev_quota = sim.quota
+            applied = sim.step_counts(action if i == 0 else sim.no_op_action(), counts)
+            rewards.append(
+                reward(prev_quota, sim.last_latency_ms, sim.util_obs, applied, sim.reward_spec)
+            )
             self._tick += 1
-        self._state = self.sim.observe_state()
-        reward = float(np.mean(self.sim.reward_trace[-self.decision_interval :]))
+        self._state = sim.observe_state()
         done = self._tick >= self.scenario.horizon
-        return self.encoder.encode(self._state), reward, done, {}
+        return self.encoder.encode(self._state), float(np.mean(rewards)), done, {}
 
 
 class ContextualBandit:

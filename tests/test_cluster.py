@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -302,7 +302,8 @@ class TestReward:
             priority=np.array([0.5, 0.5]),
             quota=np.array([0.8, 0.5]),
         )
-        state = step(sim, requested, counts(sim, 30, 30))
+        got_applied = sim.step_counts(requested, counts(sim, 30, 30))
+        state = sim.observe_state()
         assert sim.placement.tolist() == [[1, 1], [0, 1]]
         assert sim.quota.tolist() == (np.array([0.8, 0.5]) / 1.3).tolist()
         applied = SchedulingAction(
@@ -311,7 +312,10 @@ class TestReward:
             priority=np.array([0.5, 0.5]),
             quota=sim.quota,
         )
-        got = sim.reward_trace[-1]
+        for f in fields(SchedulingAction):
+            a, b = getattr(got_applied, f.name), getattr(applied, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        got = reward(prev_quota, state.latency_ms, state.util, got_applied, sim.reward_spec)
         want = reward(prev_quota, state.latency_ms, state.util, applied, sim.reward_spec)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert got != reward(prev_quota, state.latency_ms, state.util, requested, sim.reward_spec)

@@ -3,10 +3,12 @@ training and forecasting now reuse.
 
 `ReferenceSim` is the earlier `ClusterSim` tick: queues drained bucket by
 bucket from per-service deques, one jitter draw per bucket served, the load
-history a deque stacked on every observation, and every action sanitized in
-full. The current tick must give equal results, compared by bytes, not
-closeness: states, rewards, latency samples and weights, trace records, clamp
-counts and the final states of the random streams.
+history a deque stacked on every observation, every action sanitized in full
+and a reward computed in the tick. The current tick must give equal results,
+compared by bytes, not closeness: states, rewards (`CurrentSim` computes them
+from the action `step_counts` applied, as `DecisionEnv` does), latency samples
+and weights, trace records, clamp counts and the final states of the random
+streams.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tradesim.drl.env as env_module
 import tradesim.lstm as lstm_module
 import tradesim.workload as workload_module
 from tradesim.cluster import (
     QUEUE_RING_START,
     QUOTA_FLOOR,
+    Capacity,
     ClusterSim,
     ClusterTopology,
     LatencyModel,
@@ -33,7 +37,8 @@ from tradesim.cluster import (
     SchedulingAction,
     SystemState,
     TickRecord,
-    allocate_work,
+    contention,
+    reward,
     sample_jitter,
     service_latency,
     uniform_topology,
@@ -69,6 +74,28 @@ def _ref_clamped(values, current, low, high):
     return out, replaced + int(np.sum(out != arr))
 
 
+def _ref_allocate_work(cap, node_cpu, demand_work, carry_work):
+    # `cluster.allocate_work` as it was before its divisions were masked
+    served_base = np.minimum(demand_work, cap.cap_per_service + carry_work)
+    used_base = served_base[..., None] * cap.share
+    rem = demand_work - served_base
+    needy = rem > 1e-12
+    if not needy.any():
+        return served_base, used_base
+    leftover = np.maximum(node_cpu - used_base.sum(axis=-2), 0.0)
+    weights = np.where(needy[..., None], cap.weights, 0.0)
+    col = weights.sum(axis=-2)[..., None, :]
+    has_col = col > 0
+    frac = np.where(has_col, weights / np.where(has_col, col, 1.0), 0.0)
+    offer = frac * leftover[..., None, :]
+    offered = offer.sum(axis=-1)
+    take = np.minimum(rem, offered)
+    has_offer = offered > 0
+    scale = np.where(has_offer, take / np.where(has_offer, offered, 1.0), 0.0)
+    extra = offer * scale[..., None]
+    return served_base + extra.sum(axis=-1), used_base + extra
+
+
 class ReferenceSim(ClusterSim):
     """The simulator tick as it was before jitter was drawn once per tick."""
 
@@ -76,6 +103,7 @@ class ReferenceSim(ClusterSim):
         super().__init__(topology, **kwargs)
         self.load_history = deque(maxlen=topology.history_window)
         self.deques = [deque() for _ in range(self.k)]  # [arrival_tick, count]
+        self.rewards = []
 
     @property
     def queues(self):
@@ -143,13 +171,14 @@ class ReferenceSim(ClusterSim):
             self.queues[s].append([self.tick, int(counts[s])])
         self.queue_len += counts
         self.last_load = counts.copy()
-        cap = self.capacity()
+        cap = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
         work_units = self.arrays.work_units
-        work_done, used_by_node = allocate_work(
+        work_done, used_by_node = _ref_allocate_work(
             cap, self.node_cpu, self.queue_len * work_units + 0.0, self.carry_work
         )
         model = self.topology.latency
-        formula = service_latency(model, self.service_rho(), self.cache_hit_rate).tolist()
+        rho = contention(cap.share, self.util_true[:, 0])
+        formula = service_latency(model, rho, self.cache_hit_rate).tolist()
         completed = np.zeros(self.k, dtype=np.int64)
         sum_base_ms = np.zeros(self.k)
         tick_samples, tick_weights = [], []
@@ -201,7 +230,7 @@ class ReferenceSim(ClusterSim):
         self.latency_samples.append(samples)
         self.latency_weights.append(weights)
         state = self.observe_state()
-        self.reward_trace.append(self._parent_reward(prev_quota, act, state))
+        self.rewards.append(self._parent_reward(prev_quota, act, state))
         if self.record_trace:
             p50, p95 = (
                 weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
@@ -242,13 +271,41 @@ class ReferenceSim(ClusterSim):
         )
 
 
+class CurrentSim(ClusterSim):
+    """`ClusterSim` keeping the reward of each tick, computed as `DecisionEnv`
+    computes it: charging the action `step_counts` applied."""
+
+    def __init__(self, topology, **kwargs):
+        super().__init__(topology, **kwargs)
+        self.rewards = []
+
+    def step_counts(self, action, counts):
+        prev_quota = self.quota.copy()
+        applied = super().step_counts(action, counts)
+        self.rewards.append(
+            reward(prev_quota, self.last_latency_ms, self.util_obs, applied, self.reward_spec)
+        )
+        return applied
+
+
 # --- comparisons ------------------------------------------------------------------------
 
 
 def assert_arrays_equal(a, b, what: str) -> None:
+    """Equal dtype, shape and bytes. A failure names the first differing
+    entry instead of leaving pytest to diff the two byte strings."""
     a, b = np.asarray(a), np.asarray(b)
-    assert (a.dtype, a.shape) == (b.dtype, b.shape), what
-    assert a.tobytes() == b.tobytes(), what
+    same_layout = (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert same_layout, f"{what}: {a.dtype}{a.shape} != {b.dtype}{b.shape}"
+    same = a.tobytes() == b.tobytes()
+    assert same, first_difference(a, b, what)
+
+
+def first_difference(a: np.ndarray, b: np.ndarray, what: str) -> str:
+    for i, (x, y) in enumerate(zip(a.reshape(-1), b.reshape(-1))):
+        if x.tobytes() != y.tobytes():
+            return f"{what}: first difference at flat index {i}: {x!r} != {y!r}"
+    return f"{what}: bytes differ"
 
 
 def assert_states_equal(a: SystemState, b: SystemState) -> None:
@@ -260,14 +317,14 @@ def assert_states_equal(a: SystemState, b: SystemState) -> None:
             assert x == y, f.name
 
 
-def step_both(sim: ClusterSim, ref: ReferenceSim, a, b, counts) -> None:
+def step_both(sim: CurrentSim, ref: ReferenceSim, a, b, counts) -> None:
     """Step both simulators one tick, then compare the states they leave."""
     sim.step_counts(a, counts)
     ref.step_counts(b, counts)
     assert_states_equal(sim.observe_state(), ref.observe_state())
 
 
-def assert_sims_equal(sim: ClusterSim, ref: ReferenceSim) -> None:
+def assert_sims_equal(sim: CurrentSim, ref: ReferenceSim) -> None:
     for name in (
         "placement", "quota", "priority", "queue_len", "carry_work", "util_true", "util_obs",
         "last_load", "last_latency_ms", "last_throughput",
@@ -279,7 +336,7 @@ def assert_sims_equal(sim: ClusterSim, ref: ReferenceSim) -> None:
     ):
         assert getattr(sim, name) == getattr(ref, name), name
         assert type(getattr(sim, name)) is type(getattr(ref, name)), name
-    assert_arrays_equal(sim.reward_trace, ref.reward_trace, "reward_trace")
+    assert_arrays_equal(sim.rewards, ref.rewards, "rewards")
     assert [list(map(list, q)) for q in sim.queues] == [list(map(list, q)) for q in ref.queues]
     assert len(sim.latency_samples) == len(ref.latency_samples)
     for t, (a, b) in enumerate(zip(sim.latency_samples, ref.latency_samples)):
@@ -365,7 +422,7 @@ def random_action(rng: np.random.Generator, k: int, n: int) -> SchedulingAction:
 
 def run_both(topology, kwargs, ticks: int, load: float, hold_share: float, seed: int):
     """Step the current and the reference simulator through the same ticks."""
-    sim = ClusterSim(topology, **kwargs)
+    sim = CurrentSim(topology, **kwargs)
     ref = ReferenceSim(topology, **kwargs)
     rng = np.random.default_rng(seed)
     capacity = np.asarray(topology.initial_quota) * sum(nd.cpu_capacity for nd in topology.nodes)
@@ -445,7 +502,7 @@ class TestTickEqualsReference:
             initial_placement=((1,), (1,)), initial_quota=(0.2, QUOTA_FLOOR),
             initial_priority=(0.5, 0.5), history_window=2,
         )
-        sim, ref = ClusterSim(topology, seed=1), ReferenceSim(topology, seed=1)
+        sim, ref = CurrentSim(topology, seed=1), ReferenceSim(topology, seed=1)
         grow = SchedulingAction(np.array([4, 0]), np.zeros((2, 1)), np.array([0.5, 0.5]),
                                 np.array([0.5, QUOTA_FLOOR]))
         counts = np.array([30, 30])
@@ -475,7 +532,7 @@ class TestDeferredSamples:
         # ticks and one only at the end; a share of the ticks have no arrivals
         topology = replace(topology, latency=LatencyModel(jitter_enabled=jitter))
         kwargs = dict(kwargs, latency_sample_cap=cap, record_trace=False)
-        every, sometimes, end = (ClusterSim(topology, **kwargs) for _ in range(3))
+        every, sometimes, end = (CurrentSim(topology, **kwargs) for _ in range(3))
         rng = np.random.default_rng(seed)
         node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
         rate = load * np.asarray(topology.initial_quota) * node_cpu / [
@@ -494,7 +551,7 @@ class TestDeferredSamples:
                 for t, (a, b) in enumerate(zip(getattr(sim, name), getattr(every, name))):
                     assert_arrays_equal(a, b, f"{name} of tick {t}")
             assert sim._jitter_rng.bit_generator.state == every._jitter_rng.bit_generator.state
-            assert_arrays_equal(sim.reward_trace, every.reward_trace, "reward_trace")
+            assert_arrays_equal(sim.rewards, every.rewards, "rewards")
 
     def test_unread_samples_draw_no_jitter(self):
         topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
@@ -543,11 +600,11 @@ class TestSanitizeReuse:
         assert np.array_equal(second.quota, hold.quota)
 
 
-def assert_tick_equal(sim: ClusterSim, ref: ReferenceSim, a, b, counts) -> None:
+def assert_tick_equal(sim: CurrentSim, ref: ReferenceSim, a, b, counts) -> None:
     """Step both simulators one tick, then compare its outputs: the state it
     leaves, the reward, the trace row and the clamp count."""
     step_both(sim, ref, a, b, counts)
-    assert_arrays_equal(sim.reward_trace[-1], ref.reward_trace[-1], "reward")
+    assert_arrays_equal(sim.rewards[-1], ref.rewards[-1], "reward")
     for f in fields(TickRecord):
         assert_arrays_equal(getattr(sim.trace[-1], f.name), getattr(ref.trace[-1], f.name), f.name)
     assert sim.sanitized_actions == ref.sanitized_actions
@@ -559,7 +616,7 @@ class TestStepTrims:
 
     @given(topologies(), sim_kwargs(), st.integers(0, 2**32 - 1))
     def test_holds_between_generated_actions_equal_full_path(self, topology, kwargs, seed):
-        sim, ref = ClusterSim(topology, **kwargs), ReferenceSim(topology, **kwargs)
+        sim, ref = CurrentSim(topology, **kwargs), ReferenceSim(topology, **kwargs)
         rng = np.random.default_rng(seed)
         node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
         rate = np.asarray(topology.initial_quota) * node_cpu / [s.work_units for s in topology.services]
@@ -588,7 +645,7 @@ class TestStepTrims:
             initial_placement=((1,), (1,)), initial_quota=(0.15, 0.52),
             initial_priority=(0.5, 0.5), history_window=4,
         )
-        sim = ClusterSim(topology, seed=2, record_trace=True)
+        sim = CurrentSim(topology, seed=2, record_trace=True)
         ref = ReferenceSim(topology, seed=2, record_trace=True)
         grow = SchedulingAction(np.array([2, 2]), np.zeros((2, 1)), np.array([0.5, 0.5]),
                                 np.array([0.15, 0.52]))
@@ -686,6 +743,24 @@ class TestDecisionEnvArrivals:
             steps += 1
         assert steps == 6  # five full decision intervals and a short last one
         assert observed == [0, 10, 20, 30, 40, 50, 55]  # at reset, then after each interval
+
+    def test_reward_is_the_mean_of_its_ticks_rewards(self, monkeypatch):
+        # a full interval gives the mean of the last decision_interval per-tick
+        # rewards, as the simulator's reward trace gave it; the short last
+        # interval averages only its own ticks
+        monkeypatch.setattr(env_module, "ClusterSim", CurrentSim)
+        env = make_env(tidal(1, horizon=55))
+        obs = env.reset(0)
+        rng = np.random.default_rng(0)
+        got, done = [], False
+        while not done:
+            record, _ = env.mapper.core.act(env.mapper.params, obs, "sample", rng)
+            obs, r, done, _ = env.step(record)
+            got.append(r)
+        rewards = env.sim.rewards
+        want = [float(np.mean(rewards[t : t + 10])) for t in range(0, 55, 10)]
+        assert len(rewards) == 55 and len(want) == 6
+        assert_arrays_equal(got, want, "decision rewards")
 
     def test_another_scenario_gets_its_own_counts(self):
         scenario = tidal(1)

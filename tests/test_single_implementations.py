@@ -12,12 +12,18 @@ The array operators must give byte-equal chromosomes and final generator
 states. The GA rolls out each generation's candidates in one batch; a
 test-only step-by-step reference of the same algorithm, which rolls out each
 candidate where it is first needed, must give byte-equal whole GA runs.
+
+The simulator has one tick: the tick model's steps are each called from one
+place in `src/`, so no second tick loop can grow back beside it.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -743,3 +749,26 @@ class TestCheckpointFormat:
         (tmp_path / "model.ckpt").write_text("not a checkpoint\n")
         with pytest.raises(ConfigError, match="model.ckpt"):
             load_checkpoint(tmp_path / "model.ckpt")
+
+
+# --- one simulator tick ---------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def call_sites(names: set[str]) -> Counter:
+    """How often `src/` calls each of `names`, as a plain or dotted name."""
+    calls = Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    calls[name] += 1
+    return calls
+
+
+def test_tick_model_steps_have_one_call_site():
+    steps = {"allocate_work", "drain", "utilization_step"}
+    assert call_sites(steps) == Counter(dict.fromkeys(steps, 1))
