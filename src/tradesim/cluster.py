@@ -467,12 +467,14 @@ class ClusterSim:
         self.arrays = TopologyArrays.of(topology)
         self.node_cpu = self.arrays.node_cpu
         self._row_wu = np.tile(self.arrays.work_units, rows // k)
-        self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
-        self._capacity_of: tuple | None = None  # the sanitized action it was built after
+        # the capacity, the bytes it was built from, the action it last took effect with
+        self._capacity_key: tuple[bytes, bytes, bytes] | None = None
+        self._refresh_capacity()
+        self._capacity_of: tuple | None = None
         self._sanitize_key: list | None = None
         # the last sanitized action, its clamps and, when it keeps every
         # instance where it is, the node commitment it leaves (see _clamp_action)
-        self._sanitized: tuple[SchedulingAction, int, float | None] | None = None
+        self._sanitized: tuple[SchedulingAction, int, np.ndarray | None] | None = None
 
         self.tick = 0
         # FIFO queues: a ring of per-arrival-tick buckets per row (see `drain`)
@@ -549,7 +551,7 @@ class ClusterSim:
     def _clamp_action(
         self, delta: np.ndarray, moves: np.ndarray | None, mig_size: int,
         priority: np.ndarray, quota: np.ndarray,
-    ) -> tuple[SchedulingAction, int, float | None]:
+    ) -> tuple[SchedulingAction, int, np.ndarray | None]:
         """The sanitized action and its clamp count, computed in full; and, for
         an action that adds, removes and moves no instance, the largest node
         commitment of its quota on the current placement (per cluster), which
@@ -566,8 +568,9 @@ class ClusterSim:
         priority, priority_clamps = _clamped(priority, self.priority, 0.0, 1.0)
         quota, quota_clamps = _clamped(quota, self.quota, QUOTA_FLOOR, 1.0)
         clamps += priority_clamps + quota_clamps
-        keeps_placement = not (clamped_delta.any() or migration.any())
-        worst = node_commit(self.placement, quota).max(axis=-1) if keeps_placement else None
+        worst = None
+        if not (clamped_delta.any() or migration.any()):  # keeps the placement
+            worst = node_commit(self.placement, quota).max(-1, keepdims=True)
         return SchedulingAction(clamped_delta, migration, priority, quota), clamps, worst
 
     def _hold(self) -> None:
@@ -576,16 +579,15 @@ class ClusterSim:
         without the sanitize cache."""
         no_change = np.zeros(self.quota.shape, dtype=int)
         sanitized = self._clamp_action(no_change, None, 0, self.priority, self.quota)
-        if not sanitized[1] and not np.any(sanitized[2] > 1.0):
-            self._capacity_of = sanitized  # nothing to clamp or rescale: the capacity holds
         self._enact(*sanitized[:2], sanitized)
 
     def _enact(self, act: SchedulingAction, clamps: int, sanitized: tuple) -> SchedulingAction:
         """Put `act`, sanitized as `sanitized` (`_clamp_action`'s result), into
         effect; returns it as applied: the sanitized deltas, the migrations that
         took effect and the quota after any rescale. Instance changes and
-        migrations are one cluster's only. The capacity is rebuilt unless it was
-        built after this same sanitized action, which leaves what it left then."""
+        migrations are one cluster's only. The same sanitized action again (a
+        hold, most ticks) leaves the configuration it left before, so only a new
+        one looks at whether the capacity must be rebuilt."""
         self.sanitized_actions += clamps
         worst = sanitized[2]  # known when the action keeps every instance in place
 
@@ -620,15 +622,23 @@ class ClusterSim:
         self.priority = act.priority
         self.quota = act.quota
         if worst is None:
-            worst = self._node_commit().max()
+            worst = self._node_commit().max(-1, keepdims=True)
         over = worst > 1.0
-        if over.any():
-            self.quota = np.where(over[..., None], self.quota / worst[..., None], self.quota)
-            self.sanitized_actions += int(np.count_nonzero(over))
+        rescales = np.count_nonzero(over)
+        if rescales:
+            self.quota = np.where(over, self.quota / worst, self.quota)
+            self.sanitized_actions += int(rescales)
         if sanitized is not self._capacity_of:
-            self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
             self._capacity_of = sanitized
+            self._refresh_capacity()
         return SchedulingAction(act.instance_delta, migrated, act.priority, self.quota)
+
+    def _refresh_capacity(self) -> None:
+        """Rebuild the capacity if the configuration changed since it was built."""
+        key = (self.placement.tobytes(), self.quota.tobytes(), self.priority.tobytes())
+        if key != self._capacity_key:
+            self._capacity_key = key
+            self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
 
     def _node_commit(self) -> np.ndarray:
         return node_commit(self.placement, self.quota)
@@ -646,10 +656,9 @@ class ClusterSim:
         applied, which `reward` charges."""
         act, clamps = self.sanitize_action(action)
         applied = self._enact(act, clamps, self._sanitized)
-        counts = np.asarray(counts, dtype=np.int64)
         tick = self.tick
         completed = self._tick(counts)
-        self.generated_total += int(counts.sum()) * (self.queue_len.size // self.k)
+        self.generated_total += int(self.last_load.sum()) * (self.queue_len.size // self.k)
         self.completed_total += int(completed.sum())
         self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
         if self.record_trace:
@@ -890,18 +899,16 @@ def rollout_batch(
     priority: np.ndarray,
     arrivals: np.ndarray,
 ) -> RolloutBatch:
-    """Step P candidate configurations of `topology` together through the same
-    arrivals, each holding its configuration, with no observation noise or
-    cache hits (and no latency jitter: a batch keeps no latency samples).
+    """Step P candidate configurations of `topology` through the same arrivals
+    as the P clusters of one `ClusterSim`, with no observation noise or cache
+    hits (a batch keeps no latency samples, so it draws no jitter either): held
+    once, as a first no-op action holds a configuration, then ticked T times.
 
     placement is (P, k, n), quota and priority (P, k), arrivals (T >= 1, k)
-    request counts per tick. The candidates are the P clusters of one
-    `ClusterSim`: held once, as a first no-op action holds a configuration, then
-    ticked T times. Per candidate, the sums and the final state equal those of
-    a `ClusterSim` on that configuration stepped T ticks with no-op actions and
-    zero noise, bit for bit, whenever that first hold settles the
-    configuration (as it does a repaired chromosome).
-    """
+    request counts per tick. Per candidate, the sums and the final state equal
+    those of a `ClusterSim` on that configuration stepped T ticks with no-op
+    actions and zero noise, bit for bit, whenever the first hold settles the
+    configuration (as it does a repaired chromosome)."""
     sim = ClusterSim(
         replace(topology, initial_placement=placement, initial_quota=quota,
                 initial_priority=priority),

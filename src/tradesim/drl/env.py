@@ -42,9 +42,8 @@ class DecisionEnv:
         """Apply the decision and step its interval; the reward is the mean of
         its ticks' rewards, each charging the action applied at that tick."""
         assert self.sim is not None, "call reset() first"
-        sim = self.sim
+        sim, rewards = self.sim, []
         action = self.mapper.to_scheduling_action(record, self._state)
-        rewards = []
         for i in range(self.decision_interval):
             if self._tick >= self.scenario.horizon:
                 break
