@@ -7,13 +7,23 @@ criterion c08 bounds how many keys it relocates when a shard joins. Time is
 caller-driven, in seconds; expiry is lazy (checked on access, or when an
 expired entry is the LRU victim). Single-writer / multi-reader: the simulator
 drives it single-threaded.
+
+`TieredCache.read_through` reads a list of keys in one call, in order, and
+writes a fill value after each full miss; `ZipfAccessDriver` makes one such
+walk per tick. `get` is its one-key case without a fill, and `put` shares its
+write, so each tier rule (expiry on access, the snapshot check, promotion, LRU
+eviction, MVCC retention) is written once. Memory-tier entries are plain
+`(value, version, inserted_at)` tuples, and a walk adds its counts to `stats`
+once, at its end.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 from bisect import bisect_right
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,18 +33,12 @@ from .errors import ConfigError
 L1 = "L1"
 L2 = "L2"
 L3 = "L3"
+TIERS = (L1, L2, L3)
 
 
 def stable_hash64(data: bytes) -> int:
     """64-bit hash, stable across runs and platforms."""
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
-
-
-@dataclass
-class CacheEntry:
-    value: bytes
-    version: int
-    inserted_at: float
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,14 @@ class CacheConfig:
     mvcc_retention: int = 8  # versions kept per key in L3
 
     def __post_init__(self) -> None:
+        for name in ("l1_capacity", "l2_capacity", "mvcc_retention"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.l1_capacity <= 0 or self.l2_capacity <= 0:
             raise ConfigError("cache capacities must be > 0")
-        if self.l1_ttl <= 0 or self.l2_ttl <= 0:
-            raise ConfigError("cache TTLs must be > 0")
+        if not (self.l1_ttl > 0 and self.l2_ttl > 0):  # NaN fails the comparison
+            raise ConfigError(f"cache TTLs must be > 0, got {self.l1_ttl} and {self.l2_ttl}")
         if self.mvcc_retention < 1:
             raise ConfigError("mvcc_retention must be >= 1")
 
@@ -119,48 +127,30 @@ class HashRing:
 
 class _LruTier:
     """One bounded LRU tier with per-entry TTL; holds the latest version only.
-    The `OrderedDict` order is the recency order, least recent first."""
+    Entries are `(value, version, inserted_at)` tuples. The `OrderedDict` order
+    is the recency order, least recent first."""
 
-    def __init__(self, capacity: int, ttl: float, stats: TierStats):
+    def __init__(self, level: int, capacity: int, ttl: float):
+        self.level = level  # 0 for L1, 1 for L2
         self.capacity = capacity
         self.ttl = ttl
-        self.stats = stats
-        self._entries: OrderedDict[bytes, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[bytes, tuple[bytes, int, float]] = OrderedDict()
 
-    def lookup(self, key: bytes, now: float, max_version: int | None = None) -> CacheEntry | None:
-        """TTL-aware lookup; refreshes recency on hit, drops expired entries.
-
-        An entry newer than `max_version` is unusable for a snapshot read and
-        counts as a miss at this tier.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        if now - entry.inserted_at > self.ttl:
-            del self._entries[key]
-            self.stats.expired += 1
-            self.stats.misses += 1
-            return None
-        if max_version is not None and entry.version > max_version:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return entry
-
-    def install(self, key: bytes, value: bytes, version: int, now: float) -> None:
-        if key in self._entries:
-            del self._entries[key]
-        while len(self._entries) >= self.capacity:
-            # O(1) capacity eviction: pop the LRU victim, classifying it as
-            # expired when its TTL had lapsed
-            k, victim = self._entries.popitem(last=False)
-            if now - victim.inserted_at > self.ttl:
-                self.stats.expired += 1
+    def install(self, key: bytes, entry: tuple[bytes, int, float], now: float,
+                dropped: tuple[list[int], ...]) -> None:
+        """Make `entry` the most recent. A full tier first drops its LRU victim
+        (O(1)), counted in `dropped[level]` ([expired, evicted]) as expired
+        when its TTL had lapsed, else as evicted."""
+        entries = self._entries
+        if key in entries:
+            del entries[key]
+        elif len(entries) >= self.capacity:
+            _, victim = entries.popitem(last=False)
+            if now - victim[2] > self.ttl:
+                dropped[self.level][0] += 1
             else:
-                self.stats.evictions += 1
-        self._entries[key] = CacheEntry(value, version, now)
+                dropped[self.level][1] += 1
+        entries[key] = entry
 
 
 class TieredCache:
@@ -169,8 +159,12 @@ class TieredCache:
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
         self.stats = CacheStats()
-        self._l1 = _LruTier(self.config.l1_capacity, self.config.l1_ttl, self.stats.l1)
-        self._l2 = _LruTier(self.config.l2_capacity, self.config.l2_ttl, self.stats.l2)
+        self._l1 = _LruTier(0, self.config.l1_capacity, self.config.l1_ttl)
+        self._l2 = _LruTier(1, self.config.l2_capacity, self.config.l2_ttl)
+        self._looked = tuple((tier._entries, tier.ttl) for tier in (self._l1, self._l2))
+        # Promotion: a read served at L1, L2 or L3 installs its entry in these
+        # tiers, in this order. A write installs as a read from L3 does.
+        self._above = ((), (self._l1,), (self._l2, self._l1))
         # L3: key -> list of (version, value), oldest first; never expires
         self._l3: dict[bytes, list[tuple[int, bytes]]] = {}
 
@@ -182,52 +176,100 @@ class TieredCache:
         With `snapshot_version`, returns the newest version <= it; memory tiers
         only serve the request when their (latest) version qualifies.
         """
-        self.stats.total_gets += 1
-
-        entry = self._l1.lookup(key, now, snapshot_version)
-        if entry is not None:
-            self.stats.memory_hits += 1
-            return entry.value, entry.version, L1
-
-        entry = self._l2.lookup(key, now, snapshot_version)
-        if entry is not None:
-            self.stats.memory_hits += 1
-            self._l1.install(key, entry.value, entry.version, now)
-            return entry.value, entry.version, L2
-
-        versions = self._l3.get(key)
-        if versions:
-            if snapshot_version is None:
-                version, value = versions[-1]
-            else:
-                candidates = [v for v in versions if v[0] <= snapshot_version]
-                if not candidates:
-                    self.stats.l3.misses += 1
-                    return None
-                version, value = candidates[-1]
-            self.stats.l3.hits += 1
-            if snapshot_version is None:  # promote only latest-version reads
-                self._l2.install(key, value, version, now)
-                self._l1.install(key, value, version, now)
-            return value, version, L3
-        self.stats.l3.misses += 1
-        return None
+        return self.read_through((key,), now, None, snapshot_version)
 
     def put(self, key: bytes, value: bytes, now: float) -> int:
         """Write through to L3 (authoritative) and install in L2/L1."""
+        dropped = ([0, 0], [0, 0])
+        version = self._write(key, value, now, dropped)
+        self._add([0, 0, 0, 0], dropped)
+        return version
+
+    def read_through(
+        self,
+        keys: Sequence[bytes],
+        now: float,
+        fill: bytes | None = None,
+        snapshot_version: int | None = None,
+    ) -> tuple[bytes, int, str] | None:
+        """Read `keys` in order, each as `get` reads it, and after each full
+        miss write `fill` as `put` does (unless `fill` is None). Returns what
+        `get` returns for the last key (None for no keys).
+
+        The walk's counts are added to `stats` once, at the end.
+        """
+        looked, above, l3 = self._looked, self._above, self._l3
+        served = [0, 0, 0, 0]  # reads served at L1, L2, L3; full misses
+        dropped = ([0, 0], [0, 0])  # L1's and L2's expired and evicted entries
+        entry = level = None
+        for key in keys:
+            level = 0
+            for entries, ttl in looked:
+                entry = entries.get(key)
+                if entry is not None:
+                    if now - entry[2] > ttl:
+                        del entries[key]
+                        dropped[level][0] += 1
+                    elif snapshot_version is None or entry[1] <= snapshot_version:
+                        entries.move_to_end(key)
+                        break
+                level += 1
+            else:
+                versions = l3.get(key)
+                if versions and snapshot_version is not None:
+                    versions = [v for v in versions if v[0] <= snapshot_version]
+                if not versions:
+                    served[-1] += 1
+                    entry = None
+                    if fill is not None:
+                        self._write(key, fill, now, dropped)
+                    continue
+                version, value = versions[-1]
+                entry = (value, version)
+            if level:
+                served[level] += 1
+                # an L3 read for a snapshot may be older than what L1 and L2 hold
+                if snapshot_version is None or level < len(looked):
+                    promoted = (entry[0], entry[1], now)
+                    for tier in above[level]:
+                        tier.install(key, promoted, now, dropped)
+        served[0] = len(keys) - sum(served)
+        self._add(served, dropped)
+        return None if entry is None else (entry[0], entry[1], TIERS[level])
+
+    def _write(self, key: bytes, value: bytes, now: float, dropped: tuple[list[int], ...]) -> int:
+        """Append the next version to L3, keeping the newest `mvcc_retention`,
+        and install it as an L3 read is promoted."""
         versions = self._l3.setdefault(key, [])
         version = versions[-1][0] + 1 if versions else 1
         versions.append((version, value))
         if len(versions) > self.config.mvcc_retention:
             del versions[: len(versions) - self.config.mvcc_retention]
-        self._l2.install(key, value, version, now)
-        self._l1.install(key, value, version, now)
+        entry = (value, version, now)
+        for tier in self._above[-1]:
+            tier.install(key, entry, now, dropped)
         return version
+
+    def _add(self, served: list[int], dropped: tuple[list[int], ...]) -> None:
+        """Add a walk's counts to `stats`: how many of its reads L1, L2 and L3
+        served and how many none did, and what L1 and L2 dropped. A read looks
+        in L1 first, and each miss at a tier looks in the next."""
+        at_l1, at_l2, at_l3, at_none = served
+        stats = self.stats
+        stats.total_gets += at_l1 + at_l2 + at_l3 + at_none
+        stats.memory_hits += at_l1 + at_l2
+        stats.l1.hits += at_l1
+        stats.l1.misses += at_l2 + at_l3 + at_none
+        stats.l2.hits += at_l2
+        stats.l2.misses += at_l3 + at_none
+        stats.l3.hits += at_l3
+        stats.l3.misses += at_none
+        for total, (expired, evicted) in zip((stats.l1, stats.l2), dropped):
+            total.expired += expired
+            total.evictions += evicted
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
-        self._l1.stats = self.stats.l1
-        self._l2.stats = self.stats.l2
 
 
 class Pcg64Draws:
@@ -294,6 +336,7 @@ class ZipfAccessDriver:
     Accesses per tick are capped; misses fill the hierarchy (cache-aside). The
     key stream is that of scalar `random()` and `integers()` calls on a PCG64
     generator; `Pcg64Draws` reads their words in bulk, which relies on PCG64.
+    A tick picks its key ids first, then reads them in one `read_through`.
     """
 
     def __init__(
@@ -327,15 +370,14 @@ class ZipfAccessDriver:
             fresh = self._cdf.searchsorted(self._rng.random(n), side="right").tolist()
             # n coins, and n picks of 32 bits each, two to a word (rejections aside)
             draws = Pcg64Draws(self._rng, n + (n + 1) // 2)
-            recent, keys, cache = self._recent, self._keys, self.cache
+            recent = self._recent
             for key_id in fresh:
                 if recent and draws.random() < self._reaccess_p:
                     key_id = recent[draws.integers(len(recent))]
-                key = keys[key_id]
-                if cache.get(key, tick) is None:
-                    cache.put(key, b"v", tick)
                 recent.append(key_id)
             draws.close()
+            keys = self._keys  # this tick's key ids are the last n in `recent`
+            self.cache.read_through([keys[i] for i in recent[-n:]], tick, b"v")
             if len(recent) > 64:
                 del recent[: len(recent) - 64]
         return self.cache.stats.memory_hit_rate

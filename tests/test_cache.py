@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from tradesim.cache import (
     L1,
@@ -9,6 +16,7 @@ from tradesim.cache import (
     L3,
     CacheConfig,
     HashRing,
+    TierStats,
     TieredCache,
     stable_hash64,
 )
@@ -263,3 +271,296 @@ class TestStats:
         keys = zipf_trading_trace(n_keys=100_000, length=250_000, warmup=50_000, seed=7)
         run_read_trace(c, keys, warmup=50_000)
         assert c.stats.memory_hit_rate >= 0.80
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("l1_ttl", math.nan),
+            ("l2_ttl", math.nan),
+            ("l1_capacity", 2.5),
+            ("l2_capacity", 16.0),
+            ("l1_capacity", True),
+            ("l2_capacity", "16"),
+            ("mvcc_retention", 1.5),
+            ("mvcc_retention", True),
+        ],
+    )
+    def test_bad_values_are_config_errors(self, field, value):
+        with pytest.raises(ConfigError):
+            CacheConfig(**{field: value})
+
+    def test_nan_ttl_no_longer_serves_forever(self):
+        with pytest.raises(ConfigError):
+            TieredCache(CacheConfig(l1_ttl=math.nan))
+
+    def test_numpy_integers_and_infinite_ttls_are_accepted(self):
+        cfg = CacheConfig(l1_capacity=np.int64(2), l2_ttl=math.inf, mvcc_retention=np.int32(1))
+        c = TieredCache(cfg)
+        c.put(b"k", b"v", 0.0)
+        assert c.get(b"k", 1e12) == (b"v", 1, L2)
+
+
+class PerKeyCache:
+    """Test-only copy of the per-key cache that `read_through` replaced: one
+    chain of tier lookups per read, each tier counting into `stats` as it goes,
+    and an entry object per install."""
+
+    class Entry:
+        def __init__(self, value, version, inserted_at):
+            self.value, self.version, self.inserted_at = value, version, inserted_at
+
+    def __init__(self, cfg: CacheConfig):
+        self.cfg = cfg
+        self.stats = TieredCache(cfg).stats
+        self.tiers = [OrderedDict(), OrderedDict()]
+        self.limits = [(cfg.l1_capacity, cfg.l1_ttl), (cfg.l2_capacity, cfg.l2_ttl)]
+        self.l3: dict[bytes, list[tuple[int, bytes]]] = {}
+
+    def _stats(self, i):
+        return (self.stats.l1, self.stats.l2)[i]
+
+    def _lookup(self, i, key, now, snapshot):
+        entries, (_, ttl), stats = self.tiers[i], self.limits[i], self._stats(i)
+        entry = entries.get(key)
+        if entry is None:
+            stats.misses += 1
+            return None
+        if now - entry.inserted_at > ttl:
+            del entries[key]
+            stats.expired += 1
+            stats.misses += 1
+            return None
+        if snapshot is not None and entry.version > snapshot:
+            stats.misses += 1
+            return None
+        entries.move_to_end(key)
+        stats.hits += 1
+        return entry
+
+    def _install(self, i, key, value, version, now):
+        entries, (capacity, ttl), stats = self.tiers[i], self.limits[i], self._stats(i)
+        if key in entries:
+            del entries[key]
+        while len(entries) >= capacity:
+            _, victim = entries.popitem(last=False)
+            if now - victim.inserted_at > ttl:
+                stats.expired += 1
+            else:
+                stats.evictions += 1
+        entries[key] = self.Entry(value, version, now)
+
+    def get(self, key, now, snapshot=None):
+        self.stats.total_gets += 1
+        entry = self._lookup(0, key, now, snapshot)
+        if entry is not None:
+            self.stats.memory_hits += 1
+            return entry.value, entry.version, L1
+        entry = self._lookup(1, key, now, snapshot)
+        if entry is not None:
+            self.stats.memory_hits += 1
+            self._install(0, key, entry.value, entry.version, now)
+            return entry.value, entry.version, L2
+        versions = [v for v in self.l3.get(key, []) if snapshot is None or v[0] <= snapshot]
+        if not versions:
+            self.stats.l3.misses += 1
+            return None
+        version, value = versions[-1]
+        self.stats.l3.hits += 1
+        if snapshot is None:
+            self._install(1, key, value, version, now)
+            self._install(0, key, value, version, now)
+        return value, version, L3
+
+    def put(self, key, value, now):
+        versions = self.l3.setdefault(key, [])
+        version = versions[-1][0] + 1 if versions else 1
+        versions.append((version, value))
+        del versions[: max(0, len(versions) - self.cfg.mvcc_retention)]
+        self._install(1, key, value, version, now)
+        self._install(0, key, value, version, now)
+        return version
+
+    def contents(self):
+        return [[(k, (e.value, e.version, e.inserted_at)) for k, e in t.items()] for t in self.tiers]
+
+
+def contents(cache: TieredCache):
+    """Each memory tier's (key, entry) pairs in LRU order, least recent first."""
+    return [list(cache._l1._entries.items()), list(cache._l2._entries.items())]
+
+
+small_configs = st.builds(
+    CacheConfig,
+    l1_capacity=st.integers(1, 4),
+    l1_ttl=st.sampled_from([1.0, 2.5]),
+    l2_capacity=st.integers(1, 6),
+    l2_ttl=st.sampled_from([3.0, 6.0]),
+    mvcc_retention=st.integers(1, 3),
+)
+# steps that stay within both TTLs, cross the L1 TTL only, or cross both
+clock_steps = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.5, 7.0])
+key_ids = st.integers(0, 6)
+walks = st.tuples(
+    st.just("walk"),
+    st.lists(key_ids, max_size=10),  # repeated keys are likely
+    clock_steps,
+    st.none() | st.sampled_from([b"v", b"w"]),  # the fill, or no fill
+    st.none() | st.integers(0, 4),  # the snapshot version
+)
+puts = st.tuples(st.just("put"), key_ids, clock_steps, st.sampled_from([b"a", b"b"]))
+
+
+class TestReadThrough:
+    @given(small_configs, st.lists(walks | puts, max_size=30))
+    def test_walk_equals_per_key_get_then_put(self, cfg, calls):
+        walk, per_key, replaced = TieredCache(cfg), TieredCache(cfg), PerKeyCache(cfg)
+        now = 0.0
+        for call in calls:
+            now += call[2]
+            if call[0] == "put":
+                key, value = b"k%d" % call[1], call[3]
+                assert walk.put(key, value, now) == per_key.put(key, value, now)
+                replaced.put(key, value, now)
+            else:
+                _, ids, _, fill, snapshot = call
+                keys = [b"k%d" % i for i in ids]
+                last = walk.read_through(keys, now, fill, snapshot)
+                expected = replaced_last = None
+                for key in keys:
+                    expected = per_key.get(key, now, snapshot)
+                    replaced_last = replaced.get(key, now, snapshot)
+                    if expected is None and fill is not None:
+                        per_key.put(key, fill, now)
+                        replaced.put(key, fill, now)
+                assert last == expected == replaced_last
+            assert walk.stats == per_key.stats
+            assert astuple(walk.stats) == astuple(replaced.stats)
+            assert contents(walk) == contents(per_key) == replaced.contents()
+            assert walk._l3 == per_key._l3 == replaced.l3
+
+    def test_counts_reach_stats_at_the_end_of_the_walk(self):
+        c = small_cache(l1_capacity=1, l2_capacity=2)
+        assert c.read_through([b"a", b"b", b"a", b"c", b"a"], 0.0, b"v") == (b"v", 1, L2)
+        s = c.stats
+        assert (s.total_gets, s.memory_hits) == (5, 2)
+        assert astuple(s.l1) == (0, 5, 4, 0)  # hits, misses, evictions, expired
+        assert astuple(s.l2) == (2, 3, 1, 0)
+        assert astuple(s.l3) == (0, 3, 0, 0)
+
+    def test_no_keys_reads_nothing(self):
+        c = small_cache()
+        assert c.read_through([], 0.0, b"v") is None
+        assert c.stats == type(c.stats)()
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """A `TieredCache` driven by puts, reads, snapshot reads, walks and a
+    clock, checked against a dict of each key's retained versions."""
+
+    @initialize(cfg=small_configs)
+    def start(self, cfg):
+        self.cfg = cfg
+        self.cache = TieredCache(cfg)
+        self.versions: dict[bytes, dict[int, bytes]] = {}  # key -> {version: value}
+        self.now = 0.0
+
+    def _latest(self, key):
+        kept = self.versions.get(key)
+        return max(kept) if kept else None
+
+    def _write(self, key, value):
+        kept = self.versions.setdefault(key, {})
+        version = max(kept, default=0) + 1
+        kept[version] = value
+        for old in sorted(kept)[: -self.cfg.mvcc_retention]:
+            del kept[old]
+        return version
+
+    def _expected(self, key, snapshot):
+        kept = [v for v in self.versions.get(key, {}) if snapshot is None or v <= snapshot]
+        return max(kept) if kept else None
+
+    @rule(dt=clock_steps)
+    def advance(self, dt):
+        self.now += dt
+
+    @rule(key=key_ids, value=st.sampled_from([b"a", b"b", b"c"]))
+    def put(self, key, value):
+        key = b"k%d" % key
+        assert self.cache.put(key, value, self.now) == self._write(key, value)
+
+    @rule(key=key_ids, snapshot=st.none() | st.integers(0, 5))
+    def get(self, key, snapshot):
+        key = b"k%d" % key
+        tiers = ((self.cache._l1, L1), (self.cache._l2, L2))
+        before = [tier._entries.get(key) for tier, _ in tiers]
+        got = self.cache.get(key, self.now, snapshot)
+        version = self._expected(key, snapshot)
+        if version is None:
+            assert got is None
+            return
+        value, got_version, tier = got
+        if snapshot is not None:
+            assert got_version <= snapshot
+        assert (value, got_version) == (self.versions[key][version], version)
+        # on time: the nearest tier whose entry is within its TTL serves the read
+        alive = [
+            name for (t, name), e in zip(tiers, before)
+            if e is not None and self.now - e[2] <= t.ttl and (snapshot is None or e[1] <= snapshot)
+        ]
+        assert tier == (alive[0] if alive else L3)
+        for (t, _), e in zip(tiers, before):
+            if e is not None and self.now - e[2] > t.ttl:  # expired: dropped or refreshed
+                assert t._entries.get(key, (None, None, self.now))[2] == self.now
+
+    @rule(ids=st.lists(key_ids, max_size=6), fill=st.sampled_from([b"f", b"g"]),
+          snapshot=st.none() | st.integers(0, 5))
+    def read_through(self, ids, fill, snapshot):
+        keys = [b"k%d" % i for i in ids]
+        last = self.cache.read_through(keys, self.now, fill, snapshot)
+        expected = None
+        for key in keys:
+            version = self._expected(key, snapshot)
+            if version is None:
+                self._write(key, fill)
+                expected = None
+            else:
+                expected = (self.versions[key][version], version)
+        assert (last if last is None else last[:2]) == expected
+
+    @invariant()
+    def tiers_within_capacity(self):
+        if hasattr(self, "cache"):
+            assert len(self.cache._l1._entries) <= self.cfg.l1_capacity
+            assert len(self.cache._l2._entries) <= self.cfg.l2_capacity
+
+    @invariant()
+    def memory_tiers_hold_the_latest_values(self):
+        # promotion preserves values: a cached entry is its key's latest write
+        if not hasattr(self, "cache"):
+            return
+        for tier in (self.cache._l1, self.cache._l2):
+            for key, (value, version, inserted_at) in tier._entries.items():
+                assert version == self._latest(key)
+                assert value == self.versions[key][version]
+                assert inserted_at <= self.now
+
+    @invariant()
+    def l3_keeps_the_retained_versions(self):
+        if hasattr(self, "cache"):
+            model = {k: sorted(v.items()) for k, v in self.versions.items()}
+            assert self.cache._l3 == model
+
+    @invariant()
+    def lookups_chain_through_the_tiers(self):
+        if hasattr(self, "cache"):
+            s = self.cache.stats
+            assert s.l1.hits + s.l1.misses == s.total_gets
+            assert s.l2.hits + s.l2.misses == s.l1.misses
+            assert s.l3.hits + s.l3.misses == s.l2.misses
+            assert s.memory_hits == s.l1.hits + s.l2.hits
+
+
+TestCacheMachine = CacheMachine.TestCase

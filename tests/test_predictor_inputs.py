@@ -307,14 +307,19 @@ class TestWeightedPercentile:
 
 
 class _NullCache:
-    """Records the keys read; every read misses, so the driver's RNG alone
-    decides the stream."""
+    """Records the keys read, by the walk or one at a time; every read misses,
+    so the driver's RNG alone decides the stream."""
 
     class stats:
         memory_hit_rate = 0.0
 
     def __init__(self) -> None:
         self.keys: list[bytes] = []
+
+    def read_through(self, keys, now, fill=None):
+        keys = list(keys)
+        self.keys += keys
+        return [None] * len(keys)
 
     def get(self, key, tick):
         self.keys.append(key)

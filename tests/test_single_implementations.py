@@ -14,7 +14,9 @@ test-only step-by-step reference of the same algorithm, which rolls out each
 candidate where it is first needed, must give byte-equal whole GA runs.
 
 The simulator has one tick: the tick model's steps are each called from one
-place in `src/`, so no second tick loop can grow back beside it.
+place in `src/`, so no second tick loop can grow back beside it. Likewise the
+cache refreshes a hit's recency and drops an LRU victim in one place each, so
+no per-key path can grow back beside its walk.
 """
 
 from __future__ import annotations
@@ -772,3 +774,8 @@ def call_sites(names: set[str]) -> Counter:
 def test_tick_model_steps_have_one_call_site():
     steps = {"allocate_work", "drain", "utilization_step"}
     assert call_sites(steps) == Counter(dict.fromkeys(steps, 1))
+
+
+def test_cache_tier_rules_have_one_call_site():
+    rules = {"move_to_end", "popitem"}  # a hit's refresh, an LRU victim's drop
+    assert call_sites(rules) == Counter(dict.fromkeys(rules, 1))
