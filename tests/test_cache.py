@@ -15,8 +15,8 @@ from tradesim.cache import (
     L2,
     L3,
     CacheConfig,
+    CacheStats,
     HashRing,
-    TierStats,
     TieredCache,
     stable_hash64,
 )
@@ -313,7 +313,7 @@ class PerKeyCache:
 
     def __init__(self, cfg: CacheConfig):
         self.cfg = cfg
-        self.stats = TieredCache(cfg).stats
+        self.stats = CacheStats()
         self.tiers = [OrderedDict(), OrderedDict()]
         self.limits = [(cfg.l1_capacity, cfg.l1_ttl), (cfg.l2_capacity, cfg.l2_ttl)]
         self.l3: dict[bytes, list[tuple[int, bytes]]] = {}
@@ -435,12 +435,11 @@ class TestReadThrough:
                         per_key.put(key, fill, now)
                         replaced.put(key, fill, now)
                 assert last == expected == replaced_last
-            assert walk.stats == per_key.stats
-            assert astuple(walk.stats) == astuple(replaced.stats)
+            assert walk.stats == per_key.stats == replaced.stats
             assert contents(walk) == contents(per_key) == replaced.contents()
             assert walk._l3 == per_key._l3 == replaced.l3
 
-    def test_counts_reach_stats_at_the_end_of_the_walk(self):
+    def test_counts_of_a_walk(self):
         c = small_cache(l1_capacity=1, l2_capacity=2)
         assert c.read_through([b"a", b"b", b"a", b"c", b"a"], 0.0, b"v") == (b"v", 1, L2)
         s = c.stats
@@ -452,7 +451,7 @@ class TestReadThrough:
     def test_no_keys_reads_nothing(self):
         c = small_cache()
         assert c.read_through([], 0.0, b"v") is None
-        assert c.stats == type(c.stats)()
+        assert c.stats == CacheStats()
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -532,15 +531,12 @@ class CacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def tiers_within_capacity(self):
-        if hasattr(self, "cache"):
-            assert len(self.cache._l1._entries) <= self.cfg.l1_capacity
-            assert len(self.cache._l2._entries) <= self.cfg.l2_capacity
+        assert len(self.cache._l1._entries) <= self.cfg.l1_capacity
+        assert len(self.cache._l2._entries) <= self.cfg.l2_capacity
 
     @invariant()
     def memory_tiers_hold_the_latest_values(self):
         # promotion preserves values: a cached entry is its key's latest write
-        if not hasattr(self, "cache"):
-            return
         for tier in (self.cache._l1, self.cache._l2):
             for key, (value, version, inserted_at) in tier._entries.items():
                 assert version == self._latest(key)
@@ -549,18 +545,15 @@ class CacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def l3_keeps_the_retained_versions(self):
-        if hasattr(self, "cache"):
-            model = {k: sorted(v.items()) for k, v in self.versions.items()}
-            assert self.cache._l3 == model
+        assert self.cache._l3 == {k: sorted(v.items()) for k, v in self.versions.items()}
 
     @invariant()
     def lookups_chain_through_the_tiers(self):
-        if hasattr(self, "cache"):
-            s = self.cache.stats
-            assert s.l1.hits + s.l1.misses == s.total_gets
-            assert s.l2.hits + s.l2.misses == s.l1.misses
-            assert s.l3.hits + s.l3.misses == s.l2.misses
-            assert s.memory_hits == s.l1.hits + s.l2.hits
+        s = self.cache.stats
+        assert s.l1.hits + s.l1.misses == s.total_gets
+        assert s.l2.hits + s.l2.misses == s.l1.misses
+        assert s.l3.hits + s.l3.misses == s.l2.misses
+        assert s.memory_hits == s.l1.hits + s.l2.hits
 
 
 TestCacheMachine = CacheMachine.TestCase
