@@ -4,6 +4,17 @@ Gate layout in every (4H, .) parameter block is [input, forget, output,
 candidate]. The forward pass caches activations so the backward pass can run
 the standard BPTT recursions; gradients are exact and checked against finite
 differences in the test suite.
+
+Each layer's time loop works on time-major (T, B, .) buffers, so a step reads
+and writes whole contiguous slices. A training pass keeps, per layer, one
+(T, B, 4H) buffer into which each step writes its gates in place (input GEMM,
+recurrent GEMM, bias, then the sigmoid and tanh), plus c_t, tanh(c_t) and
+h_t; the backward pass reads these instead of copying or recomputing them,
+and builds each step's gate gradient in one reused (B, 4H) buffer. An
+inference pass keeps only one step's gates and cell state, overwritten step by
+step, and the (T, B, H) outputs the next layer reads. The GEMMs stay per step
+and the products and sums keep their order, so the results equal those of the
+batch-major loops this replaced (`tests/lstm_reference.py`).
 """
 
 from __future__ import annotations
@@ -75,20 +86,43 @@ def init_params(config: LstmConfig, seed: int = 0) -> Params:
 
 
 def cell_forward(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
+    x: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    W: np.ndarray,
+    U: np.ndarray,
+    b: np.ndarray,
+    out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One LSTM cell step; x (B, D), h/c (B, H) -> (h', c', (i, f, o, g)),
-    the gates being what backpropagation through the step needs."""
+    the gates being what backpropagation through the step needs.
+
+    `out` is the (z, c', tanh(c'), h') buffers the step writes into, shaped
+    (B, 4H), (B, H), (B, H) and (B, H); fresh ones when None. z ends up
+    holding the gates, whose returned blocks are views of it; c' may be c.
+    """
     hidden = U.shape[1]
     if x.shape[-1] != W.shape[1]:
         raise ValueError(f"input width {x.shape[-1]} does not match W {W.shape}")
-    z = x @ W.T + h @ U.T + b
-    ifo = sigmoid(z[..., : 3 * hidden])  # input, forget and output gates in one call
-    i, f, o = ifo[..., :hidden], ifo[..., hidden : 2 * hidden], ifo[..., 2 * hidden :]
-    g = np.tanh(z[..., 3 * hidden :])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
+    if out is None:
+        out = (np.empty((len(x), 4 * hidden)), *(np.empty((len(x), hidden)) for _ in range(3)))
+    z, c_new, tanh_c, h_new = out
+    np.matmul(x, W.T, out=z)
+    z += h @ U.T
+    z += b
+    sigmoid(z[:, : 3 * hidden], out=z[:, : 3 * hidden])  # input, forget and output gates
+    np.tanh(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
+    i, f, o, g = _gate_blocks(z, hidden)
+    np.multiply(f, c, out=c_new)
+    c_new += i * g
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(o, tanh_c, out=h_new)
     return h_new, c_new, (i, f, o, g)
+
+
+def _gate_blocks(z: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """The [input, forget, output, candidate] blocks of z's last axis, as views."""
+    return tuple(z[..., k * hidden : (k + 1) * hidden] for k in range(4))
 
 
 def forward(
@@ -102,7 +136,9 @@ def forward(
     """Run the stack over (B, T, input) sequences; returns (B,) predictions.
 
     Inverted dropout on inter-layer outputs in train mode only, so inference
-    needs no rescaling.
+    needs no rescaling. With `need_cache`, `cache["layers"][l]` holds the
+    layer's time-major buffers and, as (B, T, H) views of them, its gates
+    `i`, `f`, `o`, `g`, cell states `c` and outputs `h`.
     """
     x = np.asarray(sequences, dtype=float)
     if x.ndim == 2:
@@ -114,46 +150,37 @@ def forward(
         raise ValueError("training-mode dropout needs a seeded generator")
 
     H = config.hidden_size
-    cache: dict = {"layers": [], "masks": [], "x": x} if need_cache else None
-    inp = x
+    cache: dict = {"layers": [], "masks": []} if need_cache else None
+    inp = x.transpose(1, 0, 2)  # (T, B, D): step t reads inp[t]
     for layer in range(config.layers):
         W, U, b = params[f"W{layer}"], params[f"U{layer}"], params[f"b{layer}"]
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        gates_i = np.empty((B, T, H))
-        gates_f = np.empty((B, T, H))
-        gates_o = np.empty((B, T, H))
-        gates_g = np.empty((B, T, H))
-        c_prev_seq = np.empty((B, T, H))
-        c_seq = np.empty((B, T, H))
-        h_seq = np.empty((B, T, H))
-        for t in range(T):
-            c_prev_seq[:, t] = c
-            h, c, gates = cell_forward(inp[:, t], h, c, W, U, b)
-            gates_i[:, t], gates_f[:, t], gates_o[:, t], gates_g[:, t] = gates
-            c_seq[:, t] = c
-            h_seq[:, t] = h
-        if not np.all(np.isfinite(h_seq)):
+        h = np.zeros((T + 1, B, H))  # step t reads h[t] and writes h[t + 1]
+        if need_cache:  # c likewise
+            z, c, tanh_c = np.empty((T, B, 4 * H)), np.zeros((T + 1, B, H)), np.empty((T, B, H))
+            for t in range(T):
+                cell_forward(inp[t], h[t], c[t], W, U, b, out=(z[t], c[t + 1], tanh_c[t], h[t + 1]))
+        else:  # one step's gates and cell state, overwritten step by step
+            z, c, tanh_c = np.empty((B, 4 * H)), np.zeros((B, H)), np.empty((B, H))
+            for t in range(T):
+                cell_forward(inp[t], h[t], c, W, U, b, out=(z, c, tanh_c, h[t + 1]))
+        out = h[1:]
+        if not np.all(np.isfinite(out)):
             raise DivergenceError(f"non-finite activations in layer {layer}")
         if need_cache:
-            cache["layers"].append(
-                dict(inp=inp, i=gates_i, f=gates_f, o=gates_o, g=gates_g,
-                     c_prev=c_prev_seq, c=c_seq, h=h_seq)
-            )
-        out = h_seq
+            layer_cache = dict(inp=inp, z=z, c_seq=c, tanh_c=tanh_c, h_seq=h)
+            by_batch = dict(zip("ifog", _gate_blocks(z, H)), c=c[1:], h=out)
+            layer_cache.update({k: v.transpose(1, 0, 2) for k, v in by_batch.items()})
+            cache["layers"].append(layer_cache)
+        mask = None
         if layer < config.layers - 1 and train_mode and config.dropout > 0:
             keep = 1.0 - config.dropout
-            mask = (rng.random(out.shape) < keep) / keep
-            out = out * mask
-            if need_cache:
-                cache["masks"].append(mask)
-        elif need_cache:
-            cache["masks"].append(None)
+            mask = (rng.random((B, T, H)) < keep) / keep
+            out = np.multiply(out, mask.transpose(1, 0, 2), order="C")
+        if need_cache:
+            cache["masks"].append(mask)
         inp = out
 
-    pred = inp[:, -1] @ params["Wy"] + params["by"][0]
-    if need_cache:
-        cache["final_out"] = inp
+    pred = inp[-1] @ params["Wy"] + params["by"][0]
     return pred, cache
 
 
@@ -173,50 +200,58 @@ def loss_and_gradients(
     residual = pred - y
     mse = float(np.mean(residual**2))
 
-    B, T, _ = cache["x"].shape
+    top = cache["layers"][-1]
+    T, B, _ = top["z"].shape
     H = config.hidden_size
-    grads: Params = {k: np.zeros_like(v) for k, v in params.items()}
+    grads: Params = dict.fromkeys(params)  # params' order, which the clipping norm sums in
 
     dpred = 2.0 * residual / B  # (B,)
-    final_out = cache["final_out"]
-    grads["Wy"] = final_out[:, -1].T @ dpred
+    grads["Wy"] = top["h_seq"][T].T @ dpred
     grads["by"] = np.array([dpred.sum()])
 
-    # gradient flowing into each layer's output sequence, top layer first
-    d_out = np.zeros((B, T, H))
-    d_out[:, -1] = np.outer(dpred, params["Wy"])
+    # gradient flowing into each layer's (T, B, H) output, top layer first
+    d_out = np.zeros((T, B, H))
+    d_out[-1] = np.outer(dpred, params["Wy"])
 
+    dz = np.empty((B, 4 * H))  # one step's gate gradients, rebuilt block by block
+    dz_i, dz_f, dz_o, dz_g = _gate_blocks(dz, H)
     for layer in range(config.layers - 1, -1, -1):
         lc = cache["layers"][layer]
         mask = cache["masks"][layer]
         if mask is not None:  # dropout sat between this output and the next layer
-            d_out = d_out * mask
+            d_out *= mask.transpose(1, 0, 2)
         W, U = params[f"W{layer}"], params[f"U{layer}"]
+        inp, c_seq, h_seq = lc["inp"], lc["c_seq"], lc["h_seq"]
         dW = np.zeros_like(W)
         dU = np.zeros_like(U)
         db = np.zeros_like(params[f"b{layer}"])
-        d_inp = np.zeros_like(lc["inp"])
+        # nothing reads the gradient of layer 0's input, the sequences themselves
+        d_inp = np.empty(inp.shape) if layer > 0 else None
         dh_rec = np.zeros((B, H))
         dc_rec = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            i, f, o, g = lc["i"][:, t], lc["f"][:, t], lc["o"][:, t], lc["g"][:, t]
-            c_prev, c = lc["c_prev"][:, t], lc["c"][:, t]
-            tanh_c = np.tanh(c)
-            dh = d_out[:, t] + dh_rec
-            do = dh * tanh_c
+            i, f, o, g = _gate_blocks(lc["z"][t], H)
+            tanh_c = lc["tanh_c"][t]
+            dh = d_out[t] + dh_rec
             dc = dh * o * (1.0 - tanh_c**2) + dc_rec
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
+            np.multiply(dc, g, out=dz_i)
+            dz_i *= i
+            dz_i *= 1 - i
+            np.multiply(dc, c_seq[t], out=dz_f)
+            dz_f *= f
+            dz_f *= 1 - f
+            np.multiply(dh, tanh_c, out=dz_o)
+            dz_o *= o
+            dz_o *= 1 - o
+            np.multiply(dc, i, out=dz_g)
+            dz_g *= 1 - g**2
             dc_rec = dc * f
-            dz = np.concatenate(
-                [di * i * (1 - i), df * f * (1 - f), do * o * (1 - o), dg * (1 - g**2)],
-                axis=1,
-            )
-            dW += dz.T @ lc["inp"][:, t]
-            dU += dz.T @ (lc["h"][:, t - 1] if t > 0 else np.zeros((B, H)))
+            dW += dz.T @ inp[t]
+            if t > 0:  # h[0] is zeros
+                dU += dz.T @ h_seq[t]
             db += dz.sum(axis=0)
-            d_inp[:, t] = dz @ W
+            if d_inp is not None:
+                np.matmul(dz, W, out=d_inp[t])
             dh_rec = dz @ U
         grads[f"W{layer}"], grads[f"U{layer}"], grads[f"b{layer}"] = dW, dU, db
         d_out = d_inp  # becomes the output-gradient of the layer below
@@ -261,6 +296,7 @@ def train(
 
     best_val = float("inf")
     best_params = {k: v.copy() for k, v in params.items()}
+    best_pred = None  # the validation predictions of best_params
     curve: list[dict] = []
     for epoch in range(spec.epochs):
         order = rng.permutation(len(X_train))
@@ -285,9 +321,11 @@ def train(
         if val_loss < best_val:
             best_val = val_loss
             best_params = {k: v.copy() for k, v in params.items()}
+            best_pred = val_pred
 
-    val_pred, _ = forward(X_val, best_params, config)
-    residuals = np.sort(y_val - val_pred)
+    if best_pred is None:  # no epoch improved on the initial parameters
+        best_pred, _ = forward(X_val, best_params, config)
+    residuals = np.sort(y_val - best_pred)
     lo = float(np.quantile(residuals, 0.05)) if residuals.size else 0.0
     hi = float(np.quantile(residuals, 0.95)) if residuals.size else 0.0
     return TrainResult(best_params, curve, best_val, (lo, hi))

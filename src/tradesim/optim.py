@@ -73,16 +73,17 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|x|.
 
     With e = exp(-|x|) <= 1, the numerator max(e, x >= 0) is 1 for x >= 0 and
     e below, so one division over the whole array gives each element the same
     bits as 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, with no
-    boolean gather/scatter and no second branch. NaN stays NaN.
+    boolean gather/scatter and no second branch. NaN stays NaN. `out` may be
+    x itself.
     """
     e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:

@@ -53,12 +53,8 @@ def zipf_trading_trace(
 
 def run_read_trace(cache: TieredCache, key_ids: list[int], warmup: int = 0) -> None:
     """Cache-aside replay: misses fill the hierarchy; stats reset after warmup."""
-    keys = {}
-    for i, key_id in enumerate(key_ids):
-        if i == warmup:
-            cache.reset_stats()
-        key = keys.get(key_id)
-        if key is None:
-            key = keys[key_id] = b"k%d" % key_id
-        if cache.get(key, 0.0) is None:
-            cache.put(key, b"v", 0.0)
+    keys = [b"k%d" % key_id for key_id in key_ids]
+    cache.read_through(keys[:warmup], 0.0, fill=b"v")
+    if warmup < len(keys):
+        cache.reset_stats()
+        cache.read_through(keys[warmup:], 0.0, fill=b"v")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import lstm_reference as reference
 from tradesim.errors import WarmupError
 from tradesim.lstm import (
     Forecast,
@@ -226,6 +229,74 @@ class TestGradients:
         params["Wy"][0] += eps
         numeric = (up - down) / (2 * eps)
         assert abs(numeric - grads["Wy"][0]) / max(abs(numeric), 1e-8) < 1e-4
+
+
+def assert_same_loss_and_gradients(got, want, exact=True):
+    assert list(got[1]) == list(want[1])  # the clipping norm sums in this order
+    if exact:
+        assert got[0] == want[0]
+        for name, grad in want[1].items():
+            assert np.array_equal(got[1][name], grad), name
+    else:
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        for name, grad in want[1].items():
+            np.testing.assert_allclose(got[1][name], grad, rtol=1e-9, atol=1e-15, err_msg=name)
+
+
+class TestAgainstBatchMajorReference:
+    """The time-major loops do the batch-major code's arithmetic in its order,
+    so predictions, losses, gradients and training runs equal it bit for bit.
+
+    Below 4 hidden units they may not: a matrix-vector product whose (B, H)
+    operand has fewer than 4 columns can round differently in numpy's BLAS
+    call when that operand's rows are contiguous (time-major) rather than
+    strided (batch-major). There the gradients agree to a tolerance.
+    """
+
+    @given(
+        st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(1, 6),
+        st.integers(1, 3), st.sampled_from([0.0, 0.3]), st.integers(0, 2**16),
+    )
+    def test_forward_and_gradients(self, B, T, D, H, layers, dropout, seed):
+        cfg = LstmConfig(input_size=D, hidden_size=H, layers=layers, dropout=dropout)
+        params = init_params(cfg, seed=seed)
+        data = np.random.default_rng(seed)
+        x, y = data.normal(scale=2.0, size=(B, T, D)), data.normal(size=B)
+        pred, want = forward(x, params, cfg)[0], reference.forward(x, params, cfg)[0]
+        if H >= 4:
+            assert np.array_equal(pred, want)
+        else:
+            np.testing.assert_allclose(pred, want, rtol=1e-12, atol=1e-15)
+        for train_mode in (False, True):
+            got = loss_and_gradients(x, y, params, cfg, train_mode, np.random.default_rng(seed))
+            want = reference.loss_and_gradients(
+                x, y, params, cfg, train_mode, np.random.default_rng(seed)
+            )
+            assert_same_loss_and_gradients(got, want, exact=H >= 4)
+
+    def test_gradients_at_the_predictor_default_shape(self):
+        # the shape `train-predictor` runs: batches of 32, 12 steps, 3 x 128 units
+        cfg = LstmConfig(hidden_size=128, layers=3, dropout=0.3)
+        params = init_params(cfg, seed=1)
+        data = np.random.default_rng(1)
+        x, y = data.normal(size=(32, 12, cfg.input_size)), data.normal(size=32)
+        got = loss_and_gradients(x, y, params, cfg, True, np.random.default_rng(2))
+        want = reference.loss_and_gradients(x, y, params, cfg, True, np.random.default_rng(2))
+        assert_same_loss_and_gradients(got, want)
+
+    @given(st.integers(1, 2), st.sampled_from([0.0, 0.3]), st.sampled_from([0, 2]),
+           st.integers(0, 2**16))
+    def test_training_run(self, layers, dropout, epochs, seed):
+        X = np.random.default_rng(seed).normal(size=(40, 4, 5))
+        y = X[:, -1, 0] * 0.5 + 0.1
+        cfg = LstmConfig(input_size=5, hidden_size=4, layers=layers, dropout=dropout)
+        spec = TrainSpec(learning_rate=1e-2, epochs=epochs, batch_size=8, seed=seed)
+        got, want = train(X, y, cfg, spec), reference.train(X, y, cfg, spec)
+        assert got.curve == want.curve
+        assert got.best_val_loss == want.best_val_loss
+        assert got.residual_quantiles == want.residual_quantiles
+        assert list(got.params) == list(want.params)
+        assert all(np.array_equal(got.params[k], want.params[k]) for k in want.params)
 
 
 class TestAdam:
