@@ -3,13 +3,12 @@ adapter that turns an optimized chromosome into scheduling actions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cluster import ClusterSim, SchedulingAction
-from .errors import ConfigError
+from .cluster import QUOTA_FLOOR, ClusterSim, SchedulingAction
+from .errors import ConfigError, json_value
 from .hybrid import Chromosome, HybridConfig, check_max_instances, hybrid_scheduling
 from .optim import AdamState
 
@@ -43,7 +42,7 @@ class RandomScheduler:
             instance_delta=self._rng.integers(-self.delta_span, self.delta_span + 1, size=k),
             migration=migration,
             priority=self._rng.random(k),
-            quota=np.clip(sim.quota + self._rng.normal(0, 0.05, size=k), 0.01, 1.0),
+            quota=np.clip(sim.quota + self._rng.normal(0, 0.05, size=k), QUOTA_FLOOR, 1.0),
         )
 
 
@@ -161,47 +160,23 @@ class DrlScheduler:
         return action
 
 
-def _int_option(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise TypeError(value)
-    parsed = int(value)
-    if isinstance(value, float) and parsed != value:
-        raise ValueError(value)
-    return parsed
-
-
-def _float_option(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise TypeError(value)
-    parsed = float(value)
-    if not math.isfinite(parsed):
-        raise ValueError(value)
-    return parsed
-
-
-def _path_option(value) -> str:
-    if not isinstance(value, str) or not value:
-        raise ValueError(value)
-    return value
-
-
 # the HybridConfig fields a scheduler config can set; HybridConfig holds their defaults
 _HYBRID_OPTIONS = (
     "population", "elite", "max_iter", "eval_ticks",
     "local_search_budget", "convergence_window", "max_instances",
 )
 
-# Options each scheduler kind accepts: name -> (parser, default).
+# Options each scheduler kind accepts: name -> (JSON type, default).
 SCHEDULER_OPTIONS: dict[str, dict[str, tuple]] = {
     "round-robin": {},
-    "random": {"delta_span": (_int_option, 1)},
+    "random": {"delta_span": (int, 1)},
     "threshold-autoscaler": {
-        "scale_up_at": (_float_option, 0.8),
-        "scale_down_at": (_float_option, 0.3),
-        "cooldown_ticks": (_int_option, 30),
+        "scale_up_at": (float, 0.8),
+        "scale_down_at": (float, 0.3),
+        "cooldown_ticks": (int, 30),
     },
-    "hybrid": {name: (_int_option, getattr(HybridConfig, name)) for name in _HYBRID_OPTIONS},
-    "drl": {"checkpoint": (_path_option, None)},
+    "hybrid": {name: (int, getattr(HybridConfig, name)) for name in _HYBRID_OPTIONS},
+    "drl": {"checkpoint": (str, None)},
 }
 
 
@@ -209,9 +184,9 @@ def scheduler_options(kind: str, options) -> dict:
     """The scheduler's options with defaults filled in.
 
     An unknown kind, an option name no scheduler kind accepts, or a value of
-    this kind's options that does not parse is a ConfigError. Options of other
-    kinds are ignored, so one options dict can configure every scheduler of a
-    comparison."""
+    this kind's options that is not of the option's JSON type is a ConfigError.
+    Options of other kinds are ignored, so one options dict can configure every
+    scheduler of a comparison."""
     if kind not in SCHEDULER_OPTIONS:
         raise ConfigError(f"unknown scheduler kind {kind!r}")
     if not isinstance(options, dict):
@@ -223,18 +198,11 @@ def scheduler_options(kind: str, options) -> dict:
             f"unknown {kind} scheduler option(s) {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
-    resolved = {}
-    for name, (parse, default) in accepted.items():
-        if name not in options:
-            resolved[name] = default
-            continue
-        try:
-            resolved[name] = parse(options[name])
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(
-                f"{kind} scheduler option {name!r}: cannot use {options[name]!r}"
-            ) from None
-    return resolved
+    return {
+        name: json_value(tp, options[name], f"{kind} scheduler option {name!r}")
+        if name in options else default
+        for name, (tp, default) in accepted.items()
+    }
 
 
 def make_scheduler(kind: str, *, seed: int, scenario, topology, options: dict):

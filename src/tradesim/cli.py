@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .cluster import (
     load_topology,
     write_trace_csv,
 )
-from .errors import ConfigError, DivergenceError, WarmupError, read_json
+from .errors import ConfigError, DivergenceError, WarmupError, from_json, read_json
 from .lstm import (
     ForecastModel,
     LstmConfig,
@@ -214,29 +214,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     ), sim
 
 
-# The JSON types each ExperimentConfig field annotation accepts (bool is never an int).
-_JSON_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "float": (int, float)}
-
-
 def _load_experiment_config(path: Path) -> ExperimentConfig:
     data = read_json(path, "config")
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(data).__name__}")
-    known = {f.name: f for f in fields(ExperimentConfig)}
-    unknown = sorted(set(data) - set(known))
-    if unknown:
+    known = [f.name for f in fields(ExperimentConfig)]
+    if isinstance(data, dict) and (unknown := sorted(set(data).difference(known))):
         raise ConfigError(
             f"config {path} has unknown key(s) {', '.join(map(repr, unknown))}; "
             f"accepted keys: {', '.join(known)}"
         )
-    missing = [name for name, f in known.items() if f.default is MISSING and name not in data]
-    if missing:
-        raise ConfigError(f"config {path} lacks required key(s) {', '.join(map(repr, missing))}")
-    for name, value in data.items():
-        expected = known[name].type
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
-            raise ConfigError(f"config {path}: {name!r} must be {expected}, got {json.dumps(value)}")
-    return ExperimentConfig(**data)
+    return from_json(ExperimentConfig, data, f"config {path}")
 
 
 def cmd_simulate(args) -> int:

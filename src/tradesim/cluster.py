@@ -17,13 +17,13 @@ samples only when something reads them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, from_json, read_json
 from .report import weighted_percentile
 from .workload import ServiceSpec, default_service_mix
 
@@ -955,30 +955,10 @@ def write_trace_csv(sim: ClusterSim, path: str | Path) -> None:
 # --- topology (de)serialization ----------------------------------------------
 
 
-def topology_from_dict(data: dict) -> ClusterTopology:
-    """The topology a JSON object describes. Keys it omits take the
-    `ClusterTopology` defaults, and keys it does not name are ignored."""
-    try:
-        given = {f.name: data[f.name] for f in fields(ClusterTopology) if f.name in data}
-        given.update(
-            nodes=tuple(NodeSpec(**n) for n in data["nodes"]),
-            services=tuple(ServiceSpec(**s) for s in data["services"]),
-            initial_placement=tuple(
-                tuple(int(v) for v in row) for row in data["initial_placement"]
-            ),
-            initial_quota=tuple(float(q) for q in data["initial_quota"]),
-            initial_priority=tuple(float(p) for p in data["initial_priority"]),
-        )
-        if "latency" in given:
-            given["latency"] = LatencyModel(**given["latency"])
-        return ClusterTopology(**given)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad topology definition: {exc}") from exc
-
-
 def save_topology(topo: ClusterTopology, path: str | Path) -> None:
     Path(path).write_text(json.dumps(asdict(topo), indent=2) + "\n")
 
 
 def load_topology(path: str | Path) -> ClusterTopology:
-    return topology_from_dict(read_json(path, "topology"))
+    """The topology a JSON file describes; keys it omits take the defaults."""
+    return from_json(ClusterTopology, read_json(path, "topology"), f"topology {path}")

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..cluster import SchedulingAction, SystemState, encode_compact_state
-from ..errors import ConfigError
+from ..errors import from_json
 from ..optim import load_params, save_params, sigmoid
 from .nets import (
     Params,
@@ -401,24 +401,23 @@ def _stack_records(records: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray
 # --- checkpointing ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PolicyMeta:
+    """What a policy checkpoint holds besides the params."""
+
+    encoder: StateEncoder
+    hidden: tuple[int, ...]
+    migration_choices: int
+
+
 def save_policy(policy: SchedulerPolicy, path) -> None:
-    meta = {
-        "encoder": asdict(policy.encoder),
-        "hidden": list(policy.core.hidden),
-        "migration_choices": policy.core.layout.dueling().n,
-    }
-    save_params(path, policy.params, meta)
+    meta = PolicyMeta(policy.encoder, policy.core.hidden, policy.core.layout.dueling().n)
+    save_params(path, policy.params, asdict(meta))
 
 
 def load_policy(path) -> SchedulerPolicy:
-    params, meta = load_params(path, ("encoder", "hidden", "migration_choices"))
-    try:
-        encoder = StateEncoder(**meta["encoder"])
-    except TypeError as exc:
-        raise ConfigError(f"{path} is not a policy checkpoint: {exc}") from exc
-    core = PolicyCore(
-        encoder.dim,
-        cluster_layout(meta["encoder"]["service_count"], meta["migration_choices"]),
-        tuple(meta["hidden"]),
-    )
-    return SchedulerPolicy(core=core, encoder=encoder, params=params)
+    params, data = load_params(path)
+    meta = from_json(PolicyMeta, data, f"policy checkpoint {path}")
+    layout = cluster_layout(meta.encoder.service_count, meta.migration_choices)
+    core = PolicyCore(meta.encoder.dim, layout, meta.hidden)
+    return SchedulerPolicy(core=core, encoder=meta.encoder, params=params)

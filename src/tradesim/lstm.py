@@ -19,12 +19,12 @@ batch-major loops this replaced (`tests/lstm_reference.py`).
 
 from __future__ import annotations
 
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, WarmupError
+from .errors import ConfigError, DivergenceError, WarmupError, from_json
 from .optim import AdamSpec, adam_init, adam_step, clip_global_norm, load_params, save_params, sigmoid
 from .workload import FEATURE_COUNT, FeatureScaling, TickHistory, extract_features
 
@@ -495,37 +495,20 @@ def accuracy(predictions, actuals, tolerance: float = 0.10) -> float:
 # --- checkpointing -------------------------------------------------------------
 
 
-def _meta_fields() -> list[Field]:
-    """The `ForecastModel` fields a checkpoint's meta holds: those set at
-    construction, except the params, which are the checkpoint's arrays."""
-    return [f for f in fields(ForecastModel) if f.init and f.name != "params"]
-
-
 def save_checkpoint(model: ForecastModel, path: str | Path) -> None:
     meta = {}
-    for f in _meta_fields():
-        value = getattr(model, f.name)
-        meta[f.name] = asdict(value) if is_dataclass(value) else value
+    for f in fields(ForecastModel):
+        if f.init and f.name != "params":  # the params are the checkpoint's arrays
+            value = getattr(model, f.name)
+            meta[f.name] = asdict(value) if is_dataclass(value) else value
     save_params(path, model.params, meta)
 
 
 def load_checkpoint(path: str | Path) -> ForecastModel:
     """The model of a `save_checkpoint` file. Meta keys it omits take the
     `ForecastModel` defaults, and keys it does not name are ignored."""
-    meta_fields = _meta_fields()
-    required = tuple(
-        f.name for f in meta_fields if f.default is MISSING and f.default_factory is MISSING
-    )
-    params, meta = load_params(path, required)
-    given = {f.name: meta[f.name] for f in meta_fields if f.name in meta}
-    try:
-        given["config"] = LstmConfig(**given["config"])
-        given["scaling"] = FeatureScaling(**given["scaling"])
-    except TypeError as exc:
-        raise ConfigError(f"{path} is not a predictor checkpoint: {exc}") from exc
-    if "residual_quantiles" in given:
-        given["residual_quantiles"] = tuple(given["residual_quantiles"])
-    return ForecastModel(params=params, **given)
+    params, meta = load_params(path)
+    return from_json(ForecastModel, meta, f"predictor checkpoint {path}", params=params)
 
 
 def save_curve_csv(curve: list[dict], path: str | Path) -> None:

@@ -93,10 +93,9 @@ def save_params(path, params: dict[str, np.ndarray], meta: dict) -> None:
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **params)
 
 
-def load_params(path, required: tuple[str, ...] = ()) -> tuple[dict[str, np.ndarray], dict]:
-    """(params, meta) of a checkpoint written by `save_params`; a missing file,
-    one that is not such a checkpoint, or one whose meta lacks a `required`
-    key (a checkpoint of another kind) is a ConfigError naming the path."""
+def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
+    """(params, meta) of a checkpoint written by `save_params`; a missing file
+    or one that is not such a checkpoint is a ConfigError naming the path."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"checkpoint not found: {p}")
@@ -108,6 +107,4 @@ def load_params(path, required: tuple[str, ...] = ()) -> tuple[dict[str, np.ndar
         raise ConfigError(f"{p} is not a checkpoint: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{p} is not a checkpoint: its meta is not a JSON object")
-    if missing := [key for key in required if key not in meta]:
-        raise ConfigError(f"{p} is not this kind of checkpoint: meta lacks {missing}")
     return params, meta

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, from_json, read_json
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,10 @@ class RunSummary:
 
     def __post_init__(self) -> None:
         if not self.p50_ms <= self.p95_ms <= self.p99_ms:
-            raise ValueError("percentiles must be ordered p50 <= p95 <= p99")
+            raise ConfigError("percentiles must be ordered p50 <= p95 <= p99")
         for u in (self.mean_cpu_util, self.mean_mem_util, self.mean_net_util):
             if not 0.0 <= u <= 1.0:
-                raise ValueError(f"utilization {u} outside [0, 1]")
+                raise ConfigError(f"utilization {u} outside [0, 1]")
 
 
 def percentiles(samples, levels) -> list[float]:
@@ -115,11 +115,7 @@ def save_summary(summary: RunSummary, path: str | Path) -> None:
 def load_summary(path: str | Path) -> RunSummary:
     """The summary a `save_summary` file holds; a missing file, one that is not
     JSON, or one that is not a valid summary is a ConfigError naming the path."""
-    data = read_json(path, "summary")
-    try:
-        return RunSummary(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad summary in {path}: {exc}") from exc
+    return from_json(RunSummary, read_json(path, "summary"), f"summary {path}")
 
 
 def save_comparison_csv(table: dict[str, dict[str, float]], path: str | Path) -> None:

@@ -6,12 +6,12 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, WarmupError, read_json
+from .errors import ConfigError, WarmupError, from_json, read_json
 
 FEATURE_COUNT = 18
 
@@ -368,27 +368,10 @@ def extract_features(
 # --- scenario (de)serialization ----------------------------------------------
 
 
-def scenario_from_dict(data: dict) -> WorkloadScenario:
-    """The scenario a JSON object describes. Keys it omits take the
-    `WorkloadScenario` defaults, and keys it does not name are ignored."""
-    try:
-        given = {f.name: data[f.name] for f in fields(WorkloadScenario) if f.name in data}
-        if given.get("ramp") is not None:
-            given["ramp"] = RampSpec(**given["ramp"])
-        if "tidal_profile" in given:
-            given["tidal_profile"] = tuple((int(o), float(m)) for o, m in given["tidal_profile"])
-        if "bursts" in given:
-            given["bursts"] = tuple(BurstSpec(**b) for b in given["bursts"])
-        if "service_mix" in given:
-            given["service_mix"] = tuple(ServiceSpec(**s) for s in given["service_mix"])
-        return WorkloadScenario(**given)
-    except TypeError as exc:
-        raise ConfigError(f"bad scenario definition: {exc}") from exc
-
-
 def save_scenario(scenario: WorkloadScenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(asdict(scenario), indent=2) + "\n")
 
 
 def load_scenario(path: str | Path) -> WorkloadScenario:
-    return scenario_from_dict(read_json(path, "scenario"))
+    """The scenario a JSON file describes; keys it omits take the defaults."""
+    return from_json(WorkloadScenario, read_json(path, "scenario"), f"scenario {path}")

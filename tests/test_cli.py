@@ -16,9 +16,12 @@ from tradesim.baselines import (
 )
 from tradesim.cli import EXIT_CONFIG, EXIT_OK, main, run_experiment, ExperimentConfig
 from tradesim.cluster import ClusterSim, NoiseSpec, save_topology, uniform_topology
+from tradesim.drl.policy import SchedulerPolicy, StateEncoder, save_policy
 from tradesim.errors import ConfigError
 from tradesim.hybrid import Chromosome, HybridConfig
-from tradesim.optim import save_params
+from tradesim.lstm import FeatureScaling, ForecastModel, LstmConfig, init_params, save_checkpoint
+from tradesim.optim import load_params, save_params
+from tradesim.report import save_summary
 from tradesim.workload import (
     BurstSpec,
     WorkloadScenario,
@@ -420,13 +423,18 @@ class TestSchedulerConfig:
         assert code == EXIT_CONFIG
 
     def test_defaults_filled_and_values_parsed(self):
-        opts = scheduler_options("hybrid", {"population": "12", "max_iter": 3.0})
+        opts = scheduler_options("hybrid", {"population": 12, "max_iter": 3})
         assert opts["population"] == 12 and opts["max_iter"] == 3
         assert opts["eval_ticks"] == 30  # default
-        assert scheduler_options("threshold-autoscaler", {"scale_up_at": "0.9"}) == {
+        assert scheduler_options("threshold-autoscaler", {"scale_up_at": 0.9}) == {
             "scale_up_at": 0.9, "scale_down_at": 0.3, "cooldown_ticks": 30,
         }
         assert scheduler_options("round-robin", {}) == {}
+        # values are JSON-typed, not parsed: strings and integral floats are refused
+        for kind, options in [("hybrid", {"population": "12"}), ("hybrid", {"max_iter": 3.0}),
+                              ("threshold-autoscaler", {"scale_up_at": "0.9"})]:
+            with pytest.raises(ConfigError, match=next(iter(options))):
+                scheduler_options(kind, options)
 
     def test_hybrid_defaults_are_hybrid_configs(self):
         names = (
@@ -600,6 +608,80 @@ class TestCompareCommand:
             code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate)])
             assert code == EXIT_CONFIG
             assert "bad.json" in capsys.readouterr().err
+
+
+class TestWronglyTypedInputs:
+    """A value of the wrong JSON type in any input file exits 1 naming its key,
+    never 2 and never a run on a value the model does not define."""
+
+    def checkpoint(self, tmp, kind):
+        path = tmp / f"{kind}.npz"
+        if kind == "predictor":
+            config = LstmConfig(hidden_size=3, layers=1, dropout=0.0)
+            save_checkpoint(ForecastModel(
+                params=init_params(config, seed=2), config=config, scaling=FeatureScaling(40.0, 9.0),
+                seq_len=4, feature_window=6, horizon=3,
+            ), path)
+        else:
+            encoder = StateEncoder(service_count=8, node_count=2)
+            save_policy(SchedulerPolicy.build(encoder, seed=0, hidden=(4,)), path)
+        return path
+
+    @pytest.mark.parametrize("kind, keys, value, named", [
+        ("scenario", ["horizon"], 40.5, "horizon"),
+        ("scenario", ["horizon"], True, "horizon"),
+        ("scenario", ["seed"], 1.5, "seed"),
+        ("scenario", ["seed"], "1", "seed"),
+        ("scenario", ["base_rate"], 10**400, "base_rate"),
+        ("scenario", ["tidal_profile"], [[0, "x"]], "tidal_profile"),
+        ("scenario", ["tidal_profile"], [[0.5, 1.0]], "tidal_profile"),
+        ("scenario", ["bursts"], [{"start_tick": 1.5, "duration": 5, "magnitude": 2.0}],
+         "start_tick"),
+        ("scenario", ["service_mix", 0, "name"], 5, "name"),
+        ("scenario", ["service_mix", 0, "payload_bytes"], 1.5, "payload_bytes"),
+        ("topology", ["history_window"], 2.5, "history_window"),
+        ("topology", ["initial_quota", 0], "a", "initial_quota"),
+        ("topology", ["latency", "jitter_enabled"], "no", "jitter_enabled"),
+        ("topology", ["initial_placement", 0, 0], 1.5, "initial_placement"),
+        ("predictor", ["seq_len"], "4", "seq_len"),
+        ("predictor", ["seq_len"], 4.5, "seq_len"),
+        ("predictor", ["residual_quantiles"], "ab", "residual_quantiles"),
+        ("policy", ["migration_choices"], 5.0, "migration_choices"),
+        ("policy", ["hidden"], ["64", 64], "hidden"),
+        ("policy", ["encoder", "clip"], "x", "clip"),
+        ("summary", ["seed"], 1.5, "seed"),
+        ("summary", ["p50_ms"], "1", "p50_ms"),
+        ("summary", ["achieved_tps"], True, "achieved_tps"),
+    ])
+    def test_exits_config_naming_the_key(self, small_files, capsys, kind, keys, value, named):
+        sc, topo, tmp = small_files
+        argv = ["simulate", "--scenario", str(sc), "--topology", str(topo), "--out", str(tmp / "x")]
+        if kind in ("predictor", "policy"):
+            path = self.checkpoint(tmp, kind)
+            params, data = load_params(path)
+        else:
+            path = {"scenario": sc, "topology": topo, "summary": tmp / "summary.json"}[kind]
+            if kind == "summary":
+                save_summary(_summary(), path)
+            data = json.loads(path.read_text())
+        *outer, last = keys
+        target = data
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        if kind in ("predictor", "policy"):
+            save_params(path, params, data)
+        else:
+            path.write_text(json.dumps(data))
+        if kind == "predictor":
+            argv += ["--predictor", str(path)]
+        elif kind == "policy":
+            (tmp / "drl.json").write_text(json.dumps({"checkpoint": str(path)}))
+            argv += ["--scheduler", "drl", "--scheduler-config", str(tmp / "drl.json")]
+        elif kind == "summary":
+            argv = ["compare", "--baseline", str(path), "--candidate", str(path)]
+        assert main(argv) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
 
 class TestTrainPredictorCommand:

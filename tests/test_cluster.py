@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -20,11 +21,10 @@ from tradesim.cluster import (
     sample_jitter,
     save_topology,
     service_latency,
-    topology_from_dict,
     uniform_topology,
     write_trace_csv,
 )
-from tradesim.errors import ConfigError
+from tradesim.errors import ConfigError, from_json
 from tradesim.workload import ServiceSpec
 
 
@@ -384,7 +384,7 @@ class TestTopologyIO:
         path = tmp_path / "topo.json"
         save_topology(topo, path)
         assert load_topology(path) == topo
-        assert topology_from_dict(asdict(topo)) == topo
+        assert from_json(ClusterTopology, json.loads(json.dumps(asdict(topo))), "topology") == topo
 
     def test_invalid_topology_rejected(self):
         with pytest.raises(ConfigError):

@@ -16,7 +16,9 @@ candidate where it is first needed, must give byte-equal whole GA runs.
 The simulator has one tick: the tick model's steps are each called from one
 place in `src/`, so no second tick loop can grow back beside it. Likewise the
 cache refreshes a hit's recency and drops an LRU victim in one place each, so
-no per-key path can grow back beside its walk.
+no per-key path can grow back beside its walk. Every JSON input is typed by
+one decoder, `errors.from_json`, the one place that resolves annotations, and
+the type-check schemes and hand-built loaders it replaced stay gone.
 """
 
 from __future__ import annotations
@@ -779,3 +781,25 @@ def test_tick_model_steps_have_one_call_site():
 def test_cache_tier_rules_have_one_call_site():
     rules = {"move_to_end", "popitem"}  # a hit's refresh, an LRU victim's drop
     assert call_sites(rules) == Counter(dict.fromkeys(rules, 1))
+
+
+def defined_names() -> set[str]:
+    """The names `src/` defines: functions, classes and assigned names."""
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_json_types_are_checked_in_one_place():
+    assert call_sites({"get_type_hints"}) == Counter(get_type_hints=1)
+    assert "get_type_hints(" in (SRC / "tradesim" / "errors.py").read_text()
+    retired = {"_JSON_TYPES", "_int_option", "_float_option", "_path_option",
+               "scenario_from_dict", "topology_from_dict"}
+    assert not retired & defined_names()
+    assert {"from_json", "json_value", "RampSpec"} <= defined_names()  # the walk sees definitions

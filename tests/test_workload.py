@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from tradesim.errors import ConfigError, WarmupError
+from tradesim.errors import ConfigError, WarmupError, from_json
 from tradesim.workload import (
     BurstSpec,
     FeatureScaling,
@@ -19,7 +20,6 @@ from tradesim.workload import (
     load_scenario,
     rate_profile,
     save_scenario,
-    scenario_from_dict,
 )
 
 
@@ -186,13 +186,15 @@ class TestScenarioRoundTrip:
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_dict_round_trip(self):
+        # the JSON form: asdict keeps tuples, the decoder takes lists
         sc = flat_scenario()
-        assert scenario_from_dict(asdict(sc)) == sc
+        assert from_json(WorkloadScenario, json.loads(json.dumps(asdict(sc))), "scenario") == sc
 
     def test_file_with_a_retired_key_still_loads(self):
         # files written while scenarios carried users_to_rate
         sc = flat_scenario()
-        assert scenario_from_dict({**asdict(sc), "users_to_rate": 2.5}) == sc
+        data = json.loads(json.dumps({**asdict(sc), "users_to_rate": 2.5}))
+        assert from_json(WorkloadScenario, data, "scenario") == sc
 
     def test_missing_file_raises_config_error(self):
         with pytest.raises(ConfigError):
