@@ -221,4 +221,11 @@ def make_scheduler(kind: str, *, seed: int, scenario, topology, options: dict):
 
     if not opts["checkpoint"]:
         raise ConfigError("drl scheduler needs a trained checkpoint path")
-    return DrlScheduler(policy=load_policy(opts["checkpoint"]), seed=seed)
+    policy = load_policy(opts["checkpoint"])
+    sizes = (policy.encoder.service_count, policy.encoder.node_count)
+    if sizes != (topology.service_count, topology.node_count):
+        raise ConfigError(
+            f"drl checkpoint {opts['checkpoint']}: its encoder's (service_count, node_count) "
+            f"{sizes} differ from the topology's {(topology.service_count, topology.node_count)}"
+        )
+    return DrlScheduler(policy=policy, seed=seed)

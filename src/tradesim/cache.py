@@ -9,10 +9,11 @@ expired entry is the LRU victim). Single-writer / multi-reader: the simulator
 drives it single-threaded.
 
 `TieredCache.read_through` reads a list of keys in one call, in order, and
-writes a fill value after each full miss; `ZipfAccessDriver` makes one such
-walk per tick. `get` is its one-key case without a fill, and `put` shares its
-write, so each tier rule (expiry on access, the snapshot check, promotion, LRU
-eviction, MVCC retention) is written once. Memory-tier entries are plain
+writes a fill value after each full miss. `ZipfAccessDriver` draws each tick's
+keys with one array call to its generator and makes one such walk per tick.
+`get` is its one-key case without a fill, and `put` shares its write, so
+each tier rule (expiry on access, the snapshot check, promotion, LRU eviction,
+MVCC retention) is written once. Memory-tier entries are plain
 `(value, version, inserted_at)` tuples, and a walk adds its counts to `stats`
 once, at its end.
 """
@@ -34,6 +35,11 @@ L1 = "L1"
 L2 = "L2"
 L3 = "L3"
 TIERS = (L1, L2, L3)
+
+# the access driver: the chance that an access re-reads a recent key, and how
+# many of the most recent keys it picks from
+REACCESS_P = 0.5
+RECENT_KEYS = 64
 
 
 def stable_hash64(data: bytes) -> int:
@@ -272,71 +278,16 @@ class TieredCache:
         self.stats = CacheStats()
 
 
-class Pcg64Draws:
-    """`Generator.random()` and `Generator.integers(high)` of a PCG64 generator,
-    called one value at a time, answered from raw words read in bulk.
-
-    numpy reads a double from the top 53 bits of one 64-bit word. It reads an
-    integer below `high` <= 2**32 from 32-bit halves by Lemire's
-    multiply-and-reject method: the low half of a fresh word, with the high
-    half kept in the state (`has_uint32`, `uinteger`) for the next 32-bit read,
-    across calls. `integers(1)` reads nothing. `close` leaves the generator
-    exactly where the same scalar calls would have left it.
-    """
-
-    def __init__(self, rng: np.random.Generator, size: int):
-        self._bits = rng.bit_generator
-        if not isinstance(self._bits, np.random.PCG64):
-            raise TypeError(f"raw words are read as PCG64's, got {type(self._bits).__name__}")
-        self._start = self._bits.state
-        self._size = max(size, 1)
-        self._words = self._bits.random_raw(self._size).tolist()
-        self._used = 0
-        self._has_half = self._start["has_uint32"]
-        self._half = self._start["uinteger"]
-
-    def _next_word(self) -> int:
-        if self._used == len(self._words):  # past the buffer: only Lemire's rejections get here
-            self._words += self._bits.random_raw(self._size).tolist()
-        self._used += 1
-        return self._words[self._used - 1]
-
-    def _uint32(self) -> int:
-        if self._has_half:
-            self._has_half = 0
-            return self._half
-        word = self._next_word()
-        self._has_half, self._half = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def random(self) -> float:
-        return (self._next_word() >> 11) * (1.0 / 9007199254740992.0)
-
-    def integers(self, high: int) -> int:
-        if high == 1:
-            return 0
-        m = self._uint32() * high
-        if m & 0xFFFFFFFF < high:
-            threshold = (0x100000000 - high) % high
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * high
-        return m >> 32
-
-    def close(self) -> None:
-        """Move the generator past the words used, with the half they left."""
-        # back to the start with the final half; reading raw words leaves the half alone
-        self._bits.state = {**self._start, "has_uint32": self._has_half, "uinteger": self._half}
-        self._bits.random_raw(self._used)
-
-
 class ZipfAccessDriver:
     """Feeds the cache a Zipf-popular, session-local key stream during simulation
     so the latency model sees a live memory hit rate.
 
-    Accesses per tick are capped; misses fill the hierarchy (cache-aside). The
-    key stream is that of scalar `random()` and `integers()` calls on a PCG64
-    generator; `Pcg64Draws` reads their words in bulk, which relies on PCG64.
-    A tick picks its key ids first, then reads them in one `read_through`.
+    Accesses per tick are capped; misses fill the hierarchy (cache-aside). A
+    tick of n accesses draws 3n uniforms in one call: the first n pick fresh
+    key ids by Zipf rank, the next n are re-access coins, and the last n pick
+    the key re-accessed from the `RECENT_KEYS` most recent ones (those of this
+    tick included) when the coin falls below `REACCESS_P`. Then the tick's
+    keys are read in one `read_through`.
     """
 
     def __init__(
@@ -345,39 +296,37 @@ class ZipfAccessDriver:
         n_keys: int = 20_000,
         seed: int = 0,
         per_tick_cap: int = 50,
-        reaccess_p: float = 0.5,
     ):
         if n_keys < 1:
             raise ConfigError(f"the access driver needs at least one key, got {n_keys}")
         self.cache = cache
         self.per_tick_cap = per_tick_cap
-        self._rng = np.random.Generator(np.random.PCG64([seed, 0xCAC4E]))
+        self._rng = np.random.default_rng([seed, 0xCAC4E])
         ranks = np.arange(1, n_keys + 1, dtype=float)
         probs = (1.0 / ranks) / np.sum(1.0 / ranks)
         # Generator.choice(n_keys, p=probs) builds this CDF on every call and
-        # then draws exactly as on_tick does; building it once keeps the stream.
+        # then draws as on_tick draws its fresh keys; building it once keeps them.
         self._cdf = probs.cumsum()
         self._cdf /= self._cdf[-1]
         self._keys = [b"k%d" % i for i in range(n_keys)]
         self._recent: list[int] = []
-        self._reaccess_p = reaccess_p
 
     def on_tick(self, tick: float, request_count: int) -> float:
         """Run up to `per_tick_cap` sampled accesses; returns the running
         combined memory hit rate."""
         n = min(int(request_count), self.per_tick_cap)
         if n > 0:
-            fresh = self._cdf.searchsorted(self._rng.random(n), side="right").tolist()
-            # n coins, and n picks of 32 bits each, two to a word (rejections aside)
-            draws = Pcg64Draws(self._rng, n + (n + 1) // 2)
+            u = self._rng.random(3 * n)
+            fresh = self._cdf.searchsorted(u[:n], side="right").tolist()
+            again = (u[n : 2 * n] < REACCESS_P).tolist()
             recent = self._recent
-            for key_id in fresh:
-                if recent and draws.random() < self._reaccess_p:
-                    key_id = recent[draws.integers(len(recent))]
+            # int(pick * len) < len: u <= 1 - 2**-53, and len is far below 2**52
+            for key_id, reaccess, pick in zip(fresh, again, u[2 * n :].tolist()):
+                if reaccess and recent:
+                    key_id = recent[int(pick * len(recent))]
                 recent.append(key_id)
-            draws.close()
             keys = self._keys  # this tick's key ids are the last n in `recent`
             self.cache.read_through([keys[i] for i in recent[-n:]], tick, b"v")
-            if len(recent) > 64:
-                del recent[: len(recent) - 64]
+            if len(recent) > RECENT_KEYS:
+                del recent[: len(recent) - RECENT_KEYS]
         return self.cache.stats.memory_hit_rate

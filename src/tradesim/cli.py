@@ -394,11 +394,7 @@ def cmd_train_drl(args) -> int:
     phase_ns: dict[str, int] = {}
     started = time.perf_counter_ns()
     scenario, topology = _load_inputs(args.scenario, args.topology)
-    encoder = StateEncoder(
-        mode="full",
-        service_count=topology.service_count,
-        node_count=topology.node_count,
-    )
+    encoder = StateEncoder(topology.service_count, topology.node_count)
     policy = SchedulerPolicy.build(encoder, seed=args.seed)
     env = DecisionEnv(
         scenario, topology, encoder, policy, decision_interval=args.decision_interval,

@@ -929,16 +929,6 @@ def rollout_batch(
     return RolloutBatch(latency_sum, completed, util_sum, node_work, sim.observe_state())
 
 
-def encode_compact_state(state: SystemState, queue_reference: float = 1000.0) -> np.ndarray:
-    """(C, M, N, L): mean cpu/mem utilization, normalized network throughput,
-    and queue backlog relative to a configured reference."""
-    c = float(state.util[:, 0].mean())
-    m = float(state.util[:, 1].mean())
-    n = float(state.util[:, 2].mean())
-    l = float(state.queue_len.sum() / queue_reference)
-    return np.array([c, m, n, l])
-
-
 def write_trace_csv(sim: ClusterSim, path: str | Path) -> None:
     """Per-tick trace: one row per (tick, service); utils are cluster means."""
     lines = ["tick,service_id,completed,p50_ms,p95_ms,util_cpu,util_mem,util_net,queue_len"]

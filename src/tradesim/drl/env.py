@@ -40,7 +40,9 @@ class DecisionEnv:
 
     def step(self, record: dict[str, np.ndarray]):
         """Apply the decision and step its interval; the reward is the mean of
-        its ticks' rewards, each charging the action applied at that tick."""
+        its ticks' rewards, each charging the action applied at that tick.
+        The ticks after the first hold the configuration the first left, which
+        one no-op action built after it holds."""
         assert self.sim is not None, "call reset() first"
         sim, rewards = self.sim, []
         action = self.mapper.to_scheduling_action(record, self._state)
@@ -49,10 +51,12 @@ class DecisionEnv:
                 break
             counts = generate_tick_counts(self.scenario, self._tick)
             prev_quota = sim.quota
-            applied = sim.step_counts(action if i == 0 else sim.no_op_action(), counts)
+            applied = sim.step_counts(action, counts)
             rewards.append(
                 reward(prev_quota, sim.last_latency_ms, sim.util_obs, applied, sim.reward_spec)
             )
+            if i == 0:
+                action = sim.no_op_action()
             self._tick += 1
         self._state = sim.observe_state()
         done = self._tick >= self.scenario.horizon

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..cluster import SchedulingAction, SystemState, encode_compact_state
-from ..errors import from_json
+from ..cluster import SchedulingAction, SystemState
+from ..errors import ConfigError, from_json
 from ..optim import load_params, save_params, sigmoid
 from .nets import (
     Params,
@@ -293,46 +293,42 @@ class PolicyCore:
 # --- state encoding -------------------------------------------------------------
 
 
+# scales of the observation's blocks, and the bound it is clipped to
+LOAD_REF = 500.0  # requests/tick/service
+QUEUE_REF = 1000.0
+LATENCY_REF = 200.0  # ms
+THROUGHPUT_REF = 500.0
+CLIP = 5.0
+
+
 @dataclass(frozen=True)
 class StateEncoder:
-    """Fixed-length normalized observation vector: either the full state
-    blocks (loads, utilization matrix, queues, history, performance) or the
-    compact (C, M, N, L) projection."""
+    """Fixed-length normalized observation vector of the full state blocks:
+    loads, utilization matrix, queues, history, performance."""
 
-    mode: str = "full"  # "full" | "compact"
     service_count: int = 8
     node_count: int = 4
-    load_ref: float = 500.0  # requests/tick/service scale
-    queue_ref: float = 1000.0
-    latency_ref: float = 200.0  # ms
-    throughput_ref: float = 500.0
-    clip: float = 5.0
 
     @property
     def dim(self) -> int:
-        if self.mode == "compact":
-            return 4
         k, n = self.service_count, self.node_count
         return k + 3 * n + k + 2 * k + 2 * k
 
     def encode(self, state: SystemState) -> np.ndarray:
-        if self.mode == "compact":
-            vec = encode_compact_state(state, self.queue_ref)
-        else:
-            vec = np.concatenate(
-                [
-                    state.load / self.load_ref,
-                    state.util.reshape(-1),
-                    state.queue_len / self.queue_ref,
-                    state.hist_mean / self.load_ref,
-                    state.hist_var / (self.load_ref**2),
-                    state.latency_ms / self.latency_ref,
-                    state.throughput / self.throughput_ref,
-                ]
-            )
+        vec = np.concatenate(
+            [
+                state.load / LOAD_REF,
+                state.util.reshape(-1),
+                state.queue_len / QUEUE_REF,
+                state.hist_mean / LOAD_REF,
+                state.hist_var / (LOAD_REF**2),
+                state.latency_ms / LATENCY_REF,
+                state.throughput / THROUGHPUT_REF,
+            ]
+        )
         if vec.shape[0] != self.dim:
             raise ValueError(f"state dimensions {vec.shape[0]} != encoder dim {self.dim}")
-        return np.clip(vec, -self.clip, self.clip)
+        return np.clip(vec, -CLIP, CLIP)
 
 
 # --- cluster-facing adapter -----------------------------------------------------
@@ -408,6 +404,12 @@ class PolicyMeta:
     encoder: StateEncoder
     hidden: tuple[int, ...]
     migration_choices: int
+
+    def __post_init__(self) -> None:
+        if not self.hidden or min(self.hidden) < 1:
+            raise ConfigError(f"hidden must hold at least one size, each >= 1, got {list(self.hidden)}")
+        if self.migration_choices < 1:
+            raise ConfigError(f"migration_choices must be >= 1, got {self.migration_choices}")
 
 
 def save_policy(policy: SchedulerPolicy, path) -> None:

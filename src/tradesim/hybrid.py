@@ -663,7 +663,7 @@ def hybrid_scheduling(
     rng = np.random.default_rng([config.seed, 0xA11CE])
     evaluator = RolloutEvaluator(scenario, topology, weights, config.eval_ticks, start_tick)
 
-    encoder = StateEncoder(mode="full", service_count=k, node_count=n)
+    encoder = StateEncoder(k, n)
     core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
     params = policy_params if policy_params is not None else core.init_params(config.seed)
     if adam_state is None:

@@ -353,6 +353,10 @@ class ForecastModel:
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows_of: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.seq_len < 1:
+            raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
+
     def configure_history(self, history: TickHistory) -> TickHistory:
         history.ticks_per_day = self.ticks_per_day
         history.market_open_tick = self.market_open_tick

@@ -534,7 +534,7 @@ class TestC10DeterminismAndLatency:
     def test_c10_decision_latency_under_5ms(self):
         scenario = WorkloadScenario(base_rate=30.0, peak_rate=90.0, horizon=40, seed=2)
         topology = uniform_topology(node_count=4, services=scenario.service_mix)
-        encoder = StateEncoder(mode="full", service_count=8, node_count=4)
+        encoder = StateEncoder(service_count=8, node_count=4)
         policy = SchedulerPolicy.build(encoder, seed=0)
         env = DecisionEnv(scenario, topology, encoder, policy, decision_interval=10)
         config = TrainConfig(

@@ -611,8 +611,9 @@ class TestCompareCommand:
 
 
 class TestWronglyTypedInputs:
-    """A value of the wrong JSON type in any input file exits 1 naming its key,
-    never 2 and never a run on a value the model does not define."""
+    """A value of the wrong JSON type or out of its range, or a key a nested
+    object does not have, in any input file exits 1 naming its key, never 2
+    and never a run on a value the model does not define."""
 
     def checkpoint(self, tmp, kind):
         path = tmp / f"{kind}.npz"
@@ -649,6 +650,17 @@ class TestWronglyTypedInputs:
         ("policy", ["migration_choices"], 5.0, "migration_choices"),
         ("policy", ["hidden"], ["64", 64], "hidden"),
         ("policy", ["encoder", "clip"], "x", "clip"),
+        # values the model does not define, and encoder keys that are gone
+        ("predictor", ["seq_len"], 0, "seq_len"),
+        ("policy", ["hidden"], [], "hidden"),
+        ("policy", ["hidden"], [0], "hidden"),
+        ("policy", ["hidden"], [4, -3], "hidden"),
+        ("policy", ["migration_choices"], 0, "migration_choices"),
+        ("policy", ["migration_choices"], -1, "migration_choices"),
+        ("policy", ["encoder", "service_count"], 3, "service_count"),
+        ("policy", ["encoder", "node_count"], 4, "node_count"),
+        ("policy", ["encoder", "mode"], "weird", "mode"),
+        ("policy", ["encoder", "clip"], -1.0, "clip"),
         ("summary", ["seed"], 1.5, "seed"),
         ("summary", ["p50_ms"], "1", "p50_ms"),
         ("summary", ["achieved_tps"], True, "achieved_tps"),

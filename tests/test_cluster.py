@@ -15,7 +15,6 @@ from tradesim.cluster import (
     RewardSpec,
     SchedulingAction,
     SystemState,
-    encode_compact_state,
     load_topology,
     reward,
     sample_jitter,
@@ -356,26 +355,6 @@ class TestObserveState:
         state = step(sim, no_op(sim), counts(sim, 20, 20))
         assert not np.array_equal(state.util, sim.util_true)
         assert np.all(state.util >= 0.0) and np.all(state.util <= 1.0)
-
-
-class TestCompactState:
-    def test_idle_cluster_is_origin(self):
-        sim = make_sim()
-        assert encode_compact_state(sim.observe_state()).tolist() == [0, 0, 0, 0]
-
-    def test_full_cpu_gives_c_equal_one(self):
-        sim = make_sim()
-        state = sim.observe_state()
-        state.util[:, 0] = 1.0
-        assert encode_compact_state(state)[0] == 1.0
-
-    def test_normalization_bounds(self):
-        rng = np.random.default_rng(6)
-        sim = make_sim()
-        for _ in range(50):
-            sim.step_counts(no_op(sim), rng.poisson(30, size=sim.k))
-        c, m, n, _ = encode_compact_state(sim.observe_state())
-        assert 0 <= c <= 1 and 0 <= m <= 1 and 0 <= n <= 1
 
 
 class TestTopologyIO:

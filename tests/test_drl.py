@@ -22,7 +22,15 @@ from tradesim.drl import (
     value_loss_and_gradients,
 )
 from tradesim.drl.env import ContextualBandit, DecisionEnv
-from tradesim.drl.policy import dueling_combine, _stack_records
+from tradesim.drl.policy import (
+    CLIP,
+    LATENCY_REF,
+    LOAD_REF,
+    QUEUE_REF,
+    THROUGHPUT_REF,
+    _stack_records,
+    dueling_combine,
+)
 from tradesim.workload import WorkloadScenario
 
 
@@ -77,12 +85,29 @@ def sample_batch(core, params, rng, batch=6):
 
 
 class TestEncodeState:
-    def test_idle_compact_is_origin(self):
-        enc = StateEncoder(mode="compact")
-        assert enc.encode(make_state()).tolist() == [0, 0, 0, 0]
+    def test_idle_state_is_origin(self):
+        enc = StateEncoder()
+        assert enc.encode(make_state()).tolist() == [0.0] * enc.dim
+
+    def test_blocks_scaled_by_their_references_and_clipped(self):
+        k, n = 8, 4
+        state = make_state(
+            load=np.full(k, LOAD_REF),
+            util=np.full((n, 3), 0.5),
+            queue_len=np.full(k, QUEUE_REF),
+            hist_mean=np.full(k, LOAD_REF),
+            hist_var=np.full(k, LOAD_REF**2),
+            latency_ms=np.full(k, LATENCY_REF),
+            throughput=np.full(k, THROUGHPUT_REF),
+        )
+        assert StateEncoder().encode(state).tolist() == [1.0] * k + [0.5] * 3 * n + [1.0] * 5 * k
+        state.queue_len[:] = 100 * QUEUE_REF
+        state.latency_ms[:] = -100 * LATENCY_REF
+        vec = StateEncoder().encode(state)
+        assert vec.max() == CLIP and vec.min() == -CLIP
 
     def test_full_mode_dimension_bookkeeping(self):
-        enc = StateEncoder(mode="full", service_count=8, node_count=4)
+        enc = StateEncoder(service_count=8, node_count=4)
         state = make_state()
         k, n = len(state.load), len(state.util)
         # d_l + d_r + d_g + d_h + d_p: loads, the utilization matrix, queues,
@@ -91,14 +116,14 @@ class TestEncodeState:
         assert enc.encode(state).shape == (enc.dim,)
 
     def test_normalized_components_bounded(self):
-        enc = StateEncoder(mode="full")
+        enc = StateEncoder()
         rng = np.random.default_rng(0)
         for _ in range(100):
             vec = enc.encode(random_state(rng))
             assert np.all(vec >= -5.0) and np.all(vec <= 5.0)
 
     def test_dimension_mismatch_raises(self):
-        enc = StateEncoder(mode="full", service_count=5, node_count=4)
+        enc = StateEncoder(service_count=5, node_count=4)
         with pytest.raises(ValueError):
             enc.encode(make_state(k=8, n=4))
 
@@ -313,7 +338,7 @@ class TestActing:
 
 class TestSchedulerPolicy:
     def make_policy(self, seed=0):
-        encoder = StateEncoder(mode="full", service_count=8, node_count=4)
+        encoder = StateEncoder(service_count=8, node_count=4)
         return SchedulerPolicy.build(encoder, seed=seed)
 
     def test_act_produces_valid_action(self):
@@ -404,7 +429,7 @@ class TestTraining:
     def test_cluster_env_round_trip(self):
         scenario = WorkloadScenario(base_rate=50.0, peak_rate=150.0, horizon=40, seed=3)
         topology = uniform_topology(node_count=4, services=scenario.service_mix)
-        encoder = StateEncoder(mode="full", service_count=8, node_count=4)
+        encoder = StateEncoder(service_count=8, node_count=4)
         mapper = SchedulerPolicy.build(encoder, seed=0)
         env = DecisionEnv(scenario, topology, encoder, mapper, decision_interval=10)
         core = mapper.core

@@ -40,7 +40,7 @@ class TestRlRefine:
         )
         weights = FitnessWeights(T_max=300.0)
         evaluator = RolloutEvaluator(scenario, topology, weights, eval_ticks=20)
-        encoder = StateEncoder(mode="full", service_count=2, node_count=2)
+        encoder = StateEncoder(service_count=2, node_count=2)
         core = PolicyCore(encoder.dim, cluster_layout(2), hidden=(16,))
         params = core.init_params(seed)
         return evaluator, encoder, core, params
@@ -90,7 +90,7 @@ class TestRlRefine:
 
 class TestPolicyCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
-        encoder = StateEncoder(mode="full", service_count=8, node_count=4)
+        encoder = StateEncoder(service_count=8, node_count=4)
         policy = SchedulerPolicy.build(encoder, seed=3)
         path = tmp_path / "policy.npz"
         save_policy(policy, path)

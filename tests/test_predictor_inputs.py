@@ -4,6 +4,8 @@ code they replaced.
 Each fast path does the same arithmetic as the code it replaced, only less
 often (a feature row built once, a CDF or a sorted tidal profile built once)
 or without a gather (the sigmoid), so results must be equal bit for bit.
+The cache access driver's fresh keys equal `Generator.choice` with p on the
+same words; the rest of its key stream is checked by its properties.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tradesim.cache import CacheConfig, Pcg64Draws, TieredCache, ZipfAccessDriver
+from tradesim import cache as cache_module
+from tradesim.cache import REACCESS_P, RECENT_KEYS, ZipfAccessDriver
 from tradesim.errors import WarmupError
 from tradesim.lstm import build_dataset, feature_sequence
 from tradesim.optim import sigmoid
@@ -307,8 +310,8 @@ class TestWeightedPercentile:
 
 
 class _NullCache:
-    """Records the keys read, by the walk or one at a time; every read misses,
-    so the driver's RNG alone decides the stream."""
+    """Records the keys read; every read misses, so the driver's RNG alone
+    decides the stream."""
 
     class stats:
         memory_hit_rate = 0.0
@@ -317,131 +320,99 @@ class _NullCache:
         self.keys: list[bytes] = []
 
     def read_through(self, keys, now, fill=None):
-        keys = list(keys)
         self.keys += keys
-        return [None] * len(keys)
-
-    def get(self, key, tick):
-        self.keys.append(key)
-        return None
-
-    def put(self, key, value, tick):
-        return 1
 
 
-class _ChoiceDriver(ZipfAccessDriver):
-    """The driver's old draw: Generator.choice with p, rebuilding the CDF per call."""
-
-    def __init__(self, cache, n_keys, seed):
-        super().__init__(cache, n_keys=n_keys, seed=seed)
-        ranks = np.arange(1, n_keys + 1, dtype=float)
-        self._probs = (1.0 / ranks) / np.sum(1.0 / ranks)
-
-    def on_tick(self, tick, request_count):
-        n = min(int(request_count), self.per_tick_cap)
-        if n > 0:
-            fresh = self._rng.choice(len(self._keys), size=n, p=self._probs)
-            for key_id in fresh:
-                if self._recent and self._rng.random() < self._reaccess_p:
-                    key_id = self._recent[int(self._rng.integers(len(self._recent)))]
-                key = self._keys[int(key_id)]
-                if self.cache.get(key, tick) is None:
-                    self.cache.put(key, b"v", tick)
-                self._recent.append(int(key_id))
-            if len(self._recent) > 64:
-                del self._recent[: len(self._recent) - 64]
-        return self.cache.stats.memory_hit_rate
+def key_ids(keys: list[bytes]) -> list[int]:
+    return [int(key[1:]) for key in keys]
 
 
-class _ScalarDriver(ZipfAccessDriver):
-    """The driver's draws one at a time: a scalar `Generator.random()` per coin
-    and `Generator.integers()` per recent-key pick, as before the bulk read."""
-
-    def on_tick(self, tick, request_count):
-        n = min(int(request_count), self.per_tick_cap)
-        if n > 0:
-            fresh = self._cdf.searchsorted(self._rng.random(n), side="right")
-            for key_id in fresh:
-                if self._recent and self._rng.random() < self._reaccess_p:
-                    key_id = self._recent[int(self._rng.integers(len(self._recent)))]
-                key = self._keys[int(key_id)]
-                if self.cache.get(key, tick) is None:
-                    self.cache.put(key, b"v", tick)
-                self._recent.append(int(key_id))
-            if len(self._recent) > 64:
-                del self._recent[: len(self._recent) - 64]
-        return self.cache.stats.memory_hit_rate
+def zipf_probs(n_keys: int) -> np.ndarray:
+    ranks = np.arange(1, n_keys + 1, dtype=float)
+    return (1.0 / ranks) / np.sum(1.0 / ranks)
 
 
 @st.composite
 def driver_runs(draw):
-    """(n_keys, seed, per_tick_cap, reaccess_p, per-tick request counts)."""
+    """(n_keys, seed, per_tick_cap, per-tick request counts)."""
     cap = draw(st.sampled_from([0, 1, 2, 7, 50, 64]))
     count = st.sampled_from([0, 1, cap, cap + 1, 3 * cap + 5]) | st.integers(0, 120)
     return (
         draw(st.sampled_from([1, 3, 200, 20_000])),
         draw(st.integers(0, 2**32 - 1)),
         cap,
-        draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)),
         draw(st.lists(count, min_size=1, max_size=40)),
     )
 
 
 class TestZipfDriver:
     @given(driver_runs())
-    def test_bulk_draws_equal_scalar_calls_after_every_tick(self, run):
-        n_keys, seed, cap, reaccess_p, counts = run
-        new_cache, old_cache = _NullCache(), _NullCache()
-        new = ZipfAccessDriver(new_cache, n_keys, seed, per_tick_cap=cap, reaccess_p=reaccess_p)
-        old = _ScalarDriver(old_cache, n_keys, seed, per_tick_cap=cap, reaccess_p=reaccess_p)
+    def test_each_tick_reads_its_capped_count_of_known_keys(self, run):
+        n_keys, seed, cap, counts = run
+        caches = _NullCache(), _NullCache()
+        drivers = [ZipfAccessDriver(c, n_keys, seed, per_tick_cap=cap) for c in caches]
         for tick, count in enumerate(counts):
-            new.on_tick(float(tick), count)
-            old.on_tick(float(tick), count)
-            assert new_cache.keys == old_cache.keys
-            assert new._recent == old._recent
-            # the whole state, the buffered 32-bit half (has_uint32, uinteger) too
-            assert new._rng.bit_generator.state == old._rng.bit_generator.state
-
-    def test_hit_rates_on_a_tiered_cache_equal_scalar_calls(self):
-        new = ZipfAccessDriver(TieredCache(CacheConfig(l1_capacity=64, l2_capacity=256)),
-                               n_keys=2_000, seed=5)
-        old = _ScalarDriver(TieredCache(CacheConfig(l1_capacity=64, l2_capacity=256)),
-                            n_keys=2_000, seed=5)
-        counts = np.random.default_rng(17).integers(0, 90, size=600)
-        rates = [(new.on_tick(0.5 * t, int(c)), old.on_tick(0.5 * t, int(c)))
-                 for t, c in enumerate(counts)]
-        assert [a for a, _ in rates] == [b for _, b in rates]
-        assert 0.0 < rates[-1][0] < 1.0
-        assert new.cache.stats == old.cache.stats
-        assert new._rng.bit_generator.state == old._rng.bit_generator.state
-
-    @pytest.mark.parametrize("size", [0, 1, 5])
-    def test_rejections_read_words_past_the_buffer(self, size):
-        # 2**31 + 1 rejects about half of its 32-bit draws, so a few calls run
-        # past any small buffer of raw words
-        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        ref.integers(7), rng.integers(7)  # start with a buffered half
-        for _ in range(4):
-            draws = Pcg64Draws(rng, size)
-            for high in (2**31 + 1, 1, 3, 2**32, 2**31 + 1, 113):
-                assert draws.integers(high) == int(ref.integers(high))
-                assert draws.random() == ref.random()
-            draws.close()
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_other_bit_generators_are_refused(self):
-        with pytest.raises(TypeError, match="PCG64"):
-            Pcg64Draws(np.random.Generator(np.random.MT19937(0)), 4)
+            before = len(caches[0].keys)
+            for driver in drivers:
+                driver.on_tick(float(tick), count)
+            read = key_ids(caches[0].keys[before:])
+            assert len(read) == min(count, cap)
+            assert all(0 <= i < n_keys for i in read)
+            recent = drivers[0]._recent
+            assert len(recent) <= RECENT_KEYS
+            assert recent[len(recent) - len(read):] == read[-RECENT_KEYS:]
+        # the same seed gives the same keys
+        assert caches[0].keys == caches[1].keys
+        assert drivers[0]._rng.bit_generator.state == drivers[1]._rng.bit_generator.state
 
     @pytest.mark.parametrize("n_keys, seed", [(20_000, 0), (20_000, 7), (3, 1)])
-    def test_key_stream_equals_choice_with_p(self, n_keys, seed):
-        new_cache, old_cache = _NullCache(), _NullCache()
-        new = ZipfAccessDriver(new_cache, n_keys=n_keys, seed=seed)
-        old = _ChoiceDriver(old_cache, n_keys=n_keys, seed=seed)
-        counts = np.random.default_rng(seed + 100).integers(0, 80, size=2000)
-        for tick, count in enumerate(counts):
-            new.on_tick(float(tick), int(count))
-            old.on_tick(float(tick), int(count))
-        assert len(new_cache.keys) == int(np.minimum(counts, 50).sum())
-        assert new_cache.keys == old_cache.keys
-        assert new._rng.bit_generator.state == old._rng.bit_generator.state
+    def test_fresh_keys_equal_choice_with_p(self, monkeypatch, n_keys, seed):
+        # with no re-access every key is a fresh one, drawn from the first
+        # third of the tick's words as Generator.choice draws
+        monkeypatch.setattr(cache_module, "REACCESS_P", 0.0)
+        cache = _NullCache()
+        driver = ZipfAccessDriver(cache, n_keys=n_keys, seed=seed)
+        ref = np.random.default_rng([seed, 0xCAC4E])
+        expected = []
+        for tick, count in enumerate(np.random.default_rng(seed + 100).integers(0, 80, size=500)):
+            driver.on_tick(float(tick), int(count))
+            n = min(int(count), driver.per_tick_cap)
+            if n:
+                expected += ref.choice(n_keys, size=n, p=zipf_probs(n_keys)).tolist()
+                ref.random(2 * n)  # the coins and the picks
+        assert key_ids(cache.keys) == expected
+        assert driver._rng.bit_generator.state == ref.bit_generator.state
+
+    def test_rank_one_share_is_one_over_the_harmonic_number(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "REACCESS_P", 0.0)
+        cache = _NullCache()
+        driver = ZipfAccessDriver(cache, n_keys=20_000, seed=3)
+        for tick in range(800):
+            driver.on_tick(float(tick), 50)
+        share = key_ids(cache.keys).count(0) / len(cache.keys)
+        assert share == pytest.approx(zipf_probs(20_000)[0], abs=0.006)  # 1/H_n, about 0.0954
+
+    def test_reaccesses_pick_from_the_whole_recent_window(self):
+        # fresh keys drawn uniformly from a million make a fresh key that
+        # repeats one of the last few hundred rare, so a key that does is a
+        # re-access
+        cache = _NullCache()
+        driver = ZipfAccessDriver(cache, n_keys=1_000_000, seed=5)
+        driver._cdf = np.arange(1, 1_000_001) / 1_000_000
+        reaccessed, firsts, lasts = 0, 0, 0
+        for tick in range(800):
+            recent = list(driver._recent)
+            before = len(cache.keys)
+            driver.on_tick(float(tick), 50)
+            for key_id in key_ids(cache.keys[before:]):
+                if key_id in recent:
+                    reaccessed += 1
+                    # a key held once in a window of two or more was picked
+                    # at its index
+                    once = recent.count(key_id) == 1 and len(recent) > 1
+                    firsts += once and key_id == recent[0]
+                    lasts += once and key_id == recent[-1]
+                recent.append(key_id)
+        assert reaccessed / len(cache.keys) == pytest.approx(REACCESS_P, abs=0.02)
+        assert firsts > 0
+        assert lasts > 0  # the last entry of `recent` can be picked

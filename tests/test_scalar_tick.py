@@ -693,11 +693,59 @@ def tidal(seed: int, horizon: int = 60) -> WorkloadScenario:
 
 def make_env(scenario: WorkloadScenario) -> DecisionEnv:
     topology = uniform_topology(node_count=4, services=scenario.service_mix)
-    encoder = StateEncoder(mode="full", service_count=8, node_count=4)
+    encoder = StateEncoder(service_count=8, node_count=4)
     return DecisionEnv(scenario, topology, encoder, SchedulerPolicy.build(encoder, seed=0))
 
 
+class EveryTickHoldEnv(DecisionEnv):
+    """The earlier `DecisionEnv.step`, which built a fresh no-op action for
+    each hold tick."""
+
+    def step(self, record):
+        sim, rewards = self.sim, []
+        action = self.mapper.to_scheduling_action(record, self._state)
+        for i in range(self.decision_interval):
+            if self._tick >= self.scenario.horizon:
+                break
+            counts = generate_tick_counts(self.scenario, self._tick)
+            prev_quota = sim.quota
+            applied = sim.step_counts(action if i == 0 else sim.no_op_action(), counts)
+            rewards.append(
+                reward(prev_quota, sim.last_latency_ms, sim.util_obs, applied, sim.reward_spec)
+            )
+            self._tick += 1
+        self._state = sim.observe_state()
+        done = self._tick >= self.scenario.horizon
+        return self.encoder.encode(self._state), float(np.mean(rewards)), done, {}
+
+
 class TestDecisionEnvArrivals:
+    def test_one_hold_action_per_decision_keeps_the_bits(self, monkeypatch):
+        built = []
+        no_op = ClusterSim.no_op_action
+        monkeypatch.setattr(ClusterSim, "no_op_action", lambda sim: built.append(sim) or no_op(sim))
+        scenario = tidal(1, horizon=55)
+        topology = uniform_topology(node_count=4, services=scenario.service_mix)
+        encoder = StateEncoder(service_count=8, node_count=4)
+        policy = SchedulerPolicy.build(encoder, seed=0)
+        env, old = (cls(scenario, topology, encoder, policy) for cls in (DecisionEnv, EveryTickHoldEnv))
+        rng = np.random.default_rng(0)
+        for episode in range(3):
+            obs = env.reset(episode)
+            assert_arrays_equal(old.reset(episode), obs, "reset")
+            done = False
+            while not done:
+                record, _ = policy.core.act(policy.params, obs, "sample", rng)
+                built.clear()
+                obs, r, done, _ = env.step(record)
+                assert len(built) == 1
+                old_obs, old_r, old_done, _ = old.step(record)
+                assert_arrays_equal(obs, old_obs, "observation")
+                assert (r, done) == (old_r, old_done)
+                for name in ("placement", "quota", "priority", "queue_len"):
+                    assert_arrays_equal(getattr(env.sim, name), getattr(old.sim, name), name)
+        assert env.sim.sanitized_actions > 0  # actions were clamped or rescaled
+
     def test_episodes_step_the_regenerated_counts(self, monkeypatch):
         drawn = []
         draw = workload_module._draw_tick_counts

@@ -400,7 +400,7 @@ def step_by_step_ga(
         assert len(row) == 1
         return evaluator.evaluate(row)[0]
 
-    encoder = StateEncoder(mode="full", service_count=k, node_count=n)
+    encoder = StateEncoder(service_count=k, node_count=n)
     core = PolicyCore(encoder.dim, cluster_layout(k), hidden=(32, 32))
     if params is None:
         params = core.init_params(config.seed)
@@ -623,14 +623,8 @@ def old_save_checkpoint(model, path):
 def old_save_policy(policy, path):
     meta = {
         "encoder": {
-            "mode": policy.encoder.mode,
             "service_count": policy.encoder.service_count,
             "node_count": policy.encoder.node_count,
-            "load_ref": policy.encoder.load_ref,
-            "queue_ref": policy.encoder.queue_ref,
-            "latency_ref": policy.encoder.latency_ref,
-            "throughput_ref": policy.encoder.throughput_ref,
-            "clip": policy.encoder.clip,
         },
         "hidden": list(policy.core.hidden),
         "migration_choices": policy.core.layout.dueling().n,
@@ -667,7 +661,7 @@ def lstm_model() -> ForecastModel:
 
 
 def policy() -> SchedulerPolicy:
-    return SchedulerPolicy.build(StateEncoder(mode="full", service_count=3, node_count=2), seed=6)
+    return SchedulerPolicy.build(StateEncoder(service_count=3, node_count=2), seed=6)
 
 
 def written_by(save, *args, **kwargs):
@@ -692,6 +686,25 @@ class TestCheckpointFormat:
         save_policy(pol, tmp_path / "new.npz")
         old_save_policy(pol, tmp_path / "old.npz")
         assert npz_arrays(tmp_path / "new.npz") == npz_arrays(tmp_path / "old.npz")
+
+    def test_policy_meta_encoder_holds_only_the_sizes(self, tmp_path):
+        save_policy(policy(), tmp_path / "p.npz")
+        _, meta = load_params(tmp_path / "p.npz")
+        assert meta["encoder"] == {"service_count": 3, "node_count": 2}
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mode", "full"), ("load_ref", 500.0), ("queue_ref", 1000.0), ("latency_ref", 200.0),
+         ("throughput_ref", 500.0), ("clip", 5.0)],
+    )
+    def test_policy_with_a_removed_encoder_key_is_config_error(self, tmp_path, key, value):
+        # the encoder settings policy checkpoints held before they became constants
+        save_policy(policy(), tmp_path / "p.npz")
+        params, meta = load_params(tmp_path / "p.npz")
+        meta["encoder"][key] = value
+        save_params(tmp_path / "p.npz", params, meta)
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) \\['{key}'\\]"):
+            load_policy(tmp_path / "p.npz")
 
     def test_lstm_round_trip(self, tmp_path):
         model = lstm_model()
@@ -803,3 +816,10 @@ def test_json_types_are_checked_in_one_place():
                "scenario_from_dict", "topology_from_dict"}
     assert not retired & defined_names()
     assert {"from_json", "json_value", "RampSpec"} <= defined_names()  # the walk sees definitions
+
+
+def test_code_that_only_kept_old_paths_is_gone():
+    # the PCG64 replay kept the cache key stream of scalar draws, and the
+    # compact encoding served an encoder mode nothing set
+    assert not {"Pcg64Draws", "encode_compact_state"} & defined_names()
+    assert StateEncoder.__dataclass_fields__.keys() == {"service_count", "node_count"}
