@@ -41,8 +41,8 @@ class DecisionEnv:
     def step(self, record: dict[str, np.ndarray]):
         """Apply the decision and step its interval; the reward is the mean of
         its ticks' rewards, each charging the action applied at that tick.
-        The ticks after the first hold the configuration the first left, which
-        one no-op action built after it holds."""
+        The ticks after the first hold the configuration it left, with one
+        no-op action built after it."""
         assert self.sim is not None, "call reset() first"
         sim, rewards = self.sim, []
         action = self.mapper.to_scheduling_action(record, self._state)

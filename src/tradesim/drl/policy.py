@@ -407,7 +407,7 @@ class PolicyMeta:
 
     def __post_init__(self) -> None:
         if not self.hidden or min(self.hidden) < 1:
-            raise ConfigError(f"hidden must hold at least one size, each >= 1, got {list(self.hidden)}")
+            raise ConfigError(f"hidden must hold one or more sizes >= 1, got {list(self.hidden)}")
         if self.migration_choices < 1:
             raise ConfigError(f"migration_choices must be >= 1, got {self.migration_choices}")
 
