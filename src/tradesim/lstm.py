@@ -15,6 +15,16 @@ inference pass keeps only one step's gates and cell state, overwritten step by
 step, and the (T, B, H) outputs the next layer reads. The GEMMs stay per step
 and the products and sums keep their order, so the results equal those of the
 batch-major loops this replaced (`tests/lstm_reference.py`).
+
+`cell_forward`, `forward` and `loss_and_gradients` compute in the dtype of
+their parameters: every buffer, the cast inputs and targets and the dropout
+mask take it, so nothing upcasts. `init_params` draws float64 (the gradient
+checks run there), and `train` casts that start to float32 when it builds its
+own, which roughly halves the time of each GEMM; an explicit `init` keeps its
+dtype. So checkpoints hold float32 arrays, half the size, and a float64 one
+written before still loads and predicts in float64. A `ForecastModel`, and so
+every loaded checkpoint, refuses parameters that are not the arrays of
+`param_layout` in one floating dtype.
 """
 
 from __future__ import annotations
@@ -67,22 +77,52 @@ class Forecast:
             raise ValueError("confidence band must bracket the prediction")
 
 
+def param_layout(config: LstmConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of each parameter array, in the order `init_params`
+    fills them: per layer W (4H, input), U (4H, H) and b (4H,), then the
+    readout Wy (H,) and by (1,)."""
+    h = config.hidden_size
+    layout: dict[str, tuple[int, ...]] = {}
+    for layer in range(config.layers):
+        d = config.input_size if layer == 0 else h
+        layout.update({f"W{layer}": (4 * h, d), f"U{layer}": (4 * h, h), f"b{layer}": (4 * h,)})
+    return layout | {"Wy": (h,), "by": (1,)}
+
+
 def init_params(config: LstmConfig, seed: int = 0) -> Params:
-    """Uniform +-1/sqrt(fan_in) with the forget-gate bias raised to 1."""
+    """Float64 weights uniform in +-1/sqrt(fan_in), fan_in being a weight's last
+    axis; zero biases but for the forget gates', raised to 1."""
     rng = np.random.default_rng(seed)
     params: Params = {}
     h = config.hidden_size
-    for layer in range(config.layers):
-        d = config.input_size if layer == 0 else h
-        bound_w, bound_u = 1.0 / np.sqrt(d), 1.0 / np.sqrt(h)
-        params[f"W{layer}"] = rng.uniform(-bound_w, bound_w, size=(4 * h, d))
-        params[f"U{layer}"] = rng.uniform(-bound_u, bound_u, size=(4 * h, h))
-        bias = np.zeros(4 * h)
-        bias[h : 2 * h] = 1.0
-        params[f"b{layer}"] = bias
-    params["Wy"] = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), size=h)
-    params["by"] = np.zeros(1)
+    for name, shape in param_layout(config).items():
+        if name.startswith("b"):
+            params[name] = np.zeros(shape)
+            params[name][h : 2 * h] = 1.0  # the forget-gate block, which by's (1,) lacks
+        else:
+            bound = 1.0 / np.sqrt(shape[-1])
+            params[name] = rng.uniform(-bound, bound, size=shape)
     return params
+
+
+def check_layout(params: Params, config: LstmConfig) -> None:
+    """Refuse `params` unless they are the arrays of `param_layout(config)`,
+    by name and shape, all float32 or all float64; the ConfigError names the
+    first array at fault."""
+    layout = param_layout(config)
+    if extra := sorted(params.keys() - layout.keys()):
+        raise ConfigError(f"array {extra[0]!r} is not a parameter of {config}")
+    first = next(iter(layout))  # checked first, so its dtype is every other's
+    for name, shape in layout.items():
+        if name not in params:
+            raise ConfigError(f"array {name!r} of {config} is missing")
+        array = params[name]
+        if array.shape != shape:
+            raise ConfigError(f"array {name!r} has shape {array.shape}, {config} needs {shape}")
+        if array.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"array {name!r} is {array.dtype}, not float32 or float64")
+        if array.dtype != params[first].dtype:
+            raise ConfigError(f"array {name!r} is {array.dtype}, {first!r} {params[first].dtype}")
 
 
 def cell_forward(
@@ -98,14 +138,16 @@ def cell_forward(
     the gates being what backpropagation through the step needs.
 
     `out` is the (z, c', tanh(c'), h') buffers the step writes into, shaped
-    (B, 4H), (B, H), (B, H) and (B, H); fresh ones when None. z ends up
-    holding the gates, whose returned blocks are views of it; c' may be c.
+    (B, 4H), (B, H), (B, H) and (B, H); fresh ones in W's dtype when None. z
+    ends up holding the gates, whose returned blocks are views of it; c' may
+    be c.
     """
     hidden = U.shape[1]
     if x.shape[-1] != W.shape[1]:
         raise ValueError(f"input width {x.shape[-1]} does not match W {W.shape}")
     if out is None:
-        out = (np.empty((len(x), 4 * hidden)), *(np.empty((len(x), hidden)) for _ in range(3)))
+        shapes = [(len(x), 4 * hidden)] + [(len(x), hidden)] * 3
+        out = tuple(np.empty(shape, dtype=W.dtype) for shape in shapes)
     z, c_new, tanh_c, h_new = out
     np.matmul(x, W.T, out=z)
     z += h @ U.T
@@ -133,14 +175,16 @@ def forward(
     rng: np.random.Generator | None = None,
     need_cache: bool = False,
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the stack over (B, T, input) sequences; returns (B,) predictions.
+    """Run the stack over (B, T, input) sequences; returns (B,) predictions,
+    computed in the dtype of `params["Wy"]`.
 
     Inverted dropout on inter-layer outputs in train mode only, so inference
     needs no rescaling. With `need_cache`, `cache["layers"][l]` holds the
     layer's time-major buffers and, as (B, T, H) views of them, its gates
     `i`, `f`, `o`, `g`, cell states `c` and outputs `h`.
     """
-    x = np.asarray(sequences, dtype=float)
+    dtype = params["Wy"].dtype
+    x = np.asarray(sequences, dtype=dtype)
     if x.ndim == 2:
         x = x[None]
     B, T, D = x.shape
@@ -154,13 +198,15 @@ def forward(
     inp = x.transpose(1, 0, 2)  # (T, B, D): step t reads inp[t]
     for layer in range(config.layers):
         W, U, b = params[f"W{layer}"], params[f"U{layer}"], params[f"b{layer}"]
-        h = np.zeros((T + 1, B, H))  # step t reads h[t] and writes h[t + 1]
+        h = np.zeros((T + 1, B, H), dtype)  # step t reads h[t] and writes h[t + 1]
         if need_cache:  # c likewise
-            z, c, tanh_c = np.empty((T, B, 4 * H)), np.zeros((T + 1, B, H)), np.empty((T, B, H))
+            z, c = np.empty((T, B, 4 * H), dtype), np.zeros((T + 1, B, H), dtype)
+            tanh_c = np.empty((T, B, H), dtype)
             for t in range(T):
                 cell_forward(inp[t], h[t], c[t], W, U, b, out=(z[t], c[t + 1], tanh_c[t], h[t + 1]))
         else:  # one step's gates and cell state, overwritten step by step
-            z, c, tanh_c = np.empty((B, 4 * H)), np.zeros((B, H)), np.empty((B, H))
+            z, c = np.empty((B, 4 * H), dtype), np.zeros((B, H), dtype)
+            tanh_c = np.empty((B, H), dtype)
             for t in range(T):
                 cell_forward(inp[t], h[t], c, W, U, b, out=(z, c, tanh_c, h[t + 1]))
         out = h[1:]
@@ -174,7 +220,7 @@ def forward(
         mask = None
         if layer < config.layers - 1 and train_mode and config.dropout > 0:
             keep = 1.0 - config.dropout
-            mask = (rng.random((B, T, H)) < keep) / keep
+            mask = ((rng.random((B, T, H)) < keep) / keep).astype(dtype, copy=False)
             out = np.multiply(out, mask.transpose(1, 0, 2), order="C")
         if need_cache:
             cache["masks"].append(mask)
@@ -192,8 +238,10 @@ def loss_and_gradients(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, Params]:
-    """Mean squared error and exact BPTT gradients over all gates and layers."""
-    y = np.asarray(targets, dtype=float).reshape(-1)
+    """Mean squared error and exact BPTT gradients over all gates and layers,
+    computed in the dtype of `params["Wy"]`."""
+    dtype = params["Wy"].dtype
+    y = np.asarray(targets, dtype=dtype).reshape(-1)
     if y.size == 0:
         raise ValueError("empty batch")
     pred, cache = forward(sequences, params, config, train_mode, rng, need_cache=True)
@@ -210,10 +258,10 @@ def loss_and_gradients(
     grads["by"] = np.array([dpred.sum()])
 
     # gradient flowing into each layer's (T, B, H) output, top layer first
-    d_out = np.zeros((T, B, H))
+    d_out = np.zeros((T, B, H), dtype)
     d_out[-1] = np.outer(dpred, params["Wy"])
 
-    dz = np.empty((B, 4 * H))  # one step's gate gradients, rebuilt block by block
+    dz = np.empty((B, 4 * H), dtype)  # one step's gate gradients, rebuilt block by block
     dz_i, dz_f, dz_o, dz_g = _gate_blocks(dz, H)
     for layer in range(config.layers - 1, -1, -1):
         lc = cache["layers"][layer]
@@ -226,9 +274,9 @@ def loss_and_gradients(
         dU = np.zeros_like(U)
         db = np.zeros_like(params[f"b{layer}"])
         # nothing reads the gradient of layer 0's input, the sequences themselves
-        d_inp = np.empty(inp.shape) if layer > 0 else None
-        dh_rec = np.zeros((B, H))
-        dc_rec = np.zeros((B, H))
+        d_inp = np.empty(inp.shape, dtype) if layer > 0 else None
+        dh_rec = np.zeros((B, H), dtype)
+        dc_rec = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
             i, f, o, g = _gate_blocks(lc["z"][t], H)
             tanh_c = lc["tanh_c"][t]
@@ -277,8 +325,15 @@ def train(
     spec: TrainSpec,
     init: Params | None = None,
 ) -> TrainResult:
-    """Minibatch BPTT training with a time-ordered train/validation split."""
-    X = np.asarray(sequences, dtype=float)
+    """Minibatch BPTT training with a time-ordered train/validation split.
+
+    It runs in the dtype of `init`, or in float32 from `init_params` cast to
+    it when `init` is None. Losses and residuals are taken against the float64
+    targets."""
+    params = init
+    if params is None:
+        params = {k: v.astype(np.float32) for k, v in init_params(config, spec.seed).items()}
+    X = np.asarray(sequences, dtype=params["Wy"].dtype)  # cast once, not per batch
     y = np.asarray(targets, dtype=float)
     if len(X) != len(y) or len(X) < 4:
         raise ConfigError("dataset too small or mismatched")
@@ -290,7 +345,6 @@ def train(
 
     rng = np.random.default_rng(spec.seed)
     drop_rng = np.random.default_rng(spec.seed + 1)
-    params = init if init is not None else init_params(config, seed=spec.seed)
     adam = adam_init(params)
     adam_spec = AdamSpec(spec.learning_rate)
 
@@ -354,8 +408,10 @@ class ForecastModel:
     _rows_of: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.seq_len < 1:
-            raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
+        for name in ("seq_len", "horizon", "ticks_per_day"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_layout(self.params, self.config)
 
     def configure_history(self, history: TickHistory) -> TickHistory:
         history.ticks_per_day = self.ticks_per_day
@@ -510,7 +566,8 @@ def save_checkpoint(model: ForecastModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ForecastModel:
     """The model of a `save_checkpoint` file. Meta keys it omits take the
-    `ForecastModel` defaults, and keys it does not name are ignored."""
+    `ForecastModel` defaults, and keys it does not name are ignored. Its arrays
+    must be those `param_layout` gives for its config, float32 or float64."""
     params, meta = load_params(path)
     return from_json(ForecastModel, meta, f"predictor checkpoint {path}", params=params)
 

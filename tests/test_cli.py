@@ -652,6 +652,9 @@ class TestWronglyTypedInputs:
         ("policy", ["encoder", "clip"], "x", "clip"),
         # values the model does not define, and encoder keys that are gone
         ("predictor", ["seq_len"], 0, "seq_len"),
+        ("predictor", ["ticks_per_day"], 0, "ticks_per_day"),
+        ("predictor", ["horizon"], 0, "horizon"),
+        ("predictor", ["horizon"], -5, "horizon"),
         ("policy", ["hidden"], [], "hidden"),
         ("policy", ["hidden"], [0], "hidden"),
         ("policy", ["hidden"], [4, -3], "hidden"),
@@ -694,6 +697,47 @@ class TestWronglyTypedInputs:
             argv = ["compare", "--baseline", str(path), "--candidate", str(path)]
         assert main(argv) == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+
+class TestPredictorCheckpointLayout:
+    """A predictor checkpoint whose arrays are not the ones its meta's config
+    lays out, by name and shape, in one floating dtype, exits 1 naming the
+    first array at fault."""
+
+    @pytest.mark.parametrize("edit, named", [
+        ("hidden_size+1", "W0"),
+        ("layers+1", "W2"),
+        ("input_size+1", "W0"),
+        ("drop W1", "W1"),
+        ("extra W9", "W9"),
+        ("int64", "W0"),
+        ("by float32", "by"),
+    ])
+    def test_exits_config_naming_the_array(self, small_files, capsys, edit, named):
+        sc, topo, tmp = small_files
+        config = LstmConfig(hidden_size=3, layers=2, dropout=0.0)
+        path = tmp / "predictor.npz"
+        save_checkpoint(ForecastModel(
+            params=init_params(config, seed=2), config=config, scaling=FeatureScaling(40.0, 9.0),
+            seq_len=4, feature_window=6, horizon=3,
+        ), path)
+        params, meta = load_params(path)
+        if edit.endswith("+1"):
+            meta["config"][edit[:-2]] += 1
+        elif edit == "drop W1":
+            del params["W1"]
+        elif edit == "extra W9":
+            params["W9"] = params["W1"]
+        elif edit == "int64":
+            params = {k: v.astype(np.int64) for k, v in params.items()}
+        else:
+            params["by"] = params["by"].astype(np.float32)
+        save_params(path, params, meta)
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
+                     "--predictor", str(path), "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(named) in err
 
 
 class TestTrainPredictorCommand:

@@ -287,16 +287,87 @@ class TestAgainstBatchMajorReference:
     @given(st.integers(1, 2), st.sampled_from([0.0, 0.3]), st.sampled_from([0, 2]),
            st.integers(0, 2**16))
     def test_training_run(self, layers, dropout, epochs, seed):
+        # from the same float64 start, which `train` keeps, as the oracle does
         X = np.random.default_rng(seed).normal(size=(40, 4, 5))
         y = X[:, -1, 0] * 0.5 + 0.1
         cfg = LstmConfig(input_size=5, hidden_size=4, layers=layers, dropout=dropout)
         spec = TrainSpec(learning_rate=1e-2, epochs=epochs, batch_size=8, seed=seed)
-        got, want = train(X, y, cfg, spec), reference.train(X, y, cfg, spec)
+        init = init_params(cfg, seed=seed)
+        got, want = train(X, y, cfg, spec, init=init), reference.train(X, y, cfg, spec, init=init)
         assert got.curve == want.curve
         assert got.best_val_loss == want.best_val_loss
         assert got.residual_quantiles == want.residual_quantiles
         assert list(got.params) == list(want.params)
         assert all(np.array_equal(got.params[k], want.params[k]) for k in want.params)
+
+
+class TestPrecision:
+    """`train` runs in float32 unless given its start; the code computes in
+    its parameters' dtype, so float64 parameters keep the float64 path."""
+
+    def dataset(self):
+        X, y, _ = TestTraining().make_sine_dataset(n=160)
+        return X, y
+
+    def test_train_starts_in_float32_and_checkpoint_keeps_it(self, tmp_path):
+        X, y = self.dataset()
+        cfg = small_config(hidden_size=4, layers=2, dropout=0.2)
+        result = train(X, y, cfg, TrainSpec(learning_rate=1e-2, epochs=2, batch_size=16, seed=3))
+        assert {p.dtype for p in result.params.values()} == {np.dtype(np.float32)}
+        model = ForecastModel(result.params, cfg, FeatureScaling(volume_scale=140.0),
+                              seq_len=8, feature_window=8, horizon=10)
+        save_checkpoint(model, tmp_path / "model.npz")
+        loaded = load_checkpoint(tmp_path / "model.npz")
+        for name, p in result.params.items():
+            assert loaded.params[name].dtype == np.float32
+            assert np.array_equal(loaded.params[name], p)
+
+    def test_float32_validation_loss_near_float64(self):
+        X, y = self.dataset()
+        cfg = small_config(hidden_size=8, layers=2, dropout=0.2)
+        spec = TrainSpec(learning_rate=1e-2, epochs=4, batch_size=16, seed=6)
+        single = train(X, y, cfg, spec)
+        double = train(X, y, cfg, spec, init=init_params(cfg, seed=spec.seed))
+        assert single.params["W0"].dtype == np.float32
+        assert double.params["W0"].dtype == np.float64
+        assert single.best_val_loss == pytest.approx(double.best_val_loss, rel=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_buffer_in_the_params_dtype(self, dtype):
+        cfg = small_config(hidden_size=4, layers=2, dropout=0.3)
+        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=1).items()}
+        data = np.random.default_rng(1)
+        x, y = data.normal(size=(3, 5, 18)), data.normal(size=3)
+        pred, cache = forward(x, params, cfg, True, np.random.default_rng(2), need_cache=True)
+        assert pred.dtype == dtype
+        for layer in cache["layers"]:
+            assert {v.dtype for v in layer.values()} == {np.dtype(dtype)}
+        assert all(m is None or m.dtype == dtype for m in cache["masks"])
+        _, grads = loss_and_gradients(x, y, params, cfg, True, np.random.default_rng(2))
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+    def test_initialization_and_bptt_gradients_stay_float64(self):
+        # c09's finite-difference check at eps 1e-5 needs float64 to mean anything
+        cfg = LstmConfig(input_size=18, hidden_size=8, layers=2, dropout=0.0)
+        params = init_params(cfg, seed=7)
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float64)}
+        data = np.random.default_rng(5)
+        x, y = data.normal(size=(3, 8, 18)), data.normal(size=3)
+        _, grads = loss_and_gradients(x, y, params, cfg)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+
+    def test_float64_checkpoint_predicts_as_before(self, tmp_path):
+        # the batch-major oracle is the float64 code this replaced
+        cfg = small_config(hidden_size=6, layers=2)
+        params = init_params(cfg, seed=4)
+        scaling = FeatureScaling(volume_scale=140.0)
+        model = ForecastModel(params, cfg, scaling, seq_len=8, feature_window=8, horizon=10)
+        save_checkpoint(model, tmp_path / "model.npz")
+        loaded = load_checkpoint(tmp_path / "model.npz")
+        assert loaded.params["W0"].dtype == np.float64
+        history = sine_history(60)
+        want, _ = reference.forward(feature_sequence(history, 8, 8, scaling)[None], params, cfg)
+        assert loaded.predict(history) == float(want[0]) * scaling.volume_scale
 
 
 class TestAdam:
