@@ -20,8 +20,8 @@ batch-major loops this replaced (`tests/lstm_reference.py`).
 their parameters: every buffer, the cast inputs and targets and the dropout
 mask take it, so nothing upcasts. `init_params` draws float64 (the gradient
 checks run there), and `train` casts that start to float32 when it builds its
-own, which roughly halves the time of each GEMM; an explicit `init` keeps its
-dtype. So checkpoints hold float32 arrays, half the size, and a float64 one
+own, which shortens each GEMM and halves the memory of every buffer; an
+explicit `init` keeps its dtype. So checkpoints hold float32 arrays, half the size, and a float64 one
 written before still loads and predicts in float64. A `ForecastModel`, and so
 every loaded checkpoint, refuses parameters that are not the arrays of
 `param_layout` in one floating dtype.

@@ -287,7 +287,7 @@ class TestAgainstBatchMajorReference:
     @given(st.integers(1, 2), st.sampled_from([0.0, 0.3]), st.sampled_from([0, 2]),
            st.integers(0, 2**16))
     def test_training_run(self, layers, dropout, epochs, seed):
-        # from the same float64 start, which `train` keeps, as the oracle does
+        # one float64 start for both: `train` keeps the dtype of an `init`
         X = np.random.default_rng(seed).normal(size=(40, 4, 5))
         y = X[:, -1, 0] * 0.5 + 0.1
         cfg = LstmConfig(input_size=5, hidden_size=4, layers=layers, dropout=dropout)
@@ -306,8 +306,8 @@ class TestPrecision:
     its parameters' dtype, so float64 parameters keep the float64 path."""
 
     def dataset(self):
-        X, y, _ = TestTraining().make_sine_dataset(n=160)
-        return X, y
+        scaling = FeatureScaling(volume_scale=140.0)
+        return build_dataset(sine_history(160), seq_len=8, window=8, horizon=10, scaling=scaling)
 
     def test_train_starts_in_float32_and_checkpoint_keeps_it(self, tmp_path):
         X, y = self.dataset()
