@@ -19,7 +19,7 @@ import numpy as np
 
 from ..cluster import SchedulingAction, SystemState
 from ..errors import ConfigError, from_json
-from ..optim import load_params, save_params, sigmoid
+from ..optim import check_layout, load_params, save_params, sigmoid
 from .nets import (
     Params,
     linear_backward,
@@ -422,4 +422,6 @@ def load_policy(path) -> SchedulerPolicy:
     meta = from_json(PolicyMeta, data, f"policy checkpoint {path}")
     layout = cluster_layout(meta.encoder.service_count, meta.migration_choices)
     core = PolicyCore(meta.encoder.dim, layout, meta.hidden)
+    shapes = {name: array.shape for name, array in core.init_params().items()}
+    check_layout(params, shapes, f"{meta} in policy checkpoint {path}")
     return SchedulerPolicy(core=core, encoder=meta.encoder, params=params)

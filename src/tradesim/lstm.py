@@ -29,13 +29,14 @@ every loaded checkpoint, refuses parameters that are not the arrays of
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, WarmupError, from_json
-from .optim import AdamSpec, adam_init, adam_step, clip_global_norm, load_params, save_params, sigmoid
+from .optim import AdamSpec, adam_init, adam_step, check_layout, clip_global_norm, load_params
+from .optim import save_params, sigmoid
 from .workload import FEATURE_COUNT, FeatureScaling, TickHistory, extract_features
 
 Params = dict[str, np.ndarray]
@@ -103,26 +104,6 @@ def init_params(config: LstmConfig, seed: int = 0) -> Params:
             bound = 1.0 / np.sqrt(shape[-1])
             params[name] = rng.uniform(-bound, bound, size=shape)
     return params
-
-
-def check_layout(params: Params, config: LstmConfig) -> None:
-    """Refuse `params` unless they are the arrays of `param_layout(config)`,
-    by name and shape, all float32 or all float64; the ConfigError names the
-    first array at fault."""
-    layout = param_layout(config)
-    if extra := sorted(params.keys() - layout.keys()):
-        raise ConfigError(f"array {extra[0]!r} is not a parameter of {config}")
-    first = next(iter(layout))  # checked first, so its dtype is every other's
-    for name, shape in layout.items():
-        if name not in params:
-            raise ConfigError(f"array {name!r} of {config} is missing")
-        array = params[name]
-        if array.shape != shape:
-            raise ConfigError(f"array {name!r} has shape {array.shape}, {config} needs {shape}")
-        if array.dtype not in (np.float32, np.float64):
-            raise ConfigError(f"array {name!r} is {array.dtype}, not float32 or float64")
-        if array.dtype != params[first].dtype:
-            raise ConfigError(f"array {name!r} is {array.dtype}, {first!r} {params[first].dtype}")
 
 
 def cell_forward(
@@ -403,15 +384,14 @@ class ForecastModel:
     ticks_per_day: int = 86_400
     market_open_tick: int = 0
     market_close_tick: int = 86_400
-    # the feature rows of the history last forecast on, and what they depend on
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rows_of: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("seq_len", "horizon", "ticks_per_day"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        check_layout(self.params, self.config)
+        lowest = dict(seq_len=1, horizon=1, ticks_per_day=1, market_open_tick=0,
+                      market_close_tick=self.market_open_tick + 1)
+        for name, low in lowest.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_layout(self.params, param_layout(self.config), str(self.config))
 
     def configure_history(self, history: TickHistory) -> TickHistory:
         history.ticks_per_day = self.ticks_per_day
@@ -424,44 +404,9 @@ class ForecastModel:
 
     def predict(self, history: TickHistory, end: int | None = None) -> float:
         """Predicted mean volume (requests/second) for the next horizon window."""
-        pred, _ = forward(self._sequence(history, end)[None], self.params, self.config)
+        seq = feature_sequence(history, self.seq_len, self.feature_window, self.scaling, end)
+        pred, _ = forward(seq[None], self.params, self.config)
         return float(pred[0]) * self.scaling.volume_scale
-
-    def _sequence(self, history: TickHistory, end: int | None) -> np.ndarray:
-        """`feature_sequence` for this model, reusing the rows of earlier calls.
-
-        Forecasts a few ticks apart share most of their rows. A row depends on
-        the history up to its end, the window, the scaling and the session
-        clock, so the rows are kept for one history, which is only appended to,
-        and dropped when it is another history, when it got shorter or when any
-        of the others changed. An indicator series not yet as long as a row's
-        end contributes defaults to it, so that is part of the row's key.
-        """
-        n = len(history)
-        end = n if end is None else end
-        if end < self.feature_window + self.seq_len - 1:  # raises the WarmupError
-            return feature_sequence(history, self.seq_len, self.feature_window, self.scaling, end)
-        depends_on = (
-            self.feature_window, self.scaling, history.tick_length, history.ticks_per_day,
-            history.market_open_tick, history.market_close_tick,
-        )
-        held, held_len, held_on = self._rows_of
-        if held is not history or held_len > n or held_on != depends_on:
-            self._rows = {}
-        self._rows_of = (history, n, depends_on)
-        indicators = (
-            history.price_volatility, history.order_cancel_ratio, history.burst_flags,
-            history.busiest_utilization,
-        )
-        rows = []
-        for row_end in range(end - self.seq_len + 1, end + 1):
-            key = (row_end, *(len(series) >= row_end for series in indicators))
-            row = self._rows.get(key)
-            if row is None:
-                row = extract_features(history, self.feature_window, self.scaling, row_end)
-                row = self._rows[key] = row.as_array()
-            rows.append(row)
-        return np.stack(rows)
 
     def predict_and_warn(
         self, history: TickHistory, burst_threshold: float = 2.0, baseline_window: int = 60
@@ -498,11 +443,7 @@ def feature_sequence(
         raise WarmupError(
             f"need {window + seq_len - 1} ticks for a {seq_len}-step feature sequence, have {end}"
         )
-    rows = [
-        extract_features(history, window, scaling, end=end - seq_len + 1 + t).as_array()
-        for t in range(seq_len)
-    ]
-    return np.stack(rows)
+    return extract_features(history, window, scaling, np.arange(end - seq_len + 1, end + 1))
 
 
 def build_dataset(
@@ -517,22 +458,18 @@ def build_dataset(
     over the next `horizon` ticks.
 
     Sequence k is `feature_sequence(history, seq_len, window, scaling, end)`
-    for the k-th `end`. Overlapping sequences share feature rows, so each
-    distinct row is extracted once into a (rows, FEATURE_COUNT) table and the
-    sequences are gathered from it.
+    for the k-th `end`. Overlapping sequences share feature rows, so every row
+    up to the last end is extracted in one call and the sequences are gathered
+    from that table.
     """
     n = len(history)
     first_end = window + seq_len - 1
     ends = np.arange(first_end, n - horizon + 1, stride)
     if ends.size == 0:
         raise WarmupError("history too short to build any training windows")
-    # row_ends[k, t]: the `end` of row t of sequence k
-    row_ends = ends[:, None] + np.arange(1 - seq_len, 1)
-    distinct = np.unique(row_ends)
-    table = np.stack(
-        [extract_features(history, window, scaling, end=int(e)).as_array() for e in distinct]
-    )
-    X = table[np.searchsorted(distinct, row_ends)]
+    table = extract_features(history, window, scaling, np.arange(window, ends[-1] + 1))
+    # row t of sequence k ends at ends[k] - seq_len + 1 + t; table row r at window + r
+    X = table[ends[:, None] + np.arange(1 - seq_len, 1) - window]
     volume = np.asarray(history.volume)
     y = [volume[end : end + horizon].mean() / scaling.volume_scale for end in ends]
     return X, np.asarray(y)

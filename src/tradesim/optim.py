@@ -108,3 +108,22 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(meta, dict):
         raise ConfigError(f"{p} is not a checkpoint: its meta is not a JSON object")
     return params, meta
+
+
+def check_layout(params: dict[str, np.ndarray], layout: dict[str, tuple[int, ...]], owner: str) -> None:
+    """Refuse `params` unless they are the arrays of `layout`, by name and
+    shape, all float32 or all float64; the ConfigError names the first array
+    at fault, in `layout`'s order, and `owner`, what the layout is of."""
+    if extra := sorted(params.keys() - layout.keys()):
+        raise ConfigError(f"array {extra[0]!r} is not a parameter of {owner}")
+    first = next(iter(layout))  # checked first, so its dtype is every other's
+    for name, shape in layout.items():
+        if name not in params:
+            raise ConfigError(f"array {name!r} of {owner} is missing")
+        array = params[name]
+        if array.shape != shape:
+            raise ConfigError(f"array {name!r} has shape {array.shape}, {owner} needs {shape}")
+        if array.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"array {name!r} of {owner} is {array.dtype}, not float32 or float64")
+        if array.dtype != params[first].dtype:
+            raise ConfigError(f"array {name!r} of {owner} is {array.dtype}, unlike {first!r}")

@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, WarmupError, from_json, read_json
 
@@ -147,22 +148,6 @@ class Request:
     payload_bytes: int
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fixed 18-feature predictor input; see `extract_features` for the layout."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != FEATURE_COUNT:
-            raise ValueError(f"expected {FEATURE_COUNT} features, got {len(self.values)}")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError("feature values must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
 def tick_rng(seed: int, t: int, stream: int = 0) -> np.random.Generator:
     """Generator derived from (seed, tick) so every tick regenerates independently."""
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, stream, t])
@@ -284,61 +269,64 @@ class FeatureScaling:
             raise ConfigError("scaling constants must be > 0")
 
 
-def _window_slope(values: np.ndarray) -> float:
-    # least-squares slope of value per tick over the window
-    n = len(values)
-    if n < 2:
-        return 0.0
-    x = np.arange(n, dtype=float)
-    x -= x.mean()
-    denom = float(np.dot(x, x))
-    return float(np.dot(x, values - values.mean()) / denom) if denom else 0.0
-
-
 def extract_features(
-    history: TickHistory,
-    window: int,
-    scaling: FeatureScaling | None = None,
-    end: int | None = None,
-) -> FeatureVector:
-    """18 features over `history[:end]`: 8 volume stats, 6 time features,
-    4 market indicators.
+    history: TickHistory, window: int, scaling: FeatureScaling, ends: np.ndarray
+) -> np.ndarray:
+    """(len(ends), 18) features: row k describes `history[:ends[k]]` with 8
+    volume stats, 6 time features and 4 market indicators.
 
     Layout: [mean, std, min, max, last, slope, lag1, lag5,
              sin_tod, cos_tod, sin_dow, cos_dow, mins_since_open, mins_to_close,
              price_volatility, order_cancel_ratio, burst_flag_count, busiest_util]
-    Volume statistics are divided by `scaling.volume_scale`.
+    Volume statistics are divided by `scaling.volume_scale`; the slope is the
+    least-squares slope of volume per tick over the window. An indicator series
+    shorter than a row's end contributes zeros to it. `ends` is a non-empty
+    array, in any order and with repeats; only the span of history the rows
+    read is converted, so a call costs O(rows x window).
     """
-    scaling = scaling or FeatureScaling()
-    end = len(history) if end is None else end
-    if end > len(history):
-        raise ValueError(f"end {end} beyond recorded history {len(history)}")
+    ends = np.asarray(ends, dtype=np.int64)
+    if ends.max() > len(history):
+        raise ValueError(f"end {ends.max()} beyond recorded history {len(history)}")
     if window < 2:
         raise ConfigError("feature window must be >= 2 ticks")
-    if end < window:
-        raise WarmupError(f"need {window} ticks of history, have {end}")
+    if ends.min() < window:
+        raise WarmupError(f"need {window} ticks of history, have {ends.min()}")
 
-    vol = np.asarray(history.volume[end - window : end], dtype=float)
+    lo, hi = int(ends.min()) - window, int(ends.max())
+    starts = ends - window - lo  # of each row's window in history[lo:hi]
+
+    def windows(series: list, rows) -> np.ndarray:
+        # (rows, window) copies, so every reduction runs along a contiguous row
+        return sliding_window_view(np.asarray(series[lo:hi], dtype=float), window)[starts[rows]]
+
+    def tail(series: list) -> np.ndarray:
+        # an indicator series not yet as long as a row's end gives that row zeros
+        out = np.zeros((len(ends), window))
+        rows = ends <= len(series)
+        if rows.any():
+            out[rows] = windows(series, rows)
+        return out
+
+    vol = windows(history.volume, slice(None))
     vs = scaling.volume_scale
-    lag1 = vol[-2] if window >= 2 else vol[-1]
-    lag5 = vol[-6] if window >= 6 else vol[0]
+    mean = vol.mean(axis=1)
+    x = np.arange(window, dtype=float)
+    x -= x.mean()
+    # np.dot of two vectors per row: a matrix product sums the terms in
+    # another order, which changes the last bits of non-integer volumes
+    slope = np.array([np.dot(x, row) for row in vol - mean[:, None]]) / np.dot(x, x)
+    lag5 = vol[:, -6] if window >= 6 else vol[:, 0]
     volume_stats = [
-        vol.mean() / vs,
-        vol.std() / vs,
-        vol.min() / vs,
-        vol.max() / vs,
-        vol[-1] / vs,
-        _window_slope(vol) / vs,
-        lag1 / vs,
-        lag5 / vs,
+        mean, vol.std(axis=1), vol.min(axis=1), vol.max(axis=1), vol[:, -1], slope, vol[:, -2], lag5
     ]
 
-    t = end - 1
-    tod = (t % history.ticks_per_day) / history.ticks_per_day
+    t = ends - 1
+    day_tick = t % history.ticks_per_day
+    tod = day_tick / history.ticks_per_day
     day = (t // history.ticks_per_day) % 7
     minutes_per_tick = history.tick_length / 60.0
-    since_open = (t % history.ticks_per_day - history.market_open_tick) * minutes_per_tick
-    to_close = (history.market_close_tick - t % history.ticks_per_day) * minutes_per_tick
+    since_open = (day_tick - history.market_open_tick) * minutes_per_tick
+    to_close = (history.market_close_tick - day_tick) * minutes_per_tick
     time_feats = [
         np.sin(2 * np.pi * tod),
         np.cos(2 * np.pi * tod),
@@ -348,21 +336,17 @@ def extract_features(
         np.clip(to_close / scaling.session_minutes, -1.0, 2.0),
     ]
 
-    def tail(series: list, default: float = 0.0) -> np.ndarray:
-        # only the window is converted, so a call costs O(window), not O(len(history))
-        if len(series) >= end:
-            return np.asarray(series[end - window : end], dtype=float)
-        return np.full(window, default)
-
     market_feats = [
-        tail(history.price_volatility).mean(),
-        tail(history.order_cancel_ratio).mean(),
-        float(tail(history.burst_flags).sum()),
-        tail(history.busiest_utilization)[-1],
+        tail(history.price_volatility).mean(axis=1),
+        tail(history.order_cancel_ratio).mean(axis=1),
+        tail(history.burst_flags).sum(axis=1),
+        tail(history.busiest_utilization)[:, -1],
     ]
 
-    values = tuple(float(v) for v in volume_stats + time_feats + market_feats)
-    return FeatureVector(values)
+    table = np.stack([v / vs for v in volume_stats] + time_feats + market_feats, axis=1)
+    if not np.isfinite(table).all():
+        raise ValueError("feature values must be finite")
+    return table
 
 
 # --- scenario (de)serialization ----------------------------------------------

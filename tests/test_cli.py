@@ -667,6 +667,9 @@ class TestWronglyTypedInputs:
         ("summary", ["seed"], 1.5, "seed"),
         ("summary", ["p50_ms"], "1", "p50_ms"),
         ("summary", ["achieved_tps"], True, "achieved_tps"),
+        # a session clock the time features were never trained on
+        ("predictor", ["market_open_tick"], -5, "market_open_tick"),
+        ("predictor", ["market_close_tick"], -5, "market_close_tick"),
     ])
     def test_exits_config_naming_the_key(self, small_files, capsys, kind, keys, value, named):
         sc, topo, tmp = small_files
@@ -735,6 +738,42 @@ class TestPredictorCheckpointLayout:
         save_params(path, params, meta)
         code = main(["simulate", "--scenario", str(sc), "--topology", str(topo),
                      "--predictor", str(path), "--out", str(tmp / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(named) in err
+
+
+class TestPolicyCheckpointLayout:
+    """A policy checkpoint whose arrays are not the ones its meta lays out, by
+    name and shape, in one floating dtype, exits 1 naming the first array at
+    fault."""
+
+    @pytest.mark.parametrize("edit, named", [
+        ("hidden [5]", "trunk0.W"),
+        ("migration_choices+1", "migration.A.W"),
+        ("int64", "trunk0.W"),
+        ("extra extra.W", "extra.W"),
+        ("drop trunk0.W", "trunk0.W"),
+    ])
+    def test_exits_config_naming_the_array(self, small_files, capsys, edit, named):
+        sc, topo, tmp = small_files
+        path = tmp / "policy.npz"
+        save_policy(SchedulerPolicy.build(StateEncoder(service_count=8, node_count=2), hidden=(4,)), path)
+        params, meta = load_params(path)
+        if edit == "hidden [5]":
+            meta["hidden"] = [5]
+        elif edit == "migration_choices+1":
+            meta["migration_choices"] += 1
+        elif edit == "int64":
+            params = {k: v.astype(np.int64) for k, v in params.items()}
+        elif edit == "extra extra.W":
+            params["extra.W"] = params["trunk0.W"]
+        else:
+            del params["trunk0.W"]
+        save_params(path, params, meta)
+        (tmp / "drl.json").write_text(json.dumps({"checkpoint": str(path)}))
+        code = main(["simulate", "--scenario", str(sc), "--topology", str(topo), "--scheduler", "drl",
+                     "--scheduler-config", str(tmp / "drl.json"), "--out", str(tmp / "x")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(path) in err and repr(named) in err

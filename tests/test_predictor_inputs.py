@@ -2,8 +2,9 @@
 code they replaced.
 
 Each fast path does the same arithmetic as the code it replaced, only less
-often (a feature row built once, a CDF or a sorted tidal profile built once)
-or without a gather (the sigmoid), so results must be equal bit for bit.
+often (a CDF or a sorted tidal profile built once), over arrays (the feature
+rows of many ends in one call) or without a gather (the sigmoid), so results
+must be equal bit for bit.
 The cache access driver's fresh keys equal `Generator.choice` with p on the
 same words; the rest of its key stream is checked by its properties.
 """
@@ -24,13 +25,12 @@ from tradesim.lstm import build_dataset, feature_sequence
 from tradesim.optim import sigmoid
 from tradesim.report import weighted_percentile
 from tradesim.workload import (
+    FEATURE_COUNT,
     BurstSpec,
     FeatureScaling,
-    FeatureVector,
     RampSpec,
     TickHistory,
     WorkloadScenario,
-    _window_slope,
     extract_features,
     rate_profile,
 )
@@ -51,14 +51,25 @@ def old_build_dataset(history, seq_len, window, horizon, scaling, stride=1):
     return np.stack(X), np.asarray(y)
 
 
+def old_window_slope(values):
+    n = len(values)
+    if n < 2:
+        return 0.0
+    x = np.arange(n, dtype=float)
+    x -= x.mean()
+    denom = float(np.dot(x, x))
+    return float(np.dot(x, values - values.mean()) / denom) if denom else 0.0
+
+
 def old_extract_features(history, window, scaling, end):
+    """The one-row extractor the array extractor replaced, as it was."""
     vol = np.asarray(history.volume[end - window : end], dtype=float)
     vs = scaling.volume_scale
     lag1 = vol[-2] if window >= 2 else vol[-1]
     lag5 = vol[-6] if window >= 6 else vol[0]
     volume_stats = [
         vol.mean() / vs, vol.std() / vs, vol.min() / vs, vol.max() / vs,
-        vol[-1] / vs, _window_slope(vol) / vs, lag1 / vs, lag5 / vs,
+        vol[-1] / vs, old_window_slope(vol) / vs, lag1 / vs, lag5 / vs,
     ]
     t = end - 1
     tod = (t % history.ticks_per_day) / history.ticks_per_day
@@ -84,7 +95,7 @@ def old_extract_features(history, window, scaling, end):
         float(tail([float(b) for b in history.burst_flags]).sum()),
         tail(history.busiest_utilization)[-1],
     ]
-    return FeatureVector(tuple(float(v) for v in volume_stats + time_feats + market_feats))
+    return np.array([float(v) for v in volume_stats + time_feats + market_feats])
 
 
 def old_tidal_multiplier(profile, t):
@@ -212,30 +223,48 @@ class TestBuildDataset:
         history = TickHistory()
         for v in range(100):
             history.append(float(v % 13))
-        ends = []
+        calls = []
 
-        def counting(history, window, scaling=None, end=None):
-            ends.append(end)
-            return extract_features(history, window, scaling, end)
+        def counting(history, window, scaling, ends):
+            calls.append(ends)
+            return extract_features(history, window, scaling, ends)
 
         monkeypatch.setattr(lstm, "extract_features", counting)
         X, _ = build_dataset(history, seq_len=6, window=8, horizon=5, scaling=FeatureScaling())
-        # sequence ends 13..95, rows ending 8..95, each extracted once
+        # sequence ends 13..95, rows ending 8..95, all in one call
         assert len(X) == 83
-        assert ends == list(range(8, 96))
+        assert len(calls) == 1 and list(calls[0]) == list(range(8, 96))
 
 
 class TestExtractFeatures:
     @given(history=histories(), window=st.integers(2, 20), scaling=scalings, data=st.data())
     def test_equals_list_converting_version(self, history, window, scaling, data):
+        # every row of one call, ends unsorted and repeated, against one
+        # scalar call per end
         if len(history) < window:
             with pytest.raises(WarmupError):
-                extract_features(history, window, scaling)
+                extract_features(history, window, scaling, [len(history)])
             return
-        end = data.draw(st.just(len(history)) | st.integers(window, len(history)))
-        got = extract_features(history, window, scaling, end=end)
-        want = old_extract_features(history, window, scaling, end)
-        assert _bits(got.values) == _bits(want.values)
+        end = st.just(len(history)) | st.integers(window, len(history))
+        ends = data.draw(st.lists(end, min_size=1, max_size=12))
+        got = extract_features(history, window, scaling, np.array(ends))
+        assert got.shape == (len(ends), FEATURE_COUNT) and got.dtype == np.float64
+        for row, end in zip(got, ends):
+            assert row.tobytes() == old_extract_features(history, window, scaling, end).tobytes()
+
+    def test_errors_as_the_one_row_version(self):
+        history = TickHistory()
+        for v in range(12):
+            history.append(v + 0.5)
+        scaling = FeatureScaling()
+        with pytest.raises(WarmupError):
+            extract_features(history, 5, scaling, [8, 4, 12])
+        with pytest.raises(ValueError, match="beyond recorded history"):
+            extract_features(history, 5, scaling, [8, 13])
+        history.volume[9] = float("nan")  # read by the rows that end at 10 to 14
+        assert np.isfinite(extract_features(history, 5, scaling, [9, 5, 9])).all()
+        with pytest.raises(ValueError, match="finite"):
+            extract_features(history, 5, scaling, [9, 10])
 
 
 class TestRateProfile:

@@ -50,10 +50,8 @@ from tradesim.errors import ConfigError, WarmupError
 from tradesim.lstm import ForecastModel, LstmConfig, feature_sequence, forward, init_params
 from tradesim.report import weighted_percentile
 from tradesim.workload import (
-    FEATURE_COUNT,
     BurstSpec,
     FeatureScaling,
-    FeatureVector,
     ServiceSpec,
     TickHistory,
     WorkloadScenario,
@@ -888,17 +886,18 @@ class TestForecastRows:
                 history.volume.append(full.volume[t])
 
     def test_extracts_each_row_once(self, monkeypatch):
+        # one call per forecast, for the seq_len rows that end at its end
         calls = []
         extract = lstm_module.extract_features
         monkeypatch.setattr(
             lstm_module, "extract_features",
-            lambda h, w, s=None, end=None: calls.append(end) or extract(h, w, s, end),
+            lambda h, w, s, ends: calls.append(list(ends)) or extract(h, w, s, ends),
         )
         model, history = make_model(), grown_history(200, 1)
-        for end in range(model.min_history(), 201, 5):
+        ends = range(model.min_history(), 201, 5)
+        for end in ends:
             model.predict(history, end)
-        assert sorted(calls) == sorted(set(calls))
-        assert len(calls) < 200
+        assert calls == [list(range(end - model.seq_len + 1, end + 1)) for end in ends]
 
     def test_changed_inputs_are_not_served_stale_rows(self):
         # each change follows a forecast on the same history, whose rows are kept
@@ -942,8 +941,10 @@ class TestForecastRows:
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
 def test_feature_vector_rejects_non_finite_values(bad):
-    values = [0.5] * FEATURE_COUNT
-    values[7] = bad
+    # a non-finite volume makes its rows non-finite, which the extractor refuses
+    history = grown_history(30, 6)
+    history.volume[20] = bad
+    model = make_model(seq_len=4, window=5)
     with pytest.raises(ValueError, match="finite"):
-        FeatureVector(tuple(values))
-    assert FeatureVector(tuple([np.float64(0.5)] * FEATURE_COUNT)).as_array().shape == (18,)
+        model.predict(history, 24)
+    assert model.predict(history, 20) == fresh_predict(model, history, 20)

@@ -823,3 +823,21 @@ def test_code_that_only_kept_old_paths_is_gone():
     # compact encoding served an encoder mode nothing set
     assert not {"Pcg64Draws", "encode_compact_state"} & defined_names()
     assert StateEncoder.__dataclass_fields__.keys() == {"service_count", "node_count"}
+
+
+def test_feature_rows_have_one_extractor():
+    # extract_features takes an array of ends, so the one-row wrapper, the
+    # per-row slope and the forecast row cache are gone
+    assert not {"FeatureVector", "_window_slope"} & defined_names()
+    assert not {"_sequence", "_rows", "_rows_of"} & set(dir(ForecastModel))
+    assert not {"_rows", "_rows_of"} & ForecastModel.__dataclass_fields__.keys()
+    assert call_sites({"extract_features"}) == Counter(extract_features=2)
+    tree = ast.parse((SRC / "tradesim" / "lstm.py").read_text())
+    callers = Counter(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "extract_features"
+    )
+    assert callers == Counter(feature_sequence=1, build_dataset=1)

@@ -10,7 +10,6 @@ from tradesim.errors import ConfigError, WarmupError, from_json
 from tradesim.workload import (
     BurstSpec,
     FeatureScaling,
-    FeatureVector,
     RampSpec,
     TickHistory,
     WorkloadScenario,
@@ -123,10 +122,12 @@ class TestFeatures:
             h.append(v)
         return h
 
+    def last_row(self, h, window, scaling=FeatureScaling()) -> np.ndarray:
+        return extract_features(h, window, scaling, [len(h)])[0]
+
     def test_constant_series_statistics(self):
         h = self.make_history([42.0] * 30)
-        fv = extract_features(h, window=20)
-        vals = fv.as_array()
+        vals = self.last_row(h, window=20)
         assert vals[0] == pytest.approx(42.0)  # mean
         assert vals[1] == pytest.approx(0.0)  # std
         assert vals[5] == pytest.approx(0.0)  # slope
@@ -135,35 +136,36 @@ class TestFeatures:
     def test_short_history_is_warmup_error(self):
         h = self.make_history([1.0] * 5)
         with pytest.raises(WarmupError):
-            extract_features(h, window=10)
+            self.last_row(h, window=10)
 
     def test_sinusoid_slope_sign_matches_derivative(self):
         # slope at window end should match the sign of d/dt sin(2 pi t / 200)
         n, period = 400, 200.0
         series = [np.sin(2 * np.pi * t / period) for t in range(n)]
         h = self.make_history(series)
-        for end in (150, 250, 350):
-            fv = extract_features(h, window=20, end=end)
+        ends = [150, 250, 350]
+        rows = extract_features(h, 20, FeatureScaling(), ends)
+        for end, row in zip(ends, rows):
             derivative = np.cos(2 * np.pi * (end - 1) / period)
-            assert np.sign(fv.values[5]) == np.sign(derivative)
+            assert np.sign(row[5]) == np.sign(derivative)
 
     def test_scaling_divides_volume_stats(self):
         h = self.make_history([100.0] * 20)
-        fv = extract_features(h, window=10, scaling=FeatureScaling(volume_scale=50.0))
-        assert fv.values[0] == pytest.approx(2.0)
+        assert self.last_row(h, 10, FeatureScaling(volume_scale=50.0))[0] == pytest.approx(2.0)
 
     def test_feature_vector_length_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(values=(1.0,) * 17)
-        with pytest.raises(ValueError):
-            FeatureVector(values=(float("nan"),) * 18)
+        # one row of 18 finite features per end, and a non-finite one is refused
+        h = self.make_history([float(v) for v in range(30)])
+        assert extract_features(h, 10, FeatureScaling(), [12, 30, 12]).shape == (3, 18)
+        h.volume[25] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            self.last_row(h, window=10)
 
     def test_lag_features(self):
-        h = self.make_history(list(range(30)))
-        fv = extract_features(h, window=10)
-        assert fv.values[4] == 29.0  # last
-        assert fv.values[6] == 28.0  # 1-lag
-        assert fv.values[7] == 24.0  # 5-lag
+        vals = self.last_row(self.make_history(list(range(30))), window=10)
+        assert vals[4] == 29.0  # last
+        assert vals[6] == 28.0  # 1-lag
+        assert vals[7] == 24.0  # 5-lag
 
 
 class TestScenarioRoundTrip:
