@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, WarmupError, from_json, read_json
 
@@ -281,8 +280,9 @@ def extract_features(
     Volume statistics are divided by `scaling.volume_scale`; the slope is the
     least-squares slope of volume per tick over the window. An indicator series
     shorter than a row's end contributes zeros to it. `ends` is a non-empty
-    array, in any order and with repeats; only the span of history the rows
-    read is converted, so a call costs O(rows x window).
+    array, in any order and with repeats. Only the span of history from the
+    first row's window to the last end is converted, so a forecast's rows cost
+    O(rows x window) whatever the length of the history.
     """
     ends = np.asarray(ends, dtype=np.int64)
     if ends.max() > len(history):
@@ -293,11 +293,11 @@ def extract_features(
         raise WarmupError(f"need {window} ticks of history, have {ends.min()}")
 
     lo, hi = int(ends.min()) - window, int(ends.max())
-    starts = ends - window - lo  # of each row's window in history[lo:hi]
+    cells = (ends - window - lo)[:, None] + np.arange(window)  # of each row in history[lo:hi]
 
     def windows(series: list, rows) -> np.ndarray:
         # (rows, window) copies, so every reduction runs along a contiguous row
-        return sliding_window_view(np.asarray(series[lo:hi], dtype=float), window)[starts[rows]]
+        return np.asarray(series[lo:hi], dtype=float)[cells[rows]]
 
     def tail(series: list) -> np.ndarray:
         # an indicator series not yet as long as a row's end gives that row zeros

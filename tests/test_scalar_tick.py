@@ -825,7 +825,7 @@ class TestDecisionEnvArrivals:
             counts[0] = 1
 
 
-# --- forecast rows reused ------------------------------------------------------------------
+# --- forecast rows --------------------------------------------------------------------------
 
 
 def grown_history(n: int, seed: int, indicators: bool = True) -> TickHistory:
@@ -875,7 +875,7 @@ class TestForecastRows:
         for t in range(90):
             if t >= model.min_history() and t % interval == 0:
                 assert model.predict(history) == fresh_predict(model, history)
-                end = t - seed % 3  # an earlier end, from the rows already kept
+                end = t - seed % 3  # an earlier end
                 if end >= model.min_history():
                     assert model.predict(history, end) == fresh_predict(model, history, end)
             if indicators:
@@ -900,7 +900,7 @@ class TestForecastRows:
         assert calls == [list(range(end - model.seq_len + 1, end + 1)) for end in ends]
 
     def test_changed_inputs_are_not_served_stale_rows(self):
-        # each change follows a forecast on the same history, whose rows are kept
+        # each change follows a forecast on the same history
         model, history = make_model(), grown_history(120, 2)
         model.predict(history)
         history.market_open_tick = 60  # the session clock, as configure_history sets it
