@@ -95,6 +95,10 @@ class ExperimentConfig:
             raise ConfigError("decision interval must be >= 1 tick")
         if self.predictor_interval < 1:
             raise ConfigError(f"predictor_interval must be >= 1 tick, got {self.predictor_interval}")
+        if not self.predictor_threshold > 0:
+            raise ConfigError(f"predictor_threshold must be > 0, got {self.predictor_threshold}")
+        if self.predictor_cooldown < 0:
+            raise ConfigError(f"predictor_cooldown must be >= 0 ticks, got {self.predictor_cooldown}")
         if self.cache_accesses_per_tick < 0:
             raise ConfigError(
                 f"cache_accesses_per_tick must be >= 0, got {self.cache_accesses_per_tick}"
@@ -172,16 +176,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
         if action is None and t % config.decision_interval == 0:
             # per-service utilization signal: the latency model's contention factor
             action = scheduler.decide(sim, sim.service_rho(), t)
-        if action is None:
-            action = sim.no_op_action()
 
-        sim.step_counts(action, counts)
+        sim.step_counts(action, counts)  # None holds the configuration
         arrived = int(counts.sum())
         sim.cache_hit_rate = driver.on_tick(t * scenario.tick_length, arrived)
-        history.append(
-            volume=arrived / scenario.tick_length,
-            busiest_utilization=float(sim.util_true[:, 0].max()),
-        )
+        if model is not None:  # only the predictor reads the history
+            history.append(
+                volume=arrived / scenario.tick_length,
+                busiest_utilization=float(sim.util_true[:, 0].max()),
+            )
         util_cpu_sum += sim.util_obs.sum(axis=0) / sim.n  # .mean(axis=0), without its wrapper
         util_ticks += 1
 

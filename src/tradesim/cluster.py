@@ -8,10 +8,11 @@ per-arrival-tick buckets. `ClusterSim` has one tick over the same axes: a
 topology whose initial configuration is (k, n) instance counts and (k,) quotas
 and priorities gives one cluster; with leading axes, (P, k, n) and (P, k), it
 gives P clusters stepped through the same arrivals. `step_counts` applies an
-action, then ticks, and returns the action as applied, which `reward` charges.
-`rollout_batch` holds the hybrid scheduler's candidate configurations as the P
-rows of one sim, with no jitter or noise. A sim draws the jitter of its latency
-samples only when something reads them.
+action (or holds the configuration), then ticks, and returns the action as
+applied, which `reward` charges. `rollout_batch` holds the hybrid scheduler's
+candidate configurations as the P rows of one sim, with no jitter or noise. A
+sim draws the jitter of its latency samples, and fills in the percentiles of
+its trace records, only when something reads them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ CALIBRATED_JITTER_SIGMA = 0.22504290663979853
 QUOTA_FLOOR = 0.01  # smallest per-instance quota an action can set
 
 QUEUE_RING_START = 16  # ticks of queue a ClusterSim holds before its bucket ring doubles
+
+# ticks a sim that records its trace steps between sampling passes: a bound on
+# the drain steps it keeps (see `ClusterSim._materialize`)
+SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -467,14 +472,13 @@ class ClusterSim:
         self.arrays = TopologyArrays.of(topology)
         self.node_cpu = self.arrays.node_cpu
         self._row_wu = np.tile(self.arrays.work_units, rows // k)
-        # the capacity, the bytes it was built from, the action it last took effect with
+        # the capacity and the configuration bytes it was built from
         self._capacity_key: tuple[bytes, bytes, bytes] | None = None
         self._refresh_capacity()
-        self._capacity_of: tuple | None = None
-        self._sanitize_key: list | None = None
-        # the last sanitized action, its clamps and, when it keeps every
-        # instance where it is, the node commitment it leaves (see _clamp_action)
-        self._sanitized: tuple[SchedulingAction, int, np.ndarray | None] | None = None
+        # the bytes of a configuration on which a no-op changes nothing, and
+        # that no-op as applied there: what a hold on those bytes returns
+        self._held_key: tuple[bytes, bytes, bytes] | None = None
+        self._held: SchedulingAction | None = None
 
         self.tick = 0
         # FIFO queues: a ring of per-arrival-tick buckets per row (see `drain`)
@@ -499,7 +503,8 @@ class ClusterSim:
         self.backlog_integral = 0.0
         self.sanitized_actions = 0
         self.first_scale_up_tick = -1
-        self.trace: list[TickRecord] = []
+        self._trace: list[TickRecord] = []
+        self._filled = 0  # leading records of `_trace` whose percentiles are filled in
         # per tick stepped, the drain's steps (see `drain`), until `_materialize`
         # puts them in order and samples them; the samples of a batch would pool
         # its clusters, so a batch keeps none
@@ -524,38 +529,21 @@ class ClusterSim:
         """Clamp the action to the feasible region; returns the clamp count.
 
         A non-finite priority or quota keeps the simulator's current value and
-        counts as one clamp. The result depends only on the action and the
-        current configuration, so a call whose inputs equal the last call's (a
-        hold on an unchanged configuration, most ticks) reuses that result."""
-        delta = np.asarray(action.instance_delta, dtype=int)
+        counts as one clamp."""
         mig = np.asarray(action.migration)
-        priority = np.asarray(action.priority, dtype=float)
-        quota = np.asarray(action.quota, dtype=float)
-        key = [
-            (a.dtype, a.shape, a.tobytes())
-            for a in (delta, mig, priority, quota, self.placement, self.priority, self.quota)
-        ]
-        if key != self._sanitize_key:
-            self._sanitize_key = key
-            moves = mig > 0 if mig.shape == self.placement.shape else None
-            self._sanitized = self._clamp_action(delta, moves, mig.size, priority, quota)
-        act, clamps, _ = self._sanitized
-        return (
-            SchedulingAction(
-                act.instance_delta.copy(), act.migration.copy(), act.priority.copy(),
-                act.quota.copy(),
-            ),
-            clamps,
+        return self._clamp_action(
+            np.asarray(action.instance_delta, dtype=int),
+            mig > 0 if mig.shape == self.placement.shape else None,
+            mig.size,
+            np.asarray(action.priority, dtype=float),
+            np.asarray(action.quota, dtype=float),
         )
 
     def _clamp_action(
         self, delta: np.ndarray, moves: np.ndarray | None, mig_size: int,
         priority: np.ndarray, quota: np.ndarray,
-    ) -> tuple[SchedulingAction, int, np.ndarray | None]:
-        """The sanitized action and its clamp count, computed in full; and, for
-        an action that adds, removes and moves no instance, the largest node
-        commitment of its quota on the current placement (per cluster), which
-        applying it leaves (None for any other action)."""
+    ) -> tuple[SchedulingAction, int]:
+        """The sanitized action and its clamp count."""
         floor = 1 - self.placement.sum(axis=-1)  # keeps at least one instance per service
         clamped_delta = np.maximum(delta, floor)
         clamps = int(np.count_nonzero(clamped_delta != delta))
@@ -568,31 +556,26 @@ class ClusterSim:
         priority, priority_clamps = _clamped(priority, self.priority, 0.0, 1.0)
         quota, quota_clamps = _clamped(quota, self.quota, QUOTA_FLOOR, 1.0)
         clamps += priority_clamps + quota_clamps
-        worst = None
-        if not (clamped_delta.any() or migration.any()):  # keeps the placement
-            worst = node_commit(self.placement, quota).max(-1, keepdims=True)
-        return SchedulingAction(clamped_delta, migration, priority, quota), clamps, worst
+        return SchedulingAction(clamped_delta, migration, priority, quota), clamps
 
-    def _hold(self) -> None:
-        """Do to every cluster's configuration what a no-op action does: clamp
-        priority and quota to their ranges and rescale an over-committed node,
-        without the sanitize cache."""
+    def _no_op(self) -> tuple[SchedulingAction, int]:
+        """A no-op action sanitized on the current configuration, and its clamp count."""
         no_change = np.zeros(self.quota.shape, dtype=int)
-        sanitized = self._clamp_action(no_change, None, 0, self.priority, self.quota)
-        self._enact(*sanitized[:2], sanitized)
+        return self._clamp_action(no_change, None, 0, self.priority, self.quota)
 
-    def _enact(self, act: SchedulingAction, clamps: int, sanitized: tuple) -> SchedulingAction:
-        """Put `act`, sanitized as `sanitized` (`_clamp_action`'s result), into
-        effect; returns it as applied: the sanitized deltas, the migrations that
-        took effect and the quota after any rescale. Instance changes and
-        migrations are one cluster's only. The same sanitized action again (a
-        hold, most ticks) leaves the configuration it left before, so only a new
-        one looks at whether the capacity must be rebuilt."""
+    def _hold(self) -> SchedulingAction:
+        """Do to every cluster's configuration what a no-op action does: clamp
+        priority and quota to their ranges and rescale an over-committed node.
+        Returns the no-op as applied."""
+        return self._enact(*self._no_op())
+
+    def _enact(self, act: SchedulingAction, clamps: int) -> SchedulingAction:
+        """Put the sanitized `act` into effect; returns it as applied: the
+        sanitized deltas, the migrations that took effect and the quota after
+        any rescale. Instance changes and migrations are one cluster's only."""
         self.sanitized_actions += clamps
-        worst = sanitized[2]  # known when the action keeps every instance in place
-
-        migrated = act.migration  # all zeros when it does
-        if worst is None:
+        migrated = act.migration  # all zeros unless an instance is added, removed or moved
+        if act.instance_delta.any() or act.migration.any():
             deltas = act.instance_delta.tolist()
             for s, d in enumerate(deltas):
                 while d > 0:
@@ -621,24 +604,36 @@ class ClusterSim:
 
         self.priority = act.priority
         self.quota = act.quota
-        if worst is None:
-            worst = self._node_commit().max(-1, keepdims=True)
+        worst = self._node_commit().max(-1, keepdims=True)
         over = worst > 1.0
         rescales = np.count_nonzero(over)
         if rescales:
             self.quota = np.where(over, self.quota / worst, self.quota)
             self.sanitized_actions += int(rescales)
-        if sanitized is not self._capacity_of:
-            self._capacity_of = sanitized
-            self._refresh_capacity()
+        self._refresh_capacity()
         return SchedulingAction(act.instance_delta, migrated, act.priority, self.quota)
+
+    def _settle_hold(self) -> None:
+        """After a step's action took effect: if a no-op on the configuration
+        it left would change nothing (no clamp, no node committed above 1),
+        keep the configuration's bytes and that no-op as applied, for the
+        holds that follow."""
+        no_op, clamps = self._no_op()
+        settled = not clamps and not np.any(self._node_commit() > 1.0)
+        self._held_key = self._capacity_key if settled else None
+        for zeros in (no_op.instance_delta, no_op.migration):  # every such hold returns them
+            zeros.flags.writeable = False
+        self._held = SchedulingAction(no_op.instance_delta, no_op.migration, self.priority, self.quota)
 
     def _refresh_capacity(self) -> None:
         """Rebuild the capacity if the configuration changed since it was built."""
-        key = (self.placement.tobytes(), self.quota.tobytes(), self.priority.tobytes())
+        key = self._configuration()
         if key != self._capacity_key:
             self._capacity_key = key
             self._capacity = Capacity.of(self.placement, self.quota, self.priority, self.arrays)
+
+    def _configuration(self) -> tuple[bytes, bytes, bytes]:
+        return self.placement.tobytes(), self.quota.tobytes(), self.priority.tobytes()
 
     def _node_commit(self) -> np.ndarray:
         return node_commit(self.placement, self.quota)
@@ -650,33 +645,40 @@ class ClusterSim:
 
     # -- stepping ----------------------------------------------------------
 
-    def step_counts(self, action: SchedulingAction, counts: np.ndarray) -> SchedulingAction:
-        """Advance one tick: apply the action, tick on the (k,) arrival counts
-        and add the tick to the run's totals and trace. Returns the action as
-        applied, which `reward` charges."""
-        act, clamps = self.sanitize_action(action)
-        applied = self._enact(act, clamps, self._sanitized)
+    def step_counts(self, action: SchedulingAction | None, counts: np.ndarray) -> SchedulingAction:
+        """Advance one tick: apply the action, or hold the configuration as a
+        no-op action would when it is None, tick on the (k,) arrival counts and
+        add the tick to the run's totals and trace. Returns the action as
+        applied, which `reward` charges.
+
+        A hold on the configuration bytes that the last action or hold left
+        settled (see `_settle_hold`) sanitizes and applies nothing: it returns
+        the no-op as applied there, whose deltas and migrations are read-only
+        zeros and whose priority and quota are the sim's own arrays. Any other
+        hold takes the full path: the first tick, a hold
+        that must clamp or rescale (after a rescale took a quota below
+        `QUOTA_FLOOR`, say) and a hold after an in-place edit of the
+        configuration."""
+        if action is not None:
+            applied = self._enact(*self.sanitize_action(action))
+            self._settle_hold()
+        elif self._held_key is not None and self._held_key == self._configuration():
+            applied = self._held
+        else:
+            applied = self._hold()
+            self._settle_hold()
         tick = self.tick
         completed = self._tick(counts)
         self.generated_total += int(self.last_load.sum()) * (self.queue_len.size // self.k)
         self.completed_total += int(completed.sum())
         self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
-        if self.record_trace:
-            self._materialize()
-            samples, weights = self._samples[-1], self._weights[-1]
-            p50, p95 = (
-                weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
+        if self.record_trace:  # `trace` fills in the percentiles when it is read
+            self._trace.append(
+                TickRecord(tick, completed, np.nan, np.nan, self.util_obs.copy(),
+                           self.queue_len.copy())
             )
-            self.trace.append(
-                TickRecord(
-                    tick=tick,
-                    completed=completed,
-                    p50_ms=p50,
-                    p95_ms=p95,
-                    util=self.util_obs.copy(),
-                    queue_len=self.queue_len.copy(),
-                )
-            )
+            if len(self._served) >= SAMPLE_BLOCK:  # it reads every sample in the end
+                self._materialize()
         return applied
 
     def _tick(self, counts: np.ndarray) -> np.ndarray:
@@ -751,21 +753,45 @@ class ClusterSim:
 
         Each bucket served gives min(requests, `latency_sample_cap`) samples of
         its wait plus its formula latency times a jitter draw, each weighted by
-        its share of the bucket's requests. The jitter of all pending ticks is
-        one draw, in tick order: the stream a draw per tick would give, so the
-        samples do not depend on when they are read."""
+        its share of the bucket's requests. The buckets are put in tick, then
+        row (service-major), then arrival order, the order of a per-service
+        loop, and their jitter is one draw: the stream a draw per tick would
+        give, so the samples do not depend on when they are read."""
         if not self._served:
             return
         pending, self._served = self._served, []
-        ticks = [_in_row_order(steps) for steps in pending]
-        draws = [np.minimum(n_served, self.latency_sample_cap) for _, _, n_served in ticks]
-        sizes = [int(d.sum()) for d in draws]  # a bucket with no request served draws none
-        jit = sample_jitter(self.topology.latency, self._jitter_rng, sum(sizes))
-        start = 0
-        for (waits, formulas, n_served), d, size in zip(ticks, draws, sizes):
-            self._samples.append(waits.repeat(d) + formulas.repeat(d) * jit[start : start + size])
-            self._weights.append((n_served / np.maximum(d, 1)).repeat(d))
-            start += size
+        steps = [step for tick in pending for step in tick]
+        if steps:
+            rows, waits, formulas, n_served = map(np.concatenate, zip(*steps))
+        else:
+            rows = n_served = np.zeros(0, dtype=np.int64)
+            waits = formulas = np.zeros(0)
+        per_tick = [sum(len(step[0]) for step in tick) for tick in pending]
+        tick_of = np.repeat(np.arange(len(pending)), per_tick)  # non-decreasing
+        order = (tick_of * len(self._head) + rows).argsort(kind="stable")
+        waits, formulas, n_served = waits[order], formulas[order], n_served[order]
+        draws = np.minimum(n_served, self.latency_sample_cap)  # none for a bucket nobody left
+        ends = np.concatenate(([0], draws.cumsum()))[np.cumsum(per_tick)]
+        jit = sample_jitter(self.topology.latency, self._jitter_rng, int(ends[-1]))
+        samples = waits.repeat(draws) + formulas.repeat(draws) * jit
+        weights = (n_served / np.maximum(draws, 1)).repeat(draws)
+        self._samples += np.split(samples, ends[:-1])
+        self._weights += np.split(weights, ends[:-1])
+
+    @property
+    def trace(self) -> list[TickRecord]:
+        """Per tick stepped with `record_trace`, its record. Reading it fills
+        in the p50/p95 of the records added since the last read, from each
+        tick's latency samples (0.0 for a tick that completed nothing)."""
+        if self._filled < len(self._trace):
+            samples, weights = self.latency_samples, self.latency_weights
+            for rec in self._trace[self._filled :]:
+                s, w = samples[rec.tick], weights[rec.tick]
+                rec.p50_ms, rec.p95_ms = (
+                    weighted_percentile(s, w, (0.5, 0.95)) if s.size else (0.0, 0.0)
+                )
+            self._filled = len(self._trace)
+        return self._trace
 
     @property
     def latency_samples(self) -> list[np.ndarray]:
@@ -846,19 +872,6 @@ class ClusterSim:
         return np.concatenate(samples), np.concatenate(weights)
 
 
-def _in_row_order(steps: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """(wait ms, formula ms, requests) of each bucket a tick's drain steps
-    served, in row (service-major), then arrival order: the order of a
-    per-service loop, in which their jitter is drawn."""
-    if len(steps) == 1:
-        return steps[0][1:]
-    if not steps:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
-    rows, waits, formulas, n_served = map(np.concatenate, zip(*steps))
-    order = rows.argsort(kind="stable")
-    return waits[order], formulas[order], n_served[order]
-
-
 def _clamped(values, current: np.ndarray, low: float, high: float) -> tuple[np.ndarray, int]:
     """`values` clipped to [low, high], a non-finite entry replaced by the
     `current` one; and the number of entries changed."""
@@ -934,11 +947,9 @@ def write_trace_csv(sim: ClusterSim, path: str | Path) -> None:
     lines = ["tick,service_id,completed,p50_ms,p95_ms,util_cpu,util_mem,util_net,queue_len"]
     for rec in sim.trace:
         util_cpu, util_mem, util_net = rec.util.mean(axis=0)
-        for s in range(len(rec.completed)):
-            lines.append(
-                f"{rec.tick},{s},{int(rec.completed[s])},{rec.p50_ms:.6f},{rec.p95_ms:.6f},"
-                f"{util_cpu:.6f},{util_mem:.6f},{util_net:.6f},{int(rec.queue_len[s])}"
-            )
+        shared = f"{rec.p50_ms:.6f},{rec.p95_ms:.6f},{util_cpu:.6f},{util_mem:.6f},{util_net:.6f}"
+        counts = zip(map(int, rec.completed.tolist()), map(int, rec.queue_len.tolist()))
+        lines.extend(f"{rec.tick},{s},{c},{shared},{q}" for s, (c, q) in enumerate(counts))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -41,12 +41,11 @@ class DecisionEnv:
     def step(self, record: dict[str, np.ndarray]):
         """Apply the decision and step its interval; the reward is the mean of
         its ticks' rewards, each charging the action applied at that tick.
-        The ticks after the first hold the configuration it left, with one
-        no-op action built after it."""
+        The ticks after the first hold the configuration it left."""
         assert self.sim is not None, "call reset() first"
         sim, rewards = self.sim, []
         action = self.mapper.to_scheduling_action(record, self._state)
-        for i in range(self.decision_interval):
+        for _ in range(self.decision_interval):
             if self._tick >= self.scenario.horizon:
                 break
             counts = generate_tick_counts(self.scenario, self._tick)
@@ -55,8 +54,7 @@ class DecisionEnv:
             rewards.append(
                 reward(prev_quota, sim.last_latency_ms, sim.util_obs, applied, sim.reward_spec)
             )
-            if i == 0:
-                action = sim.no_op_action()
+            action = None  # the ticks after the first hold
             self._tick += 1
         self._state = sim.observe_state()
         done = self._tick >= self.scenario.horizon

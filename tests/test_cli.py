@@ -230,6 +230,9 @@ class TestSimulateConfigFile:
             (lambda cfg: {**cfg, "predictor_interval": 0}, "predictor_interval"),
             (lambda cfg: {**cfg, "predictor_interval": -3}, "predictor_interval"),
             (lambda cfg: {**cfg, "cache_accesses_per_tick": -5}, "cache_accesses_per_tick"),
+            (lambda cfg: {**cfg, "predictor_threshold": 0.0}, "predictor_threshold"),
+            (lambda cfg: {**cfg, "predictor_threshold": -1.0}, "predictor_threshold"),
+            (lambda cfg: {**cfg, "predictor_cooldown": -5}, "predictor_cooldown"),
             (lambda cfg: {**cfg, "noise_std": -0.5}, "noise_std"),
             (lambda cfg: {**cfg, "noise_std": float("nan")}, "noise_std"),
             (lambda cfg: {**cfg, "decision_interval": "10"}, "'decision_interval'"),
@@ -239,7 +242,9 @@ class TestSimulateConfigFile:
         ],
         ids=["unknown-key", "missing-key", "array", "string", "no-cache-keys", "retired-key",
              "zero-predictor-interval", "negative-predictor-interval",
-             "negative-cache-accesses", "negative-noise", "nan-noise",
+             "negative-cache-accesses", "zero-predictor-threshold",
+             "negative-predictor-threshold", "negative-predictor-cooldown",
+             "negative-noise", "nan-noise",
              "string-decision-interval", "string-cache-keys", "float-seed", "negative-seed"],
     )
     def test_bad_config_exits_config(self, small_files, edit, named, capsys):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import fields, replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from tradesim.cluster import (
     service_latency,
     uniform_topology,
     utilization_step,
+    write_trace_csv,
 )
 from tradesim.drl.env import DecisionEnv
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder
@@ -102,10 +105,15 @@ class ReferenceSim(ClusterSim):
         self.load_history = deque(maxlen=topology.history_window)
         self.deques = [deque() for _ in range(self.k)]  # [arrival_tick, count]
         self.rewards = []
+        self.records = []  # its own trace, each record complete when appended
 
     @property
     def queues(self):
         return self.deques
+
+    @property
+    def trace(self):
+        return self.records
 
     def sanitize_action(self, action):
         clamps = 0
@@ -233,7 +241,7 @@ class ReferenceSim(ClusterSim):
             p50, p95 = (
                 weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
             )
-            self.trace.append(
+            self.records.append(
                 TickRecord(
                     tick=self.tick, completed=completed.copy(), p50_ms=p50, p95_ms=p95,
                     util=self.util_obs.copy(), queue_len=self.queue_len.copy(),
@@ -573,8 +581,7 @@ class TestSanitizeReuse:
         rng = np.random.default_rng(seed)
         for _ in range(30):
             action = sim.no_op_action() if rng.random() < 0.5 else random_action(rng, sim.k, sim.n)
-            # twice as it is (the second call reuses the first one's result), then
-            # once more after the configuration changed in place
+            # twice as it is, then once more after the configuration changed in place
             for changed in (False, False, True):
                 if changed:
                     part = rng.choice(["quota", "priority", "placement"])
@@ -609,8 +616,8 @@ def assert_tick_equal(sim: CurrentSim, ref: ReferenceSim, a, b, counts) -> None:
 
 
 class TestStepTrims:
-    """A hold reuses the node commitment its sanitized action computed, and the
-    tick reads the capacity once; the reference computes every step in full."""
+    """No-op actions between generated actions and in-place edits: the tick
+    reads the capacity once, and the reference computes every step in full."""
 
     @given(topologies(), sim_kwargs(), st.integers(0, 2**32 - 1))
     def test_holds_between_generated_actions_equal_full_path(self, topology, kwargs, seed):
@@ -656,6 +663,187 @@ class TestStepTrims:
         assert sim.sanitized_actions == rescales + 1  # once more, then the commitment holds
         assert (sim.placement.T @ sim.quota).max() <= 1.0
         assert_sims_equal(sim, ref)
+
+
+# --- holds and records -------------------------------------------------------------------
+
+
+def squeeze(sim: ClusterSim) -> SchedulingAction:
+    """An action whose rescale takes every other service's quota below
+    QUOTA_FLOOR: service 0, at quota 1.0, gains an instance per node, so some
+    node hosts two of its instances and is committed to 2 or more."""
+    delta = np.zeros(sim.k, dtype=int)
+    delta[0] = sim.n
+    quota = np.full(sim.k, QUOTA_FLOOR)
+    quota[0] = 1.0
+    return SchedulingAction(delta, np.zeros((sim.k, sim.n), dtype=int), sim.priority.copy(), quota)
+
+
+def offered_rate(topology: ClusterTopology, load: float) -> np.ndarray:
+    """(k,) arrival rates at `load` times each service's committed capacity."""
+    node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
+    work = np.array([s.work_units for s in topology.services])
+    return load * np.asarray(topology.initial_quota) * node_cpu / work
+
+
+def step_held_and_full(held: CurrentSim, full: CurrentSim, action, counts) -> None:
+    """Step `held` with `action` and `full` with the same action, or with a
+    no-op action where `action` is None; the actions they applied must be equal."""
+    a = held.step_counts(action, counts)
+    b = full.step_counts(full.no_op_action() if action is None else action, counts)
+    for f in fields(SchedulingAction):
+        assert_arrays_equal(getattr(a, f.name), getattr(b, f.name), f"applied {f.name}")
+
+
+class TestHolds:
+    """`step_counts(None, counts)` holds the configuration. A run passing None
+    on its hold ticks equals, bit for bit, the same run passing
+    `no_op_action()`, though a hold on a settled configuration sanitizes and
+    applies nothing."""
+
+    @given(
+        topologies(), sim_kwargs(), st.integers(1, 60), st.floats(0.1, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_none_equals_a_no_op_action(self, topology, kwargs, ticks, load, seed):
+        held, full = CurrentSim(topology, **kwargs), CurrentSim(topology, **kwargs)
+        rng = np.random.default_rng(seed)
+        rate = offered_rate(topology, load)
+        for _ in range(ticks):
+            roll = rng.random()
+            if roll < 0.15:
+                action = random_action(rng, held.k, held.n)
+            elif roll < 0.25:  # the holds after it clamp a quota back up to the floor
+                action = squeeze(held)
+            else:
+                action = None
+            if rng.random() < 0.15:  # the configuration edited in place before the step
+                part = rng.choice(["quota", "priority", "placement"])
+                value = {
+                    "quota": rng.choice([0.0005, 0.02, 0.4, 1.5]),
+                    "priority": rng.choice([-0.25, 0.3, 1.5]),
+                    "placement": rng.integers(1, 4),
+                }[part]
+                s = rng.integers(held.k)
+                getattr(held, part)[s] = getattr(full, part)[s] = value
+            step_held_and_full(held, full, action, rng.poisson(rate))
+        assert_sims_equal(held, full)
+
+    @pytest.mark.parametrize(
+        "quota, delta, action_quota",
+        [((0.15, 0.52), (2, 2), (0.15, 0.52)), ((0.2, QUOTA_FLOOR), (4, 0), (0.5, QUOTA_FLOOR))],
+        ids=["commitment-just-above-one", "quota-below-floor"],
+    )
+    def test_holds_after_a_rescale(self, quota, delta, action_quota):
+        # the rescale leaves a node committed to 1.0000000000000002, or a quota
+        # below QUOTA_FLOOR: the holds after it clamp or rescale again
+        services = (ServiceSpec("a", 1.0, 5.0, 256), ServiceSpec("b", 1.0, 5.0, 256))
+        topology = ClusterTopology(
+            nodes=(NodeSpec(1000.0, 4096.0, 100.0),), services=services,
+            initial_placement=((1,), (1,)), initial_quota=quota,
+            initial_priority=(0.5, 0.5), history_window=4,
+        )
+        held, full = (CurrentSim(topology, seed=2, record_trace=True) for _ in range(2))
+        grow = SchedulingAction(np.array(delta), np.zeros((2, 1)), np.array([0.5, 0.5]),
+                                np.array(action_quota))
+        counts = np.array([40, 40])
+        step_held_and_full(held, full, grow, counts)
+        rescaled = held.sanitized_actions
+        for _ in range(4):
+            step_held_and_full(held, full, None, counts)
+        assert held.sanitized_actions > rescaled
+        assert_sims_equal(held, full)
+
+    def test_only_unsettled_holds_take_the_full_path(self, monkeypatch):
+        full = []  # the ticks whose hold took the full path
+        hold = ClusterSim._hold
+        monkeypatch.setattr(ClusterSim, "_hold", lambda sim: full.append(sim.tick) or hold(sim))
+        sim = ClusterSim(uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08), seed=1)
+        counts = np.full(sim.k, 20)
+
+        def hold_took_the_full_path() -> bool:
+            tick = sim.tick
+            sim.step_counts(None, counts)
+            return tick in full
+
+        assert hold_took_the_full_path()  # the first tick: no step has settled anything
+        assert not hold_took_the_full_path() and not hold_took_the_full_path()
+        sim.priority[0] = 0.25  # edited in place, within range
+        assert hold_took_the_full_path() and not hold_took_the_full_path()
+        sim.step_counts(squeeze(sim), counts)
+        assert sim.quota[1] < QUOTA_FLOOR
+        assert hold_took_the_full_path()
+
+
+def per_line_trace_csv(sim, path) -> None:
+    """`write_trace_csv` as it was: every field formatted on every line."""
+    lines = ["tick,service_id,completed,p50_ms,p95_ms,util_cpu,util_mem,util_net,queue_len"]
+    for rec in sim.trace:
+        util_cpu, util_mem, util_net = rec.util.mean(axis=0)
+        for s in range(len(rec.completed)):
+            lines.append(
+                f"{rec.tick},{s},{int(rec.completed[s])},{rec.p50_ms:.6f},{rec.p95_ms:.6f},"
+                f"{util_cpu:.6f},{util_mem:.6f},{util_net:.6f},{int(rec.queue_len[s])}"
+            )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# values that round at the 6th decimal, on both sides of a tie
+ROUNDING = [0.0, 1e-7, 5e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.9999995, 1.0000005, 12.3456785, 99.9999996]
+
+
+@st.composite
+def traces(draw):
+    """A stand-in for a sim: 0-6 trace records of 1-9 services on 1-4 nodes,
+    some with no completions."""
+    k, n = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    ms = st.one_of(st.sampled_from(ROUNDING), st.floats(0.0, 5000.0))
+    share = st.one_of(st.sampled_from([v for v in ROUNDING if v <= 1.0]), st.floats(0.0, 1.0))
+    counts = st.lists(st.integers(0, 10**6), min_size=k, max_size=k)
+    records = []
+    for t in range(draw(st.integers(0, 6))):
+        idle = draw(st.booleans())
+        completed = np.zeros(k, dtype=np.int64) if idle else np.array(draw(counts), dtype=np.int64)
+        p50, p95 = (0.0, 0.0) if idle else sorted((draw(ms), draw(ms)))
+        util = np.array(draw(st.lists(share, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+        records.append(TickRecord(t, completed, p50, p95, util, np.array(draw(counts))))
+    return SimpleNamespace(trace=records)
+
+
+class TestRecords:
+    """The trace and the latency samples are built when they are read."""
+
+    @given(traces())
+    def test_csv_equals_the_per_line_writer(self, tmp_path_factory, sim):
+        out = tmp_path_factory.mktemp("trace")
+        write_trace_csv(sim, out / "new.csv")
+        per_line_trace_csv(sim, out / "old.csv")
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("cap", [1, 64])
+    @given(
+        load=st.sampled_from([1.2, 2.0, 3.0]), every=st.integers(2, 7),
+        hold_share=st.sampled_from([0.6, 0.9]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reading_at_any_tick_keeps_the_bits(self, cap, load, every, hold_share, seed):
+        # an overloaded run: most drains serve several buckets of a row in one tick
+        topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
+        kwargs = dict(seed=3, noise=NoiseSpec(std=0.02), latency_sample_cap=cap, record_trace=True)
+        each, some, end = (CurrentSim(topology, **kwargs) for _ in range(3))
+        unread = ClusterSim(topology, **dict(kwargs, record_trace=False))  # keeps every drain step
+        rng = np.random.default_rng(seed)
+        rate = offered_rate(topology, load)
+        for t in range(40):
+            action = None if rng.random() < hold_share else random_action(rng, each.k, each.n)
+            counts = rng.poisson(rate)
+            for sim in (each, some, end, unread):
+                sim.step_counts(action, counts)
+            each.trace, each.latency_samples
+            if t % every == 0:
+                some.latency_weights if t % 2 else some.trace
+        assert max(len(steps) for steps in unread._served) > 1
+        for sim in (some, end):
+            assert_sims_equal(sim, each)
 
 
 class TestConfigurationChecks:
@@ -718,7 +906,9 @@ class EveryTickHoldEnv(DecisionEnv):
 
 
 class TestDecisionEnvArrivals:
-    def test_one_hold_action_per_decision_keeps_the_bits(self, monkeypatch):
+    def test_holds_build_no_action_and_keep_the_bits(self, monkeypatch):
+        # the hold ticks pass None: no no-op action is built, and every
+        # observation, reward and configuration equals a no-op on every tick
         built = []
         no_op = ClusterSim.no_op_action
         monkeypatch.setattr(ClusterSim, "no_op_action", lambda sim: built.append(sim) or no_op(sim))
@@ -736,7 +926,7 @@ class TestDecisionEnvArrivals:
                 record, _ = policy.core.act(policy.params, obs, "sample", rng)
                 built.clear()
                 obs, r, done, _ = env.step(record)
-                assert len(built) == 1
+                assert built == []
                 old_obs, old_r, old_done, _ = old.step(record)
                 assert_arrays_equal(obs, old_obs, "observation")
                 assert (r, done) == (old_r, old_done)
