@@ -662,7 +662,7 @@ class ClusterSim:
         if action is not None:
             applied = self._enact(*self.sanitize_action(action))
             self._settle_hold()
-        elif self._held_key is not None and self._held_key == self._configuration():
+        elif self._held_key == self._configuration():
             applied = self._held
         else:
             applied = self._hold()

@@ -426,6 +426,13 @@ def random_action(rng: np.random.Generator, k: int, n: int) -> SchedulingAction:
     )
 
 
+def offered_rate(topology: ClusterTopology, load: float) -> np.ndarray:
+    """(k,) arrival rates at `load` times each service's committed capacity."""
+    node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
+    work = np.array([s.work_units for s in topology.services])
+    return load * np.asarray(topology.initial_quota) * node_cpu / work
+
+
 def run_both(topology, kwargs, ticks: int, load: float, hold_share: float, seed: int):
     """Step the current and the reference simulator through the same ticks."""
     sim = CurrentSim(topology, **kwargs)
@@ -540,10 +547,7 @@ class TestDeferredSamples:
         kwargs = dict(kwargs, latency_sample_cap=cap, record_trace=False)
         every, sometimes, end = (CurrentSim(topology, **kwargs) for _ in range(3))
         rng = np.random.default_rng(seed)
-        node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
-        rate = load * np.asarray(topology.initial_quota) * node_cpu / [
-            s.work_units for s in topology.services
-        ]
+        rate = offered_rate(topology, load)
         for t in range(ticks):
             counts = rng.poisson(rate) * (rng.random() >= empty_share)
             for sim in (every, sometimes, end):
@@ -623,8 +627,7 @@ class TestStepTrims:
     def test_holds_between_generated_actions_equal_full_path(self, topology, kwargs, seed):
         sim, ref = CurrentSim(topology, **kwargs), ReferenceSim(topology, **kwargs)
         rng = np.random.default_rng(seed)
-        node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
-        rate = np.asarray(topology.initial_quota) * node_cpu / [s.work_units for s in topology.services]
+        rate = offered_rate(topology, 1.0)
         for _ in range(40):
             roll = rng.random()
             if roll < 0.2:
@@ -677,13 +680,6 @@ def squeeze(sim: ClusterSim) -> SchedulingAction:
     quota = np.full(sim.k, QUOTA_FLOOR)
     quota[0] = 1.0
     return SchedulingAction(delta, np.zeros((sim.k, sim.n), dtype=int), sim.priority.copy(), quota)
-
-
-def offered_rate(topology: ClusterTopology, load: float) -> np.ndarray:
-    """(k,) arrival rates at `load` times each service's committed capacity."""
-    node_cpu = sum(nd.cpu_capacity for nd in topology.nodes)
-    work = np.array([s.work_units for s in topology.services])
-    return load * np.asarray(topology.initial_quota) * node_cpu / work
 
 
 def step_held_and_full(held: CurrentSim, full: CurrentSim, action, counts) -> None:
