@@ -102,10 +102,6 @@ class HashRing:
         for shard in range(shards):
             self.add_shard(shard)
 
-    @property
-    def shards(self) -> set[int]:
-        return set(self._shards)
-
     def add_shard(self, shard: int) -> None:
         if shard in self._shards:
             raise ConfigError(f"shard {shard} already on ring")

@@ -50,7 +50,6 @@ from .workload import (
     FeatureScaling,
     TickHistory,
     WorkloadScenario,
-    generate_tick,
     generate_tick_counts,
     load_scenario,
 )
@@ -181,10 +180,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
         arrived = int(counts.sum())
         sim.cache_hit_rate = driver.on_tick(t * scenario.tick_length, arrived)
         if model is not None:  # only the predictor reads the history
-            history.append(
-                volume=arrived / scenario.tick_length,
-                busiest_utilization=float(sim.util_true[:, 0].max()),
-            )
+            history.append(volume=arrived / scenario.tick_length)  # the volume alone, as in training
         util_cpu_sum += sim.util_obs.sum(axis=0) / sim.n  # .mean(axis=0), without its wrapper
         util_ticks += 1
 
@@ -266,8 +262,9 @@ def cmd_generate(args) -> int:
     with open(out, "w") as fh:
         fh.write("tick,service_id,work_units,payload_bytes\n")
         for t in range(scenario.horizon):
-            for r in generate_tick(scenario, t):
-                fh.write(f"{r.arrival_tick},{r.service_id},{r.work_units!r},{r.payload_bytes}\n")
+            for sid, count in enumerate(generate_tick_counts(scenario, t).tolist()):
+                spec = scenario.service_mix[sid]
+                fh.write(f"{t},{sid},{spec.work_units!r},{spec.payload_bytes}\n" * count)
     print(f"trace written to {out}")
     return EXIT_OK
 

@@ -11,8 +11,9 @@ gives P clusters stepped through the same arrivals. `step_counts` applies an
 action (or holds the configuration), then ticks, and returns the action as
 applied, which `reward` charges. `rollout_batch` holds the hybrid scheduler's
 candidate configurations as the P rows of one sim, with no jitter or noise. A
-sim draws the jitter of its latency samples, and fills in the percentiles of
-its trace records, only when something reads them.
+sim keeps a run record (trace records and latency samples) only when
+`record_trace` is set, and draws the jitter of its samples only when something
+reads them.
 """
 
 from __future__ import annotations
@@ -434,8 +435,6 @@ def reward(
 class TickRecord:
     tick: int
     completed: np.ndarray  # (k,)
-    p50_ms: float
-    p95_ms: float
     util: np.ndarray  # (n, 3)
     queue_len: np.ndarray  # (k,)
 
@@ -443,7 +442,10 @@ class TickRecord:
 class ClusterSim:
     """Single-threaded simulation of one cluster, or of one cluster per
     leading index of the topology's initial configuration (see the module
-    docstring); run one per rollout."""
+    docstring); run one per rollout. A sim made with `record_trace`, of one
+    cluster since a batch's samples would pool its clusters, keeps the run
+    record: a `TickRecord` per tick in `trace`, and the latency samples of the
+    requests each tick completed. A sim made without it keeps neither."""
 
     def __init__(
         self,
@@ -503,12 +505,10 @@ class ClusterSim:
         self.backlog_integral = 0.0
         self.sanitized_actions = 0
         self.first_scale_up_tick = -1
-        self._trace: list[TickRecord] = []
-        self._filled = 0  # leading records of `_trace` whose percentiles are filled in
-        # per tick stepped, the drain's steps (see `drain`), until `_materialize`
-        # puts them in order and samples them; the samples of a batch would pool
-        # its clusters, so a batch keeps none
-        self._served: list[list[tuple[np.ndarray, ...]]] | None = [] if shape == (k,) else None
+        self.trace: list[TickRecord] = []
+        # per tick stepped by a recording sim, the drain's steps (see `drain`),
+        # until `_materialize` puts them in order and samples them
+        self._served: list[list[tuple[np.ndarray, ...]]] | None = [] if record_trace else None
         self._samples: list[np.ndarray] = []
         self._weights: list[np.ndarray] = []
 
@@ -672,11 +672,8 @@ class ClusterSim:
         self.generated_total += int(self.last_load.sum()) * (self.queue_len.size // self.k)
         self.completed_total += int(completed.sum())
         self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
-        if self.record_trace:  # `trace` fills in the percentiles when it is read
-            self._trace.append(
-                TickRecord(tick, completed, np.nan, np.nan, self.util_obs.copy(),
-                           self.queue_len.copy())
-            )
+        if self.record_trace:
+            self.trace.append(TickRecord(tick, completed, self.util_obs.copy(), self.queue_len.copy()))
             if len(self._served) >= SAMPLE_BLOCK:  # it reads every sample in the end
                 self._materialize()
         return applied
@@ -779,30 +776,15 @@ class ClusterSim:
         self._weights += np.split(weights, ends[:-1])
 
     @property
-    def trace(self) -> list[TickRecord]:
-        """Per tick stepped with `record_trace`, its record. Reading it fills
-        in the p50/p95 of the records added since the last read, from each
-        tick's latency samples (0.0 for a tick that completed nothing)."""
-        if self._filled < len(self._trace):
-            samples, weights = self.latency_samples, self.latency_weights
-            for rec in self._trace[self._filled :]:
-                s, w = samples[rec.tick], weights[rec.tick]
-                rec.p50_ms, rec.p95_ms = (
-                    weighted_percentile(s, w, (0.5, 0.95)) if s.size else (0.0, 0.0)
-                )
-            self._filled = len(self._trace)
-        return self._trace
-
-    @property
     def latency_samples(self) -> list[np.ndarray]:
-        """Per tick stepped, the sampled latencies (ms) of the requests it
-        completed (see `_materialize`)."""
+        """Per tick a recording sim stepped, the sampled latencies (ms) of the
+        requests it completed (see `_materialize`)."""
         self._materialize()
         return self._samples
 
     @property
     def latency_weights(self) -> list[np.ndarray]:
-        """Per tick stepped, the number of requests each latency sample stands for."""
+        """Per tick a recording sim stepped, the requests each latency sample stands for."""
         self._materialize()
         return self._weights
 
@@ -914,7 +896,7 @@ def rollout_batch(
 ) -> RolloutBatch:
     """Step P candidate configurations of `topology` through the same arrivals
     as the P clusters of one `ClusterSim`, with no observation noise or cache
-    hits (a batch keeps no latency samples, so it draws no jitter either): held
+    hits (it keeps no run record, so it draws no jitter either): held
     once, as a first no-op action holds a configuration, then ticked T times.
 
     placement is (P, k, n), quota and priority (P, k), arrivals (T >= 1, k)
@@ -943,11 +925,19 @@ def rollout_batch(
 
 
 def write_trace_csv(sim: ClusterSim, path: str | Path) -> None:
-    """Per-tick trace: one row per (tick, service); utils are cluster means."""
+    """Per-tick trace of a recording sim: one row per (tick, service). Utils
+    are cluster means; p50/p95 are the tick's latency samples' (0.0 for a tick
+    that completed nothing)."""
+    samples, weights = sim.latency_samples, sim.latency_weights
     lines = ["tick,service_id,completed,p50_ms,p95_ms,util_cpu,util_mem,util_net,queue_len"]
     for rec in sim.trace:
+        tick_samples, tick_weights = samples[rec.tick], weights[rec.tick]
+        p50, p95 = (
+            weighted_percentile(tick_samples, tick_weights, (0.5, 0.95))
+            if tick_samples.size else (0.0, 0.0)
+        )
         util_cpu, util_mem, util_net = rec.util.mean(axis=0)
-        shared = f"{rec.p50_ms:.6f},{rec.p95_ms:.6f},{util_cpu:.6f},{util_mem:.6f},{util_net:.6f}"
+        shared = f"{p50:.6f},{p95:.6f},{util_cpu:.6f},{util_mem:.6f},{util_net:.6f}"
         counts = zip(map(int, rec.completed.tolist()), map(int, rec.queue_len.tolist()))
         lines.extend(f"{rec.tick},{s},{c},{shared},{q}" for s, (c, q) in enumerate(counts))
     Path(path).write_text("\n".join(lines) + "\n")

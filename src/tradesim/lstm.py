@@ -402,9 +402,9 @@ class ForecastModel:
     def min_history(self) -> int:
         return self.feature_window + self.seq_len - 1
 
-    def predict(self, history: TickHistory, end: int | None = None) -> float:
+    def predict(self, history: TickHistory) -> float:
         """Predicted mean volume (requests/second) for the next horizon window."""
-        seq = feature_sequence(history, self.seq_len, self.feature_window, self.scaling, end)
+        seq = feature_sequence(history, self.seq_len, self.feature_window, self.scaling)
         pred, _ = forward(seq[None], self.params, self.config)
         return float(pred[0]) * self.scaling.volume_scale
 

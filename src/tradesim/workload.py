@@ -139,14 +139,6 @@ class WorkloadScenario:
         return w / w.sum()
 
 
-@dataclass(frozen=True)
-class Request:
-    arrival_tick: int
-    service_id: int
-    work_units: float
-    payload_bytes: int
-
-
 def tick_rng(seed: int, t: int, stream: int = 0) -> np.random.Generator:
     """Generator derived from (seed, tick) so every tick regenerates independently."""
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, stream, t])
@@ -182,7 +174,7 @@ def rate_profile(scenario: WorkloadScenario, t: int) -> float:
 
 
 def generate_tick_counts(scenario: WorkloadScenario, t: int) -> np.ndarray:
-    """Per-service Poisson request counts for one tick (fast path, no objects).
+    """Per-service Poisson request counts for one tick.
 
     Each tick is drawn once per scenario object and handed out read-only, so
     the simulate loop, the hybrid's rollouts and every training episode share
@@ -203,18 +195,6 @@ def _draw_tick_counts(scenario: WorkloadScenario, t: int) -> np.ndarray:
     if total == 0:
         return np.zeros(scenario.service_count, dtype=np.int64)
     return rng.multinomial(total, scenario.service_weights())
-
-
-def generate_tick(scenario: WorkloadScenario, t: int) -> list[Request]:
-    """Materialize the tick's requests; deterministic for a fixed scenario seed."""
-    counts = generate_tick_counts(scenario, t)
-    requests: list[Request] = []
-    for sid, count in enumerate(counts):
-        spec = scenario.service_mix[sid]
-        requests.extend(
-            Request(t, sid, spec.work_units, spec.payload_bytes) for _ in range(int(count))
-        )
-    return requests
 
 
 # --- predictor feature extraction -------------------------------------------

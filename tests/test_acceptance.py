@@ -7,6 +7,7 @@ Scenario sizing notes live next to each criterion; runtimes are desk-scale
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
@@ -27,7 +28,6 @@ from tradesim.cluster import (
     service_latency,
     uniform_topology,
 )
-from tradesim.baselines import make_scheduler
 from tradesim.drl import (
     ActionLayout,
     CategoricalHead,
@@ -61,7 +61,6 @@ from tradesim.lstm import (
     loss_and_gradients,
     train,
 )
-from tradesim.report import weighted_percentile
 from tradesim.workload import (
     BurstSpec,
     FeatureScaling,
@@ -94,32 +93,21 @@ def market_open_topology(scenario: WorkloadScenario) -> ClusterTopology:
     )
 
 
-def run_scheduler_experiment(kind: str, scenario, topology, seed: int, interval: int = 30):
-    """In-process simulate loop mirroring the CLI (no file IO)."""
-    sched = make_scheduler(
-        kind, seed=seed, scenario=scenario, topology=topology,
-        options={"population": 8, "elite": 2, "max_iter": 3, "eval_ticks": 20},
-    )
-    sim = ClusterSim(topology, seed=seed, noise=NoiseSpec(std=0.0))
+def scheduler_experiment(config: ExperimentConfig) -> dict:
+    """One simulate run: its p95 and mean latency, and the fitness of its
+    latency, mean node CPU utilization U and balance L, read from the trace."""
+    summary, sim = run_experiment(config)
+    assert sim.conservation_ok()
     node_work = np.zeros(sim.n)
     util_sum = 0.0
-    for t in range(scenario.horizon):
-        counts = generate_tick_counts(scenario, t)
-        base_cap = sim.placement * sim.quota[:, None] * sim.node_cpu[None, :]
-        cps = np.maximum(base_cap.sum(axis=1), 1e-9)
-        rho = (base_cap / cps[:, None]) @ sim.util_true[:, 0]
-        action = sched.decide(sim, rho, t) if t % interval == 0 else sim.no_op_action()
-        sim.step_counts(action, counts)
-        node_work += sim.util_true[:, 0]
-        util_sum += sim.util_true[:, 0].mean()
-    samples, weights = sim.all_latency_samples()
-    p95 = weighted_percentile(samples, weights, 0.95)
-    mean_ms = float(np.average(samples, weights=weights))
-    U = util_sum / scenario.horizon
+    for rec in sim.trace:  # with no observation noise, the true utilization
+        node_work += rec.util[:, 0]
+        util_sum += rec.util[:, 0].mean()
+    U = util_sum / len(sim.trace)
     cv = float(node_work.std() / node_work.mean()) if node_work.mean() > 0 else 0.0
-    fitness = fitness_from_metrics(mean_ms, U, max(0.0, 1.0 - cv), FitnessWeights(T_max=500.0))
-    assert sim.conservation_ok()
-    return {"p95": p95, "mean": mean_ms, "fitness": fitness}
+    weights = FitnessWeights(T_max=500.0)
+    fitness = fitness_from_metrics(summary.mean_latency_ms, U, max(0.0, 1.0 - cv), weights)
+    return {"p95": summary.p95_ms, "mean": summary.mean_latency_ms, "fitness": fitness}
 
 
 # --- criteria -------------------------------------------------------------------
@@ -175,13 +163,23 @@ class TestC02LoadLatencyTrend:
 
 
 class TestC03SchedulerBenefit:
-    def test_c03_hybrid_beats_round_robin(self):
+    def test_c03_hybrid_beats_round_robin(self, tmp_path):
+        options = tmp_path / "scheduler.json"
+        options.write_text(json.dumps({"population": 8, "elite": 2, "max_iter": 3, "eval_ticks": 20}))
         p95_gains, fitness_gains = [], []
         for seed in (1, 2, 3, 4, 5):
             scenario = market_open_scenario(seed)
-            topology = market_open_topology(scenario)
-            rr = run_scheduler_experiment("round-robin", scenario, topology, seed)
-            hy = run_scheduler_experiment("hybrid", scenario, topology, seed)
+            paths = {"scenario": tmp_path / f"scenario{seed}.json", "topology": tmp_path / "topo.json"}
+            save_scenario(scenario, paths["scenario"])
+            save_topology(market_open_topology(scenario), paths["topology"])
+            rr, hy = (
+                scheduler_experiment(ExperimentConfig(
+                    scenario=str(paths["scenario"]), topology=str(paths["topology"]),
+                    scheduler=kind, scheduler_config=str(options), seed=seed,
+                    decision_interval=30, noise_std=0.0, cache_accesses_per_tick=0,
+                ))
+                for kind in ("round-robin", "hybrid")
+            )
             p95_gains.append((rr["p95"] - hy["p95"]) / rr["p95"])
             fitness_gains.append((rr["fitness"] - hy["fitness"]) / rr["fitness"])
         assert float(np.mean(p95_gains)) >= 0.20, p95_gains

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from tradesim.baselines import (
     make_scheduler,
     scheduler_options,
 )
-from tradesim.cli import EXIT_CONFIG, EXIT_OK, main, run_experiment, ExperimentConfig
+from tradesim.cli import EXIT_CONFIG, EXIT_OK, _session_history, main, run_experiment, ExperimentConfig
 from tradesim.cluster import ClusterSim, NoiseSpec, save_topology, uniform_topology
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder, save_policy
 from tradesim.errors import ConfigError
@@ -24,8 +24,10 @@ from tradesim.optim import load_params, save_params
 from tradesim.report import save_summary
 from tradesim.workload import (
     BurstSpec,
+    ServiceSpec,
     WorkloadScenario,
     generate_tick_counts,
+    load_scenario,
     save_scenario,
 )
 
@@ -553,6 +555,81 @@ class TestGenerateCommand:
             per_tick[tick] = per_tick.get(tick, 0) + 1
         for t in range(60):
             assert per_tick.get(t, 0) == int(generate_tick_counts(scenario_obj, t).sum())
+
+
+@dataclass(frozen=True)
+class Request:
+    arrival_tick: int
+    service_id: int
+    work_units: float
+    payload_bytes: int
+
+
+def per_request_trace_csv(scenario: WorkloadScenario, path) -> None:
+    """The `generate` writer as it was: a `Request` per request, one row each."""
+    with open(path, "w") as fh:
+        fh.write("tick,service_id,work_units,payload_bytes\n")
+        for t in range(scenario.horizon):
+            requests = []
+            for sid, count in enumerate(generate_tick_counts(scenario, t)):
+                spec = scenario.service_mix[sid]
+                requests.extend(
+                    Request(t, sid, spec.work_units, spec.payload_bytes) for _ in range(int(count))
+                )
+            for r in requests:
+                fh.write(f"{r.arrival_tick},{r.service_id},{r.work_units!r},{r.payload_bytes}\n")
+
+
+class TestGenerateBytes:
+    @pytest.mark.parametrize("services", [
+        None,  # the default mix
+        (ServiceSpec("a", 0.5, 0.1 + 0.2, 64), ServiceSpec("b", 0.0, 7.0, 1), ServiceSpec("c", 2.0, 1e-3, 9)),
+    ], ids=["default-mix", "odd-mix"])
+    def test_csv_equals_the_per_request_writer(self, tmp_path, services):
+        # bursts and a zero-weight service: ticks of many, one and no requests
+        scenario = WorkloadScenario(
+            base_rate=30.0, peak_rate=300.0, horizon=80, seed=5,
+            bursts=(BurstSpec(20, 10, 4.0),),
+            **({"service_mix": services} if services else {}),
+        )
+        sc = tmp_path / "scenario.json"
+        save_scenario(scenario, sc)
+        assert main(["generate", "--scenario", str(sc), "--out", str(tmp_path / "new.csv")]) == EXIT_OK
+        per_request_trace_csv(load_scenario(sc), tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestPredictorHistory:
+    def test_simulate_hands_the_predictor_the_training_columns(self, small_files, monkeypatch):
+        # training's history holds the volume alone, so its indicator columns
+        # are zeros; the history simulate forecasts from must hold the same
+        sc, topo, tmp = small_files
+        config = LstmConfig(hidden_size=3, layers=1, dropout=0.0)
+        save_checkpoint(ForecastModel(
+            params=init_params(config, seed=2), config=config, scaling=FeatureScaling(40.0, 9.0),
+            seq_len=4, feature_window=6, horizon=3,
+        ), tmp / "model.npz")
+        handed = []
+        predict_and_warn = ForecastModel.predict_and_warn
+        series = ("volume", "price_volatility", "order_cancel_ratio", "burst_flags",
+                  "busiest_utilization")
+
+        def recording(model, history, *args):
+            handed.append({name: list(getattr(history, name)) for name in series})
+            return predict_and_warn(model, history, *args)
+
+        monkeypatch.setattr(ForecastModel, "predict_and_warn", recording)
+        run_experiment(ExperimentConfig(
+            scenario=str(sc), topology=str(topo), predictor=str(tmp / "model.npz"),
+            out=str(tmp / "run"), seed=1,
+        ))
+        trained = _session_history(load_scenario(sc))
+        assert handed
+        for columns in handed:
+            n = len(columns["volume"])
+            assert columns["busiest_utilization"] == [0.0] * n
+            for name in series:
+                assert columns[name] == getattr(trained, name)[:n], name
 
 
 class TestCompareCommand:

@@ -4,11 +4,13 @@ training and forecasting now reuse.
 `ReferenceSim` is the earlier `ClusterSim` tick: queues drained bucket by
 bucket from per-service deques, one jitter draw per bucket served, the load
 history a deque stacked on every observation, every action sanitized in full
-and a reward computed in the tick. The current tick must give equal results,
-compared by bytes, not closeness: states, rewards (`CurrentSim` computes them
-from the action `step_counts` applied, as `DecisionEnv` does), latency samples
-and weights, trace records, clamp counts and the final states of the random
-streams.
+and a reward and the trace percentiles computed in the tick. The current tick
+must give equal results, compared by bytes, not closeness: states, rewards
+(`CurrentSim` computes them from the action `step_counts` applied, as
+`DecisionEnv` does), latency samples and weights, trace records and their
+percentiles, clamp counts and the final states of the random streams. Only a
+recording sim (`record_trace`) keeps samples and records, so the comparisons
+step recording sims.
 """
 
 from __future__ import annotations
@@ -98,22 +100,19 @@ def _ref_allocate_work(cap, node_cpu, demand_work, carry_work):
 
 
 class ReferenceSim(ClusterSim):
-    """The simulator tick as it was before jitter was drawn once per tick."""
+    """The simulator tick as it was before jitter was drawn once per tick. It
+    keeps latency samples whether or not it records its trace."""
 
     def __init__(self, topology, **kwargs):
         super().__init__(topology, **kwargs)
         self.load_history = deque(maxlen=topology.history_window)
         self.deques = [deque() for _ in range(self.k)]  # [arrival_tick, count]
         self.rewards = []
-        self.records = []  # its own trace, each record complete when appended
+        self.percentiles = []  # (p50, p95) of each trace record, computed in its tick
 
     @property
     def queues(self):
         return self.deques
-
-    @property
-    def trace(self):
-        return self.records
 
     def sanitize_action(self, action):
         clamps = 0
@@ -241,10 +240,11 @@ class ReferenceSim(ClusterSim):
             p50, p95 = (
                 weighted_percentile(samples, weights, (0.5, 0.95)) if samples.size else (0.0, 0.0)
             )
-            self.records.append(
+            self.percentiles.append((p50, p95))
+            self.trace.append(
                 TickRecord(
-                    tick=self.tick, completed=completed.copy(), p50_ms=p50, p95_ms=p95,
-                    util=self.util_obs.copy(), queue_len=self.queue_len.copy(),
+                    tick=self.tick, completed=completed.copy(), util=self.util_obs.copy(),
+                    queue_len=self.queue_len.copy(),
                 )
             )
         self.tick += 1
@@ -330,6 +330,19 @@ def step_both(sim: CurrentSim, ref: ReferenceSim, a, b, counts) -> None:
     assert_states_equal(sim.observe_state(), ref.observe_state())
 
 
+def trace_percentiles(sim: ClusterSim) -> list:
+    """Per trace record, (p50, p95) of its tick's latency samples as
+    `write_trace_csv` computes them; a `ReferenceSim`'s as its tick computed them."""
+    if isinstance(sim, ReferenceSim):
+        return sim.percentiles
+    samples, weights = sim.latency_samples, sim.latency_weights
+    return [
+        weighted_percentile(samples[rec.tick], weights[rec.tick], (0.5, 0.95))
+        if samples[rec.tick].size else (0.0, 0.0)
+        for rec in sim.trace
+    ]
+
+
 def assert_sims_equal(sim: CurrentSim, ref: ReferenceSim) -> None:
     for name in (
         "placement", "quota", "priority", "queue_len", "carry_work", "util_true", "util_obs",
@@ -353,6 +366,7 @@ def assert_sims_equal(sim: CurrentSim, ref: ReferenceSim) -> None:
     for a, b in zip(sim.trace, ref.trace):
         for f in fields(TickRecord):
             assert_arrays_equal(getattr(a, f.name), getattr(b, f.name), f"trace {f.name}")
+    assert_arrays_equal(trace_percentiles(sim), trace_percentiles(ref), "trace percentiles")
     assert sim._jitter_rng.bit_generator.state == ref._jitter_rng.bit_generator.state
     assert sim._noise_rng.bit_generator.state == ref._noise_rng.bit_generator.state
     assert_states_equal(sim.observe_state(), ref.observe_state())
@@ -515,7 +529,8 @@ class TestTickEqualsReference:
             initial_placement=((1,), (1,)), initial_quota=(0.2, QUOTA_FLOOR),
             initial_priority=(0.5, 0.5), history_window=2,
         )
-        sim, ref = CurrentSim(topology, seed=1), ReferenceSim(topology, seed=1)
+        kwargs = dict(seed=1, record_trace=True)
+        sim, ref = CurrentSim(topology, **kwargs), ReferenceSim(topology, **kwargs)
         grow = SchedulingAction(np.array([4, 0]), np.zeros((2, 1)), np.array([0.5, 0.5]),
                                 np.array([0.5, QUOTA_FLOOR]))
         counts = np.array([30, 30])
@@ -529,8 +544,9 @@ class TestTickEqualsReference:
 
 
 class TestDeferredSamples:
-    """A tick keeps the buckets it served, and reading the samples draws their
-    jitter; when they are read changes no sample, weight or random state."""
+    """A recording sim's tick keeps the buckets it served, and reading the
+    samples draws their jitter; when they are read changes no sample, weight or
+    random state."""
 
     @pytest.mark.parametrize("jitter, cap", [(True, 64), (True, 1), (False, 3)])
     @given(
@@ -544,7 +560,7 @@ class TestDeferredSamples:
         # one run reads the samples after every tick, one after the drawn
         # ticks and one only at the end; a share of the ticks have no arrivals
         topology = replace(topology, latency=LatencyModel(jitter_enabled=jitter))
-        kwargs = dict(kwargs, latency_sample_cap=cap, record_trace=False)
+        kwargs = dict(kwargs, latency_sample_cap=cap)
         every, sometimes, end = (CurrentSim(topology, **kwargs) for _ in range(3))
         rng = np.random.default_rng(seed)
         rate = offered_rate(topology, load)
@@ -565,10 +581,10 @@ class TestDeferredSamples:
 
     def test_unread_samples_draw_no_jitter(self):
         topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
-        sim = ClusterSim(topology, seed=4)
+        sim = ClusterSim(topology, seed=4, record_trace=True)
         seeded = sim._jitter_rng.bit_generator.state
         rng = np.random.default_rng(1)
-        for _ in range(30):
+        for _ in range(30):  # fewer than SAMPLE_BLOCK: no sampling pass yet
             sim.step_counts(sim.no_op_action(), rng.poisson(40, size=sim.k))
         assert sim.completed_total > 0
         assert sim._jitter_rng.bit_generator.state == seeded
@@ -611,11 +627,12 @@ class TestSanitizeReuse:
 
 def assert_tick_equal(sim: CurrentSim, ref: ReferenceSim, a, b, counts) -> None:
     """Step both simulators one tick, then compare its outputs: the state it
-    leaves, the reward, the trace row and the clamp count."""
+    leaves, the reward, the trace row and its percentiles, and the clamp count."""
     step_both(sim, ref, a, b, counts)
     assert_arrays_equal(sim.rewards[-1], ref.rewards[-1], "reward")
     for f in fields(TickRecord):
         assert_arrays_equal(getattr(sim.trace[-1], f.name), getattr(ref.trace[-1], f.name), f.name)
+    assert_arrays_equal(trace_percentiles(sim)[-1], trace_percentiles(ref)[-1], "percentiles")
     assert sim.sanitized_actions == ref.sanitized_actions
 
 
@@ -774,11 +791,11 @@ class TestHolds:
 def per_line_trace_csv(sim, path) -> None:
     """`write_trace_csv` as it was: every field formatted on every line."""
     lines = ["tick,service_id,completed,p50_ms,p95_ms,util_cpu,util_mem,util_net,queue_len"]
-    for rec in sim.trace:
+    for rec, (p50, p95) in zip(sim.trace, trace_percentiles(sim)):
         util_cpu, util_mem, util_net = rec.util.mean(axis=0)
         for s in range(len(rec.completed)):
             lines.append(
-                f"{rec.tick},{s},{int(rec.completed[s])},{rec.p50_ms:.6f},{rec.p95_ms:.6f},"
+                f"{rec.tick},{s},{int(rec.completed[s])},{p50:.6f},{p95:.6f},"
                 f"{util_cpu:.6f},{util_mem:.6f},{util_net:.6f},{int(rec.queue_len[s])}"
             )
     Path(path).write_text("\n".join(lines) + "\n")
@@ -790,24 +807,34 @@ ROUNDING = [0.0, 1e-7, 5e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.9999995, 1.0000005, 12
 
 @st.composite
 def traces(draw):
-    """A stand-in for a sim: 0-6 trace records of 1-9 services on 1-4 nodes,
-    some with no completions."""
+    """A stand-in for a recording sim: 0-6 trace records of 1-9 services on
+    1-4 nodes, some with no completions. A tick that completed requests has
+    two samples of one weight each, so its p50 and p95 are the drawn values."""
     k, n = draw(st.integers(1, 9)), draw(st.integers(1, 4))
     ms = st.one_of(st.sampled_from(ROUNDING), st.floats(0.0, 5000.0))
     share = st.one_of(st.sampled_from([v for v in ROUNDING if v <= 1.0]), st.floats(0.0, 1.0))
     counts = st.lists(st.integers(0, 10**6), min_size=k, max_size=k)
-    records = []
+    records, samples = [], []
     for t in range(draw(st.integers(0, 6))):
         idle = draw(st.booleans())
         completed = np.zeros(k, dtype=np.int64) if idle else np.array(draw(counts), dtype=np.int64)
-        p50, p95 = (0.0, 0.0) if idle else sorted((draw(ms), draw(ms)))
+        samples.append(np.zeros(0) if idle else np.array(sorted((draw(ms), draw(ms)))))
         util = np.array(draw(st.lists(share, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
-        records.append(TickRecord(t, completed, p50, p95, util, np.array(draw(counts))))
-    return SimpleNamespace(trace=records)
+        records.append(TickRecord(t, completed, util, np.array(draw(counts))))
+    weights = [np.ones(len(s)) for s in samples]
+    return SimpleNamespace(trace=records, latency_samples=samples, latency_weights=weights)
+
+
+class NeverSampledSim(CurrentSim):
+    """A recording sim whose ticks never sample: it keeps every drain step."""
+
+    def _materialize(self):
+        pass
 
 
 class TestRecords:
-    """The trace and the latency samples are built when they are read."""
+    """The latency samples are drawn when they are read, and the trace CSV's
+    percentiles computed when it is written."""
 
     @given(traces())
     def test_csv_equals_the_per_line_writer(self, tmp_path_factory, sim):
@@ -826,7 +853,7 @@ class TestRecords:
         topology = uniform_topology(node_count=2, node_cpu=2000.0, quota=0.08)
         kwargs = dict(seed=3, noise=NoiseSpec(std=0.02), latency_sample_cap=cap, record_trace=True)
         each, some, end = (CurrentSim(topology, **kwargs) for _ in range(3))
-        unread = ClusterSim(topology, **dict(kwargs, record_trace=False))  # keeps every drain step
+        unread = NeverSampledSim(topology, **kwargs)
         rng = np.random.default_rng(seed)
         rate = offered_rate(topology, load)
         for t in range(40):
@@ -834,9 +861,9 @@ class TestRecords:
             counts = rng.poisson(rate)
             for sim in (each, some, end, unread):
                 sim.step_counts(action, counts)
-            each.trace, each.latency_samples
+            trace_percentiles(each), each.latency_samples
             if t % every == 0:
-                some.latency_weights if t % 2 else some.trace
+                some.latency_weights if t % 2 else trace_percentiles(some)
         assert max(len(steps) for steps in unread._served) > 1
         for sim in (some, end):
             assert_sims_equal(sim, each)
@@ -1040,6 +1067,13 @@ def make_model(seq_len=12, window=10, seed=0) -> ForecastModel:
     )
 
 
+def head(history: TickHistory, end: int) -> TickHistory:
+    """The history of the first `end` ticks: each series cut at `end`."""
+    series = ("volume", "price_volatility", "order_cancel_ratio", "burst_flags",
+              "busiest_utilization")
+    return replace(history, **{name: getattr(history, name)[:end] for name in series})
+
+
 def fresh_predict(model: ForecastModel, history: TickHistory, end=None) -> float:
     seq = feature_sequence(history, model.seq_len, model.feature_window, model.scaling, end)
     pred, _ = forward(seq[None], model.params, model.config)
@@ -1063,7 +1097,7 @@ class TestForecastRows:
                 assert model.predict(history) == fresh_predict(model, history)
                 end = t - seed % 3  # an earlier end
                 if end >= model.min_history():
-                    assert model.predict(history, end) == fresh_predict(model, history, end)
+                    assert model.predict(head(history, end)) == fresh_predict(model, history, end)
             if indicators:
                 history.append(full.volume[t], full.price_volatility[t],
                                full.order_cancel_ratio[t], full.burst_flags[t],
@@ -1082,7 +1116,7 @@ class TestForecastRows:
         model, history = make_model(), grown_history(200, 1)
         ends = range(model.min_history(), 201, 5)
         for end in ends:
-            model.predict(history, end)
+            model.predict(head(history, end))
         assert calls == [list(range(end - model.seq_len + 1, end + 1)) for end in ends]
 
     def test_changed_inputs_are_not_served_stale_rows(self):
@@ -1120,9 +1154,9 @@ class TestForecastRows:
     def test_errors_as_before(self):
         model, history = make_model(), grown_history(30, 5)
         with pytest.raises(WarmupError):
-            model.predict(history, model.min_history() - 1)
-        with pytest.raises(ValueError):
-            model.predict(history, 31)
+            model.predict(head(history, model.min_history() - 1))
+        with pytest.raises(ValueError):  # an end beyond the history
+            feature_sequence(history, model.seq_len, model.feature_window, model.scaling, 31)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
@@ -1132,5 +1166,5 @@ def test_feature_vector_rejects_non_finite_values(bad):
     history.volume[20] = bad
     model = make_model(seq_len=4, window=5)
     with pytest.raises(ValueError, match="finite"):
-        model.predict(history, 24)
-    assert model.predict(history, 20) == fresh_predict(model, history, 20)
+        model.predict(head(history, 24))
+    assert model.predict(head(history, 20)) == fresh_predict(model, history, 20)

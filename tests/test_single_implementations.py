@@ -27,6 +27,7 @@ import ast
 import copy
 import json
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tradesim.baselines import scheduler_options
-from tradesim.cluster import QUOTA_FLOOR, node_commit, uniform_topology
+from tradesim.cluster import QUOTA_FLOOR, ClusterSim, TickRecord, node_commit, uniform_topology
+from tradesim.drl.env import DecisionEnv
 from tradesim.drl.policy import (
     PolicyCore,
     SchedulerPolicy,
@@ -841,3 +843,26 @@ def test_feature_rows_have_one_extractor():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "extract_features"
     )
     assert callers == Counter(feature_sequence=1, build_dataset=1)
+
+
+def test_a_run_record_has_one_switch():
+    # `record_trace` alone keeps a run record: `trace` is a plain list, filled
+    # in by nothing when read, and a record holds only what its tick knows;
+    # per-service contention is computed by `ClusterSim` alone
+    assert "trace" not in vars(ClusterSim)
+    assert [f.name for f in fields(TickRecord)] == ["tick", "completed", "util", "queue_len"]
+    assert call_sites({"contention"}) == Counter(contention=2)
+
+
+def test_a_decision_env_sim_keeps_no_run_record():
+    scenario = WorkloadScenario(base_rate=120.0, peak_rate=600.0, horizon=30, seed=1)
+    topology = uniform_topology(node_count=4, services=scenario.service_mix)
+    encoder = StateEncoder(service_count=8, node_count=4)
+    policy = SchedulerPolicy.build(encoder, seed=0)
+    env = DecisionEnv(scenario, topology, encoder, policy)
+    obs = env.reset(0)
+    record, _ = policy.core.act(policy.params, obs, "sample", np.random.default_rng(0))
+    env.step(record)
+    assert env.sim.completed_total > 0
+    assert not env.sim._served  # no drain steps kept
+    assert env.sim.trace == [] and env.sim.latency_samples == []

@@ -14,7 +14,6 @@ from tradesim.workload import (
     TickHistory,
     WorkloadScenario,
     extract_features,
-    generate_tick,
     generate_tick_counts,
     load_scenario,
     rate_profile,
@@ -68,15 +67,16 @@ class TestRateProfile:
 class TestGenerateTick:
     def test_zero_rate_gives_empty_list(self):
         sc = flat_scenario(base=1e-12, horizon=10)
-        assert generate_tick(sc, 3) == []
+        assert generate_tick_counts(sc, 3).tolist() == [0] * sc.service_count
 
     def test_determinism_same_inputs_same_requests(self):
-        sc = flat_scenario(base=200.0)
-        assert generate_tick(sc, 5) == generate_tick(sc, 5)
+        # a new but equal scenario object draws the tick again
+        a, b = flat_scenario(base=200.0), flat_scenario(base=200.0)
+        assert generate_tick_counts(a, 5).tolist() == generate_tick_counts(b, 5).tolist()
 
     def test_different_ticks_differ(self):
         sc = flat_scenario(base=200.0)
-        assert generate_tick(sc, 5) != generate_tick(sc, 6)
+        assert generate_tick_counts(sc, 5).tolist() != generate_tick_counts(sc, 6).tolist()
 
     def test_poisson_moments_over_many_ticks(self):
         # lambda * tick = 50; sample mean within 3 sigma of the Poisson mean
@@ -87,16 +87,15 @@ class TestGenerateTick:
 
     def test_service_ids_respect_mix(self):
         sc = flat_scenario(base=500.0, horizon=200, seed=3)
-        reqs = [r for t in range(200) for r in generate_tick(sc, t)]
-        k = sc.service_count
-        freq = np.bincount([r.service_id for r in reqs], minlength=k) / len(reqs)
+        per_service = sum(generate_tick_counts(sc, t) for t in range(200))
+        freq = per_service / per_service.sum()
         assert np.allclose(freq, sc.service_weights(), atol=0.02)
 
     def test_stream_identical_across_calls(self):
-        sc = flat_scenario(base=80.0, horizon=50, seed=11)
-        a = [generate_tick(sc, t) for t in range(50)]
-        b = [generate_tick(sc, t) for t in range(50)]
-        assert a == b
+        a, b = (flat_scenario(base=80.0, horizon=50, seed=11) for _ in range(2))
+        assert [generate_tick_counts(a, t).tolist() for t in range(50)] == [
+            generate_tick_counts(b, t).tolist() for t in range(50)
+        ]
 
 
 class TestBurstAndRampValidation:
