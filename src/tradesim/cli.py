@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,7 @@ from .workload import (
     WorkloadScenario,
     generate_tick_counts,
     load_scenario,
+    volume_history,
 )
 
 EXIT_OK = 0
@@ -124,6 +125,28 @@ def _load_inputs(
     return scenario, topology
 
 
+def _burst_flags(
+    model: ForecastModel | None, scenario: WorkloadScenario, config: ExperimentConfig
+) -> list[bool]:
+    """Per tick, whether the predictor's forecast due then flags a burst.
+
+    A forecast is due on the ticks t >= `min_history()` that are multiples of
+    `predictor_interval`, from the volume of ticks [0, t). Arrivals are open
+    loop, so every forecast of the run is made here, before the loop, from the
+    horizon's volume history; the loop's cooldown decides which flags act."""
+    flags = [False] * scenario.horizon
+    if model is None:
+        return flags
+    first, step = model.min_history(), config.predictor_interval
+    ends = np.arange(-(-first // step) * step, scenario.horizon, step)
+    if ends.size:
+        history = model.configure_history(volume_history(scenario))
+        forecasts = model.predict_and_warn(history, ends, config.predictor_threshold)
+        for t, forecast in zip(ends.tolist(), forecasts):
+            flags[t] = forecast.burst_flag
+    return flags
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
     """Deterministic simulate loop: scheduler decisions on the decision grid,
     optional predictor-triggered proactive scale-ups, live cache hit rate."""
@@ -149,9 +172,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
         cache, n_keys=config.cache_keys, seed=config.seed,
         per_tick_cap=config.cache_accesses_per_tick,
     )
-    history = TickHistory(tick_length=scenario.tick_length)
-    if model is not None:
-        model.configure_history(history)
+    burst_at = _burst_flags(model, scenario, config)
     last_warn_tick = -(10**9)
     util_cpu_sum = np.zeros(3)
     util_ticks = 0
@@ -160,18 +181,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
         counts = generate_tick_counts(scenario, t)
 
         action = None
-        if model is not None and t >= model.min_history() and t % config.predictor_interval == 0:
-            if t - last_warn_tick >= config.predictor_cooldown:
-                forecast = model.predict_and_warn(history, config.predictor_threshold)
-                if forecast.burst_flag:
-                    noop = sim.no_op_action()
-                    action = SchedulingAction(
-                        instance_delta=np.ones(sim.k, dtype=int),
-                        migration=noop.migration,
-                        priority=noop.priority,
-                        quota=noop.quota,
-                    )
-                    last_warn_tick = t
+        if burst_at[t] and t - last_warn_tick >= config.predictor_cooldown:
+            noop = sim.no_op_action()
+            action = SchedulingAction(
+                instance_delta=np.ones(sim.k, dtype=int),
+                migration=noop.migration,
+                priority=noop.priority,
+                quota=noop.quota,
+            )
+            last_warn_tick = t
         if action is None and t % config.decision_interval == 0:
             # per-service utilization signal: the latency model's contention factor
             action = scheduler.decide(sim, sim.service_rho(), t)
@@ -179,8 +197,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunSummary, ClusterSim]:
         sim.step_counts(action, counts)  # None holds the configuration
         arrived = int(counts.sum())
         sim.cache_hit_rate = driver.on_tick(t * scenario.tick_length, arrived)
-        if model is not None:  # only the predictor reads the history
-            history.append(volume=arrived / scenario.tick_length)  # the volume alone, as in training
         util_cpu_sum += sim.util_obs.sum(axis=0) / sim.n  # .mean(axis=0), without its wrapper
         util_ticks += 1
 
@@ -269,21 +285,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _session_history(scenario: WorkloadScenario) -> TickHistory:
-    """Volume history with the scenario horizon treated as one trading session
-    so the predictor's time features sweep their full range."""
-    history = TickHistory(
-        tick_length=scenario.tick_length,
-        ticks_per_day=scenario.horizon,
-        market_open_tick=0,
-        market_close_tick=scenario.horizon,
-    )
-    for t in range(scenario.horizon):
-        counts = generate_tick_counts(scenario, t)
-        history.append(volume=float(counts.sum()) / scenario.tick_length)
-    return history
-
-
 def _dataset_history(path: Path) -> TickHistory:
     """Volume history from a (tick, volume, ...) CSV with a header line."""
     history = TickHistory()
@@ -344,7 +345,12 @@ def cmd_train_predictor(args) -> int:
     if args.dataset:
         history = _dataset_history(Path(args.dataset))
     else:
-        history = _session_history(load_scenario(args.scenario))
+        scenario = load_scenario(args.scenario)
+        # the horizon is one trading session, so the time features sweep their full range
+        history = replace(
+            volume_history(scenario), ticks_per_day=scenario.horizon, market_open_tick=0,
+            market_close_tick=scenario.horizon,
+        )
     scale = max(float(np.max(history.volume)), 1.0)
     session_minutes = len(history) * history.tick_length / 60.0
     scaling = FeatureScaling(volume_scale=scale, session_minutes=session_minutes)

@@ -41,6 +41,12 @@ from .workload import FEATURE_COUNT, FeatureScaling, TickHistory, extract_featur
 
 Params = dict[str, np.ndarray]
 
+# Ends per `forward` of `ForecastModel.predict_and_warn`: bounds its (seq_len + 1,
+# block, hidden) buffers whatever the number of forecasts.
+FORECAST_BLOCK = 256
+# Ticks of volume before a forecast's end that its burst flag compares it with.
+BASELINE_WINDOW = 60
+
 
 @dataclass(frozen=True)
 class LstmConfig:
@@ -402,48 +408,55 @@ class ForecastModel:
     def min_history(self) -> int:
         return self.feature_window + self.seq_len - 1
 
-    def predict(self, history: TickHistory) -> float:
-        """Predicted mean volume (requests/second) for the next horizon window."""
-        seq = feature_sequence(history, self.seq_len, self.feature_window, self.scaling)
-        pred, _ = forward(seq[None], self.params, self.config)
-        return float(pred[0]) * self.scaling.volume_scale
-
     def predict_and_warn(
-        self, history: TickHistory, burst_threshold: float = 2.0, baseline_window: int = 60
-    ) -> Forecast:
-        predicted = self.predict(history)
-        n = len(history)
-        recent = np.asarray(history.volume[max(0, n - baseline_window) : n])
-        baseline = float(recent.mean()) if recent.size else 0.0
-        lo_q, hi_q = self.residual_quantiles
+        self, history: TickHistory, ends, burst_threshold: float = 2.0
+    ) -> list[Forecast]:
+        """One `Forecast` per end of `ends`, in their order: the predicted mean
+        volume (requests/second) over the `horizon` ticks after
+        `history[:end]`, its confidence band, and whether it exceeds
+        `burst_threshold` times the mean volume of the `BASELINE_WINDOW` ticks
+        before the end. Nothing at or past an end is read, so a history that
+        runs on gives the same forecasts.
+
+        The rows of every window come from one `extract_features` call, and
+        the windows go through `forward` in blocks of at most
+        `FORECAST_BLOCK`. One end is a batch-of-one forward; a larger block
+        sums its GEMMs in another order, which can move a forecast's last bits.
+        """
+        ends = np.asarray(ends, dtype=np.int64).reshape(-1)
+        if ends.size == 0:
+            raise ValueError("no forecast ends")
+        if ends.min() < self.min_history():
+            raise WarmupError(
+                f"need {self.min_history()} ticks for a {self.seq_len}-step feature sequence, "
+                f"have {ends.min()}"
+            )
+        windows = ends[:, None] + np.arange(1 - self.seq_len, 1)  # each window's row ends
+        rows = np.unique(windows)
+        table = extract_features(history, self.feature_window, self.scaling, rows)
+        windows = np.searchsorted(rows, windows)
+        pred = np.concatenate([
+            forward(table[windows[k : k + FORECAST_BLOCK]], self.params, self.config)[0]
+            for k in range(0, len(ends), FORECAST_BLOCK)
+        ])
         scale = self.scaling.volume_scale
-        band = (predicted + lo_q * scale, predicted + hi_q * scale)
-        return Forecast(
-            predicted=predicted,
-            burst_flag=should_warn(predicted, baseline, burst_threshold),
-            band_low=min(band[0], predicted),
-            band_high=max(band[1], predicted),
-        )
+        lo_q, hi_q = self.residual_quantiles
+        volume = np.asarray(history.volume, dtype=float)
+        forecasts = []
+        for end, predicted in zip(ends.tolist(), (pred.astype(float) * scale).tolist()):
+            baseline = float(volume[max(0, end - BASELINE_WINDOW) : end].mean())
+            forecasts.append(Forecast(
+                predicted=predicted,
+                burst_flag=should_warn(predicted, baseline, burst_threshold),
+                band_low=min(predicted + lo_q * scale, predicted),
+                band_high=max(predicted + hi_q * scale, predicted),
+            ))
+        return forecasts
 
 
 def should_warn(predicted: float, baseline_mean: float, threshold: float) -> bool:
     """Burst early-warning rule: forecast exceeds threshold x recent baseline."""
     return bool(baseline_mean > 0 and predicted > threshold * baseline_mean)
-
-
-def feature_sequence(
-    history: TickHistory,
-    seq_len: int,
-    window: int,
-    scaling: FeatureScaling,
-    end: int | None = None,
-) -> np.ndarray:
-    end = len(history) if end is None else end
-    if end < window + seq_len - 1:
-        raise WarmupError(
-            f"need {window + seq_len - 1} ticks for a {seq_len}-step feature sequence, have {end}"
-        )
-    return extract_features(history, window, scaling, np.arange(end - seq_len + 1, end + 1))
 
 
 def build_dataset(
@@ -457,9 +470,9 @@ def build_dataset(
     """Sliding-window (sequences, targets); targets are normalized mean volume
     over the next `horizon` ticks.
 
-    Sequence k is `feature_sequence(history, seq_len, window, scaling, end)`
-    for the k-th `end`. Overlapping sequences share feature rows, so every row
-    up to the last end is extracted in one call and the sequences are gathered
+    Sequence k holds the `extract_features` rows of the `seq_len` ends up to
+    the k-th `end`. Overlapping sequences share feature rows, so every row up
+    to the last end is extracted in one call and the sequences are gathered
     from that table.
     """
     n = len(history)

@@ -236,6 +236,21 @@ class TickHistory:
         return len(self.volume)
 
 
+def volume_history(scenario: WorkloadScenario) -> TickHistory:
+    """The arrival volume (requests/second) of every tick of the scenario's
+    horizon, its indicator series zeros, on `TickHistory`'s default clock.
+
+    The predictor is trained and served on this history alone; each caller
+    sets the session clock its features run on."""
+    n = scenario.horizon
+    volume = [float(generate_tick_counts(scenario, t).sum()) / scenario.tick_length
+              for t in range(n)]
+    return TickHistory(
+        volume=volume, price_volatility=[0.0] * n, order_cancel_ratio=[0.0] * n,
+        burst_flags=[0] * n, busiest_utilization=[0.0] * n, tick_length=scenario.tick_length,
+    )
+
+
 @dataclass(frozen=True)
 class FeatureScaling:
     """Stored normalization constants so train and inference agree."""

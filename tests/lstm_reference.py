@@ -7,15 +7,36 @@ was before the time loops moved to time-major buffers: per-gate copies, a
 concatenated from its four blocks, and a last forward over the validation set
 for the residual quantiles. The rewrite does the same arithmetic in the same
 order, so its results must be equal to these bit for bit.
+
+`feature_sequence` is the one-window row extraction that forecasts made
+before `ForecastModel.predict_and_warn` took an array of ends; a one-end
+forecast must equal a batch-of-one forward over it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tradesim.errors import ConfigError, DivergenceError
+from tradesim.errors import ConfigError, DivergenceError, WarmupError
 from tradesim.lstm import LstmConfig, Params, TrainResult, TrainSpec, init_params
 from tradesim.optim import AdamSpec, adam_init, adam_step, clip_global_norm, sigmoid
+from tradesim.workload import FeatureScaling, TickHistory, extract_features
+
+
+def feature_sequence(
+    history: TickHistory,
+    seq_len: int,
+    window: int,
+    scaling: FeatureScaling,
+    end: int | None = None,
+) -> np.ndarray:
+    """(seq_len, 18) feature rows of the window ending at `end` (the whole history when None)."""
+    end = len(history) if end is None else end
+    if end < window + seq_len - 1:
+        raise WarmupError(
+            f"need {window + seq_len - 1} ticks for a {seq_len}-step feature sequence, have {end}"
+        )
+    return extract_features(history, window, scaling, np.arange(end - seq_len + 1, end + 1))
 
 
 def cell_forward(

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
 
+import tradesim.cli as cli_module
+import tradesim.lstm as lstm_module
+from test_acceptance import market_open_scenario
 from tradesim.baselines import (
     RandomScheduler,
     RoundRobinScheduler,
@@ -14,12 +17,20 @@ from tradesim.baselines import (
     make_scheduler,
     scheduler_options,
 )
-from tradesim.cli import EXIT_CONFIG, EXIT_OK, _session_history, main, run_experiment, ExperimentConfig
+from tradesim.cli import EXIT_CONFIG, EXIT_OK, main, run_experiment, ExperimentConfig
 from tradesim.cluster import ClusterSim, NoiseSpec, save_topology, uniform_topology
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder, save_policy
 from tradesim.errors import ConfigError
 from tradesim.hybrid import Chromosome, HybridConfig
-from tradesim.lstm import FeatureScaling, ForecastModel, LstmConfig, init_params, save_checkpoint
+from tradesim.lstm import (
+    FORECAST_BLOCK,
+    FeatureScaling,
+    ForecastModel,
+    LstmConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from tradesim.optim import load_params, save_params
 from tradesim.report import save_summary
 from tradesim.workload import (
@@ -29,7 +40,12 @@ from tradesim.workload import (
     generate_tick_counts,
     load_scenario,
     save_scenario,
+    volume_history,
 )
+
+
+# the per-tick columns of a TickHistory
+SERIES = ("volume", "price_volatility", "order_cancel_ratio", "burst_flags", "busiest_utilization")
 
 
 @pytest.fixture
@@ -611,25 +627,90 @@ class TestPredictorHistory:
         ), tmp / "model.npz")
         handed = []
         predict_and_warn = ForecastModel.predict_and_warn
-        series = ("volume", "price_volatility", "order_cancel_ratio", "burst_flags",
-                  "busiest_utilization")
 
-        def recording(model, history, *args):
-            handed.append({name: list(getattr(history, name)) for name in series})
-            return predict_and_warn(model, history, *args)
+        def recording(model, history, ends, *args):
+            handed.append({name: list(getattr(history, name)) for name in SERIES})
+            return predict_and_warn(model, history, ends, *args)
 
         monkeypatch.setattr(ForecastModel, "predict_and_warn", recording)
         run_experiment(ExperimentConfig(
             scenario=str(sc), topology=str(topo), predictor=str(tmp / "model.npz"),
             out=str(tmp / "run"), seed=1,
         ))
-        trained = _session_history(load_scenario(sc))
+        trained = []
+        dataset = cli_module.build_dataset
+        monkeypatch.setattr(
+            cli_module, "build_dataset",
+            lambda history, **kw: trained.append(history) or dataset(history, **kw),
+        )
+        assert main([
+            "train-predictor", "--scenario", str(sc), "--out", str(tmp / "trained.npz"),
+            "--epochs", "0", "--hidden", "3", "--layers", "1", "--seq-len", "4",
+            "--window", "6", "--horizon-ticks", "3",
+        ]) == EXIT_OK
+        [trained] = trained
         assert handed
         for columns in handed:
             n = len(columns["volume"])
             assert columns["busiest_utilization"] == [0.0] * n
-            for name in series:
+            for name in SERIES:
                 assert columns[name] == getattr(trained, name)[:n], name
+
+
+class TestForecastsBeforeTheLoop:
+    def test_forecasts_run_in_bounded_blocks(self, tmp_path, monkeypatch):
+        # a forecast every tick of 700 is more than two blocks of ends
+        scenario = WorkloadScenario(base_rate=40.0, peak_rate=120.0, horizon=700, seed=3)
+        topology = uniform_topology(node_count=2, node_cpu=2000.0, services=scenario.service_mix)
+        save_scenario(scenario, tmp_path / "scenario.json")
+        save_topology(topology, tmp_path / "topology.json")
+        config = LstmConfig(hidden_size=3, layers=1, dropout=0.0)
+        model = ForecastModel(
+            params=init_params(config, seed=2), config=config, scaling=FeatureScaling(40.0, 9.0),
+            seq_len=4, feature_window=6, horizon=3,
+        )
+        save_checkpoint(model, tmp_path / "model.npz")
+        batches = []
+        forward = lstm_module.forward
+        monkeypatch.setattr(
+            lstm_module, "forward",
+            lambda sequences, *args: batches.append(len(sequences)) or forward(sequences, *args),
+        )
+        run_experiment(ExperimentConfig(
+            scenario=str(tmp_path / "scenario.json"), topology=str(tmp_path / "topology.json"),
+            predictor=str(tmp_path / "model.npz"), out=str(tmp_path / "run"), predictor_interval=1,
+        ))
+        ends = scenario.horizon - model.min_history()
+        assert len(batches) == -(-ends // FORECAST_BLOCK) > 2
+        assert max(batches) == FORECAST_BLOCK and sum(batches) == ends
+
+    def test_batched_flags_equal_one_by_one_forecasts_on_c04(self, tmp_path):
+        # c04's checkpoint and runs; each forecast alone, on the history up to its tick
+        train_scenario = market_open_scenario(1001, base_rate=60.0)
+        save_scenario(train_scenario, tmp_path / "train.json")
+        assert main([
+            "train-predictor", "--scenario", str(tmp_path / "train.json"),
+            "--out", str(tmp_path / "model.npz"), "--epochs", "40", "--hidden", "24",
+            "--layers", "2", "--seq-len", "8", "--window", "10", "--horizon-ticks", "20",
+            "--learning-rate", "0.005",
+        ]) == EXIT_OK
+        model = load_checkpoint(tmp_path / "model.npz")
+        for seed in (7, 8):
+            scenario = market_open_scenario(seed, base_rate=60.0)
+            config = ExperimentConfig(
+                scenario="run.json", topology="topo.json", predictor_threshold=1.5,
+                predictor_cooldown=30,
+            )
+            batched = cli_module._burst_flags(model, scenario, config)
+            history = model.configure_history(volume_history(scenario))
+            one_by_one = [False] * scenario.horizon
+            for t in range(model.min_history(), scenario.horizon):
+                if t % config.predictor_interval == 0:
+                    head = replace(history, **{name: getattr(history, name)[:t] for name in SERIES})
+                    [forecast] = model.predict_and_warn(head, [t], config.predictor_threshold)
+                    one_by_one[t] = forecast.burst_flag
+            assert any(one_by_one), seed
+            assert batched == one_by_one, seed
 
 
 class TestCompareCommand:

@@ -17,7 +17,6 @@ from tradesim.lstm import (
     accuracy,
     build_dataset,
     cell_forward,
-    feature_sequence,
     forward,
     init_params,
     load_checkpoint,
@@ -366,8 +365,10 @@ class TestPrecision:
         loaded = load_checkpoint(tmp_path / "model.npz")
         assert loaded.params["W0"].dtype == np.float64
         history = sine_history(60)
-        want, _ = reference.forward(feature_sequence(history, 8, 8, scaling)[None], params, cfg)
-        assert loaded.predict(history) == float(want[0]) * scaling.volume_scale
+        sequence = reference.feature_sequence(history, 8, 8, scaling)
+        want, _ = reference.forward(sequence[None], params, cfg)
+        [forecast] = loaded.predict_and_warn(history, [len(history)])
+        assert forecast.predicted == float(want[0]) * scaling.volume_scale
 
 
 class TestAdam:
@@ -464,8 +465,11 @@ class TestForecasting:
 
     def test_insufficient_history_is_warmup_error(self):
         h = sine_history(10)
+        cfg = small_config(hidden_size=4, layers=1)
+        model = ForecastModel(init_params(cfg), cfg, FeatureScaling(), seq_len=8,
+                              feature_window=8, horizon=5)
         with pytest.raises(WarmupError):
-            feature_sequence(h, seq_len=8, window=8, scaling=FeatureScaling())
+            model.predict_and_warn(h, [len(h)])
 
     def test_constant_history_never_warns(self):
         history = TickHistory()
@@ -477,7 +481,7 @@ class TestForecasting:
         result = train(X, y, cfg, TrainSpec(learning_rate=1e-2, epochs=20, batch_size=32, seed=1))
         model = ForecastModel(result.params, cfg, scaling, seq_len=6, feature_window=8,
                               horizon=5, residual_quantiles=result.residual_quantiles)
-        forecast = model.predict_and_warn(history, burst_threshold=2.0)
+        [forecast] = model.predict_and_warn(history, [len(history)], burst_threshold=2.0)
         assert not forecast.burst_flag
         assert forecast.predicted == pytest.approx(50.0, rel=0.15)
 

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lstm_reference import feature_sequence
 from tradesim import cache as cache_module
 from tradesim.cache import REACCESS_P, RECENT_KEYS, ZipfAccessDriver
 from tradesim.errors import WarmupError
-from tradesim.lstm import build_dataset, feature_sequence
+from tradesim.lstm import build_dataset
 from tradesim.optim import sigmoid
 from tradesim.report import weighted_percentile
 from tradesim.workload import (

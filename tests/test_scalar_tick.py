@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lstm_reference import feature_sequence
 import tradesim.drl.env as env_module
 import tradesim.lstm as lstm_module
 import tradesim.workload as workload_module
@@ -52,7 +53,7 @@ from tradesim.cluster import (
 from tradesim.drl.env import DecisionEnv
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder
 from tradesim.errors import ConfigError, WarmupError
-from tradesim.lstm import ForecastModel, LstmConfig, feature_sequence, forward, init_params
+from tradesim.lstm import ForecastModel, LstmConfig, forward, init_params
 from tradesim.report import weighted_percentile
 from tradesim.workload import (
     BurstSpec,
@@ -1074,6 +1075,11 @@ def head(history: TickHistory, end: int) -> TickHistory:
     return replace(history, **{name: getattr(history, name)[:end] for name in series})
 
 
+def predicted(model: ForecastModel, history: TickHistory) -> float:
+    """The prediction of a one-end forecast at the end of `history`."""
+    return model.predict_and_warn(history, [len(history)])[0].predicted
+
+
 def fresh_predict(model: ForecastModel, history: TickHistory, end=None) -> float:
     seq = feature_sequence(history, model.seq_len, model.feature_window, model.scaling, end)
     pred, _ = forward(seq[None], model.params, model.config)
@@ -1094,10 +1100,10 @@ class TestForecastRows:
         model.configure_history(history)
         for t in range(90):
             if t >= model.min_history() and t % interval == 0:
-                assert model.predict(history) == fresh_predict(model, history)
+                assert predicted(model, history) == fresh_predict(model, history)
                 end = t - seed % 3  # an earlier end
                 if end >= model.min_history():
-                    assert model.predict(head(history, end)) == fresh_predict(model, history, end)
+                    assert predicted(model, head(history, end)) == fresh_predict(model, history, end)
             if indicators:
                 history.append(full.volume[t], full.price_volatility[t],
                                full.order_cancel_ratio[t], full.burst_flags[t],
@@ -1106,7 +1112,7 @@ class TestForecastRows:
                 history.volume.append(full.volume[t])
 
     def test_extracts_each_row_once(self, monkeypatch):
-        # one call per forecast, for the seq_len rows that end at its end
+        # one call per one-end forecast, for the seq_len rows that end at its end
         calls = []
         extract = lstm_module.extract_features
         monkeypatch.setattr(
@@ -1116,47 +1122,76 @@ class TestForecastRows:
         model, history = make_model(), grown_history(200, 1)
         ends = range(model.min_history(), 201, 5)
         for end in ends:
-            model.predict(head(history, end))
+            predicted(model, head(history, end))
         assert calls == [list(range(end - model.seq_len + 1, end + 1)) for end in ends]
 
     def test_changed_inputs_are_not_served_stale_rows(self):
         # each change follows a forecast on the same history
         model, history = make_model(), grown_history(120, 2)
-        model.predict(history)
+        predicted(model, history)
         history.market_open_tick = 60  # the session clock, as configure_history sets it
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
         history.market_close_tick = 200
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
         history.ticks_per_day = 250
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
         history.tick_length = 0.5
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
         model.scaling = FeatureScaling(volume_scale=250.0, session_minutes=5.0)
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
         model.feature_window = 6
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
         del history.volume[110:]
         for series in (history.price_volatility, history.order_cancel_ratio,
                        history.burst_flags, history.busiest_utilization):
             del series[110:]
         history.append(1e4, 5.0, 0.5, 1, 1.0)  # a shorter history, appended to again
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
         other = grown_history(120, 3)
-        assert model.predict(other) == fresh_predict(model, other)
+        assert predicted(model, other) == fresh_predict(model, other)
 
     def test_indicators_that_arrive_later_enter_the_rows(self):
         model = make_model(seq_len=4, window=5)
         history = grown_history(30, 4, indicators=False)
-        model.predict(history)
+        predicted(model, history)
         history.busiest_utilization = [0.9] * 30  # now as long as the volume series
-        assert model.predict(history) == fresh_predict(model, history)
+        assert predicted(model, history) == fresh_predict(model, history)
 
     def test_errors_as_before(self):
         model, history = make_model(), grown_history(30, 5)
         with pytest.raises(WarmupError):
-            model.predict(head(history, model.min_history() - 1))
+            predicted(model, head(history, model.min_history() - 1))
         with pytest.raises(ValueError):  # an end beyond the history
-            feature_sequence(history, model.seq_len, model.feature_window, model.scaling, 31)
+            model.predict_and_warn(history, [31])
+
+
+def forecast_bits(forecasts) -> bytes:
+    return np.array([(f.predicted, f.band_low, f.band_high, f.burst_flag) for f in forecasts]).tobytes()
+
+
+volumes = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+
+
+class TestNoForecastSeesTheFuture:
+    @given(st.integers(2, 10), st.integers(1, 8), st.integers(0, 999), st.data())
+    def test_a_history_that_runs_on_gives_the_same_forecasts(self, window, seq_len, seed, data):
+        # simulate forecasts from the whole horizon's volume history, so a
+        # forecast ending at `end` must read nothing at or past it
+        model = make_model(seq_len, window, seed)
+        model.params["by"][:] = 1.0  # forecasts near 500, so the flags read the baseline
+        first = model.min_history()
+        m = data.draw(st.integers(first, first + 90), label="m")
+        past = data.draw(st.lists(volumes, min_size=m, max_size=m), label="past")
+        future = data.draw(st.lists(volumes, min_size=1, max_size=80), label="future")
+        ends = data.draw(st.lists(st.integers(first, m), min_size=1, max_size=12), label="ends")
+        full = model.configure_history(TickHistory(volume=past + future))
+        cut = head(full, m)
+        # a threshold grid fine enough that unequal baselines flip some flag
+        for threshold in np.geomspace(1e-3, 1e3, 49):
+            got = model.predict_and_warn(full, ends, threshold)
+            want = model.predict_and_warn(cut, ends, threshold)
+            assert [f.burst_flag for f in got] == [f.burst_flag for f in want], threshold
+            assert forecast_bits(got) == forecast_bits(want)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
@@ -1166,5 +1201,5 @@ def test_feature_vector_rejects_non_finite_values(bad):
     history.volume[20] = bad
     model = make_model(seq_len=4, window=5)
     with pytest.raises(ValueError, match="finite"):
-        model.predict(head(history, 24))
-    assert model.predict(head(history, 20)) == fresh_predict(model, history, 20)
+        predicted(model, head(history, 24))
+    assert predicted(model, head(history, 20)) == fresh_predict(model, history, 20)

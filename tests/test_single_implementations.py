@@ -842,7 +842,16 @@ def test_feature_rows_have_one_extractor():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "extract_features"
     )
-    assert callers == Counter(feature_sequence=1, build_dataset=1)
+    assert callers == Counter(predict_and_warn=1, build_dataset=1)
+
+
+def test_the_predictor_history_has_one_builder():
+    # train-predictor and simulate --predictor draw their volume history with
+    # one function, and forecasts take an array of ends, so the per-forecast
+    # path is gone
+    assert call_sites({"volume_history"}) == Counter(volume_history=2)
+    assert not {"_session_history", "feature_sequence"} & defined_names()
+    assert "predict" not in dir(ForecastModel)
 
 
 def test_a_run_record_has_one_switch():
