@@ -137,8 +137,8 @@ def _burst_flags(
     flags = [False] * scenario.horizon
     if model is None:
         return flags
-    first, step = model.min_history(), config.predictor_interval
-    ends = np.arange(-(-first // step) * step, scenario.horizon, step)
+    ends = np.arange(model.min_history(), scenario.horizon)
+    ends = ends[ends % config.predictor_interval == 0]
     if ends.size:
         history = model.configure_history(volume_history(scenario))
         forecasts = model.predict_and_warn(history, ends, config.predictor_threshold)
