@@ -402,10 +402,7 @@ def cmd_train_drl(args) -> int:
     scenario, topology = _load_inputs(args.scenario, args.topology)
     encoder = StateEncoder(topology.service_count, topology.node_count)
     policy = SchedulerPolicy.build(encoder, seed=args.seed)
-    env = DecisionEnv(
-        scenario, topology, encoder, policy, decision_interval=args.decision_interval,
-        episode_seed_base=args.seed,
-    )
+    env = DecisionEnv(scenario, topology, encoder, policy, decision_interval=args.decision_interval)
     config = TrainConfig(
         total_episodes=args.episodes,
         episode_length=max(1, scenario.horizon // args.decision_interval),

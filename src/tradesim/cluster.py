@@ -9,8 +9,11 @@ topology whose initial configuration is (k, n) instance counts and (k,) quotas
 and priorities gives one cluster; with leading axes, (P, k, n) and (P, k), it
 gives P clusters stepped through the same arrivals. `step_counts` applies an
 action (or holds the configuration), then ticks, and returns the action as
-applied, which `reward` charges. `rollout_batch` holds the hybrid scheduler's
-candidate configurations as the P rows of one sim, with no jitter or noise. A
+applied, which `reward` charges. An action for P clusters has one row per
+cluster, and each row places its instances on its own nodes. `rollout_batch`
+holds the hybrid scheduler's candidate configurations as the P rows of one
+sim, with no jitter or noise, and `DecisionEnv` steps a group of training
+episodes as the rows of one sim. A
 sim keeps a run record (trace records and latency samples) only when
 `record_trace` is set, and draws the jitter of its samples only when something
 reads them.
@@ -165,12 +168,20 @@ def uniform_topology(
 
 @dataclass(frozen=True)
 class SchedulingAction:
-    """Composite action: instance deltas, migration matrix, priorities, quotas."""
+    """Composite action: instance deltas, migration matrix, priorities, quotas.
+    For a sim of P clusters each field has a leading (P,) axis, one row per
+    cluster."""
 
     instance_delta: np.ndarray  # (k,) int
     migration: np.ndarray  # (k, n) in {0, 1}
     priority: np.ndarray  # (k,) in [0, 1]
     quota: np.ndarray  # (k,) in (0, 1]
+
+    def row(self, p: int) -> "SchedulingAction":
+        """Cluster p's action, of an action over the rows of a batch."""
+        return SchedulingAction(
+            self.instance_delta[p], self.migration[p], self.priority[p], self.quota[p]
+        )
 
 
 @dataclass
@@ -189,6 +200,16 @@ class SystemState:
     latency_ms: np.ndarray  # (k,) mean completed-request latency last tick
     throughput: np.ndarray  # (k,) completions per second
     tick: int = 0
+
+    def row(self, p: int) -> "SystemState":
+        """Cluster p's observation, of a state observed over the leading axes
+        of a batch: row p of each per-cluster field, a copy of the shared load
+        and history."""
+        return replace(
+            self, load=self.load.copy(), util=self.util[p], queue_len=self.queue_len[p],
+            hist_mean=self.hist_mean.copy(), hist_var=self.hist_var.copy(),
+            latency_ms=self.latency_ms[p], throughput=self.throughput[p],
+        )
 
 
 def service_latency(
@@ -572,36 +593,16 @@ class ClusterSim:
     def _enact(self, act: SchedulingAction, clamps: int) -> SchedulingAction:
         """Put the sanitized `act` into effect; returns it as applied: the
         sanitized deltas, the migrations that took effect and the quota after
-        any rescale. Instance changes and migrations are one cluster's only."""
+        any rescale. Instance changes and migrations go row by row, over
+        `np.ndindex` of the leading axes (`()` alone for one cluster): each row
+        places its instances on its own nodes, with the operations and the
+        order of a one-cluster sim, so a P-row sim's rows keep its bits."""
         self.sanitized_actions += clamps
         migrated = act.migration  # all zeros unless an instance is added, removed or moved
         if act.instance_delta.any() or act.migration.any():
-            deltas = act.instance_delta.tolist()
-            for s, d in enumerate(deltas):
-                while d > 0:
-                    j = int(np.argmin(self._node_commit()))
-                    self.placement[s, j] += 1
-                    d -= 1
-                while d < 0 and self.placement[s].sum() > 1:
-                    j = int(np.argmax(self.placement[s]))
-                    self.placement[s, j] -= 1
-                    d += 1
-
             migrated = np.zeros_like(act.migration)
-            for s, j in zip(*np.nonzero(act.migration)):
-                sources = np.flatnonzero(self.placement[s] > 0)
-                sources = sources[sources != j]
-                if sources.size == 0:
-                    self.sanitized_actions += 1
-                    continue
-                src = int(sources[np.argmax(self.placement[s, sources])])
-                self.placement[s, src] -= 1
-                self.placement[s, j] += 1
-                migrated[s, j] = 1
-
-            if sum(deltas) > 0 and self.first_scale_up_tick < 0:
-                self.first_scale_up_tick = self.tick
-
+            for row in np.ndindex(self.quota.shape[:-1]):
+                self._place(row, act.instance_delta[row], act.migration[row], migrated[row])
         self.priority = act.priority
         self.quota = act.quota
         worst = self._node_commit().max(-1, keepdims=True)
@@ -612,6 +613,39 @@ class ClusterSim:
             self.sanitized_actions += int(rescales)
         self._refresh_capacity()
         return SchedulingAction(act.instance_delta, migrated, act.priority, self.quota)
+
+    def _place(
+        self, row: tuple, delta: np.ndarray, migration: np.ndarray, migrated: np.ndarray
+    ) -> None:
+        """Apply one row's (k,) instance deltas, then its (k, n) migrations,
+        to its placement, and mark in `migrated` the moves that took effect.
+        An added instance goes to the row's least-committed node, a removed
+        one comes from its fullest."""
+        placement, quota = self.placement[row], self.quota[row]  # views of the row
+        deltas = delta.tolist()
+        for s, d in enumerate(deltas):
+            while d > 0:
+                j = int(np.argmin(node_commit(placement, quota)))
+                placement[s, j] += 1
+                d -= 1
+            while d < 0 and placement[s].sum() > 1:
+                j = int(np.argmax(placement[s]))
+                placement[s, j] -= 1
+                d += 1
+
+        for s, j in zip(*np.nonzero(migration)):
+            sources = np.flatnonzero(placement[s] > 0)
+            sources = sources[sources != j]
+            if sources.size == 0:
+                self.sanitized_actions += 1
+                continue
+            src = int(sources[np.argmax(placement[s, sources])])
+            placement[s, src] -= 1
+            placement[s, j] += 1
+            migrated[s, j] = 1
+
+        if sum(deltas) > 0 and self.first_scale_up_tick < 0:
+            self.first_scale_up_tick = self.tick
 
     def _settle_hold(self) -> None:
         """After a step's action took effect: if a no-op on the configuration
@@ -879,12 +913,7 @@ class RolloutBatch:
 
     def final_state(self, p: int) -> SystemState:
         """Candidate p's observation after the last tick: row p of `state`."""
-        s = self.state
-        return replace(
-            s, load=s.load.copy(), util=s.util[p], queue_len=s.queue_len[p],
-            hist_mean=s.hist_mean.copy(), hist_var=s.hist_var.copy(),
-            latency_ms=s.latency_ms[p], throughput=s.throughput[p],
-        )
+        return self.state.row(p)
 
 
 def rollout_batch(

@@ -78,10 +78,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw per row; probs (..., n) -> integer indices (...)."""
+def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row at the uniforms u (..., 1); probs (..., n) ->
+    integer indices (...)."""
     cum = np.cumsum(probs, axis=-1)
-    u = rng.random(probs.shape[:-1] + (1,))
     return np.minimum((cum < u).sum(axis=-1), probs.shape[-1] - 1)
 
 
@@ -151,29 +151,50 @@ class PolicyCore:
 
     # -- acting ------------------------------------------------------------
 
+    def draw_noise(self, rng: np.random.Generator, rows: int = 1) -> dict[str, np.ndarray]:
+        """The draws a sampled `act_batch` over `rows` rows makes, head by head
+        in layout order: a uniform per categorical row, a standard normal per
+        Gaussian entry. Their shapes do not depend on the parameters or the
+        features, so an act's draws can be made before its forward pass, and
+        the draws of many acts made up front, in the order the acts would
+        have made them."""
+        noise: dict[str, np.ndarray] = {}
+        for head in self.layout.heads:
+            if isinstance(head, GaussianHead):
+                noise[head.name] = rng.standard_normal((rows, head.n))
+            elif isinstance(head, CategoricalHead):
+                noise[head.name] = rng.random((rows, head.rows, 1))
+            else:
+                noise[head.name] = rng.random((rows, 1))
+        return noise
+
     def act(
         self, params: Params, features: np.ndarray, mode: str = "sample",
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | None = None, noise: dict[str, np.ndarray] | None = None,
     ) -> tuple[dict[str, np.ndarray], float]:
         """Draw (or take the mode of) one composite action; returns the action
-        record and its joint log-probability."""
-        records, logp, _ = self.act_batch(params, np.atleast_2d(features)[:1], mode, rng)
+        record and its joint log-probability. A sampled act draws its noise
+        from `rng`, or takes it pre-drawn (`draw_noise(rng)`) in `noise`."""
+        records, logp, _ = self.act_batch(params, np.atleast_2d(features)[:1], mode, rng, noise)
         return {name: r[0] for name, r in records.items()}, float(logp[0])
 
     def act_batch(
         self, params: Params, x: np.ndarray, mode: str = "sample",
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | None = None, noise: dict[str, np.ndarray] | None = None,
     ) -> tuple[dict[str, np.ndarray], np.ndarray, dict]:
         """One composite action per row of the feature batch x (B, F), each
         head drawing for every row at once; returns the stacked records, their
         joint log-probabilities (B,) and the cache `logp_backward` takes, as
-        `log_prob` would give it. At B = 1 the draws and bits are those of
-        `act`."""
+        `log_prob` would give it. A sampled act takes `noise` pre-drawn, or
+        draws it from `rng` with `draw_noise`. At B = 1 the draws and bits are
+        those of `act`."""
         if mode not in ("sample", "greedy"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "sample" and rng is None:
-            raise ValueError("sampling requires a generator")
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if mode == "sample" and noise is None:
+            if rng is None:
+                raise ValueError("sampling requires a generator")
+            noise = self.draw_noise(rng, len(x))
         z, trunk_cache = self._trunk(params, x)
         dists = self._heads(params, z)
         records: dict[str, np.ndarray] = {}
@@ -183,12 +204,12 @@ class PolicyCore:
                 if mode == "greedy":
                     records[head.name] = d["mean"]
                 else:
-                    records[head.name] = d["mean"] + d["std"] * rng.standard_normal(d["mean"].shape)
+                    records[head.name] = d["mean"] + d["std"] * noise[head.name]
             else:
                 if mode == "greedy":
                     choice = np.argmax(d["probs"], axis=-1)
                 else:
-                    choice = _sample_rows(d["probs"], rng)
+                    choice = _sample_rows(d["probs"], noise[head.name])
                 records[head.name] = choice.reshape(len(x), -1).astype(int)
         logp, heads = self._log_prob_of(params, dists, records)
         return records, logp, {"x": x, "z": z, "trunk": trunk_cache, "heads": heads}

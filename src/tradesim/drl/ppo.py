@@ -32,6 +32,8 @@ class TrainConfig:
             raise ConfigError("discount factor must lie in (0, 1)")
         if self.clip_eps <= 0.0:
             raise ConfigError("clip epsilon must be positive")
+        if self.episode_length < 1:
+            raise ConfigError(f"episode_length must be >= 1, got {self.episode_length}")
 
 
 @dataclass
@@ -151,8 +153,10 @@ def value_loss_and_gradients(
 
 @dataclass
 class PPOTrainer:
-    """Collect-update loop; the environment contract is reset/step/seed-free
-    deterministic behavior given the config seed."""
+    """Collect-update loop. The environment contract: `reset(episodes)` and
+    `step(records)` over a group of episodes, one row each, an episode length
+    stated up front (`steps_per_episode`), and seed-free deterministic
+    behavior given the config seed."""
 
     core: PolicyCore
     config: TrainConfig
@@ -160,7 +164,18 @@ class PPOTrainer:
     def train(self, env, params: Params | None = None) -> tuple[Params, list[dict]]:
         """Collect episodes into an update buffer; run clipped-objective epochs
         whenever the buffer reaches `update_horizon` steps. Episode ends are
-        treated as terminal for return computation."""
+        treated as terminal for return computation.
+
+        The episodes that share parameters, from the last update to the one
+        whose end triggers the next (all of them when nothing updates), run in
+        lockstep as one group of env rows (see `_collect`). Every episode
+        takes min(`episode_length`, `env.steps_per_episode`) steps, so the
+        groups are known up front. Each act's noise is drawn before the group
+        starts, episode by episode, in the order one episode at a time would
+        draw it, and the update's permutations come after; the transitions,
+        curve rows and update checks then follow episode order. So the
+        generator's stream, the buffer and every result are those of
+        collecting the episodes one at a time, bit for bit."""
         cfg = self.config
         params = params if params is not None else self.core.init_params(cfg.seed)
         adam = adam_init(params)
@@ -169,35 +184,53 @@ class PPOTrainer:
         curve: list[dict] = []
         buffer = Trajectory()
         last = {"loss": 0.0, "value_loss": 0.0, "clip_fraction": 0.0}
+        updates = cfg.learning_rate > 0.0
+        steps = min(cfg.episode_length, env.steps_per_episode)
+        # each update empties the buffer, so a group fills it from empty
+        group = max(1, -(-cfg.update_horizon // steps)) if updates else max(1, cfg.total_episodes)
 
-        for episode in range(cfg.total_episodes):
-            obs = env.reset(episode)
-            episode_rewards: list[float] = []
-            for _ in range(cfg.episode_length):
-                record, logp = self.core.act(params, obs, "sample", rng)
-                value, _ = self.core.value(params, obs)
-                nxt, reward, done, _ = env.step(record)
-                buffer.append(obs, record, logp, reward, float(value[0]), done)
-                episode_rewards.append(reward)
-                obs = nxt
-                if done:
-                    break
-            buffer.dones[-1] = True  # truncation counts as terminal here
+        for first in range(0, cfg.total_episodes, group):
+            episodes = range(first, min(first + group, cfg.total_episodes))
+            collected = self._collect(env, params, episodes, steps, rng)
+            for episode, transitions in zip(episodes, collected):
+                for transition in transitions:
+                    buffer.append(*transition)
+                buffer.dones[-1] = True  # truncation counts as terminal here
 
-            if len(buffer) >= cfg.update_horizon and cfg.learning_rate > 0.0:
-                last = self._update(params, adam, adam_spec, buffer, rng, episode)
-                params = last.pop("params")
-                buffer = Trajectory()
-            curve.append(
-                {
-                    "episode": episode,
-                    "mean_reward": float(np.mean(episode_rewards)),
-                    "loss": last.get("loss", 0.0),
-                    "value_loss": last.get("value_loss", 0.0),
-                    "clip_fraction": last.get("clip_fraction", 0.0),
-                }
-            )
+                if len(buffer) >= cfg.update_horizon and updates:  # the group's last episode
+                    last = self._update(params, adam, adam_spec, buffer, rng, episode)
+                    params = last.pop("params")
+                    buffer = Trajectory()
+                curve.append(
+                    {
+                        "episode": episode,
+                        "mean_reward": float(np.mean([t[3] for t in transitions])),
+                        "loss": last.get("loss", 0.0),
+                        "value_loss": last.get("value_loss", 0.0),
+                        "clip_fraction": last.get("clip_fraction", 0.0),
+                    }
+                )
         return params, curve
+
+    def _collect(self, env, params: Params, episodes: range, steps: int, rng) -> list[list[tuple]]:
+        """Run `episodes` for `steps` steps as the rows of one env reset; per
+        episode, its transitions (features, record, log-probability, reward,
+        value, done). Each row acts and is valued alone, as a batch of one
+        (a batched forward may sum in another order), on the noise drawn for
+        it up front."""
+        noise = [[self.core.draw_noise(rng) for _ in range(steps)] for _ in episodes]
+        transitions: list[list[tuple]] = [[] for _ in episodes]
+        obs = env.reset(episodes)
+        for t in range(steps):
+            acts = [self.core.act(params, x, "sample", noise=n[t]) for x, n in zip(obs, noise)]
+            values = [float(self.core.value(params, x)[0][0]) for x in obs]
+            nxt, rewards, done, _ = env.step([record for record, _ in acts])
+            if done and t < steps - 1:
+                raise RuntimeError(f"episode done after {t + 1} of its {steps} stated steps")
+            for row, x, (record, logp), r, v in zip(transitions, obs, acts, rewards, values):
+                row.append((x, record, logp, r, v, done))
+            obs = nxt
+        return transitions
 
     def _update(self, params, adam, adam_spec, buffer: Trajectory, rng, episode: int) -> dict:
         cfg = self.config

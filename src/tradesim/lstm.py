@@ -41,8 +41,9 @@ from .workload import FEATURE_COUNT, FeatureScaling, TickHistory, extract_featur
 
 Params = dict[str, np.ndarray]
 
-# Ends per `forward` of `ForecastModel.predict_and_warn`: bounds its (seq_len + 1,
-# block, hidden) buffers whatever the number of forecasts.
+# Ends per block of `ForecastModel.predict_and_warn`: bounds its (rows, window)
+# feature temporaries and its (seq_len + 1, block, hidden) forward buffers
+# whatever the number of forecasts.
 FORECAST_BLOCK = 256
 # Ticks of volume before a forecast's end that its burst flag compares it with.
 BASELINE_WINDOW = 60
@@ -418,10 +419,13 @@ class ForecastModel:
         before the end. Nothing at or past an end is read, so a history that
         runs on gives the same forecasts.
 
-        The rows of every window come from one `extract_features` call, and
-        the windows go through `forward` in blocks of at most
-        `FORECAST_BLOCK`. One end is a batch-of-one forward; a larger block
-        sums its GEMMs in another order, which can move a forecast's last bits.
+        The ends go in blocks of at most `FORECAST_BLOCK`: one
+        `extract_features` call for the rows of a block's windows, then one
+        `forward` over them, so the (rows, window) temporaries of a long
+        horizon are a block's, not the whole run's. A row depends only on its
+        own window, so it has the same bits in any block. One end is a
+        batch-of-one forward; a larger block sums its GEMMs in another order,
+        which can move a forecast's last bits.
         """
         ends = np.asarray(ends, dtype=np.int64).reshape(-1)
         if ends.size == 0:
@@ -432,13 +436,13 @@ class ForecastModel:
                 f"have {ends.min()}"
             )
         windows = ends[:, None] + np.arange(1 - self.seq_len, 1)  # each window's row ends
-        rows = np.unique(windows)
-        table = extract_features(history, self.feature_window, self.scaling, rows)
-        windows = np.searchsorted(rows, windows)
-        pred = np.concatenate([
-            forward(table[windows[k : k + FORECAST_BLOCK]], self.params, self.config)[0]
-            for k in range(0, len(ends), FORECAST_BLOCK)
-        ])
+        blocks = []
+        for k in range(0, len(ends), FORECAST_BLOCK):
+            block = windows[k : k + FORECAST_BLOCK]
+            rows = np.unique(block)  # each distinct row extracted once
+            table = extract_features(history, self.feature_window, self.scaling, rows)
+            blocks.append(forward(table[np.searchsorted(rows, block)], self.params, self.config)[0])
+        pred = np.concatenate(blocks)
         scale = self.scaling.volume_scale
         lo_q, hi_q = self.residual_quantiles
         volume = np.asarray(history.volume, dtype=float)

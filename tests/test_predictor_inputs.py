@@ -338,6 +338,26 @@ class TestWeightedPercentile:
         assert got == [old_weighted_percentile(samples, weights, q) for q in levels]
         assert weighted_percentile(samples, weights, levels[0]) == got[0]
 
+    @given(
+        st.lists(st.one_of(st.sampled_from([np.nan, np.inf, 3.5]), st.floats(-1e3, 1e3)),
+                 max_size=4),
+        st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 50.0)), min_size=64, max_size=400),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+        st.booleans(),
+    )
+    def test_ties_take_the_stable_order(self, extra, picks, levels, distinct):
+        # samples drawn from a few values (ties, both zeros, NaN) or made
+        # distinct: every percentile has the bits of the stable sort's
+        pool = [0.0, -0.0, *extra]
+        samples = np.array([pool[i % len(pool)] for i, _ in picks])
+        if distinct:
+            samples = np.arange(len(picks)) * 0.5 + np.array([w for _, w in picks]) * 1e-3
+            np.random.default_rng(len(picks)).shuffle(samples)
+        weights = np.array([w for _, w in picks])
+        got = np.array(weighted_percentile(samples, weights, levels))
+        want = np.array([old_weighted_percentile(samples, weights, q) for q in levels])
+        assert got.tobytes() == want.tobytes(), (got, want)
+
 
 class _NullCache:
     """Records the keys read; every read misses, so the driver's RNG alone

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ppo_reference
 from lstm_reference import feature_sequence
 import tradesim.drl.env as env_module
 import tradesim.lstm as lstm_module
@@ -53,7 +54,7 @@ from tradesim.cluster import (
 from tradesim.drl.env import DecisionEnv
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder
 from tradesim.errors import ConfigError, WarmupError
-from tradesim.lstm import ForecastModel, LstmConfig, forward, init_params
+from tradesim.lstm import FORECAST_BLOCK, ForecastModel, LstmConfig, forward, init_params
 from tradesim.report import weighted_percentile
 from tradesim.workload import (
     BurstSpec,
@@ -907,9 +908,9 @@ def make_env(scenario: WorkloadScenario) -> DecisionEnv:
     return DecisionEnv(scenario, topology, encoder, SchedulerPolicy.build(encoder, seed=0))
 
 
-class EveryTickHoldEnv(DecisionEnv):
-    """The earlier `DecisionEnv.step`, which built a fresh no-op action for
-    each hold tick."""
+class EveryTickHoldEnv(ppo_reference.DecisionEnv):
+    """The earlier one-episode `DecisionEnv`, on a one-cluster sim, with the
+    earlier `step`, which built a fresh no-op action for each hold tick."""
 
     def step(self, record):
         sim, rewards = self.sim, []
@@ -929,10 +930,15 @@ class EveryTickHoldEnv(DecisionEnv):
         return self.encoder.encode(self._state), float(np.mean(rewards)), done, {}
 
 
+def act_rows(env: DecisionEnv, obs: np.ndarray, rng) -> list[dict[str, np.ndarray]]:
+    return [env.mapper.core.act(env.mapper.params, x, "sample", rng)[0] for x in obs]
+
+
 class TestDecisionEnvArrivals:
     def test_holds_build_no_action_and_keep_the_bits(self, monkeypatch):
-        # the hold ticks pass None: no no-op action is built, and every
-        # observation, reward and configuration equals a no-op on every tick
+        # the hold ticks pass None: no no-op action is built, and every row's
+        # observation, reward and configuration equals its episode stepped
+        # alone on a one-cluster sim with a no-op on every hold tick
         built = []
         no_op = ClusterSim.no_op_action
         monkeypatch.setattr(ClusterSim, "no_op_action", lambda sim: built.append(sim) or no_op(sim))
@@ -940,23 +946,27 @@ class TestDecisionEnvArrivals:
         topology = uniform_topology(node_count=4, services=scenario.service_mix)
         encoder = StateEncoder(service_count=8, node_count=4)
         policy = SchedulerPolicy.build(encoder, seed=0)
-        env, old = (cls(scenario, topology, encoder, policy) for cls in (DecisionEnv, EveryTickHoldEnv))
+        env = DecisionEnv(scenario, topology, encoder, policy)
+        episodes = range(3)
+        olds = [EveryTickHoldEnv(scenario, topology, encoder, policy) for _ in episodes]
         rng = np.random.default_rng(0)
-        for episode in range(3):
-            obs = env.reset(episode)
-            assert_arrays_equal(old.reset(episode), obs, "reset")
-            done = False
-            while not done:
-                record, _ = policy.core.act(policy.params, obs, "sample", rng)
-                built.clear()
-                obs, r, done, _ = env.step(record)
-                assert built == []
+        obs = env.reset(episodes)
+        for old, row, episode in zip(olds, obs, episodes):
+            assert_arrays_equal(old.reset(episode), row, "reset")
+        done = False
+        while not done:
+            records = act_rows(env, obs, rng)
+            built.clear()
+            obs, rewards, done, _ = env.step(records)
+            assert built == []
+            for p, (old, record) in enumerate(zip(olds, records)):
                 old_obs, old_r, old_done, _ = old.step(record)
-                assert_arrays_equal(obs, old_obs, "observation")
-                assert (r, done) == (old_r, old_done)
+                assert_arrays_equal(obs[p], old_obs, "observation")
+                assert (rewards[p], done) == (old_r, old_done)
                 for name in ("placement", "quota", "priority", "queue_len"):
-                    assert_arrays_equal(getattr(env.sim, name), getattr(old.sim, name), name)
+                    assert_arrays_equal(getattr(env.sim, name)[p], getattr(old.sim, name), name)
         assert env.sim.sanitized_actions > 0  # actions were clamped or rescaled
+        assert env.sim.sanitized_actions == sum(old.sim.sanitized_actions for old in olds)
 
     def test_episodes_step_the_regenerated_counts(self, monkeypatch):
         drawn = []
@@ -974,15 +984,14 @@ class TestDecisionEnvArrivals:
         )
         first, second = make_env(tidal(1)), make_env(tidal(2))
         rng = np.random.default_rng(0)
-        for episode in range(3):
+        for episodes in ([0], [1, 2]):
             for env in (first, second):  # interleaved, on different scenarios
-                obs = env.reset(episode)
+                obs = env.reset(episodes)
                 stepped.clear()
                 done = False
                 while not done:
-                    record, _ = env.mapper.core.act(env.mapper.params, obs, "sample", rng)
-                    obs, _, done, _ = env.step(record)
-                assert len(stepped) == env.scenario.horizon
+                    obs, _, done, _ = env.step(act_rows(env, obs, rng))
+                assert len(stepped) == env.scenario.horizon  # one tick for all rows
                 for t, (_, counts) in enumerate(stepped):
                     assert_arrays_equal(counts, draw(env.scenario, t), f"tick {t}")
         assert sorted(drawn) == sorted((s, t) for s in (1, 2) for t in range(60))
@@ -994,33 +1003,49 @@ class TestDecisionEnvArrivals:
             ClusterSim, "observe_state", lambda sim: observed.append(sim.tick) or observe(sim)
         )
         env = make_env(tidal(1, horizon=55))
-        obs = env.reset(0)
+        obs = env.reset([0, 1])
         rng = np.random.default_rng(0)
         steps, done = 0, False
         while not done:
-            record, _ = env.mapper.core.act(env.mapper.params, obs, "sample", rng)
-            obs, _, done, _ = env.step(record)
+            obs, _, done, _ = env.step(act_rows(env, obs, rng))
             steps += 1
-        assert steps == 6  # five full decision intervals and a short last one
+        assert steps == 6 == env.steps_per_episode  # five full decision intervals and a short last one
         assert observed == [0, 10, 20, 30, 40, 50, 55]  # at reset, then after each interval
 
     def test_reward_is_the_mean_of_its_ticks_rewards(self, monkeypatch):
-        # a full interval gives the mean of the last decision_interval per-tick
-        # rewards, as the simulator's reward trace gave it; the short last
-        # interval averages only its own ticks
-        monkeypatch.setattr(env_module, "ClusterSim", CurrentSim)
+        # a full interval gives each row the mean of its last decision_interval
+        # per-tick rewards; the short last interval averages only its own ticks
+        class RowRewardSim(ClusterSim):
+            """`ClusterSim` keeping each tick's reward per row, each charging
+            the action `step_counts` applied to the row."""
+
+            def __init__(self, topology, **kwargs):
+                super().__init__(topology, **kwargs)
+                self.rewards = []
+
+            def step_counts(self, action, counts):
+                prev_quota = self.quota.copy()
+                applied = super().step_counts(action, counts)
+                self.rewards.append([
+                    reward(prev_quota[p], self.last_latency_ms[p], self.util_obs[p],
+                           applied.row(p), self.reward_spec)
+                    for p in range(len(prev_quota))
+                ])
+                return applied
+
+        monkeypatch.setattr(env_module, "ClusterSim", RowRewardSim)
         env = make_env(tidal(1, horizon=55))
-        obs = env.reset(0)
+        obs = env.reset([0, 1])
         rng = np.random.default_rng(0)
         got, done = [], False
         while not done:
-            record, _ = env.mapper.core.act(env.mapper.params, obs, "sample", rng)
-            obs, r, done, _ = env.step(record)
+            obs, r, done, _ = env.step(act_rows(env, obs, rng))
             got.append(r)
-        rewards = env.sim.rewards
-        want = [float(np.mean(rewards[t : t + 10])) for t in range(0, 55, 10)]
-        assert len(rewards) == 55 and len(want) == 6
+        rewards = np.array(env.sim.rewards)
+        want = [[float(np.mean(rewards[t : t + 10, p])) for p in range(2)] for t in range(0, 55, 10)]
+        assert rewards.shape == (55, 2) and len(want) == 6
         assert_arrays_equal(got, want, "decision rewards")
+        assert got[0][0] != got[0][1]  # the rows took different actions
 
     def test_another_scenario_gets_its_own_counts(self):
         scenario = tidal(1)
@@ -1124,6 +1149,32 @@ class TestForecastRows:
         for end in ends:
             predicted(model, head(history, end))
         assert calls == [list(range(end - model.seq_len + 1, end + 1)) for end in ends]
+
+    def test_rows_are_extracted_block_by_block(self, monkeypatch):
+        # more than two blocks of ends: one extraction per block, of that
+        # block's rows alone, and the forecasts of one extraction of every row
+        calls = []
+        extract = lstm_module.extract_features
+        monkeypatch.setattr(
+            lstm_module, "extract_features",
+            lambda h, w, s, ends: calls.append(list(ends)) or extract(h, w, s, ends),
+        )
+        model, history = make_model(seq_len=4, window=5), grown_history(700, 4)
+        ends = np.arange(model.min_history(), 701)
+        got = model.predict_and_warn(history, ends)
+        blocks = [ends[k : k + FORECAST_BLOCK] for k in range(0, len(ends), FORECAST_BLOCK)]
+        assert len(blocks) > 2
+        assert calls == [list(range(b[0] - model.seq_len + 1, b[-1] + 1)) for b in blocks]
+
+        windows = ends[:, None] + np.arange(1 - model.seq_len, 1)
+        rows = np.unique(windows)
+        table = extract(history, model.feature_window, model.scaling, rows)
+        sequences = table[np.searchsorted(rows, windows)]
+        want = np.concatenate([
+            forward(sequences[k : k + FORECAST_BLOCK], model.params, model.config)[0]
+            for k in range(0, len(ends), FORECAST_BLOCK)
+        ]).astype(float) * model.scaling.volume_scale
+        assert_arrays_equal([f.predicted for f in got], want, "forecasts")
 
     def test_changed_inputs_are_not_served_stale_rows(self):
         # each change follows a forecast on the same history

@@ -869,9 +869,9 @@ def test_a_decision_env_sim_keeps_no_run_record():
     encoder = StateEncoder(service_count=8, node_count=4)
     policy = SchedulerPolicy.build(encoder, seed=0)
     env = DecisionEnv(scenario, topology, encoder, policy)
-    obs = env.reset(0)
-    record, _ = policy.core.act(policy.params, obs, "sample", np.random.default_rng(0))
-    env.step(record)
+    obs = env.reset([0, 1])
+    rng = np.random.default_rng(0)
+    env.step([policy.core.act(policy.params, x, "sample", rng)[0] for x in obs])
     assert env.sim.completed_total > 0
     assert not env.sim._served  # no drain steps kept
     assert env.sim.trace == [] and env.sim.latency_samples == []
