@@ -8,7 +8,7 @@ run the episodes that share its parameters in lockstep."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,9 +69,9 @@ class DecisionEnv:
         assert self.sim is not None, "call reset() first"
         sim, rewards = self.sim, []
         actions = [self.mapper.to_scheduling_action(r, s) for r, s in zip(records, self._states)]
-        action = SchedulingAction(*(np.stack(f) for f in zip(*(
-            (a.instance_delta, a.migration, a.priority, a.quota) for a in actions
-        ))))
+        action = SchedulingAction(*(
+            np.stack([getattr(a, f.name) for a in actions]) for f in fields(SchedulingAction)
+        ))
         for _ in range(self.decision_interval):
             if self._tick >= self.scenario.horizon:
                 break
