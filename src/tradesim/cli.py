@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -304,16 +305,20 @@ def _dataset_history(path: Path) -> TickHistory:
     return history
 
 
-def _phase_done(phase_ns: dict[str, int], name: str, started: int) -> int:
-    """Record the host ns since `started` as phase `name`; returns now."""
+def _phase_done(timings: dict[str, dict[str, int]], name: str, started: int) -> int:
+    """Record the host ns since `started` as phase `name` in `timings["phase_ns"]`,
+    and the process's peak RSS so far (`ru_maxrss`, KiB on Linux) in
+    `timings["peak_rss_kib"]`; returns now."""
     now = time.perf_counter_ns()
-    phase_ns[name] = now - started
+    timings.setdefault("phase_ns", {})[name] = now - started
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    timings.setdefault("peak_rss_kib", {})[name] = peak
     return now
 
 
-def _write_timings(out: Path, phase_ns: dict[str, int]) -> None:
-    # wall-clock, so kept apart from the checkpoint and curve, which are deterministic
-    out.with_suffix(".timings.json").write_text(json.dumps({"phase_ns": phase_ns}, indent=2) + "\n")
+def _write_timings(out: Path, timings: dict[str, dict[str, int]]) -> None:
+    # host measurements, so kept apart from the checkpoint and curve, which are deterministic
+    out.with_suffix(".timings.json").write_text(json.dumps(timings, indent=2) + "\n")
 
 
 def _check_training_flags(args, minimums: dict[str, int]) -> None:
@@ -340,7 +345,7 @@ def cmd_train_predictor(args) -> int:
         raise ConfigError("train-predictor needs --scenario or --dataset")
     if args.dataset and not Path(args.dataset).exists():
         raise ConfigError(f"dataset not found: {args.dataset}")
-    phase_ns: dict[str, int] = {}
+    timings: dict[str, dict[str, int]] = {}
     started = time.perf_counter_ns()
     if args.dataset:
         history = _dataset_history(Path(args.dataset))
@@ -354,7 +359,7 @@ def cmd_train_predictor(args) -> int:
     scale = max(float(np.max(history.volume)), 1.0)
     session_minutes = len(history) * history.tick_length / 60.0
     scaling = FeatureScaling(volume_scale=scale, session_minutes=session_minutes)
-    started = _phase_done(phase_ns, "history", started)
+    started = _phase_done(timings, "history", started)
     try:
         X, y = build_dataset(
             history, seq_len=args.seq_len, window=args.window,
@@ -362,11 +367,11 @@ def cmd_train_predictor(args) -> int:
         )
     except WarmupError as exc:  # too few ticks for --window, --seq-len and --horizon-ticks
         raise ConfigError(f"{exc} ({len(history)} ticks)") from exc
-    started = _phase_done(phase_ns, "dataset", started)
+    started = _phase_done(timings, "dataset", started)
     config = LstmConfig(hidden_size=args.hidden, layers=args.layers, dropout=args.dropout)
     spec = TrainSpec(learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed)
     result = train(X, y, config, spec)
-    started = _phase_done(phase_ns, "train", started)
+    started = _phase_done(timings, "train", started)
     model = ForecastModel(
         params=result.params, config=config, scaling=scaling, seq_len=args.seq_len,
         feature_window=args.window, horizon=args.horizon_ticks,
@@ -379,8 +384,8 @@ def cmd_train_predictor(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
     save_curve_csv(result.curve, out.with_suffix(".curve.csv"))
-    _phase_done(phase_ns, "save", started)
-    _write_timings(out, phase_ns)
+    _phase_done(timings, "save", started)
+    _write_timings(out, timings)
     print(f"checkpoint written to {out} (best val loss {result.best_val_loss:.6f})")
     return EXIT_OK
 
@@ -397,7 +402,7 @@ def cmd_train_drl(args) -> int:
     }
     print(json.dumps(resolved, indent=2))
     _check_training_flags(args, {"episodes": 0, "decision_interval": 1})
-    phase_ns: dict[str, int] = {}
+    timings: dict[str, dict[str, int]] = {}
     started = time.perf_counter_ns()
     scenario, topology = _load_inputs(args.scenario, args.topology)
     encoder = StateEncoder(topology.service_count, topology.node_count)
@@ -409,9 +414,9 @@ def cmd_train_drl(args) -> int:
         learning_rate=args.learning_rate,
         seed=args.seed,
     )
-    started = _phase_done(phase_ns, "setup", started)
+    started = _phase_done(timings, "setup", started)
     params, curve = train_scheduler(env, policy.core, config)
-    started = _phase_done(phase_ns, "train", started)
+    started = _phase_done(timings, "train", started)
     policy.params = params
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -422,8 +427,8 @@ def cmd_train_drl(args) -> int:
         for c in curve
     ]
     out.with_suffix(".curve.csv").write_text("\n".join(lines) + "\n")
-    _phase_done(phase_ns, "save", started)
-    _write_timings(out, phase_ns)
+    _phase_done(timings, "save", started)
+    _write_timings(out, timings)
     print(f"policy written to {out}")
     return EXIT_OK
 

@@ -136,8 +136,18 @@ def cell_forward(
     if out is None:
         shapes = [(len(x), 4 * hidden)] + [(len(x), hidden)] * 3
         out = tuple(np.empty(shape, dtype=W.dtype) for shape in shapes)
+    np.matmul(x, W.T, out=out[0])
+    return _cell_update(h, c, U, b, out)
+
+
+def _cell_update(
+    h: np.ndarray, c: np.ndarray, U: np.ndarray, b: np.ndarray, out: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The rest of a `cell_forward` step once `out[0]` holds the input
+    projection x @ W.T: adds h @ U.T and b, then the gate nonlinearities,
+    c' and h'."""
+    hidden = U.shape[1]
     z, c_new, tanh_c, h_new = out
-    np.matmul(x, W.T, out=z)
     z += h @ U.T
     z += b
     sigmoid(z[:, : 3 * hidden], out=z[:, : 3 * hidden])  # input, forget and output gates
@@ -190,8 +200,10 @@ def forward(
         if need_cache:  # c likewise
             z, c = np.empty((T, B, 4 * H), dtype), np.zeros((T + 1, B, H), dtype)
             tanh_c = np.empty((T, B, H), dtype)
+            inp = inp.reshape(T * B, -1)  # the (t, b) rows; a copy only of the sequences
+            np.matmul(inp, W.T, out=z.reshape(T * B, 4 * H))  # every step's x @ W.T at once
             for t in range(T):
-                cell_forward(inp[t], h[t], c[t], W, U, b, out=(z[t], c[t + 1], tanh_c[t], h[t + 1]))
+                _cell_update(h[t], c[t], U, b, out=(z[t], c[t + 1], tanh_c[t], h[t + 1]))
         else:  # one step's gates and cell state, overwritten step by step
             z, c = np.empty((B, 4 * H), dtype), np.zeros((B, H), dtype)
             tanh_c = np.empty((B, H), dtype)
@@ -249,24 +261,21 @@ def loss_and_gradients(
     d_out = np.zeros((T, B, H), dtype)
     d_out[-1] = np.outer(dpred, params["Wy"])
 
-    dz = np.empty((B, 4 * H), dtype)  # one step's gate gradients, rebuilt block by block
-    dz_i, dz_f, dz_o, dz_g = _gate_blocks(dz, H)
+    dz = np.empty((T, B, 4 * H), dtype)  # every step's gate gradients, reused by each layer
+    dz_rows = dz.reshape(T * B, 4 * H)
     for layer in range(config.layers - 1, -1, -1):
         lc = cache["layers"][layer]
         mask = cache["masks"][layer]
         if mask is not None:  # dropout sat between this output and the next layer
             d_out *= mask.transpose(1, 0, 2)
         W, U = params[f"W{layer}"], params[f"U{layer}"]
-        inp, c_seq, h_seq = lc["inp"], lc["c_seq"], lc["h_seq"]
-        dW = np.zeros_like(W)
-        dU = np.zeros_like(U)
+        c_seq, h_seq = lc["c_seq"], lc["h_seq"]
         db = np.zeros_like(params[f"b{layer}"])
-        # nothing reads the gradient of layer 0's input, the sequences themselves
-        d_inp = np.empty(inp.shape, dtype) if layer > 0 else None
         dh_rec = np.zeros((B, H), dtype)
         dc_rec = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
             i, f, o, g = _gate_blocks(lc["z"][t], H)
+            dz_i, dz_f, dz_o, dz_g = _gate_blocks(dz[t], H)
             tanh_c = lc["tanh_c"][t]
             dh = d_out[t] + dh_rec
             dc = dh * o * (1.0 - tanh_c**2) + dc_rec
@@ -282,15 +291,16 @@ def loss_and_gradients(
             np.multiply(dc, i, out=dz_g)
             dz_g *= 1 - g**2
             dc_rec = dc * f
-            dW += dz.T @ inp[t]
-            if t > 0:  # h[0] is zeros
-                dU += dz.T @ h_seq[t]
-            db += dz.sum(axis=0)
-            if d_inp is not None:
-                np.matmul(dz, W, out=d_inp[t])
-            dh_rec = dz @ U
+            db += dz[t].sum(axis=0)
+            if t > 0:  # step 0 read the zero initial state, whose gradient nothing reads
+                dh_rec = dz[t] @ U
+        # the products that need no step's result go over all (t, b) rows at once;
+        # dU pairs step t's gradients with h[t], which is zeros for t = 0
+        dW = dz_rows.T @ lc["inp"]
+        dU = dz_rows[B:].T @ h_seq[1:T].reshape((T - 1) * B, H)
         grads[f"W{layer}"], grads[f"U{layer}"], grads[f"b{layer}"] = dW, dU, db
-        d_out = d_inp  # becomes the output-gradient of the layer below
+        # nothing reads the gradient of layer 0's input, the sequences themselves
+        d_out = (dz_rows @ W).reshape(T, B, -1) if layer > 0 else None
 
     return mse, grads
 

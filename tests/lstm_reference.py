@@ -39,15 +39,22 @@ def feature_sequence(
     return extract_features(history, window, scaling, np.arange(end - seq_len + 1, end + 1))
 
 
+def time_rows(seq: np.ndarray) -> np.ndarray:
+    """A (B, T, .) sequence's rows in time-major (t, b) order, as a (T * B, .) copy."""
+    return seq.transpose(1, 0, 2).reshape(-1, seq.shape[-1])
+
+
 def cell_forward(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
+    x: np.ndarray, h: np.ndarray, c: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray,
+    x_proj: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """One LSTM cell step; x (B, D), h/c (B, H) -> (h', c', (i, f, o, g)),
-    the gates being what backpropagation through the step needs."""
+    the gates being what backpropagation through the step needs. `x_proj` is
+    x @ W.T when the caller formed it already."""
     hidden = U.shape[1]
     if x.shape[-1] != W.shape[1]:
         raise ValueError(f"input width {x.shape[-1]} does not match W {W.shape}")
-    z = x @ W.T + h @ U.T + b
+    z = (x @ W.T if x_proj is None else x_proj) + h @ U.T + b
     ifo = sigmoid(z[..., : 3 * hidden])  # input, forget and output gates in one call
     i, f, o = ifo[..., :hidden], ifo[..., hidden : 2 * hidden], ifo[..., 2 * hidden :]
     g = np.tanh(z[..., 3 * hidden :])
@@ -92,9 +99,12 @@ def forward(
         c_prev_seq = np.empty((B, T, H))
         c_seq = np.empty((B, T, H))
         h_seq = np.empty((B, T, H))
+        proj = [None] * T
+        if need_cache:  # every step's x @ W.T in one product over the (t, b) rows
+            proj = (time_rows(inp) @ W.T).reshape(T, B, 4 * H)
         for t in range(T):
             c_prev_seq[:, t] = c
-            h, c, gates = cell_forward(inp[:, t], h, c, W, U, b)
+            h, c, gates = cell_forward(inp[:, t], h, c, W, U, b, proj[t])
             gates_i[:, t], gates_f[:, t], gates_o[:, t], gates_g[:, t] = gates
             c_seq[:, t] = c
             h_seq[:, t] = h
@@ -157,10 +167,8 @@ def loss_and_gradients(
         if mask is not None:  # dropout sat between this output and the next layer
             d_out = d_out * mask
         W, U = params[f"W{layer}"], params[f"U{layer}"]
-        dW = np.zeros_like(W)
-        dU = np.zeros_like(U)
         db = np.zeros_like(params[f"b{layer}"])
-        d_inp = np.zeros_like(lc["inp"])
+        dz_seq = np.empty((T, B, 4 * H))  # time-major, for the grouped products
         dh_rec = np.zeros((B, H))
         dc_rec = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
@@ -178,11 +186,15 @@ def loss_and_gradients(
                 [di * i * (1 - i), df * f * (1 - f), do * o * (1 - o), dg * (1 - g**2)],
                 axis=1,
             )
-            dW += dz.T @ lc["inp"][:, t]
-            dU += dz.T @ (lc["h"][:, t - 1] if t > 0 else np.zeros((B, H)))
+            dz_seq[t] = dz
             db += dz.sum(axis=0)
-            d_inp[:, t] = dz @ W
             dh_rec = dz @ U
+        # one product each over the time-major (t, b) rows; dU skips t = 0,
+        # whose recurrent input is zeros
+        rows = dz_seq.reshape(T * B, 4 * H)
+        dW = rows.T @ time_rows(lc["inp"])
+        dU = rows[B:].T @ time_rows(lc["h"][:, :-1])
+        d_inp = (rows @ W).reshape(T, B, -1).transpose(1, 0, 2)
         grads[f"W{layer}"], grads[f"U{layer}"], grads[f"b{layer}"] = dW, dU, db
         d_out = d_inp  # becomes the output-gradient of the layer below
 

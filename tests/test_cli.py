@@ -59,6 +59,15 @@ def small_files(tmp_path):
     return sc_path, topo_path, tmp_path
 
 
+def assert_peak_rss_per_phase(timings: dict) -> None:
+    """A training command's timings file holds, per phase, the process's peak
+    RSS in KiB after it: positive and never falling."""
+    peaks = timings["peak_rss_kib"]
+    assert list(peaks) == list(timings["phase_ns"])
+    assert all(isinstance(v, int) and v > 0 for v in peaks.values())
+    assert list(peaks.values()) == sorted(peaks.values())
+
+
 def make_sim(scenario=None, **kw):
     scenario = scenario or WorkloadScenario(base_rate=40.0, peak_rate=120.0, horizon=60, seed=3)
     topo = uniform_topology(node_count=2, node_cpu=2000.0, services=scenario.service_mix)
@@ -1001,8 +1010,10 @@ class TestTrainPredictorCommand:
                          *self.ARGS])
             assert code == EXIT_OK
             timings = json.loads(out.with_suffix(".timings.json").read_text())
+            assert list(timings) == ["phase_ns", "peak_rss_kib"]
             assert list(timings["phase_ns"]) == ["history", "dataset", "train", "save"]
             assert all(isinstance(v, int) and v >= 0 for v in timings["phase_ns"].values())
+            assert_peak_rss_per_phase(timings)
             with np.load(out) as arrays:
                 weights = {k: arrays[k].tobytes() for k in arrays.files}
             outputs.append((weights, out.with_suffix(".curve.csv").read_bytes()))
@@ -1037,8 +1048,10 @@ class TestTrainDrlCommand:
             code, out = self.train(small_files, run)
             assert code == EXIT_OK
             timings = json.loads(out.with_suffix(".timings.json").read_text())
+            assert list(timings) == ["phase_ns", "peak_rss_kib"]
             assert list(timings["phase_ns"]) == ["setup", "train", "save"]
             assert all(isinstance(v, int) and v >= 0 for v in timings["phase_ns"].values())
+            assert_peak_rss_per_phase(timings)
             with np.load(out) as arrays:
                 weights = {k: arrays[k].tobytes() for k in arrays.files}
             outputs.append((weights, out.with_suffix(".curve.csv").read_bytes()))

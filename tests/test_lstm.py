@@ -149,6 +149,17 @@ class TestForward:
         want = inp @ params["Wy"] + params["by"][0]
         assert pred[0] == pytest.approx(want[0], abs=1e-12)
 
+    def test_training_pass_predicts_as_inference(self):
+        # the training pass forms each layer's x @ W.T for all steps in one
+        # product; at the predictor's default shape that moves no bit
+        cfg = LstmConfig()
+        params = {k: v.astype(np.float32) for k, v in init_params(cfg, seed=1).items()}
+        x = np.random.default_rng(1).normal(size=(32, 12, cfg.input_size))
+        cached, cache = forward(x, params, cfg, need_cache=True)
+        assert cache is not None
+        assert cached.dtype == np.float32
+        assert np.array_equal(cached, forward(x, params, cfg)[0])
+
     def test_wrong_feature_width_rejected(self):
         cfg = small_config()
         with pytest.raises(ValueError):
@@ -213,6 +224,36 @@ class TestGradients:
                 denom = max(abs(numeric), abs(analytic), 1e-8)
                 worst = max(worst, abs(numeric - analytic) / denom)
         assert worst < 1e-4
+
+    def test_every_array_matches_finite_differences_through_dropout(self):
+        # 3 layers, so two dropout masks lie between layers; each loss below
+        # draws the same masks from a fresh generator of one seed
+        cfg = small_config(hidden_size=5, layers=3, dropout=0.3)
+        params = init_params(cfg, seed=5)
+        data = np.random.default_rng(9)
+        x, y = data.normal(size=(4, 6, 18)), data.normal(size=4)
+
+        def loss_and_grads():
+            return loss_and_gradients(x, y, params, cfg, True, np.random.default_rng(3))
+
+        _, grads = loss_and_grads()
+        assert list(grads) == [f"{w}{layer}" for layer in range(3) for w in "WUb"] + ["Wy", "by"]
+        eps = 1e-5
+        for name in params:
+            flat = params[name].reshape(-1)
+            probe = data.choice(flat.size, size=min(10, flat.size), replace=False)
+            numeric = []
+            for idx in probe:
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                up, _ = loss_and_grads()
+                flat[idx] = orig - eps
+                down, _ = loss_and_grads()
+                flat[idx] = orig
+                numeric.append((up - down) / (2 * eps))
+            np.testing.assert_allclose(
+                grads[name].reshape(-1)[probe], numeric, rtol=1e-5, atol=1e-9, err_msg=name
+            )
 
     def test_readout_weight_finite_difference(self):
         cfg = small_config(dropout=0.0)
