@@ -6,15 +6,27 @@ the standard BPTT recursions; gradients are exact and checked against finite
 differences in the test suite.
 
 Each layer's time loop works on time-major (T, B, .) buffers, so a step reads
-and writes whole contiguous slices. A training pass keeps, per layer, one
-(T, B, 4H) buffer into which each step writes its gates in place (input GEMM,
-recurrent GEMM, bias, then the sigmoid and tanh), plus c_t, tanh(c_t) and
-h_t; the backward pass reads these instead of copying or recomputing them,
-and builds each step's gate gradient in one reused (B, 4H) buffer. An
-inference pass keeps only one step's gates and cell state, overwritten step by
-step, and the (T, B, H) outputs the next layer reads. The GEMMs stay per step
-and the products and sums keep their order, so the results equal those of the
-batch-major loops this replaced (`tests/lstm_reference.py`).
+and writes whole contiguous slices, and T steps of B rows are T * B rows of
+one matrix. Only the recurrent products h @ U.T and dz @ U need the previous
+step; the others are grouped over all T * B rows (Appleyard, Kocisky and
+Blunsom, 2016). A training pass keeps, per layer, one (T, B, 4H) buffer that
+one GEMM fills with every step's input projection x @ W.T; each step then
+adds h @ U.T and the bias and applies the sigmoid and tanh in place. It keeps
+c_t, tanh(c_t) and h_t too, which the backward pass reads instead of copying
+or recomputing them. The backward pass overwrites each step's gates in that
+buffer with their gradients, so it needs no buffer of its own, and after the
+time loop forms dW, dU and the lower layer's input gradient in one GEMM each
+over the buffer's rows; db still sums per step. An inference pass keeps only
+one step's gates and cell state, overwritten step by step, and the (T, B, H)
+outputs the next layer reads, so its GEMMs stay per step.
+
+The grouped input projection and input gradient give each row the bits of the
+per-step products at the predictor's default shape, but not at every shape:
+BLAS can take another path for another row count (a one-row step, for one,
+is a matrix-vector product), and the last bits can move. The grouped dW and
+dU sum over all T * B rows in one product where the per-step code summed T
+products, so they differ in the last bits. The oracle `tests/lstm_reference.py`
+groups the same products, and the results equal it.
 
 `cell_forward`, `forward` and `loss_and_gradients` compute in the dtype of
 their parameters: every buffer, the cast inputs and targets and the dropout
@@ -177,9 +189,12 @@ def forward(
     computed in the dtype of `params["Wy"]`.
 
     Inverted dropout on inter-layer outputs in train mode only, so inference
-    needs no rescaling. With `need_cache`, `cache["layers"][l]` holds the
-    layer's time-major buffers and, as (B, T, H) views of them, its gates
-    `i`, `f`, `o`, `g`, cell states `c` and outputs `h`.
+    needs no rescaling. With `need_cache` (the training pass), each layer's
+    input projection for all T steps is one (T * B, D) x (D, 4H) product into
+    its (T, B, 4H) gate buffer, and `cache["layers"][l]` holds the layer's
+    time-major buffers, its input as (T * B, D) rows, and, as (B, T, H) views,
+    its gates `i`, `f`, `o`, `g`, cell states `c` and outputs `h`. Without
+    it, each step projects its own input into one (B, 4H) buffer.
     """
     dtype = params["Wy"].dtype
     x = np.asarray(sequences, dtype=dtype)
@@ -239,7 +254,12 @@ def loss_and_gradients(
     rng: np.random.Generator | None = None,
 ) -> tuple[float, Params]:
     """Mean squared error and exact BPTT gradients over all gates and layers,
-    computed in the dtype of `params["Wy"]`."""
+    computed in the dtype of `params["Wy"]`.
+
+    The time loop overwrites each layer's cached (T, B, 4H) gates with their
+    gradients, step by step, and keeps only dz @ U, which the step before
+    needs. Each layer's dW, dU and input gradient are then one product over
+    the T * B (t, b) rows; db sums per step."""
     dtype = params["Wy"].dtype
     y = np.asarray(targets, dtype=dtype).reshape(-1)
     if y.size == 0:
@@ -261,8 +281,6 @@ def loss_and_gradients(
     d_out = np.zeros((T, B, H), dtype)
     d_out[-1] = np.outer(dpred, params["Wy"])
 
-    dz = np.empty((T, B, 4 * H), dtype)  # every step's gate gradients, reused by each layer
-    dz_rows = dz.reshape(T * B, 4 * H)
     for layer in range(config.layers - 1, -1, -1):
         lc = cache["layers"][layer]
         mask = cache["masks"][layer]
@@ -273,27 +291,30 @@ def loss_and_gradients(
         db = np.zeros_like(params[f"b{layer}"])
         dh_rec = np.zeros((B, H), dtype)
         dc_rec = np.zeros((B, H), dtype)
+        # step t's gate gradients overwrite its gates, which no other step reads;
+        # each gradient is formed before the gates it reads are overwritten
+        dz = lc["z"]
         for t in range(T - 1, -1, -1):
-            i, f, o, g = _gate_blocks(lc["z"][t], H)
-            dz_i, dz_f, dz_o, dz_g = _gate_blocks(dz[t], H)
+            i, f, o, g = _gate_blocks(dz[t], H)
             tanh_c = lc["tanh_c"][t]
             dh = d_out[t] + dh_rec
             dc = dh * o * (1.0 - tanh_c**2) + dc_rec
-            np.multiply(dc, g, out=dz_i)
-            dz_i *= i
-            dz_i *= 1 - i
-            np.multiply(dc, c_seq[t], out=dz_f)
-            dz_f *= f
-            dz_f *= 1 - f
-            np.multiply(dh, tanh_c, out=dz_o)
-            dz_o *= o
-            dz_o *= 1 - o
-            np.multiply(dc, i, out=dz_g)
-            dz_g *= 1 - g**2
             dc_rec = dc * f
+            dz_i = dc * g
+            dz_i *= i
+            dz_g = dc * i
+            np.multiply(dz_i, 1 - i, out=i)
+            np.multiply(dz_g, 1 - g**2, out=g)
+            dz_f = dc * c_seq[t]
+            dz_f *= f
+            np.multiply(dz_f, 1 - f, out=f)
+            dz_o = dh * tanh_c
+            dz_o *= o
+            np.multiply(dz_o, 1 - o, out=o)
             db += dz[t].sum(axis=0)
             if t > 0:  # step 0 read the zero initial state, whose gradient nothing reads
                 dh_rec = dz[t] @ U
+        dz_rows = dz.reshape(T * B, 4 * H)
         # the products that need no step's result go over all (t, b) rows at once;
         # dU pairs step t's gradients with h[t], which is zeros for t = 0
         dW = dz_rows.T @ lc["inp"]

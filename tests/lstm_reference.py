@@ -5,8 +5,12 @@ its bit-identity tests.
 was before the time loops moved to time-major buffers: per-gate copies, a
 `c_prev` copy, a second `tanh(c)` in the backward pass, each step's `dz`
 concatenated from its four blocks, and a last forward over the validation set
-for the residual quantiles. The rewrite does the same arithmetic in the same
-order, so its results must be equal to these bit for bit.
+for the residual quantiles. They group the products that need no step's
+result as the rewrite does, each as one product over the time-major (t, b)
+rows of a layer: the training forward's input projection x @ W.T, and the
+backward's dW, dU and input gradient dz @ W. The rest of the arithmetic runs
+per step in the same order in both, so the rewrite's results must be equal
+to these bit for bit.
 
 `feature_sequence` is the one-window row extraction that forecasts made
 before `ForecastModel.predict_and_warn` took an array of ends; a one-end

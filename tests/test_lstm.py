@@ -285,7 +285,8 @@ def assert_same_loss_and_gradients(got, want, exact=True):
 
 class TestAgainstBatchMajorReference:
     """The time-major loops do the batch-major code's arithmetic in its order,
-    so predictions, losses, gradients and training runs equal it bit for bit.
+    and both group the same products over a layer's (t, b) rows, so
+    predictions, losses, gradients and training runs equal it bit for bit.
 
     Below 4 hidden units they may not: a matrix-vector product whose (B, H)
     operand has fewer than 4 columns can round differently in numpy's BLAS
