@@ -17,8 +17,16 @@ episodes as the rows of one sim. A
 sim keeps a run record (trace records and latency samples) only when
 `record_trace` is set, and draws the jitter of its samples only when something
 reads them.
-"""
 
+A tick has two phases. The queue step (enqueue, `allocate_work`, `drain` and
+the carry) reads no utilization or latency, so it runs tick by tick. The
+observation pass (`utilization_step`, `contention`, `service_latency` and the
+latency sums) runs over a window of ticks stepped at one configuration, the
+window's ticks one more leading axis; only the utilization EWMA loops over
+them. The live tick is its queue step and a window of that tick alone.
+`rollout_batch`, whose configurations are held, steps the queues of up to
+`OBSERVE_BLOCK` ticks and observes them in one pass.
+"""
 from __future__ import annotations
 
 import json
@@ -41,8 +49,12 @@ QUOTA_FLOOR = 0.01  # smallest per-instance quota an action can set
 QUEUE_RING_START = 16  # ticks of queue a ClusterSim holds before its bucket ring doubles
 
 # ticks a sim that records its trace steps between sampling passes: a bound on
-# the drain steps it keeps (see `ClusterSim._materialize`)
+# the served buckets it keeps (see `ClusterSim._materialize`)
 SAMPLE_BLOCK = 32
+
+# most ticks one observation pass of a rollout covers: a bound on its buffers,
+# which hold (ticks, P, k, n) entries (see `rollout_batch`)
+OBSERVE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -248,8 +260,7 @@ class TopologyArrays:
     """Per-node capacities and per-service demands of a topology."""
 
     node_cpu: np.ndarray  # (n,) CPU-ms per tick
-    node_mem: np.ndarray  # (n,) MB
-    node_net: np.ndarray  # (n,) MB per tick
+    node_capacity: np.ndarray  # (n, 3) CPU-ms per tick, MB, MB per tick
     work_units: np.ndarray  # (k,) CPU-ms per request
     payload_mb: np.ndarray  # (k,)
     svc_mem: np.ndarray  # (k,) MB per instance
@@ -258,8 +269,9 @@ class TopologyArrays:
     def of(cls, topology: ClusterTopology) -> "TopologyArrays":
         return cls(
             node_cpu=np.array([nd.cpu_capacity for nd in topology.nodes]),
-            node_mem=np.array([nd.mem_capacity for nd in topology.nodes]),
-            node_net=np.array([nd.net_capacity for nd in topology.nodes]),
+            node_capacity=np.array(
+                [(nd.cpu_capacity, nd.mem_capacity, nd.net_capacity) for nd in topology.nodes]
+            ),
             work_units=np.array([s.work_units for s in topology.services]),
             payload_mb=np.array([s.payload_bytes for s in topology.services]) / 1e6,
             svc_mem=np.array([s.mem_mb for s in topology.services]),
@@ -363,45 +375,58 @@ def contention(share: np.ndarray, util_cpu: np.ndarray) -> np.ndarray:
 
 def utilization_step(
     util_true: np.ndarray,
-    used_by_node: np.ndarray,
+    used_cpu: np.ndarray,
     queue_len: np.ndarray,
     completed: np.ndarray,
     cap: Capacity,
     arrays: TopologyArrays,
     alpha: float,
 ) -> np.ndarray:
-    """EWMA of the tick's (cpu, mem, net) node utilization, (..., n, 3).
+    """EWMA of the (cpu, mem, net) node utilization over a window of W ticks,
+    (W + 1, ..., n, 3): `util_true` (..., n, 3) before the window, then the
+    EWMA after each tick, from each tick's used CPU per node (W, ..., n),
+    queue lengths and completions (W, ..., k).
 
     Memory holds the instances plus the payloads still queued, the network
     carries the payloads completed; both spread over a service's instances.
+    The clipped instantaneous utilization is computed over the whole window;
+    only the EWMA recurrence runs tick by tick.
     """
-    inst = np.empty(util_true.shape)
-    inst[..., 0] = used_by_node.sum(axis=-2) / arrays.node_cpu
+    util = np.empty((len(used_cpu) + 1, *util_true.shape))
+    util[0] = util_true
+    inst = util[1:]  # each tick's reading, until its EWMA replaces it
+    inst[..., 0] = used_cpu
     queued_payload = (queue_len * arrays.payload_mb)[..., None] * cap.placement_share
-    inst[..., 1] = (cap.instance_mem + queued_payload.sum(axis=-2)) / arrays.node_mem
+    inst[..., 1] = cap.instance_mem + queued_payload.sum(axis=-2)
     moved_mb = (completed * arrays.payload_mb)[..., None] * cap.placement_share
-    inst[..., 2] = moved_mb.sum(axis=-2) / arrays.node_net
+    inst[..., 2] = moved_mb.sum(axis=-2)
+    inst /= arrays.node_capacity
     inst.clip(0.0, 1.0, out=inst)
-    return (1.0 - alpha) * util_true + alpha * inst
+    inst *= alpha
+    for t in range(1, len(util)):  # (1 - alpha) * util[t - 1] + alpha * reading, bit for bit
+        after = util[t]
+        after += (1.0 - alpha) * util[t - 1]
+    return util
 
 
 def drain(
-    buckets: np.ndarray, head: np.ndarray, available: np.ndarray, row_wu: np.ndarray,
-    formula: np.ndarray, tick: int, tick_ms: float, served: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    buckets: np.ndarray, head: np.ndarray, available: np.ndarray, row_wu: np.ndarray, tick: int,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Serve the FIFO queues of flat rows at `tick`; returns per row the
-    requests completed and their summed queue wait + `formula` ms.
+    requests completed, and the buckets served.
 
     Column t % C of `buckets` (rows, C) holds a row's requests still waiting
     from arrival tick t, for t from the row's `head` to `tick`. Each step serves
     one bucket of every row that can still afford a request and moves the head
     past a bucket once it is empty: per row, the float operations of a loop
     over its buckets in order. `buckets`, `head` and `available` are updated in
-    place; `served` collects (rows, wait_ms, formula_ms, n_served) per step.
+    place. The buckets served are (rows, age in ticks, n_served) over the
+    steps in order, which the observation pass turns into latencies (see
+    `ClusterSim._observe`); it forms no latency here.
     """
     C = buckets.shape[1]
     completed = np.zeros(len(head), dtype=np.int64)
-    sum_base_ms = np.zeros(len(head))
+    steps = []
     rows = ((head <= tick) & (available >= row_wu)).nonzero()[0]
     while rows.size:
         h, wu, a = head[rows], row_wu[rows], available[rows]
@@ -410,15 +435,13 @@ def drain(
         n_served = np.minimum(a // wu, left).astype(np.int64)
         available[rows] = a = a - n_served * wu
         buckets[rows, col] = left = left - n_served
-        wait_ms = (tick - h) * tick_ms
-        formula_ms = formula[rows]
         completed[rows] += n_served
-        sum_base_ms[rows] += (wait_ms + formula_ms) * n_served
-        if served is not None:
-            served.append((rows, wait_ms, formula_ms, n_served))
+        steps.append((rows, tick - h, n_served))
         head[rows] = h = h + (left == 0)
         rows = rows[(h <= tick) & (a >= wu)]  # each step serves or passes an empty bucket
-    return completed, sum_base_ms
+    if len(steps) == 1:  # the usual tick: nothing to join
+        return completed, steps[0]
+    return completed, tuple(map(np.concatenate, zip(*steps))) if steps else (rows, rows, rows)
 
 
 def sample_jitter(model: LatencyModel, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -458,6 +481,28 @@ class TickRecord:
     completed: np.ndarray  # (k,)
     util: np.ndarray  # (n, 3)
     queue_len: np.ndarray  # (k,)
+
+
+@dataclass
+class TickWindow:
+    """What the queue steps of a window of ticks keep for its observation
+    pass (see `ClusterSim._observe`): per tick, each node's used CPU, the
+    queue lengths and completions the drain left, and the drain's steps."""
+
+    used_cpu: np.ndarray  # (W, ..., n) CPU-ms
+    queue_len: np.ndarray  # (W, ..., k)
+    completed: np.ndarray  # (W, ..., k)
+    steps: list  # per tick, the buckets the drain served: (rows, age, n_served)
+
+    @classmethod
+    def of(cls, sim: "ClusterSim", ticks: int) -> "TickWindow":
+        shape = (ticks, *sim.queue_len.shape)
+        return cls(
+            used_cpu=np.empty((*shape[:-1], sim.n)),
+            queue_len=np.empty(shape, dtype=np.int64),
+            completed=np.empty(shape, dtype=np.int64),
+            steps=[None] * ticks,
+        )
 
 
 class ClusterSim:
@@ -527,9 +572,10 @@ class ClusterSim:
         self.sanitized_actions = 0
         self.first_scale_up_tick = -1
         self.trace: list[TickRecord] = []
-        # per tick stepped by a recording sim, the drain's steps (see `drain`),
+        # per observation pass of a recording sim (one per tick it steps): the
+        # buckets each tick served and their (rows, wait, formula, n_served),
         # until `_materialize` puts them in order and samples them
-        self._served: list[list[tuple[np.ndarray, ...]]] | None = [] if record_trace else None
+        self._served: list[tuple] | None = [] if record_trace else None
         self._samples: list[np.ndarray] = []
         self._weights: list[np.ndarray] = []
 
@@ -713,10 +759,26 @@ class ClusterSim:
         return applied
 
     def _tick(self, counts: np.ndarray) -> np.ndarray:
-        """Enqueue the (k,) arrivals at every cluster, drain the queues by
-        priority-weighted capacity sharing, update utilization and the load
-        statistics; returns the requests completed. `observe_state` reads the
-        state it leaves."""
+        """One tick on the (k,) arrivals of every cluster: the queue step, then
+        the observation pass over a window of that tick alone; returns the
+        requests completed. `observe_state` reads the state it leaves."""
+        window = self._window
+        completed = self._queue_step(counts, window, 0)
+        self._observe(window)
+        return completed
+
+    @cached_property
+    def _window(self) -> TickWindow:
+        """The one-tick window of the live tick."""
+        return TickWindow.of(self, 1)
+
+    def _queue_step(self, counts: np.ndarray, window: TickWindow, t: int) -> np.ndarray:
+        """The queue dynamics of a tick, which read no utilization or latency:
+        enqueue the (k,) arrivals at every cluster, drain the queues by
+        priority-weighted capacity sharing, carry the fraction of a request
+        the work left over buys, and advance the load history and the tick.
+        Keeps in tick t of `window` what the observation pass reads; returns
+        the requests completed."""
         counts = np.asarray(counts, dtype=np.int64)
         queue_len = self.queue_len
         shape = queue_len.shape
@@ -732,52 +794,80 @@ class ClusterSim:
         queue_len += counts
         self.last_load = counts.copy()
 
-        # completions: FIFO, oldest bucket first; capacity is not bankable across idle ticks.
-        # Contention rho is the (previous-tick EWMA) CPU utilization of the
-        # nodes hosting the service, capacity-weighted: an idle instance sees
-        # rho = 0 and queue wait covers anything beyond rho_cap.
-        cap = self._capacity
+        # completions: FIFO, oldest bucket first; capacity is not bankable across idle ticks
         available, used_by_node = allocate_work(
-            cap, self.node_cpu, queue_len * self.arrays.work_units, self.carry_work
+            self._capacity, self.node_cpu, queue_len * self.arrays.work_units, self.carry_work
         )
-        rho = contention(cap.share, self.util_true[..., 0])
-        formula = service_latency(self.topology.latency, rho, self.cache_hit_rate)
         available = available.reshape(-1)  # the drain spends it in place
-        served = None if self._served is None else []
-        completed, sum_base_ms = drain(
-            self._buckets, self._head, available, self._row_wu, formula.reshape(-1), self.tick,
-            self.topology.tick_length * 1000.0, served,
+        completed, window.steps[t] = drain(
+            self._buckets, self._head, available, self._row_wu, self.tick
         )
-        if served is not None:
-            self._served.append(served)
         completed = completed.reshape(shape)
         queue_len -= completed
         self.carry_work = np.where(
             queue_len > 0, np.remainder(available, self._row_wu).reshape(shape), 0.0
         )
-
-        # utilization (EWMA ground truth, noisy observation)
-        self.util_true = utilization_step(
-            self.util_true, used_by_node, queue_len, completed, cap, self.arrays,
-            self.topology.ewma_alpha,
-        )
-        if self.noise.std > 0:
-            eps = self._noise_rng.normal(0.0, self.noise.std, size=self.util_true.shape)
-        else:
-            eps = 0.0
-        self.util_obs = (self.util_true + eps).clip(0.0, 1.0)
+        used_by_node.sum(axis=-2, out=window.used_cpu[t])
+        window.queue_len[t] = queue_len
+        window.completed[t] = completed
 
         w = self.topology.history_window
         if w:
             i = self._load_ticks % w
             self._load_ring[i] = self._load_ring[i + w] = counts
         self._load_ticks += 1
-        self.last_latency_ms = np.where(
-            completed > 0, sum_base_ms.reshape(shape) / np.maximum(completed, 1), 0.0
-        )
-        self.last_throughput = completed / self.topology.tick_length
         self.tick += 1
         return completed
+
+    def _observe(self, window: TickWindow) -> tuple[np.ndarray, np.ndarray]:
+        """The observation pass over the ticks of `window`, which the queue
+        steps since the last pass filled, all at the current configuration:
+        their utilization EWMA, and the latency of the requests they completed.
+        Contention rho is each tick's previous-tick EWMA CPU utilization of the
+        nodes hosting the service, capacity-weighted: an idle instance sees
+        rho = 0, and queue wait covers anything beyond rho_cap. A request's
+        latency is its wait plus the formula latency at rho, summed per row in
+        the order the drain served them. Leaves the state after the last tick;
+        returns per tick the utilization (W, ..., n, 3) and the mean
+        completed-request latency in ms (W, ..., k)."""
+        cap, completed = self._capacity, window.completed
+        util = utilization_step(
+            self.util_true, window.used_cpu, window.queue_len, completed, cap, self.arrays,
+            self.topology.ewma_alpha,
+        )
+        # the CPU column of whole (n, 3) readings: a vector of another stride
+        # takes another BLAS kernel, which sums in another order
+        formula = service_latency(
+            self.topology.latency, contention(cap.share, util[:-1, ..., 0]), self.cache_hit_rate
+        ).reshape(-1)
+        util = util[1:]
+
+        served = window.steps
+        if len(served) == 1:  # the live tick: its rows index the formula as they are
+            ((rows, age, n_served),) = served
+            flat = rows
+        else:
+            rows, age, n_served = map(np.concatenate, zip(*served))
+            per_tick = [len(tick[0]) for tick in served]
+            flat = rows + np.repeat(np.arange(0, len(formula), len(self._head)), per_tick)
+        wait_ms = age * (self.topology.tick_length * 1000.0)
+        formula_ms = formula[flat]
+        # each row's buckets added to its sum in the order the drain served them
+        sum_base_ms = np.bincount(flat, (wait_ms + formula_ms) * n_served, len(formula))
+        latency = sum_base_ms.reshape(completed.shape) / np.maximum(completed, 1)  # 0 if none
+        if self._served is not None:
+            counts = [len(tick[0]) for tick in served]
+            self._served.append((counts, rows, wait_ms, formula_ms, n_served))
+
+        self.util_true = util[-1]
+        if self.noise.std > 0:  # the stream of one draw per tick
+            eps = self._noise_rng.normal(0.0, self.noise.std, size=util.shape)[-1]
+        else:
+            eps = 0.0
+        self.util_obs = (self.util_true + eps).clip(0.0, 1.0)
+        self.last_latency_ms = latency[-1]
+        self.last_throughput = completed[-1] / self.topology.tick_length
+        return util, latency
 
     def _materialize(self) -> None:
         """Sample the latencies of the ticks stepped since the last call.
@@ -791,14 +881,9 @@ class ClusterSim:
         if not self._served:
             return
         pending, self._served = self._served, []
-        steps = [step for tick in pending for step in tick]
-        if steps:
-            rows, waits, formulas, n_served = map(np.concatenate, zip(*steps))
-        else:
-            rows = n_served = np.zeros(0, dtype=np.int64)
-            waits = formulas = np.zeros(0)
-        per_tick = [sum(len(step[0]) for step in tick) for tick in pending]
-        tick_of = np.repeat(np.arange(len(pending)), per_tick)  # non-decreasing
+        per_tick = [count for window in pending for count in window[0]]
+        rows, waits, formulas, n_served = map(np.concatenate, zip(*(w[1:] for w in pending)))
+        tick_of = np.repeat(np.arange(len(per_tick)), per_tick)  # non-decreasing
         order = (tick_of * len(self._head) + rows).argsort(kind="stable")
         waits, formulas, n_served = waits[order], formulas[order], n_served[order]
         draws = np.minimum(n_served, self.latency_sample_cap)  # none for a bucket nobody left
@@ -927,12 +1012,16 @@ def rollout_batch(
     as the P clusters of one `ClusterSim`, with no observation noise or cache
     hits (it keeps no run record, so it draws no jitter either): held
     once, as a first no-op action holds a configuration, then ticked T times.
+    The configuration never changes, so the T ticks run in blocks of at most
+    `OBSERVE_BLOCK`: the queue steps of a block's ticks, then one observation
+    pass over the block. No buffer grows with T.
 
     placement is (P, k, n), quota and priority (P, k), arrivals (T >= 1, k)
     request counts per tick. Per candidate, the sums and the final state equal
     those of a `ClusterSim` on that configuration stepped T ticks with no-op
     actions and zero noise, bit for bit, whenever the first hold settles the
-    configuration (as it does a repaired chromosome)."""
+    configuration (as it does a repaired chromosome): the per-tick terms are
+    added tick by tick, in the order such a sim's loop adds them."""
     sim = ClusterSim(
         replace(topology, initial_placement=placement, initial_quota=quota,
                 initial_priority=priority),
@@ -942,15 +1031,26 @@ def rollout_batch(
     P, n = len(sim.quota), topology.node_count
     latency_sum, completed, util_sum = np.zeros(P), np.zeros(P), np.zeros(P)
     node_work = np.zeros((P, n))
-    for counts in arrivals:
-        sim._tick(counts)
-        done = sim.last_throughput * topology.tick_length
-        latency_sum += (sim.last_latency_ms[:, None, :] @ done[:, :, None])[:, 0, 0]
-        completed += done.sum(axis=-1)
-        cpu = sim.util_true[..., 0]
-        util_sum += cpu.sum(axis=-1) / n  # as .mean(), without its overhead
-        node_work += cpu
+    for start in range(0, len(arrivals), OBSERVE_BLOCK):
+        block = arrivals[start : start + OBSERVE_BLOCK]
+        window = TickWindow.of(sim, len(block))
+        for t, counts in enumerate(block):
+            sim._queue_step(counts, window, t)
+        util, latency = sim._observe(window)
+        done = window.completed / topology.tick_length * topology.tick_length  # throughput x tick
+        tick_latency = (latency[..., None, :] @ done[..., None])[..., 0, 0]
+        latency_sum = _running_sum(latency_sum, tick_latency)
+        completed = _running_sum(completed, done.sum(axis=-1))
+        cpu = util[..., 0]
+        util_sum = _running_sum(util_sum, cpu.sum(axis=-1) / n)  # as .mean(), without its overhead
+        node_work = _running_sum(node_work, cpu)
     return RolloutBatch(latency_sum, completed, util_sum, node_work, sim.observe_state())
+
+
+def _running_sum(total: np.ndarray, per_tick: np.ndarray) -> np.ndarray:
+    """`total` plus each row of `per_tick` in turn, as a `+=` per tick adds
+    them: a sum over the tick axis may add in pairs, and would lose the bits."""
+    return np.add.accumulate(np.concatenate((total[None], per_tick)))[-1]
 
 
 def write_trace_csv(sim: ClusterSim, path: str | Path) -> None:

@@ -7,6 +7,7 @@ arithmetic in the same order, so its results must be equal, not close.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 
 from tradesim.baselines import scheduler_options
 from tradesim.cluster import (
+    OBSERVE_BLOCK,
     ClusterSim,
     ClusterTopology,
     LatencyModel,
     NodeSpec,
     NoiseSpec,
     SystemState,
+    rollout_batch,
     uniform_topology,
 )
 from tradesim.hybrid import (
@@ -128,7 +131,7 @@ def rollout_cases(draw, overloaded: bool = False):
         initial_quota=(QUOTA_FLOOR,) * k,
         initial_priority=(0.5,) * k,
         latency=LatencyModel(rho_cap=draw(st.sampled_from([0.5, 0.9, 0.99]))),
-        history_window=draw(st.sampled_from([1, 7, 60])),
+        history_window=draw(st.sampled_from([0, 1, 7, 60])),
         ewma_alpha=draw(st.sampled_from([0.2, 0.35])),
         tick_length=draw(st.sampled_from([1.0, 0.5, 0.7])),
     )
@@ -137,7 +140,9 @@ def rollout_cases(draw, overloaded: bool = False):
         base_rate=rate, peak_rate=3 * rate, horizon=200, seed=draw(st.integers(0, 2**16)),
         service_mix=services, bursts=(BurstSpec(20, 30, 2.5),),
     )
-    eval_ticks = draw(st.integers(60, 120) if overloaded else st.integers(1, 120))
+    # past two observation blocks, the last one cut short
+    longest = max(120, 2 * OBSERVE_BLOCK + 1)
+    eval_ticks = draw(st.integers(60, 120) if overloaded else st.integers(1, longest))
     evaluator = RolloutEvaluator(
         scenario, topology, FitnessWeights(), eval_ticks, start_tick=draw(st.integers(0, 150))
     )
@@ -185,6 +190,37 @@ class TestKernelEqualsScalarReference:
         assert max(len(q) for q in sim.queues) >= 50
         assert_identical(evaluator.metrics(chromo), reference_rollout(evaluator, chromo))
 
+    def test_one_candidate_adds_its_ticks_in_order(self):
+        # one candidate over 10 ticks: numpy sums a (ticks, 1) axis pairwise,
+        # which gives another U here than adding tick by tick, as the
+        # reference does
+        services = (
+            ServiceSpec("a", 1.0, 5.0, 512, 64.0),
+            ServiceSpec("b", 1.0, 3.0, 256, 32.0),
+            ServiceSpec("c", 1.0, 8.0, 1024, 128.0),
+        )
+        topology = ClusterTopology(
+            nodes=(NodeSpec(1000.0, 4096.0, 50.0),), services=services,
+            initial_placement=((1,), (1,), (1,)), initial_quota=(QUOTA_FLOOR,) * 3,
+            initial_priority=(0.0,) * 3,
+        )
+        scenario = WorkloadScenario(
+            base_rate=60.0, peak_rate=180.0, horizon=40, seed=0, service_mix=services
+        )
+        evaluator = RolloutEvaluator(scenario, topology, FitnessWeights(), eval_ticks=10)
+        chromo = Chromosome(np.ones((3, 1), dtype=int), np.full(3, QUOTA_FLOOR), np.zeros(3))
+        assert repair(Population.of([chromo])).keys() == Population.of([chromo]).keys()
+        sim = reference_sim(evaluator, chromo)
+        per_tick = []
+        for counts in evaluator.arrivals():
+            sim.step_counts(sim.no_op_action(), counts)
+            per_tick.append(float(sim.util_true[:, 0].mean()))
+        in_order = 0.0
+        for u in per_tick:
+            in_order += u
+        assert np.sum(per_tick) / 10 != in_order / 10  # the case tells the two sums apart
+        assert_identical(evaluator.metrics(chromo), reference_rollout(evaluator, chromo))
+
     @given(rollout_cases(), st.randoms(use_true_random=False))
     def test_batch_order_invariant(self, case, rnd):
         evaluator, chromos = case
@@ -196,6 +232,26 @@ class TestKernelEqualsScalarReference:
             assert_identical(
                 RolloutMetrics(*tul[p], state_of(p)), RolloutMetrics(*alone[0], alone_state(0))
             )
+
+
+def test_a_long_rollout_holds_no_buffer_over_its_ticks():
+    # 4,000 ticks of 16 candidates, 8 services on 8 nodes. One (T, P, k, n)
+    # float buffer would take 32.8 MB, a (T, P, n, 3) one 12.3 MB and a
+    # (T, P, k) one 4.1 MB; the observation pass holds a block of ticks
+    rng = np.random.default_rng(0)
+    topology = uniform_topology(node_count=8)
+    pop = repair(Population.of([
+        Chromosome(rng.integers(0, 3, (8, 8)), np.full(8, 0.05), rng.random(8)) for _ in range(16)
+    ]))
+    arrivals = rng.poisson(20.0, (4000, 8))
+    tracemalloc.start()
+    try:
+        batch = rollout_batch(topology, pop.placement, pop.quota, pop.priority, arrivals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pop) == 16 and batch.completed.min() > 0
+    assert peak < 3 * 2**20
 
 
 class TestMemo:

@@ -216,9 +216,10 @@ class ReferenceSim(ClusterSim):
         self.queue_len -= completed
         self.completed_total += int(completed.sum())
         self.backlog_integral += float(self.queue_len.sum()) * self.topology.tick_length
-        self.util_true = utilization_step(
-            self.util_true, used_by_node, self.queue_len, completed, cap, self.arrays,
-            self.topology.ewma_alpha,
+        # a window of this tick alone: the EWMA before it, then after it
+        _, self.util_true = utilization_step(
+            self.util_true, used_by_node.sum(axis=0)[None], self.queue_len[None], completed[None],
+            cap, self.arrays, self.topology.ewma_alpha,
         )
         if self.noise.std > 0:
             eps = self._noise_rng.normal(0.0, self.noise.std, size=self.util_true.shape)
@@ -828,7 +829,8 @@ def traces(draw):
 
 
 class NeverSampledSim(CurrentSim):
-    """A recording sim whose ticks never sample: it keeps every drain step."""
+    """A recording sim whose ticks never sample: it keeps the buckets each
+    tick's drain served, in drain order (see `ClusterSim._observe`)."""
 
     def _materialize(self):
         pass
@@ -866,7 +868,8 @@ class TestRecords:
             trace_percentiles(each), each.latency_samples
             if t % every == 0:
                 some.latency_weights if t % 2 else trace_percentiles(some)
-        assert max(len(steps) for steps in unread._served) > 1
+        # a row served twice in one tick: its drain took more than one step
+        assert max(np.bincount(rows, minlength=1).max() for _, rows, *_ in unread._served) > 1
         for sim in (some, end):
             assert_sims_equal(sim, each)
 
