@@ -209,6 +209,7 @@ class TestKernelEqualsScalarReference:
         )
         evaluator = RolloutEvaluator(scenario, topology, FitnessWeights(), eval_ticks=10)
         chromo = Chromosome(np.ones((3, 1), dtype=int), np.full(3, QUOTA_FLOOR), np.zeros(3))
+        # feasible as it is, so the rollout's first hold settles it
         assert repair(Population.of([chromo])).keys() == Population.of([chromo]).keys()
         sim = reference_sim(evaluator, chromo)
         per_tick = []
