@@ -112,6 +112,11 @@ def _echo_resolved(config) -> None:
     print(json.dumps(asdict(config), indent=2))
 
 
+def _echo_flags(args) -> None:
+    """Print every flag of a command as parsed, defaults included."""
+    print(json.dumps({k: v for k, v in vars(args).items() if k not in ("fn", "command")}, indent=2))
+
+
 def _load_inputs(
     scenario_path: str, topology_path: str
 ) -> tuple[WorkloadScenario, ClusterTopology]:
@@ -271,8 +276,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    resolved = {"scenario": args.scenario, "out": args.out}
-    print(json.dumps(resolved, indent=2))
+    _echo_flags(args)
     scenario = load_scenario(args.scenario)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -333,13 +337,7 @@ def _check_training_flags(args, minimums: dict[str, int]) -> None:
 
 
 def cmd_train_predictor(args) -> int:
-    resolved = {
-        "scenario": args.scenario, "out": args.out, "seed": args.seed,
-        "epochs": args.epochs, "hidden": args.hidden, "layers": args.layers,
-        "seq_len": args.seq_len, "window": args.window, "horizon": args.horizon_ticks,
-        "dataset": args.dataset,
-    }
-    print(json.dumps(resolved, indent=2))
+    _echo_flags(args)
     _check_training_flags(args, {"epochs": 0, "seq_len": 1, "horizon_ticks": 1})
     if not args.dataset and not args.scenario:
         raise ConfigError("train-predictor needs --scenario or --dataset")
@@ -395,12 +393,7 @@ def cmd_train_drl(args) -> int:
     from .drl.policy import SchedulerPolicy, StateEncoder, save_policy
     from .drl.ppo import TrainConfig, train_scheduler
 
-    resolved = {
-        "scenario": args.scenario, "topology": args.topology, "out": args.out,
-        "seed": args.seed, "episodes": args.episodes,
-        "decision_interval": args.decision_interval,
-    }
-    print(json.dumps(resolved, indent=2))
+    _echo_flags(args)
     _check_training_flags(args, {"episodes": 0, "decision_interval": 1})
     timings: dict[str, dict[str, int]] = {}
     started = time.perf_counter_ns()
@@ -434,8 +427,7 @@ def cmd_train_drl(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    resolved = {"baseline": args.baseline, "candidate": args.candidate, "out": args.out}
-    print(json.dumps(resolved, indent=2))
+    _echo_flags(args)
     base = load_summary(args.baseline)
     cand = load_summary(args.candidate)
     try:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, WarmupError, from_json, read_json
 
-FEATURE_COUNT = 18
+FEATURE_COUNT = 18  # 14 live features and 4 reserved zero columns; see extract_features
 
 
 @dataclass(frozen=True)
@@ -202,35 +202,21 @@ def _draw_tick_counts(scenario: WorkloadScenario, t: int) -> np.ndarray:
 
 @dataclass
 class TickHistory:
-    """Per-tick volume series plus the clock/market context features need.
+    """Per-tick arrival volume plus the session clock the time features need.
 
-    Indicator series are optional; absent ones contribute zeros so the
-    feature contract (18 finite values) always holds.
+    The volume is the only series: no command, input file or dataset records
+    a market indicator, so the feature rows' four indicator columns are zeros
+    (see `extract_features`).
     """
 
     volume: list[float] = field(default_factory=list)
-    price_volatility: list[float] = field(default_factory=list)
-    order_cancel_ratio: list[float] = field(default_factory=list)
-    burst_flags: list[int] = field(default_factory=list)
-    busiest_utilization: list[float] = field(default_factory=list)
     tick_length: float = 1.0  # seconds
     ticks_per_day: int = 86_400
     market_open_tick: int = 0  # offset within the day
     market_close_tick: int = 86_400
 
-    def append(
-        self,
-        volume: float,
-        price_volatility: float = 0.0,
-        order_cancel_ratio: float = 0.0,
-        burst_flag: int = 0,
-        busiest_utilization: float = 0.0,
-    ) -> None:
+    def append(self, volume: float) -> None:
         self.volume.append(float(volume))
-        self.price_volatility.append(float(price_volatility))
-        self.order_cancel_ratio.append(float(order_cancel_ratio))
-        self.burst_flags.append(int(burst_flag))
-        self.busiest_utilization.append(float(busiest_utilization))
 
     def __len__(self) -> int:
         return len(self.volume)
@@ -238,17 +224,13 @@ class TickHistory:
 
 def volume_history(scenario: WorkloadScenario) -> TickHistory:
     """The arrival volume (requests/second) of every tick of the scenario's
-    horizon, its indicator series zeros, on `TickHistory`'s default clock.
+    horizon, on `TickHistory`'s default clock.
 
     The predictor is trained and served on this history alone; each caller
     sets the session clock its features run on."""
-    n = scenario.horizon
     volume = [float(generate_tick_counts(scenario, t).sum()) / scenario.tick_length
-              for t in range(n)]
-    return TickHistory(
-        volume=volume, price_volatility=[0.0] * n, order_cancel_ratio=[0.0] * n,
-        burst_flags=[0] * n, busiest_utilization=[0.0] * n, tick_length=scenario.tick_length,
-    )
+              for t in range(scenario.horizon)]
+    return TickHistory(volume=volume, tick_length=scenario.tick_length)
 
 
 @dataclass(frozen=True)
@@ -267,17 +249,21 @@ def extract_features(
     history: TickHistory, window: int, scaling: FeatureScaling, ends: np.ndarray
 ) -> np.ndarray:
     """(len(ends), 18) features: row k describes `history[:ends[k]]` with 8
-    volume stats, 6 time features and 4 market indicators.
+    volume stats, 6 time features and 4 reserved columns that are always 0.0.
 
     Layout: [mean, std, min, max, last, slope, lag1, lag5,
              sin_tod, cos_tod, sin_dow, cos_dow, mins_since_open, mins_to_close,
-             price_volatility, order_cancel_ratio, burst_flag_count, busiest_util]
+             0, 0, 0, 0]
     Volume statistics are divided by `scaling.volume_scale`; the slope is the
-    least-squares slope of volume per tick over the window. An indicator series
-    shorter than a row's end contributes zeros to it. `ends` is a non-empty
-    array, in any order and with repeats. Only the span of history from the
-    first row's window to the last end is converted, so a forecast's rows cost
-    O(rows x window) whatever the length of the history.
+    least-squares slope of volume per tick over the window. The reserved
+    columns once held market indicators (price volatility, order cancel ratio,
+    burst flag count, busiest node's utilization) that nothing records. They
+    stay because the rows' width is the LSTM's input size: 14 columns would
+    change `init_params`' draws and so every trained model, and c04's seed 7
+    then scales up past its bound. `ends` is a non-empty array, in any order
+    and with repeats. Only the span of history from the first row's window to
+    the last end is converted, so a forecast's rows cost O(rows x window)
+    whatever the length of the history.
     """
     ends = np.asarray(ends, dtype=np.int64)
     if ends.max() > len(history):
@@ -289,20 +275,8 @@ def extract_features(
 
     lo, hi = int(ends.min()) - window, int(ends.max())
     cells = (ends - window - lo)[:, None] + np.arange(window)  # of each row in history[lo:hi]
-
-    def windows(series: list, rows) -> np.ndarray:
-        # (rows, window) copies, so every reduction runs along a contiguous row
-        return np.asarray(series[lo:hi], dtype=float)[cells[rows]]
-
-    def tail(series: list) -> np.ndarray:
-        # an indicator series not yet as long as a row's end gives that row zeros
-        out = np.zeros((len(ends), window))
-        rows = ends <= len(series)
-        if rows.any():
-            out[rows] = windows(series, rows)
-        return out
-
-    vol = windows(history.volume, slice(None))
+    # (rows, window) copies, so every reduction runs along a contiguous row
+    vol = np.asarray(history.volume[lo:hi], dtype=float)[cells]
     vs = scaling.volume_scale
     mean = vol.mean(axis=1)
     x = np.arange(window, dtype=float)
@@ -331,14 +305,8 @@ def extract_features(
         np.clip(to_close / scaling.session_minutes, -1.0, 2.0),
     ]
 
-    market_feats = [
-        tail(history.price_volatility).mean(axis=1),
-        tail(history.order_cancel_ratio).mean(axis=1),
-        tail(history.burst_flags).sum(axis=1),
-        tail(history.busiest_utilization)[:, -1],
-    ]
-
-    table = np.stack([v / vs for v in volume_stats] + time_feats + market_feats, axis=1)
+    reserved = [np.zeros(len(ends))] * 4
+    table = np.stack([v / vs for v in volume_stats] + time_feats + reserved, axis=1)
     if not np.isfinite(table).all():
         raise ValueError("feature values must be finite")
     return table

@@ -7,6 +7,10 @@ its trace points that way), but not its `def` or `class` line. So each public
 name must appear in the program more often than it is defined. The check goes
 by name, so a method shares its uses with every other method of that name; it
 catches code nothing refers to, not every uncalled method of a common name.
+
+Every parameter of a function (or lambda) in `src/tradesim` is read in its
+body, so a dead input cannot linger as a parameter. `self`, `cls` and
+`_`-prefixed names are skipped.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ ALLOWED = {
     "remove_shard": "HashRing's other membership change; its relocation property is tested",
     "percentiles": "the nearest-rank reference that weighted_percentile is tested against",
     "satisfies_invariants": "c05 keeps its exhaustive oracle to feasible chromosomes with it",
+}
+
+# Parameters left unread, by (function, parameter), each with the reason it is kept.
+UNREAD_ALLOWED = {
+    ("decide", "service_rho"): "the scheduler interface decide(sim, service_rho, tick); only "
+                               "the threshold autoscaler reads the per-service contention",
+    ("decide", "tick"): "the scheduler interface decide(sim, service_rho, tick); round-robin, "
+                        "random and drl decide without the tick",
 }
 
 
@@ -77,3 +89,35 @@ def test_allowed_names_are_still_uncalled():
     # a name that gained a caller leaves the list, so the list stays the short one
     assert set(ALLOWED) <= uncalled_names()
 
+
+def unread_parameters() -> list[tuple[str, str, str]]:
+    """(function, parameter, file:line) for each parameter of a function or
+    lambda in `src/` that its body never reads."""
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+            }
+            where = f"{path.relative_to(ROOT)}:{fn.lineno}"
+            unread += [
+                (getattr(fn, "name", "<lambda>"), p.arg, where) for p in params
+                if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+            ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = [u for u in unread_parameters() if u[:2] not in UNREAD_ALLOWED]
+    assert unread == [], "parameters their function never reads"
+
+
+def test_allowed_parameters_are_still_unread():
+    # a parameter that gained a reader leaves the list, so the list stays the short one
+    assert set(UNREAD_ALLOWED) <= {u[:2] for u in unread_parameters()}

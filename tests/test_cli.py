@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -17,7 +18,14 @@ from tradesim.baselines import (
     make_scheduler,
     scheduler_options,
 )
-from tradesim.cli import EXIT_CONFIG, EXIT_OK, main, run_experiment, ExperimentConfig
+from tradesim.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    ExperimentConfig,
+    build_parser,
+    main,
+    run_experiment,
+)
 from tradesim.cluster import ClusterSim, NoiseSpec, save_topology, uniform_topology
 from tradesim.drl.policy import SchedulerPolicy, StateEncoder, save_policy
 from tradesim.errors import ConfigError
@@ -43,9 +51,6 @@ from tradesim.workload import (
     volume_history,
 )
 
-
-# the per-tick columns of a TickHistory
-SERIES = ("volume", "price_volatility", "order_cancel_ratio", "burst_flags", "busiest_utilization")
 
 
 @pytest.fixture
@@ -243,6 +248,33 @@ class TestSimulateCommand:
         summary, sim = run_experiment(config)
         assert sim.conservation_ok()
         assert summary.achieved_tps > 0
+
+
+def subparser_dests(name: str) -> list[str]:
+    """The dests of one command's flags, as its subparser declares them."""
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.dest for a in commands.choices[name]._actions if a.dest != "help"]
+
+
+class TestFlagEcho:
+    # every flag set off its default; the input files do not exist, so each
+    # command echoes its flags and then exits 1 before it runs
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--scenario", "nope.json", "--out", "t.csv"],
+        ["train-predictor", "--scenario", "nope.json", "--dataset", "nope.csv", "--out", "m.npz",
+         "--seed", "4", "--epochs", "3", "--hidden", "5", "--layers", "2", "--dropout", "0.1",
+         "--seq-len", "6", "--window", "7", "--horizon-ticks", "8", "--learning-rate", "0.02"],
+        ["train-drl", "--scenario", "nope.json", "--topology", "nope-topo.json", "--out", "p.npz",
+         "--seed", "4", "--episodes", "3", "--decision-interval", "5", "--learning-rate", "0.02"],
+        ["compare", "--baseline", "nope.json", "--candidate", "nope-too.json", "--out", "c.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_echo_holds_every_flag_as_parsed(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_CONFIG
+        echoed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        assert list(echoed) == subparser_dests(argv[0])
+        args = build_parser().parse_args(argv)
+        assert echoed == {dest: getattr(args, dest) for dest in echoed}
 
 
 class TestSimulateConfigFile:
@@ -627,8 +659,8 @@ class TestGenerateBytes:
 
 class TestPredictorHistory:
     def test_simulate_hands_the_predictor_the_training_columns(self, small_files, monkeypatch):
-        # training's history holds the volume alone, so its indicator columns
-        # are zeros; the history simulate forecasts from must hold the same
+        # training's history holds the volume alone; the history simulate
+        # forecasts from must hold the same volume
         sc, topo, tmp = small_files
         config = LstmConfig(hidden_size=3, layers=1, dropout=0.0)
         save_checkpoint(ForecastModel(
@@ -639,7 +671,7 @@ class TestPredictorHistory:
         predict_and_warn = ForecastModel.predict_and_warn
 
         def recording(model, history, ends, *args):
-            handed.append({name: list(getattr(history, name)) for name in SERIES})
+            handed.append(list(history.volume))
             return predict_and_warn(model, history, ends, *args)
 
         monkeypatch.setattr(ForecastModel, "predict_and_warn", recording)
@@ -660,11 +692,8 @@ class TestPredictorHistory:
         ]) == EXIT_OK
         [trained] = trained
         assert handed
-        for columns in handed:
-            n = len(columns["volume"])
-            assert columns["busiest_utilization"] == [0.0] * n
-            for name in SERIES:
-                assert columns[name] == getattr(trained, name)[:n], name
+        for volume in handed:
+            assert volume == trained.volume[: len(volume)]
 
 
 class TestForecastsBeforeTheLoop:
@@ -716,7 +745,7 @@ class TestForecastsBeforeTheLoop:
             one_by_one = [False] * scenario.horizon
             for t in range(model.min_history(), scenario.horizon):
                 if t % config.predictor_interval == 0:
-                    head = replace(history, **{name: getattr(history, name)[:t] for name in SERIES})
+                    head = replace(history, volume=history.volume[:t])
                     [forecast] = model.predict_and_warn(head, [t], config.predictor_threshold)
                     one_by_one[t] = forecast.burst_flag
             assert any(one_by_one), seed

@@ -1070,19 +1070,12 @@ class TestDecisionEnvArrivals:
 # --- forecast rows --------------------------------------------------------------------------
 
 
-def grown_history(n: int, seed: int, indicators: bool = True) -> TickHistory:
+def grown_history(n: int, seed: int) -> TickHistory:
     rng = np.random.default_rng(seed)
     history = TickHistory(tick_length=1.0, ticks_per_day=300, market_open_tick=30,
                           market_close_tick=270)
     for _ in range(n):
-        if indicators:
-            history.append(
-                float(rng.uniform(50, 500)), price_volatility=float(rng.uniform(0.1, 2.0)),
-                order_cancel_ratio=float(rng.uniform(0.1, 0.9)), burst_flag=int(rng.random() < 0.2),
-                busiest_utilization=float(rng.uniform(0.1, 1.0)),
-            )
-        else:
-            history.volume.append(float(rng.uniform(50, 500)))
+        history.append(float(rng.uniform(50, 500)))
     return history
 
 
@@ -1097,10 +1090,8 @@ def make_model(seq_len=12, window=10, seed=0) -> ForecastModel:
 
 
 def head(history: TickHistory, end: int) -> TickHistory:
-    """The history of the first `end` ticks: each series cut at `end`."""
-    series = ("volume", "price_volatility", "order_cancel_ratio", "burst_flags",
-              "busiest_utilization")
-    return replace(history, **{name: getattr(history, name)[:end] for name in series})
+    """The history of the first `end` ticks: its volume cut at `end`."""
+    return replace(history, volume=history.volume[:end])
 
 
 def predicted(model: ForecastModel, history: TickHistory) -> float:
@@ -1115,15 +1106,10 @@ def fresh_predict(model: ForecastModel, history: TickHistory, end=None) -> float
 
 
 class TestForecastRows:
-    @given(
-        st.integers(2, 14), st.integers(1, 14), st.integers(1, 6), st.integers(0, 999),
-        st.booleans(),
-    )
-    def test_growing_history_equals_fresh_sequences(
-        self, window, seq_len, interval, seed, indicators
-    ):
+    @given(st.integers(2, 14), st.integers(1, 14), st.integers(1, 6), st.integers(0, 999))
+    def test_growing_history_equals_fresh_sequences(self, window, seq_len, interval, seed):
         model = make_model(seq_len, window, seed)
-        full = grown_history(90, seed, indicators)
+        full = grown_history(90, seed)
         history = grown_history(0, seed)
         model.configure_history(history)
         for t in range(90):
@@ -1132,12 +1118,7 @@ class TestForecastRows:
                 end = t - seed % 3  # an earlier end
                 if end >= model.min_history():
                     assert predicted(model, head(history, end)) == fresh_predict(model, history, end)
-            if indicators:
-                history.append(full.volume[t], full.price_volatility[t],
-                               full.order_cancel_ratio[t], full.burst_flags[t],
-                               full.busiest_utilization[t])
-            else:
-                history.volume.append(full.volume[t])
+            history.append(full.volume[t])
 
     def test_extracts_each_row_once(self, monkeypatch):
         # one call per one-end forecast, for the seq_len rows that end at its end
@@ -1196,20 +1177,10 @@ class TestForecastRows:
         model.feature_window = 6
         assert predicted(model, history) == fresh_predict(model, history)
         del history.volume[110:]
-        for series in (history.price_volatility, history.order_cancel_ratio,
-                       history.burst_flags, history.busiest_utilization):
-            del series[110:]
-        history.append(1e4, 5.0, 0.5, 1, 1.0)  # a shorter history, appended to again
+        history.append(1e4)  # a shorter history, appended to again
         assert predicted(model, history) == fresh_predict(model, history)
         other = grown_history(120, 3)
         assert predicted(model, other) == fresh_predict(model, other)
-
-    def test_indicators_that_arrive_later_enter_the_rows(self):
-        model = make_model(seq_len=4, window=5)
-        history = grown_history(30, 4, indicators=False)
-        predicted(model, history)
-        history.busiest_utilization = [0.9] * 30  # now as long as the volume series
-        assert predicted(model, history) == fresh_predict(model, history)
 
     def test_errors_as_before(self):
         model, history = make_model(), grown_history(30, 5)
